@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import response
 from .errors import InvalidParameterError, NumericalFailure, TruncationTooSmall
@@ -72,6 +71,14 @@ def unitarity_defect(u: np.ndarray, block: int | None = None) -> float:
     if block is not None:
         g = g[:block, :block]
     return float(np.linalg.norm(g, ord=2))
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential (scipy.linalg.expm, imported on first use so that
+    importing the package does not load scipy)."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def displacement_matrix(mode: TruncatedMode, beta: complex) -> np.ndarray:

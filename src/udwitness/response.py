@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from . import kernels
 from .errors import InvalidParameterError, NumericalFailure
@@ -231,31 +230,49 @@ def _oscillation_breakpoints(mode: ModeSpec, traj: TrajectorySpec, t_end: float)
 
 
 def _adaptive_panels(kind, phi0, rate, cc, omega, breakpoints, tol_i):
+    """Bisect panels until their error estimates sum to at most tol_i.
+
+    Returns (lo, hi, vals, errs, stall) with panels in order; ``stall`` is
+    None on convergence, else why refinement stopped: the error sum has
+    not shrunk over two rounds, or the round or panel cap was hit.
+
+    The stall rule assumes breakpoints that already resolve the
+    oscillation, as _oscillation_breakpoints gives: there a bisection cuts
+    a panel's estimate by about 2**15 until rounding dominates, so an error
+    sum that has not shrunk in two rounds sits at the rounding floor.
+    Panels spanning many cycles can go several rounds without shrinking
+    and would be reported as stalled.
+    """
     lo = breakpoints[:-1]
     hi = breakpoints[1:]
     keep = hi > lo
     lo, hi = lo[keep], hi[keep]
     vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, omega, lo, hi)
-    rounds = 0
-    while errs.sum() > tol_i:
-        if rounds >= _MAX_ROUNDS or lo.size >= _MAX_PANELS:
-            return lo, hi, vals, errs, False
-        thresh = tol_i / (2.0 * lo.size)
-        mask = errs > thresh
+    history = [errs.sum()]
+    while history[-1] > tol_i:
+        if len(history) > 2 and history[-1] >= history[-3]:
+            return lo, hi, vals, errs, "stalled (error sum not shrinking over two rounds)"
+        if len(history) > _MAX_ROUNDS:
+            return lo, hi, vals, errs, f"round cap {_MAX_ROUNDS} hit"
+        if lo.size >= _MAX_PANELS:
+            return lo, hi, vals, errs, f"panel cap {_MAX_PANELS} hit"
+        mask = errs > tol_i / (2.0 * lo.size)
         if not mask.any():
             break
-        mid = 0.5 * (lo[mask] + hi[mask])
-        new_lo = np.concatenate([lo[mask], mid])
-        new_hi = np.concatenate([mid, hi[mask]])
-        new_vals, new_errs = kernels.panel_integrals(kind, phi0, rate, cc, omega, new_lo, new_hi)
-        lo = np.concatenate([lo[~mask], new_lo])
-        hi = np.concatenate([hi[~mask], new_hi])
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        order = np.argsort(lo, kind="stable")
-        lo, hi, vals, errs = lo[order], hi[order], vals[order], errs[order]
-        rounds += 1
-    return lo, hi, vals, errs, True
+        # Each split panel is replaced in place by its two halves.
+        split_lo, split_hi = lo[mask], hi[mask]
+        mid = 0.5 * (split_lo + split_hi)
+        half_lo = np.column_stack([split_lo, mid]).ravel()
+        half_hi = np.column_stack([mid, split_hi]).ravel()
+        half_vals, half_errs = kernels.panel_integrals(
+            kind, phi0, rate, cc, omega, half_lo, half_hi
+        )
+        reps = mask + 1
+        slots = np.flatnonzero(np.repeat(mask, reps))
+        lo, hi, vals, errs = (np.repeat(x, reps) for x in (lo, hi, vals, errs))
+        lo[slots], hi[slots], vals[slots], errs[slots] = half_lo, half_hi, half_vals, half_errs
+        history.append(errs.sum())
+    return lo, hi, vals, errs, None
 
 
 def _quadrature_prefix(mode, coupling, traj, taus, tol):
@@ -281,7 +298,7 @@ def _quadrature_prefix(mode, coupling, traj, taus, tol):
     bps = np.union1d(bps, t_clip[t_clip > 0.0])
     kind, phi0, rate, cc = _kernel_params(mode, traj)
     tol_i = tol / max(pref, 1e-300)
-    lo, hi, vals, errs, converged = _adaptive_panels(
+    lo, hi, vals, errs, stall = _adaptive_panels(
         kind, phi0, rate, cc, mode.omega, bps, tol_i
     )
     cum_vals = np.concatenate([[0.0 + 0.0j], np.cumsum(vals)])
@@ -289,9 +306,9 @@ def _quadrature_prefix(mode, coupling, traj, taus, tol):
     idx = np.searchsorted(hi, t_clip, side="right")
     chi_vals = -1j * pref * cum_vals[idx]
     chi_errs = pref * cum_errs[idx]
-    if not converged:
+    if stall is not None:
         raise NumericalFailure(
-            f"quadrature did not reach tol={tol} after {lo.size} panels "
+            f"quadrature did not reach tol={tol} after {lo.size} panels: {stall} "
             f"(error estimate {pref * errs.sum():.3e})",
             best=(chi_vals, chi_errs),
             err_estimate=pref * errs.sum(),
@@ -475,6 +492,8 @@ def phase_beta(f, omega: float, tau0: float, tau: float, tol: float = 1e-9) -> f
         raise InvalidParameterError(f"tau={tau} must be >= tau0={tau0}")
     if tau == tau0:
         return 0.0
+    from scipy.integrate import cumulative_simpson, simpson
+
     prev = None
     for n in (512, 1024, 2048, 4096, 8192, 16384):
         t = np.linspace(tau0, tau, n + 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from udwitness import kernels
 from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.field import ModeSpec
 from udwitness.response import (
@@ -12,9 +13,12 @@ from udwitness.response import (
     ChiBranch,
     ChiValue,
     CouplingSpec,
+    _adaptive_panels,
     _chi_inertial_closed,
     _chi_inertial_stable,
     _inertial_params,
+    _kernel_params,
+    _oscillation_breakpoints,
     chi,
     chi_inertial_analytic,
     chi_mode_sum,
@@ -257,6 +261,31 @@ class TestChiQuadrature:
         assert branch is ChiBranch.QUADRATURE
         assert np.any(errs > 1e-300)
         assert np.all(np.isfinite(vals))
+
+    def test_unreachable_tolerance_reports_stall(self):
+        mode = ModeSpec(2, 4.0, 1.0)
+        traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
+        with pytest.raises(NumericalFailure, match="stalled"):
+            chi_quadrature(mode, CouplingSpec(1.0), traj, 2.0, tol=1e-300)
+
+    def test_refinement_replaces_split_panels_in_place(self):
+        # Every 4th breakpoint: some of the 3 panels need splitting, some not.
+        mode = ModeSpec(2, 4.0, 1.0)
+        traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
+        kind, phi0, rate, cc = _kernel_params(mode, traj)
+        fine = _oscillation_breakpoints(mode, traj, wall_time(traj))
+        coarse = np.union1d(fine[::4], fine[-1:])
+        lo, hi, vals, errs, stall = _adaptive_panels(kind, phi0, rate, cc, mode.omega, coarse, 1e-12)
+        assert stall is None
+        assert errs.sum() <= 1e-12
+        assert lo[0] == coarse[0] and hi[-1] == coarse[-1]
+        np.testing.assert_array_equal(lo[1:], hi[:-1])
+        assert lo.size > coarse.size - 1
+        again, _ = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, lo, hi)
+        np.testing.assert_allclose(vals, again, rtol=0, atol=1e-15)
+        edges = np.linspace(0.0, coarse[-1], 4001)
+        ref, _ = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
+        assert abs(vals.sum() - ref.sum()) <= 1e-12
 
 
 class TestDispatch:
