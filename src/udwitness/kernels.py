@@ -26,12 +26,12 @@ estimate needs no rotation at all.
 Why the trigonometry count matters: sin and cos set the kernel's speed.
 With numpy 2.4 on a 2-vCPU x86-64 host they take about 28-30 ns per
 element for arguments of hundreds of radians (the phases here) and about
-10 ns below 0.4 rad, against under 2 ns for cosh, exp or a multiply.
+10-20 ns below pi/2, against under 2 ns for cosh, exp or a multiply.
 The folded rule takes sin A at 15 nodes, cos and sin of the small angles
-omega*h*x_j (at most pi/8 on the panels the quadrature uses) at 7, and
-one cos/sin pair of omega*mid per panel: about 31 calls, 17 of them on
-large arguments, where separate GL15 and GL7 rules with a complex
-exponential per node took about 66, all on large arguments.
+omega*h*x_j (below pi/2 on the half-cycle panels the quadrature starts
+from) at 7, and one cos/sin pair of omega*mid per panel: about 31 calls,
+17 of them on large arguments, where separate GL15 and GL7 rules with a
+complex exponential per node took about 66, all on large arguments.
 """
 
 from __future__ import annotations

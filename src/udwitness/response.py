@@ -42,6 +42,11 @@ DEFAULT_TOL = 1e-10
 _MAX_PANELS = 400_000
 _MAX_ROUNDS = 48
 
+#: Largest phase of either oscillation across one starting panel: half a
+#: cycle. The K15 rule resolves it to ~1e-12 relative, and the adaptive
+#: pass splits the panels whose estimate asks for more.
+_START_PANEL_PHASE = math.pi
+
 
 class ChiBranch(Enum):
     STATIC_CLOSED_FORM = "static-closed-form"
@@ -52,7 +57,13 @@ class ChiBranch(Enum):
 
 @dataclass(frozen=True)
 class ChiValue:
-    """Complex response amplitude with evaluation metadata."""
+    """Complex response amplitude with evaluation metadata.
+
+    ``err_estimate`` is 0 for the closed forms. For QUADRATURE it is the
+    summed per-panel truncation estimate |K15 - G7| (times the coupling
+    prefactor): it does not bound the rounding of the phases omega*t,
+    which on long spans near the inertial resonance can exceed it.
+    """
 
     value: complex
     branch: ChiBranch
@@ -205,23 +216,24 @@ def _kernel_params(mode: ModeSpec, traj: TrajectorySpec):
 
 
 def _oscillation_breakpoints(mode: ModeSpec, traj: TrajectorySpec, t_end: float):
-    """Panel edges resolving both the field phase and the mode-crossing phase.
+    """Starting panel edges for the field phase and the mode-crossing phase.
 
-    Panels never span more than 1/8 of a cycle of exp(i*omega_k*t) nor of
-    the instantaneous mode-function oscillation along the worldline.
+    Panels never span more than half a cycle (_START_PANEL_PHASE) of
+    exp(i*omega_k*t) nor of the instantaneous mode-function oscillation
+    along the worldline; _adaptive_panels refines from there.
     """
-    caps = [2.0 * math.pi / (8.0 * mode.omega)]
+    caps = [_START_PANEL_PHASE / mode.omega]
     if traj.kind is TrajectoryKind.INERTIAL:
         omega_l, _ = _inertial_params(mode, traj)
         if omega_l > 0:
-            caps.append(2.0 * math.pi / (8.0 * omega_l))
+            caps.append(_START_PANEL_PHASE / omega_l)
     h = min(caps)
     n_uniform = max(1, math.ceil(t_end / h))
     pts = np.linspace(0.0, t_end, n_uniform + 1)
     if traj.kind is TrajectoryKind.ACCELERATED:
         cc = mode.k * math.pi / (mode.L * traj.a)
         sweep = cc * (math.cosh(traj.a * t_end) - 1.0)
-        n_phase = math.ceil(sweep / (math.pi / 4.0))
+        n_phase = math.ceil(sweep / _START_PANEL_PHASE)
         if n_phase > 1:
             theta = np.arange(1, n_phase) * (sweep / n_phase)
             t_phase = np.arccosh(1.0 + theta / cc) / traj.a
@@ -237,11 +249,16 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, breakpoints, tol_i):
     not shrunk over two rounds, or the round or panel cap was hit.
 
     The stall rule assumes breakpoints that already resolve the
-    oscillation, as _oscillation_breakpoints gives: there a bisection cuts
-    a panel's estimate by about 2**15 until rounding dominates, so an error
-    sum that has not shrunk in two rounds sits at the rounding floor.
-    Panels spanning many cycles can go several rounds without shrinking
-    and would be reported as stalled.
+    oscillation. The half-cycle panels of _oscillation_breakpoints do: at
+    half-width pi/2 of a phase even the embedded G7 rule is converged (and
+    close to it where the two phases add up to a cycle), so a bisection
+    cuts a panel's estimate by about 2**15 (the G7 error goes as h**15)
+    until rounding dominates, and an error sum that has not shrunk in two
+    rounds sits at the rounding floor. The least resolved
+    starting panels are the first accelerated ones, where
+    A(t) = cc*(cosh(a*t) - 1) is far from linear; their estimate still
+    falls every round. Panels spanning many cycles can go several rounds
+    without shrinking and would be reported as stalled.
     """
     lo = breakpoints[:-1]
     hi = breakpoints[1:]
@@ -323,7 +340,11 @@ def chi_quadrature(
     tau: float,
     tol: float = DEFAULT_TOL,
 ) -> ChiValue:
-    """Response by adaptive oscillation-aware quadrature, any trajectory."""
+    """Response by adaptive oscillation-aware quadrature, any trajectory.
+
+    The returned err_estimate is a truncation estimate (the panels'
+    summed |K15 - G7|), not a bound: see ChiValue.
+    """
     if tau < 0:
         raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
     if not tol > 0:

@@ -375,8 +375,9 @@ def asymptote_value(
 ) -> float:
     """Late-time constant |W| of a wall-stopped accelerated trajectory.
 
-    ``t_eval`` must not precede the wall-arrival time; the result is
-    checked to be T-independent by also evaluating at 2*t_eval.
+    ``t_eval`` must not precede the wall-arrival time. Past it every chi_k
+    is frozen at its wall value (the integration stops at the wall), so
+    the result is |W| at the wall for any such ``t_eval``.
     """
     if traj.kind is not TrajectoryKind.ACCELERATED:
         raise InvalidParameterError(
@@ -387,11 +388,7 @@ def asymptote_value(
         raise InvalidParameterError(
             f"evaluation time T={t_eval} precedes wall arrival; minimum valid T is {t_wall}"
         )
-    series = witness_series(state, cavity, coupling, traj, [t_eval, 2.0 * t_eval], tol=tol)
-    if not series.ok.all():
+    series = witness_series(state, cavity, coupling, traj, [t_eval], tol=tol)
+    if not series.ok[0]:
         raise NumericalFailure("asymptote evaluation did not meet the tolerance")
-    if abs(series.w_abs[1] - series.w_abs[0]) > 1e-9:
-        raise NumericalFailure(
-            f"|W| not frozen past the wall: {series.w_abs[0]} vs {series.w_abs[1]}"
-        )
     return float(series.w_abs[0])

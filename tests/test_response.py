@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -269,12 +270,12 @@ class TestChiQuadrature:
             chi_quadrature(mode, CouplingSpec(1.0), traj, 2.0, tol=1e-300)
 
     def test_refinement_replaces_split_panels_in_place(self):
-        # Every 4th breakpoint: some of the 3 panels need splitting, some not.
+        # Three equal panels: the first needs no split at this tolerance,
+        # the other two do.
         mode = ModeSpec(2, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
         kind, phi0, rate, cc = _kernel_params(mode, traj)
-        fine = _oscillation_breakpoints(mode, traj, wall_time(traj))
-        coarse = np.union1d(fine[::4], fine[-1:])
+        coarse = np.linspace(0.0, wall_time(traj), 4)
         lo, hi, vals, errs, stall = _adaptive_panels(kind, phi0, rate, cc, mode.omega, coarse, 1e-12)
         assert stall is None
         assert errs.sum() <= 1e-12
@@ -286,6 +287,62 @@ class TestChiQuadrature:
         edges = np.linspace(0.0, coarse[-1], 4001)
         ref, _ = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
         assert abs(vals.sum() - ref.sum()) <= 1e-12
+
+
+def _eighth_cycle_edges(mode, traj, t_end):
+    """The earlier, finer starting grid: 1/8 cycle of either phase per panel."""
+    step = math.pi / 4.0
+    pts = np.linspace(0.0, t_end, math.ceil(t_end * mode.omega / step) + 1)
+    cc = mode.k * math.pi / (mode.L * traj.a)
+    sweep = cc * (math.cosh(traj.a * t_end) - 1.0)
+    n_phase = math.ceil(sweep / step)
+    theta = np.arange(1, n_phase) * (sweep / n_phase)
+    return np.union1d(pts, np.arccosh(1.0 + theta / cc) / traj.a)
+
+
+class TestHalfCycleStart:
+    """The adaptive pass starts from half-cycle panels and refines from there."""
+
+    @pytest.mark.parametrize("a", [0.02, 0.8, 8.0, 50.0])
+    def test_figure_scale_matches_fine_grid(self, fig_cavity, fig_coupling, a):
+        mode = fig_cavity.mode()
+        traj = TrajectorySpec.accelerated(a, fig_cavity.x0, fig_cavity.L)
+        c = chi_quadrature(mode, fig_coupling, traj, 500.0)
+        assert c.err_estimate <= DEFAULT_TOL
+        kind, phi0, rate, cc = _kernel_params(mode, traj)
+        edges = _eighth_cycle_edges(mode, traj, wall_time(traj))
+        _, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
+        # At large a the first panel is unresolved even at 1/8 cycle, because
+        # A(t) = cc*(cosh(a*t) - 1) is far from linear there: cut every panel
+        # whose estimate is above rounding level into 64.
+        bad = np.flatnonzero(errs > 1e-13)
+        cuts = edges[bad, None] + np.diff(edges)[bad, None] * np.linspace(0.0, 1.0, 65)
+        edges = np.union1d(edges, cuts.ravel())
+        vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
+        pref = fig_coupling.lam / math.sqrt(mode.k * math.pi)
+        assert pref * errs.sum() <= DEFAULT_TOL
+        assert abs(c.value - (-1j * pref * vals.sum())) <= DEFAULT_TOL
+
+    def test_starting_panels_span_half_a_cycle(self, fig_cavity):
+        mode = fig_cavity.mode()
+        traj = TrajectorySpec.accelerated(0.8, fig_cavity.x0, fig_cavity.L)
+        t_end = min(500.0, wall_time(traj))
+        edges = _oscillation_breakpoints(mode, traj, t_end)
+        assert edges[0] == 0.0 and edges[-1] == t_end
+        assert edges.size - 1 <= 5_100
+        cc = mode.k * math.pi / (mode.L * traj.a)
+        mode_phase = cc * (np.cosh(traj.a * edges) - 1.0)
+        assert np.all(np.diff(edges) * mode.omega <= math.pi * (1 + 1e-9))
+        assert np.all(np.diff(mode_phase) <= math.pi * (1 + 1e-9))
+
+    @pytest.mark.parametrize("L", [4.0, 40.0, 400.0, 1e4])
+    def test_sweep_converges_without_stall(self, L):
+        coup = CouplingSpec(1.0)
+        for k, a, tol in itertools.product((1, 17, 256, 5000), (0.05, 2.0, 20.0), (1e-6, 1e-13)):
+            mode = ModeSpec(k, L, 1.0)
+            traj = TrajectorySpec.accelerated(a, L / (2 * k), L)
+            c = chi_quadrature(mode, coup, traj, wall_time(traj), tol=tol)
+            assert c.err_estimate <= tol
 
 
 class TestDispatch:

@@ -418,6 +418,16 @@ class TestAsymptoteValue:
         s = witness_series(StateSpec.fock(1), small_cavity, coup, traj, [tw])
         assert val == pytest.approx(s.w_abs[0], abs=1e-12)
 
+    @pytest.mark.parametrize("state", [StateSpec.fock(1), StateSpec.cat(1.0)], ids=["fock1", "cat1"])
+    def test_equals_series_at_wall_exactly(self, fig_cavity, fig_coupling, state):
+        # Past the wall every chi_k is frozen, so T only has to reach the wall.
+        traj = TrajectorySpec.accelerated(0.8, fig_cavity.x0, fig_cavity.L)
+        tw = wall_time(traj)
+        s = witness_series(state, fig_cavity, fig_coupling, traj, [tw])
+        assert s.ok[0]
+        for t_eval in (tw, 500.0):
+            assert asymptote_value(state, fig_cavity, fig_coupling, traj, t_eval) == s.w_abs[0]
+
     def test_rejects_early_evaluation(self, fig_cavity, fig_coupling):
         traj = TrajectorySpec.accelerated(0.4, fig_cavity.x0, fig_cavity.L)
         tw = wall_time(traj)
