@@ -7,6 +7,11 @@ sin(A(t)) * exp(i*omega*t) where A is the mode phase along the worldline:
     A(t) = phi0 + rate*t                     (inertial, rate = mode-crossing frequency)
     A(t) = phi0 + cc*(cosh(rate*t) - 1)      (accelerated, rate = a, cc = k*pi/(L*a))
 
+phi0, cc and omega are scalars or per-panel arrays (one entry per panel,
+broadcast against lo/hi), so panels of several modes on one worldline
+share a call; rate is one scalar. Each panel's value and estimate are the
+same bits whichever call it comes in.
+
 Rule. Each panel [mid - h, mid + h] is evaluated with the 15-point
 Gauss-Kronrod rule K15 (Kronrod 1965; QUADPACK QK15, Piessens et al. 1983).
 Its odd-indexed nodes are the 7-point Gauss-Legendre nodes, so the
@@ -35,8 +40,6 @@ complex exponential per node took about 66, all on large arguments.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -81,29 +84,48 @@ _WG0 = 0.417959183673469387755102040816327
 _W_PAIRS = np.stack([_WK, _WG], axis=1)
 
 
+def _column(param):
+    """A per-panel parameter lined up against the node axis; scalars pass."""
+    return param[:, None] if isinstance(param, np.ndarray) else param
+
+
 def _amplitude(kind, phi0, rate, cc, t):
-    """sin(A(t)) elementwise."""
+    """sin(A(t)) elementwise; phi0 and cc broadcast against t."""
     if kind == KIND_STATIC:
-        return np.full_like(t, math.sin(phi0))
+        return np.broadcast_to(np.sin(phi0), t.shape)
     if kind == KIND_INERTIAL:
         return np.sin(phi0 + rate * t)
     return np.sin(phi0 + cc * (np.cosh(rate * t) - 1.0))
+
+
+def _pair_sums(terms):
+    """terms @ _W_PAIRS by the same BLAS routine for any number of panels.
+
+    numpy sends a one-row product through gemv, which can round the last
+    bit differently from the gemm that serves two rows or more; one panel
+    is therefore evaluated as two copies.
+    """
+    if terms.shape[0] == 1:
+        return (np.vstack([terms, terms]) @ _W_PAIRS)[:1]
+    return terms @ _W_PAIRS
 
 
 def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
     """Per-panel integrals with embedded error estimates.
 
     Returns (values, errors): the K15 value of each panel [lo[p], hi[p]]
-    and |K15 - G7| as its absolute error estimate.
+    and |K15 - G7| as its absolute error estimate. phi0, cc and omega are
+    scalars or arrays shaped like lo.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     dt = half[:, None] * _X
-    a_plus = _amplitude(kind, phi0, rate, cc, mid[:, None] + dt)
-    a_minus = _amplitude(kind, phi0, rate, cc, mid[:, None] - dt)
-    dt *= omega
-    re = ((a_plus + a_minus) * np.cos(dt)) @ _W_PAIRS  # [:, 0] K15, [:, 1] G7
-    im = ((a_plus - a_minus) * np.sin(dt)) @ _W_PAIRS
+    phi0_n, cc_n = _column(phi0), _column(cc)
+    a_plus = _amplitude(kind, phi0_n, rate, cc_n, mid[:, None] + dt)
+    a_minus = _amplitude(kind, phi0_n, rate, cc_n, mid[:, None] - dt)
+    dt *= _column(omega)
+    re = _pair_sums((a_plus + a_minus) * np.cos(dt))  # [:, 0] K15, [:, 1] G7
+    im = _pair_sums((a_plus - a_minus) * np.sin(dt))
     amp0 = _amplitude(kind, phi0, rate, cc, mid)
     re_k = re[:, 0] + _WK0 * amp0
     err = half * np.hypot(re_k - re[:, 1] - _WG0 * amp0, im[:, 0] - im[:, 1])

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidParameterError, NumericalFailure
-from .field import CavityConfig, ModeSpec
+from .field import CavityConfig, ModeSpec, mode_frequency
 from .trajectory import TrajectoryKind, TrajectorySpec, wall_time
 
 #: Half-width of the resonance band, relative to omega_k. Outside the band
@@ -41,6 +41,10 @@ DEFAULT_TOL = 1e-10
 
 _MAX_PANELS = 400_000
 _MAX_ROUNDS = 48
+
+#: Modes per block of a mode sum. An accelerated block is one batched
+#: adaptive quadrature; 16 keeps the kernel's temporaries small.
+_MODE_BLOCK = 16
 
 #: Largest phase of either oscillation across one starting panel: half a
 #: cycle. The K15 rule resolves it to ~1e-12 relative, and the adaptive
@@ -241,14 +245,87 @@ def _oscillation_breakpoints(mode: ModeSpec, traj: TrajectorySpec, t_end: float)
     return pts
 
 
-def _adaptive_panels(kind, phi0, rate, cc, omega, breakpoints, tol_i):
-    """Bisect panels until their error estimates sum to at most tol_i.
+def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float):
+    """Starting panel edges of accelerated modes ``ks`` in one vectorised pass.
 
-    Returns (lo, hi, vals, errs, stall) with panels in order; ``stall`` is
-    None on convergence, else why refinement stopped: the error sum has
-    not shrunk over two rounds, or the round or panel cap was hit.
+    Returns (edges, offsets): mode j's edges are
+    edges[offsets[j]:offsets[j + 1]], equal to
+    _oscillation_breakpoints(mode_j, traj, t_end) (t_end > 0). The uniform
+    grids (numpy.linspace arithmetic) and the mode-phase times of all
+    modes are computed as whole arrays with the same elementwise
+    arithmetic as for one mode, and one sort by (mode, time) merges them.
+    """
+    n_uniform = np.maximum(1, np.ceil(t_end / (_START_PANEL_PHASE / omega))).astype(np.intp)
+    counts = n_uniform + 1
+    grid = _local_index(counts, 0) * np.repeat(t_end / n_uniform, counts)
+    grid[np.cumsum(counts) - 1] = t_end
+    cc = ks * math.pi / (L * traj.a)
+    sweep = cc * (math.cosh(traj.a * t_end) - 1.0)
+    n_phase = np.ceil(sweep / _START_PANEL_PHASE).astype(np.intp)
+    n_inner = np.maximum(n_phase - 1, 0)
+    theta = _local_index(n_inner, 1) * np.repeat(sweep / np.maximum(n_phase, 1), n_inner)
+    t = np.concatenate([grid, np.arccosh(1.0 + theta / np.repeat(cc, n_inner)) / traj.a])
+    modes = np.arange(ks.size)
+    t = t[np.lexsort((t, np.concatenate([np.repeat(modes, counts), np.repeat(modes, n_inner)])))]
+    # Every mode runs from 0 to t_end > 0, so a time equal to its
+    # predecessor is a repeat within one mode.
+    fresh = np.ones(t.size, dtype=bool)
+    fresh[1:] = t[1:] != t[:-1]
+    counts = [np.count_nonzero(f) for f in _segments(fresh, counts + n_inner)]
+    return t[fresh], np.concatenate([[0], np.cumsum(counts)])
 
-    The stall rule assumes breakpoints that already resolve the
+
+def _local_index(counts, start):
+    """start..start+counts[j]-1 for each j in turn, as one array."""
+    first = np.cumsum(counts) - counts
+    return np.arange(start, counts.sum() + start) - np.repeat(first, counts)
+
+
+def _segments(x, counts):
+    """Consecutive slices of x with counts[s] elements each.
+
+    Per-segment sums go over these slices: x[a:b].sum() is the sum the
+    segment gets on its own, where np.add.reduceat adds in another order
+    and differs in the last bits.
+    """
+    a = 0
+    for n in counts:
+        yield x[a:a + n]
+        a += n
+
+
+def _stop_reason(history, s, n):
+    """Why segment s, with n panels, stops refining short of its tolerance."""
+    if len(history) > 2 and history[-1][s] >= history[-3][s]:
+        return "stalled (error sum not shrinking over two rounds)"
+    if len(history) > _MAX_ROUNDS:
+        return f"round cap {_MAX_ROUNDS} hit"
+    if n >= _MAX_PANELS:
+        return f"panel cap {_MAX_PANELS} hit"
+    return None
+
+
+def _adaptive_panels(kind, phi0, rate, cc, omega, edges, tol, offsets=None):
+    """Bisect panels until each segment's error estimates sum to at most its tol.
+
+    A segment is one integral: the panels between consecutive ``edges``
+    from offsets[s] to offsets[s + 1] - 1, with phi0, cc, omega and tol
+    given as one entry per segment (a block of modes). Without
+    ``offsets`` all edges form one segment and the parameters are scalars
+    (a batch of one), which is how a single chi is evaluated. Every round
+    evaluates the split panels of all segments in one kernel call, and
+    each segment refines exactly as it would alone: its own tolerance, its
+    own panel count in the split threshold tol/(2*n), and its own verdict.
+    Splitting in place keeps each segment's panels contiguous and in
+    order, and the per-round bookkeeping is a few Python operations per
+    segment.
+
+    Returns (lo, hi, vals, errs, counts, stalls): segment s owns the
+    counts[s] panels after those of segments 0..s-1; ``stalls[s]`` is None
+    on convergence, else why its refinement stopped: its error sum has not
+    shrunk over two rounds, or the round or panel cap was hit.
+
+    The stall rule assumes edges that already resolve the
     oscillation. The half-cycle panels of _oscillation_breakpoints do: at
     half-width pi/2 of a phase even the embedded G7 rule is converged (and
     close to it where the two phases add up to a cycle), so a bisection
@@ -260,36 +337,55 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, breakpoints, tol_i):
     falls every round. Panels spanning many cycles can go several rounds
     without shrinking and would be reported as stalled.
     """
-    lo = breakpoints[:-1]
-    hi = breakpoints[1:]
-    keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
-    vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, omega, lo, hi)
-    history = [errs.sum()]
-    while history[-1] > tol_i:
-        if len(history) > 2 and history[-1] >= history[-3]:
-            return lo, hi, vals, errs, "stalled (error sum not shrinking over two rounds)"
-        if len(history) > _MAX_ROUNDS:
-            return lo, hi, vals, errs, f"round cap {_MAX_ROUNDS} hit"
-        if lo.size >= _MAX_PANELS:
-            return lo, hi, vals, errs, f"panel cap {_MAX_PANELS} hit"
-        mask = errs > tol_i / (2.0 * lo.size)
-        if not mask.any():
+    if offsets is None:
+        lo, hi, seg = edges[:-1], edges[1:], None
+        counts, tols = [lo.size], [tol]
+    else:
+        lo = np.delete(edges, offsets[1:] - 1)
+        hi = np.delete(edges, offsets[:-1])
+        counts, tols = (np.diff(offsets) - 1).tolist(), np.asarray(tol).tolist()
+        seg = np.repeat(np.arange(len(counts)), counts)
+
+    def integrate(which, a, b):
+        if which is None:
+            return kernels.panel_integrals(kind, phi0, rate, cc, omega, a, b)
+        return kernels.panel_integrals(kind, phi0[which], rate, cc[which], omega[which], a, b)
+
+    vals, errs = integrate(seg, lo, hi)
+    stalls = [None] * len(counts)
+    running = [True] * len(counts)
+    history = [[e.sum() for e in _segments(errs, counts)]]
+    while True:
+        thresholds = []
+        for s, n in enumerate(counts):
+            if running[s] and history[-1][s] > tols[s]:
+                stalls[s] = _stop_reason(history, s, n)
+                running[s] = stalls[s] is None
+            else:
+                running[s] = False
+            thresholds.append(tols[s] / (2.0 * n) if running[s] else math.inf)
+        if not any(running):
             break
+        mask = errs > (thresholds[0] if seg is None else np.repeat(thresholds, counts))
+        splits = [np.count_nonzero(m) for m in _segments(mask, counts)]
+        if not any(splits):
+            break
+        running = [r and k > 0 for r, k in zip(running, splits)]
         # Each split panel is replaced in place by its two halves.
         split_lo, split_hi = lo[mask], hi[mask]
         mid = 0.5 * (split_lo + split_hi)
         half_lo = np.column_stack([split_lo, mid]).ravel()
         half_hi = np.column_stack([mid, split_hi]).ravel()
-        half_vals, half_errs = kernels.panel_integrals(
-            kind, phi0, rate, cc, omega, half_lo, half_hi
-        )
         reps = mask + 1
         slots = np.flatnonzero(np.repeat(mask, reps))
+        if seg is not None:
+            seg = np.repeat(seg, reps)
+        half_vals, half_errs = integrate(None if seg is None else seg[slots], half_lo, half_hi)
         lo, hi, vals, errs = (np.repeat(x, reps) for x in (lo, hi, vals, errs))
         lo[slots], hi[slots], vals[slots], errs[slots] = half_lo, half_hi, half_vals, half_errs
-        history.append(errs.sum())
-    return lo, hi, vals, errs, None
+        counts = [n + k for n, k in zip(counts, splits)]
+        history.append([e.sum() for e in _segments(errs, counts)])
+    return lo, hi, vals, errs, counts, stalls
 
 
 def _quadrature_prefix(mode, coupling, traj, taus, tol):
@@ -315,7 +411,7 @@ def _quadrature_prefix(mode, coupling, traj, taus, tol):
     bps = np.union1d(bps, t_clip[t_clip > 0.0])
     kind, phi0, rate, cc = _kernel_params(mode, traj)
     tol_i = tol / max(pref, 1e-300)
-    lo, hi, vals, errs, stall = _adaptive_panels(
+    lo, hi, vals, errs, _, (stall,) = _adaptive_panels(
         kind, phi0, rate, cc, mode.omega, bps, tol_i
     )
     cum_vals = np.concatenate([[0.0 + 0.0j], np.cumsum(vals)])
@@ -434,10 +530,15 @@ def chi_mode_sum(
     """Sum_k |chi_k(tau)|^2 over cavity modes.
 
     With ``k_max`` set, sums exactly modes 1..k_max (matched-truncation use,
-    e.g. against a mode-by-mode simulation). Otherwise adds blocks of 16
-    modes until a whole block contributes less than ``rel_tail_tol`` of the
-    running sum; exceeding ``hard_cap`` raises NumericalFailure carrying
-    the partial sum.
+    e.g. against a mode-by-mode simulation). Otherwise adds blocks of
+    _MODE_BLOCK (16) modes until a whole block contributes less than
+    ``rel_tail_tol`` of the running sum; reaching ``hard_cap`` modes raises
+    NumericalFailure carrying the partial sum. Accelerated modes are
+    evaluated a block at a time as one batched quadrature (see
+    _abs2_block), each |chi_k|^2 bit-identical to chi_quadrature's. A mode
+    whose quadrature stalls raises NumericalFailure naming k and the
+    reason, with the partial sum over the modes evaluated so far (the
+    failing block's at their best estimates) as ``best``.
     """
     if not rel_tail_tol > 0:
         raise InvalidParameterError(f"rel_tail_tol={rel_tail_tol} must be positive")
@@ -452,12 +553,17 @@ def chi_mode_sum(
     total = 0.0
     k_lo = 1
     while True:
-        ks = np.arange(k_lo, k_lo + 16)
-        block = float(np.sum(_abs2_block(ks, cavity, coupling, traj, tau, tol)))
+        ks = np.arange(k_lo, min(k_lo + _MODE_BLOCK, hard_cap + 1))
+        try:
+            block = float(np.sum(_abs2_block(ks, cavity, coupling, traj, tau, tol)))
+        except NumericalFailure as exc:
+            raise NumericalFailure(
+                str(exc), best=total + exc.best, err_estimate=exc.err_estimate
+            ) from None
         total += block
-        if total > 0.0 and block < rel_tail_tol * total:
+        if ks.size == _MODE_BLOCK and total > 0.0 and block < rel_tail_tol * total:
             return total
-        k_lo += 16
+        k_lo += ks.size
         if k_lo > hard_cap:
             raise NumericalFailure(
                 f"mode sum not converged after {hard_cap} modes (partial sum {total})",
@@ -466,7 +572,15 @@ def chi_mode_sum(
 
 
 def _abs2_block(ks, cavity, coupling, traj, tau, tol):
-    """|chi_k(tau)|^2 for an array of mode indices."""
+    """|chi_k(tau)|^2 for an array of mode indices.
+
+    Static and inertial modes use their closed forms. Accelerated modes go
+    through _quadrature_abs2 in blocks of _MODE_BLOCK: one adaptive
+    quadrature per block, each value bit-identical to
+    abs(chi_quadrature(mode_k, ...).value)**2. A stalled mode raises
+    NumericalFailure with the float sum over ks evaluated so far as
+    ``best``.
+    """
     lam = coupling.lam
     L, m, x0 = cavity.L, cavity.m, traj.x0
     ks = np.asarray(ks)
@@ -486,11 +600,56 @@ def _abs2_block(ks, cavity, coupling, traj, tau, tol):
             - np.exp(-1j * phi) * _seg_array(omega - omega_l, t_eff)
         ) / 2j
         return (lam**2 / (ks * math.pi)) * np.abs(integral) ** 2
-    out = np.empty(ks.shape)
-    for i, k in enumerate(ks):
-        mode = ModeSpec(int(k), L, m)
-        out[i] = abs(chi_quadrature(mode, coupling, traj, tau, tol).value) ** 2
+    if not tol > 0:
+        raise InvalidParameterError(f"tolerance tol={tol} must be positive")
+    out = np.zeros(ks.shape)
+    t_end = min(tau, t_wall)
+    if lam == 0.0 or t_end <= 0.0:
+        return out
+    for i in range(0, ks.size, _MODE_BLOCK):
+        block = ks[i:i + _MODE_BLOCK]
+        out[i:i + block.size], stalls, errs = _quadrature_abs2(
+            block, cavity, coupling, traj, t_end, tol
+        )
+        failed = [j for j, stall in enumerate(stalls) if stall is not None]
+        if failed:
+            j = failed[0]
+            raise NumericalFailure(
+                f"quadrature did not reach tol={tol} for mode k={block[j]}: {stalls[j]} "
+                f"(error estimate {errs[j]:.3e}; {len(failed)} of the {block.size} modes "
+                f"{block[0]}..{block[-1]} stalled)",
+                best=float(np.sum(out[:i + block.size])),
+                err_estimate=float(errs[j]),
+            )
     return out
+
+
+def _quadrature_abs2(ks, cavity, coupling, traj, t_end, tol):
+    """|chi_k(t_end)|^2 of accelerated modes ks as one batched quadrature.
+
+    Each mode is a segment of one _adaptive_panels pass, with the starting
+    edges, kernel parameters and tolerance chi_quadrature gives it alone,
+    so its panels, and hence its value, are the same bits. Returns
+    (abs2 per mode, stall reason or None per mode, error estimate per
+    mode).
+    """
+    L = cavity.L
+    omega = np.array([mode_frequency(int(k), L, cavity.m) for k in ks])
+    edges, offsets = _block_edges(ks, L, omega, traj, t_end)
+    q = ks * math.pi
+    pref = coupling.lam / np.sqrt(q)
+    tol_i = tol / np.maximum(pref, 1e-300)
+    _, _, vals, errs, counts, stalls = _adaptive_panels(
+        kernels.KIND_ACCELERATED, q * traj.x0 / L, traj.a, q / (L * traj.a), omega,
+        edges, tol_i, offsets,
+    )
+    # Sequential sums, as the prefix sums of a single chi take them.
+    sums = np.array([np.cumsum(v)[-1] for v in _segments(vals, counts)])
+    chis = -1j * pref * sums
+    # Python's abs and ** per mode, as on a ChiValue: np.abs and numpy's
+    # square of the same value can differ in the last bit.
+    abs2 = [abs(complex(c)) ** 2 for c in chis]
+    return abs2, stalls, pref * np.array([e.sum() for e in _segments(errs, counts)])
 
 
 def phase_beta(f, omega: float, tau0: float, tau: float, tol: float = 1e-9) -> float:

@@ -129,11 +129,37 @@ class TestNumpyBackend:
             - np.exp(-1j * phi0) * np.expm1(1j * (omega - rate) * t_end) / (1j * (omega - rate))
         ) / 2j
         assert abs(vals.sum() - exact) <= errs.sum()
-        _, _, vals, errs, stall = response._adaptive_panels(
+        _, _, vals, errs, _, stalls = response._adaptive_panels(
             kind, phi0, rate, cc, mode.omega, edges, response.DEFAULT_TOL
         )
-        assert stall is None
+        assert stalls == [None]
         assert abs(vals.sum() - exact) <= errs.sum() <= response.DEFAULT_TOL
+
+
+class TestPerPanelParameters:
+    @pytest.mark.parametrize("case", CASES, ids=["static", "inertial", "accelerated"])
+    def test_arrays_equal_panel_by_panel_scalar_calls(self, case):
+        # Panels of three modes in one call, each mode with its own phi0, cc
+        # and omega, against one scalar call per panel.
+        kind, phi0, rate, cc, omega, t_end = case
+        lo, hi = _panels(45, t_end)
+        scale = np.repeat([1.0, 2.0, 3.0], 15)
+        phi0s, ccs, omegas = phi0 * scale, cc * scale, omega * scale
+        vals, errs = kernels.panel_integrals(kind, phi0s, rate, ccs, omegas, lo, hi)
+        for p in range(lo.size):
+            v, e = kernels.panel_integrals(
+                kind, phi0s[p], rate, ccs[p], omegas[p], lo[p:p + 1], hi[p:p + 1]
+            )
+            assert vals[p] == v[0] and errs[p] == e[0]
+
+    def test_panel_values_do_not_depend_on_the_call(self):
+        kind, phi0, rate, cc, omega, t_end = CASES[2]
+        lo, hi = _panels(300, t_end)
+        vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, omega, lo, hi)
+        for a, b in [(0, 1), (7, 9), (100, 257), (299, 300)]:
+            v, e = kernels.panel_integrals(kind, phi0, rate, cc, omega, lo[a:b], hi[a:b])
+            np.testing.assert_array_equal(v, vals[a:b])
+            np.testing.assert_array_equal(e, errs[a:b])
 
 
 class TestBackendSelection:

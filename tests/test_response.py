@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from scipy.integrate import quad
 
 from udwitness import kernels
 from udwitness.errors import InvalidParameterError, NumericalFailure
-from udwitness.field import ModeSpec
+from udwitness.field import CavityConfig, ModeSpec
 from udwitness.response import (
     DEFAULT_TOL,
     DELTA_RES,
     ChiBranch,
     ChiValue,
     CouplingSpec,
+    _MODE_BLOCK,
+    _abs2_block,
     _adaptive_panels,
+    _block_edges,
     _chi_inertial_closed,
     _chi_inertial_stable,
     _inertial_params,
@@ -276,8 +280,10 @@ class TestChiQuadrature:
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
         kind, phi0, rate, cc = _kernel_params(mode, traj)
         coarse = np.linspace(0.0, wall_time(traj), 4)
-        lo, hi, vals, errs, stall = _adaptive_panels(kind, phi0, rate, cc, mode.omega, coarse, 1e-12)
-        assert stall is None
+        lo, hi, vals, errs, _, stalls = _adaptive_panels(
+            kind, phi0, rate, cc, mode.omega, coarse, 1e-12
+        )
+        assert stalls == [None]
         assert errs.sum() <= 1e-12
         assert lo[0] == coarse[0] and hi[-1] == coarse[-1]
         np.testing.assert_array_equal(lo[1:], hi[:-1])
@@ -478,7 +484,102 @@ class TestChiModeSum:
             abs(chi_quadrature(small_cavity.mode(k), coup, traj, 1.0).value) ** 2
             for k in range(1, 9)
         )
-        assert total == pytest.approx(direct, rel=1e-9)
+        # The terms are the same bits; only the order in which the 8
+        # positive terms are added differs (numpy pairwise, Python in turn).
+        assert total == pytest.approx(direct, rel=1e-14)
+
+    def test_stalled_accelerated_mode_names_k_and_carries_partial_sum(self, small_cavity):
+        coup = CouplingSpec(0.5)
+        traj = TrajectorySpec.accelerated(1.0, small_cavity.x0, small_cavity.L)
+        with pytest.raises(NumericalFailure, match="quadrature") as exc_info:
+            chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=20, tol=1e-300)
+        assert "k=" in str(exc_info.value)
+        best = exc_info.value.best
+        assert isinstance(best, float)
+        # Every mode stalls at once, in the first block: its 16 best estimates.
+        reachable = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=16)
+        assert best == pytest.approx(reachable, rel=1e-9)
+
+    def test_hard_cap_stops_at_the_cap(self, small_cavity):
+        coup = CouplingSpec(0.5)
+        traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
+        with pytest.raises(NumericalFailure) as exc_info:
+            chi_mode_sum(small_cavity, coup, traj, 2.0, rel_tail_tol=1e-300, hard_cap=20)
+        exact_20 = chi_mode_sum(small_cavity, coup, traj, 2.0, k_max=20)
+        assert exc_info.value.best == pytest.approx(exact_20, rel=1e-14)
+
+    def test_accelerated_sum_memory_stays_block_sized(self):
+        # One 256-mode sum holds one 16-mode block of panels at a time
+        # (about 1.9 MB traced peak); batching all 256 modes at once took
+        # 13.7 MB.
+        cavity = CavityConfig(L=5.0, m=1.0, k0=2)
+        traj = TrajectorySpec.accelerated(1.3, cavity.x0, cavity.L)
+        tau = wall_time(traj) + 1.0
+        tracemalloc.start()
+        try:
+            chi_mode_sum(cavity, CouplingSpec(0.4), traj, tau, k_max=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
+
+
+class TestModeBlocks:
+    """An accelerated mode sum evaluates each block of modes as one quadrature."""
+
+    @pytest.mark.parametrize("L", [4.0, 40.0])
+    @pytest.mark.parametrize("a", [0.2, 2.0])
+    def test_abs2_block_matches_chi_quadrature_bitwise(self, L, a):
+        # 1..40 crosses two block edges and ends inside a block. The early
+        # time starts some modes from a single panel.
+        cavity = CavityConfig(L=L, m=1.0, k0=2)
+        coup = CouplingSpec(0.4)
+        traj = TrajectorySpec.accelerated(a, cavity.x0, L)
+        ks = np.arange(1, 41)
+        assert ks.size % _MODE_BLOCK != 0
+        for tau in (0.05, wall_time(traj) + 1.0):
+            got = _abs2_block(ks, cavity, coup, traj, tau, DEFAULT_TOL)
+            ref = [abs(chi_quadrature(cavity.mode(int(k)), coup, traj, tau).value) ** 2 for k in ks]
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("L", [4.0, 40.0])
+    @pytest.mark.parametrize("a", [0.2, 2.0])
+    def test_block_edges_equal_single_mode_edges(self, L, a):
+        traj = TrajectorySpec.accelerated(a, L / 4, L)
+        modes = [ModeSpec(k, L, 1.0) for k in range(1, 41)]
+        omega = np.array([md.omega for md in modes])
+        for t_end in (0.05, wall_time(traj)):
+            edges, offsets = _block_edges(np.arange(1, 41), L, omega, traj, t_end)
+            assert offsets[0] == 0 and offsets[-1] == edges.size
+            for j, mode in enumerate(modes):
+                np.testing.assert_array_equal(
+                    edges[offsets[j]:offsets[j + 1]], _oscillation_breakpoints(mode, traj, t_end)
+                )
+
+    def test_segments_refine_as_they_would_alone(self):
+        # Two modes with different tolerances in one pass: each segment's
+        # panels equal those of its own single-segment pass.
+        L, traj = 10.0, TrajectorySpec.accelerated(0.9, 2.5, 10.0)
+        t_end = wall_time(traj)
+        modes = [ModeSpec(k, L, 1.0) for k in (3, 11)]
+        tols = np.array([1e-13, 1e-6])
+        omega = np.array([md.omega for md in modes])
+        edges, offsets = _block_edges(np.array([3, 11]), L, omega, traj, t_end)
+        kind, _, rate, _ = _kernel_params(modes[0], traj)
+        phi0 = np.array([_kernel_params(md, traj)[1] for md in modes])
+        cc = np.array([_kernel_params(md, traj)[3] for md in modes])
+        lo, hi, vals, errs, counts, stalls = _adaptive_panels(
+            kind, phi0, rate, cc, omega, edges, tols, offsets
+        )
+        assert stalls == [None, None]
+        assert sum(counts) == lo.size
+        for j, mode in enumerate(modes):
+            alone = _adaptive_panels(
+                kind, phi0[j], rate, cc[j], mode.omega, edges[offsets[j]:offsets[j + 1]], tols[j]
+            )
+            own = slice(sum(counts[:j]), sum(counts[:j + 1]))
+            for got, ref in zip((lo, hi, vals, errs), alone[:4]):
+                np.testing.assert_array_equal(got[own], ref)
 
 
 class TestPhaseBeta:
