@@ -18,17 +18,7 @@ _np.empty(1 << 17)
 
 from .errors import InvalidParameterError, NumericalFailure, TruncationTooSmall
 from .field import CavityConfig, ModeSpec, mode_frequency, mode_function
-from .oracle import (
-    EndToEndReport,
-    OracleCheck,
-    TruncatedMode,
-    displacement_matrix,
-    end_to_end_check,
-    evolve_closed_form,
-    evolve_trotter,
-    overlap_trace,
-    run_oracle_suite,
-)
+from .oracle import run_oracle_suite
 from .response import (
     DEFAULT_TOL,
     DELTA_RES,
@@ -43,7 +33,6 @@ from .response import (
     chi_static,
     chi_static_amplitude,
     critical_velocity,
-    phase_beta,
 )
 from .trajectory import TrajectoryKind, TrajectorySpec, position, wall_time
 from .witness import (
@@ -58,12 +47,8 @@ from .witness import (
     laguerre,
     time_averaged_witness,
     violation_metrics,
-    witness_cat,
-    witness_coherent,
-    witness_fock,
     witness_series,
     witness_series_from_omega,
-    witness_thermal,
     witness_value,
 )
 

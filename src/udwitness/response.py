@@ -1,4 +1,4 @@
-"""Detector response amplitude chi_k(tau) and derived quantities.
+"""Detector response amplitude chi_k(tau).
 
 The response of cavity mode k to a detector with coupling lam moving
 along x(tau) is the complex amplitude
@@ -11,11 +11,12 @@ oscillation-aware adaptive quadrature. Once the detector reaches the
 right wall the integrand vanishes (F_k(L) = 0), so every chi_k freezes
 at its wall-arrival value; the integration explicitly stops there.
 
-The inertial closed form has a removable singularity where the
-mode-crossing frequency omega_L = k*pi*v/(L*sqrt(1-v^2)) matches
-omega_k. Inside a narrow band around that resonance the evaluation
-switches to an equivalent cancellation-free form whose envelope grows
-linearly in tau (branch INERTIAL_RESONANCE_LIMIT).
+Every chi comes from one grid evaluation (chi_series); the scalar entry
+points are its 0-d calls. The inertial closed form is evaluated in one
+cancellation-free form, exact through the resonance where the
+mode-crossing frequency omega_L = k*pi*v/(L*sqrt(1-v^2)) matches omega_k
+and the envelope of |chi| grows linearly in tau. Inside a narrow band
+around that resonance the result is labelled INERTIAL_RESONANCE_LIMIT.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .errors import InvalidParameterError, NumericalFailure
 from .field import CavityConfig, ModeSpec, mode_frequency
 from .trajectory import TrajectoryKind, TrajectorySpec, wall_time
 
-#: Half-width of the resonance band, relative to omega_k. Outside the band
-#: the literal closed form loses at most ~1e-8 relative accuracy to
-#: cancellation at double precision; inside it the limit branch takes over.
+#: Half-width of the resonance band, relative to omega_k. An inertial chi
+#: with |omega_L - omega_k| below it carries the INERTIAL_RESONANCE_LIMIT
+#: label; the evaluation is the same cancellation-free form on both sides.
 DELTA_RES = 1e-6
 
 #: Default absolute tolerance of the adaptive quadrature (on chi itself).
@@ -90,24 +91,21 @@ def _cis_m1(theta):
     return -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
 
 
-def _seg(mu: float, tau):
-    """Integral of exp(i*mu*t) over [0, tau], stable for small |mu*tau|.
+def _seg(mu, tau):
+    """Integral of exp(i*mu*t) over [0, tau] as its (real, imaginary) parts.
 
-    ``tau`` may be a scalar or an array.
+    (sin(mu*tau), 2*sin(mu*tau/2)**2)/mu, without cancellation for small
+    |mu*tau|; (tau, 0) where mu = 0. ``mu`` and ``tau`` are scalars or
+    arrays that broadcast together.
     """
-    tau = np.asarray(tau, dtype=float)
-    if mu == 0.0:
-        return tau.astype(complex)
-    return _cis_m1(mu * tau) / (1j * mu)
-
-
-def _seg_array(mu, tau):
     mu = np.asarray(mu, dtype=float)
-    out = np.empty(mu.shape, dtype=complex)
-    nz = mu != 0.0
-    out[nz] = _cis_m1(mu[nz] * tau) / (1j * mu[nz])
-    out[~nz] = tau
-    return out
+    zero = mu == 0.0
+    theta = mu * tau
+    inv = 1.0 / np.where(zero, 1.0, mu)
+    re, im = np.sin(theta) * inv, 2.0 * inv * np.sin(0.5 * theta) ** 2
+    if zero.any():
+        re, im = np.where(zero, tau, re), np.where(zero, 0.0, im)
+    return re, im
 
 
 def chi_static_amplitude(lam_f, omega, tau):
@@ -118,46 +116,90 @@ def chi_static_amplitude(lam_f, omega, tau):
     return -lam_f * _cis_m1(omega * np.asarray(tau, dtype=float)) / omega
 
 
+def _crossing_frequency(k, L: float, v: float):
+    """Mode-crossing frequency omega_L = k*pi*v/(L*sqrt(1 - v^2)) of mode(s) k."""
+    gamma = 1.0 / math.sqrt(1.0 - v**2)
+    return k * math.pi * v * gamma / L
+
+
+def _closed_form(lam, k, L, omega, traj: TrajectorySpec, taus):
+    """chi of mode(s) k at ``taus`` on a static or inertial worldline.
+
+    ``k`` and ``omega`` are a scalar or matching arrays of modes and
+    broadcast against ``taus``. The inertial integrand
+    sin(omega_L*t + phi)*exp(i*omega*t) splits into a fast and a slow
+    exponential, each integrated by _seg, so nothing cancels as
+    omega_L -> omega; past the wall-arrival time chi stays at its wall
+    value.
+    """
+    phi = k * math.pi * traj.x0 / L
+    if traj.kind is TrajectoryKind.STATIC:
+        return chi_static_amplitude(lam * (np.sin(phi) / np.sqrt(k * math.pi)), omega, taus)
+    omega_l = _crossing_frequency(k, L, traj.v)
+    t_eff = np.minimum(taus, wall_time(traj))
+    re_fast, im_fast = _seg(omega + omega_l, t_eff)
+    re_slow, im_slow = _seg(omega - omega_l, t_eff)
+    # chi = -i*pref*(e^{i*phi}*seg_fast - e^{-i*phi}*seg_slow)/(2i), in real arithmetic
+    half = 0.5 * lam / np.sqrt(k * math.pi)
+    c, s = half * np.cos(phi), half * np.sin(phi)
+    out = (s * (im_fast + im_slow) - c * (re_fast - re_slow)).astype(complex)
+    out.imag = -(s * (re_fast + re_slow) + c * (im_fast - im_slow))
+    return out
+
+
+def _closed_branch(mode: ModeSpec, traj: TrajectorySpec) -> ChiBranch:
+    if traj.kind is TrajectoryKind.STATIC:
+        return ChiBranch.STATIC_CLOSED_FORM
+    omega_l = _crossing_frequency(mode.k, mode.L, traj.v)
+    if abs(omega_l - mode.omega) < DELTA_RES * mode.omega:
+        return ChiBranch.INERTIAL_RESONANCE_LIMIT
+    return ChiBranch.INERTIAL_CLOSED_FORM
+
+
+def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
+    """(values, errors, branch) of chi on the grid ``taus``: the branch dispatch.
+
+    A quadrature that stalls raises NumericalFailure with the best
+    (values, errors) attached.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if np.any(taus < 0):
+        raise InvalidParameterError("grid times must be non-negative")
+    if not tol > 0:
+        raise InvalidParameterError(f"tolerance tol={tol} must be positive")
+    if force_quadrature or traj.kind is TrajectoryKind.ACCELERATED:
+        vals, errs = _quadrature_prefix(mode, coupling, traj, taus, tol)
+        return vals, errs, ChiBranch.QUADRATURE
+    vals = _closed_form(coupling.lam, mode.k, mode.L, mode.omega, traj, taus)
+    return vals, np.zeros(taus.shape), _closed_branch(mode, traj)
+
+
+def _chi_at(mode, coupling, traj, tau, tol=DEFAULT_TOL, force_quadrature=False) -> ChiValue:
+    """chi at one time: the grid evaluation at [tau].
+
+    A quadrature stall raises NumericalFailure with the best ChiValue.
+    """
+    if tau < 0:
+        raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
+    try:
+        vals, errs, branch = _chi_grid(mode, coupling, traj, [tau], tol, force_quadrature)
+    except NumericalFailure as exc:
+        best_vals, best_errs = exc.best
+        raise NumericalFailure(
+            str(exc),
+            best=ChiValue(complex(best_vals[0]), ChiBranch.QUADRATURE, float(best_errs[0])),
+            err_estimate=exc.err_estimate,
+        ) from None
+    return ChiValue(complex(vals[0]), branch, float(errs[0]))
+
+
 def chi_static(mode: ModeSpec, coupling: CouplingSpec, x0: float, tau: float) -> ChiValue:
-    """Closed-form response of a detector at rest at x0.
+    """Closed-form response of a detector at rest at x0 (0 <= x0 < L).
 
     |chi|^2 = 4*(lam*F/omega)^2 * sin^2(omega*tau/2), periodic in tau
     with period 2*pi/omega.
     """
-    if tau < 0:
-        raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
-    val = chi_static_amplitude(coupling.lam * mode.profile(x0), mode.omega, float(tau))
-    return ChiValue(complex(val), ChiBranch.STATIC_CLOSED_FORM, 0.0)
-
-
-def _inertial_params(mode: ModeSpec, traj: TrajectorySpec):
-    gamma = 1.0 / math.sqrt(1.0 - traj.v**2)
-    omega_l = mode.k * math.pi * traj.v * gamma / mode.L
-    phi = mode.k * math.pi * traj.x0 / mode.L
-    return omega_l, phi
-
-
-def _chi_inertial_closed(lam, k, omega, omega_l, phi, tau):
-    """Literal closed form; cancels catastrophically when omega_l -> omega."""
-    psi = omega_l * tau + phi
-    num = (
-        np.exp(1j * omega * tau) * (omega * np.sin(psi) + 1j * omega_l * np.cos(psi))
-        - omega * math.sin(phi)
-        - 1j * omega_l * math.cos(phi)
-    )
-    return lam * num / (math.sqrt(k * math.pi) * (omega_l**2 - omega**2))
-
-
-def _chi_inertial_stable(lam, k, omega, omega_l, phi, tau):
-    """Cancellation-free equivalent, exact through the resonance omega_l = omega.
-
-    At resonance the slow term of the integrand stops oscillating and the
-    envelope of |chi| grows linearly in tau.
-    """
-    seg_fast = _seg(omega + omega_l, tau)
-    seg_slow = _seg(omega - omega_l, tau)
-    integral = (np.exp(1j * phi) * seg_fast - np.exp(-1j * phi) * seg_slow) / 2j
-    return -1j * lam / math.sqrt(k * math.pi) * integral
+    return _chi_at(mode, coupling, TrajectorySpec.static(x0, mode.L), tau)
 
 
 def chi_inertial_analytic(
@@ -165,30 +207,23 @@ def chi_inertial_analytic(
 ) -> ChiValue:
     """Closed-form response for inertial motion, valid up to wall arrival.
 
-    Selects INERTIAL_RESONANCE_LIMIT when |omega_L - omega_k| < DELTA_RES*omega_k.
+    Labelled INERTIAL_RESONANCE_LIMIT when |omega_L - omega_k| < DELTA_RES*omega_k.
     """
     if traj.kind is not TrajectoryKind.INERTIAL:
         raise InvalidParameterError(f"trajectory kind {traj.kind} is not inertial")
-    if tau < 0:
-        raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
     t_wall = wall_time(traj)
     if tau > t_wall * (1.0 + 1e-12):
         raise InvalidParameterError(
             f"tau={tau} exceeds the wall-arrival time {t_wall}; "
             "the closed form only covers the moving segment"
         )
-    omega_l, phi = _inertial_params(mode, traj)
-    if abs(omega_l - mode.omega) >= DELTA_RES * mode.omega:
-        val = _chi_inertial_closed(coupling.lam, mode.k, mode.omega, omega_l, phi, tau)
-        branch = ChiBranch.INERTIAL_CLOSED_FORM
-    else:
-        val = _chi_inertial_stable(coupling.lam, mode.k, mode.omega, omega_l, phi, tau)
-        branch = ChiBranch.INERTIAL_RESONANCE_LIMIT
-    if not np.isfinite(val):
+    c = _chi_at(mode, coupling, traj, tau)
+    if not np.isfinite(c.value):
         raise NumericalFailure(
-            f"non-finite inertial response at tau={tau} (omega_L={omega_l})"
+            f"non-finite inertial response at tau={tau} "
+            f"(omega_L={_crossing_frequency(mode.k, mode.L, traj.v)})"
         )
-    return ChiValue(complex(val), branch, 0.0)
+    return c
 
 
 def critical_velocity(mode: ModeSpec) -> float:
@@ -213,8 +248,7 @@ def _kernel_params(mode: ModeSpec, traj: TrajectorySpec):
     if traj.kind is TrajectoryKind.STATIC:
         return kernels.KIND_STATIC, phi0, 0.0, 0.0
     if traj.kind is TrajectoryKind.INERTIAL:
-        omega_l, _ = _inertial_params(mode, traj)
-        return kernels.KIND_INERTIAL, phi0, omega_l, 0.0
+        return kernels.KIND_INERTIAL, phi0, _crossing_frequency(mode.k, mode.L, traj.v), 0.0
     cc = mode.k * math.pi / (mode.L * traj.a)
     return kernels.KIND_ACCELERATED, phi0, traj.a, cc
 
@@ -228,7 +262,7 @@ def _oscillation_breakpoints(mode: ModeSpec, traj: TrajectorySpec, t_end: float)
     """
     caps = [_START_PANEL_PHASE / mode.omega]
     if traj.kind is TrajectoryKind.INERTIAL:
-        omega_l, _ = _inertial_params(mode, traj)
+        omega_l = _crossing_frequency(mode.k, mode.L, traj.v)
         if omega_l > 0:
             caps.append(_START_PANEL_PHASE / omega_l)
     h = min(caps)
@@ -441,20 +475,7 @@ def chi_quadrature(
     The returned err_estimate is a truncation estimate (the panels'
     summed |K15 - G7|), not a bound: see ChiValue.
     """
-    if tau < 0:
-        raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
-    if not tol > 0:
-        raise InvalidParameterError(f"tolerance tol={tol} must be positive")
-    try:
-        vals, errs = _quadrature_prefix(mode, coupling, traj, np.array([tau]), tol)
-    except NumericalFailure as exc:
-        best_vals, best_errs = exc.best
-        raise NumericalFailure(
-            str(exc),
-            best=ChiValue(complex(best_vals[0]), ChiBranch.QUADRATURE, float(best_errs[0])),
-            err_estimate=exc.err_estimate,
-        ) from None
-    return ChiValue(complex(vals[0]), ChiBranch.QUADRATURE, float(errs[0]))
+    return _chi_at(mode, coupling, traj, tau, tol, force_quadrature=True)
 
 
 def chi(
@@ -472,12 +493,7 @@ def chi(
     through quadrature. ``force_quadrature`` routes everything through
     quadrature, for validation runs.
     """
-    if force_quadrature or traj.kind is TrajectoryKind.ACCELERATED:
-        return chi_quadrature(mode, coupling, traj, tau, tol)
-    if traj.kind is TrajectoryKind.STATIC:
-        return chi_static(mode, coupling, traj.x0, tau)
-    t_eff = min(tau, wall_time(traj))
-    return chi_inertial_analytic(mode, coupling, traj, t_eff)
+    return _chi_at(mode, coupling, traj, tau, tol, force_quadrature)
 
 
 def chi_series(
@@ -494,27 +510,11 @@ def chi_series(
     zero error; the quadrature branch returns its best estimates even when
     refinement stalls (callers decide per-sample validity from the errors).
     """
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0):
-        raise InvalidParameterError("grid times must be non-negative")
-    if force_quadrature or traj.kind is TrajectoryKind.ACCELERATED:
-        try:
-            vals, errs = _quadrature_prefix(mode, coupling, traj, taus, tol)
-        except NumericalFailure as exc:
-            vals, errs = exc.best
+    try:
+        return _chi_grid(mode, coupling, traj, taus, tol, force_quadrature)
+    except NumericalFailure as exc:
+        vals, errs = exc.best
         return vals, errs, ChiBranch.QUADRATURE
-    if traj.kind is TrajectoryKind.STATIC:
-        vals = chi_static_amplitude(coupling.lam * mode.profile(traj.x0), mode.omega, taus)
-        return np.asarray(vals, dtype=complex), np.zeros(taus.shape), ChiBranch.STATIC_CLOSED_FORM
-    t_eff = np.minimum(taus, wall_time(traj))
-    omega_l, phi = _inertial_params(mode, traj)
-    if abs(omega_l - mode.omega) >= DELTA_RES * mode.omega:
-        vals = _chi_inertial_closed(coupling.lam, mode.k, mode.omega, omega_l, phi, t_eff)
-        branch = ChiBranch.INERTIAL_CLOSED_FORM
-    else:
-        vals = _chi_inertial_stable(coupling.lam, mode.k, mode.omega, omega_l, phi, t_eff)
-        branch = ChiBranch.INERTIAL_RESONANCE_LIMIT
-    return np.asarray(vals, dtype=complex), np.zeros(taus.shape), branch
 
 
 def chi_mode_sum(
@@ -581,30 +581,15 @@ def _abs2_block(ks, cavity, coupling, traj, tau, tol):
     NumericalFailure with the float sum over ks evaluated so far as
     ``best``.
     """
-    lam = coupling.lam
-    L, m, x0 = cavity.L, cavity.m, traj.x0
     ks = np.asarray(ks)
-    q = ks * math.pi / L
-    omega = np.hypot(q, m)
-    phi = q * x0
-    t_wall = wall_time(traj)
-    if traj.kind is TrajectoryKind.STATIC:
-        f = np.sin(phi) / np.sqrt(ks * math.pi)
-        return 4.0 * (lam * f / omega) ** 2 * np.sin(0.5 * omega * tau) ** 2
-    if traj.kind is TrajectoryKind.INERTIAL:
-        t_eff = min(tau, t_wall)
-        gamma = 1.0 / math.sqrt(1.0 - traj.v**2)
-        omega_l = q * traj.v * gamma
-        integral = (
-            np.exp(1j * phi) * _seg_array(omega + omega_l, t_eff)
-            - np.exp(-1j * phi) * _seg_array(omega - omega_l, t_eff)
-        ) / 2j
-        return (lam**2 / (ks * math.pi)) * np.abs(integral) ** 2
+    if traj.kind is not TrajectoryKind.ACCELERATED:
+        omega = np.array([mode_frequency(int(k), cavity.L, cavity.m) for k in ks])
+        return np.abs(_closed_form(coupling.lam, ks, cavity.L, omega, traj, tau)) ** 2
     if not tol > 0:
         raise InvalidParameterError(f"tolerance tol={tol} must be positive")
     out = np.zeros(ks.shape)
-    t_end = min(tau, t_wall)
-    if lam == 0.0 or t_end <= 0.0:
+    t_end = min(tau, wall_time(traj))
+    if coupling.lam == 0.0 or t_end <= 0.0:
         return out
     for i in range(0, ks.size, _MODE_BLOCK):
         block = ks[i:i + _MODE_BLOCK]
@@ -650,41 +635,3 @@ def _quadrature_abs2(ks, cavity, coupling, traj, t_end, tol):
     # square of the same value can differ in the last bit.
     abs2 = [abs(complex(c)) ** 2 for c in chis]
     return abs2, stalls, pref * np.array([e.sum() for e in _segments(errs, counts)])
-
-
-def phase_beta(f, omega: float, tau0: float, tau: float, tol: float = 1e-9) -> float:
-    """Accumulated phase of the forced-oscillator evolution.
-
-    Evaluates the triangular double integral
-
-        Integral_tau0^tau dt' Integral_tau0^t' dt'' f(t') f(t'') sin(omega*(t'-t''))
-
-    by nested quadrature: the sine addition identity turns the inner
-    integral into cumulative integrals of f*cos(omega*t) and f*sin(omega*t),
-    evaluated on a uniform Simpson grid that is doubled until the result is
-    stable to ``tol``. ``f`` is a callable drive amplitude.
-
-    This phase is proportional to the squared drive, so it is common to the
-    two detector-conditioned evolutions and cancels in the coherence ratio;
-    it only matters for cross-checking the factorized evolution operator.
-    """
-    if tau < tau0:
-        raise InvalidParameterError(f"tau={tau} must be >= tau0={tau0}")
-    if tau == tau0:
-        return 0.0
-    from scipy.integrate import cumulative_simpson, simpson
-
-    prev = None
-    for n in (512, 1024, 2048, 4096, 8192, 16384):
-        t = np.linspace(tau0, tau, n + 1)
-        ft = np.asarray(f(t), dtype=float) * np.ones(n + 1)
-        c = cumulative_simpson(ft * np.cos(omega * t), x=t, initial=0.0)
-        s = cumulative_simpson(ft * np.sin(omega * t), x=t, initial=0.0)
-        inner = np.sin(omega * t) * c - np.cos(omega * t) * s
-        val = float(simpson(ft * inner, x=t))
-        if prev is not None and abs(val - prev) <= max(tol, tol * abs(val)):
-            return val
-        prev = val
-    raise NumericalFailure(
-        f"phase integral not converged to tol={tol}", best=prev
-    )

@@ -19,7 +19,6 @@ exp(-2*Sum_k |chi_k|^2), see extract_witness.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -142,56 +141,20 @@ def laguerre(n: int, x):
     return cur if cur.ndim else float(cur)
 
 
-def _chi_complex(chi) -> complex:
-    return complex(chi.value) if isinstance(chi, ChiValue) else complex(chi)
-
-
-def witness_fock(n: int, chi) -> float:
-    """Witness of a Fock state |N>: L_N(4*|chi|^2); N=1 gives 1 - 4*|chi|^2."""
-    if n < 1:
-        raise InvalidParameterError(f"Fock witness needs N >= 1, got {n}")
-    c = _chi_complex(chi)
-    return float(laguerre(int(n), 4.0 * abs(c) ** 2))
-
-
-def witness_cat(alpha0: float, chi) -> float:
-    """Witness of an even cat state with real amplitude alpha0 > 0."""
-    if not alpha0 > 0:
-        raise InvalidParameterError(f"cat amplitude alpha0={alpha0} must be positive")
-    c = _chi_complex(chi)
-    arg_cosh = 4.0 * alpha0 * c.real
-    if abs(arg_cosh) > _COSH_OVERFLOW:
-        raise NumericalFailure(
-            f"cosh argument {arg_cosh} overflows double precision in the cat witness"
-        )
-    g = math.exp(-2.0 * alpha0 * alpha0)
-    return (math.cos(4.0 * alpha0 * c.imag) + g * math.cosh(arg_cosh)) / (1.0 + g)
-
-
-def witness_coherent(alpha0: complex, chi) -> complex:
-    """Witness of a coherent state: a pure phase, modulus exactly 1."""
-    c = _chi_complex(chi)
-    return cmath.exp(4j * (complex(alpha0).conjugate() * c).imag)
-
-
-def witness_thermal(nbar: float, chi) -> float:
-    """Witness of a thermal state: exp(-4*nbar*|chi|^2), never above 1."""
-    if nbar < 0:
-        raise InvalidParameterError(f"thermal occupation nbar={nbar} must be >= 0")
-    c = _chi_complex(chi)
-    return math.exp(-4.0 * nbar * abs(c) ** 2)
-
-
 def witness_value(state: StateSpec, chi) -> complex:
-    """Closed-form witness of ``state`` at response ``chi`` (family dispatch)."""
-    if state.family is StateFamily.FOCK:
-        c = _chi_complex(chi)
-        return complex(laguerre(state.n, 4.0 * abs(c) ** 2))
-    if state.family is StateFamily.CAT:
-        return complex(witness_cat(state.alpha0.real, chi))
-    if state.family is StateFamily.COHERENT:
-        return witness_coherent(state.alpha0, chi)
-    return complex(witness_thermal(state.nbar, chi))
+    """Witness of ``state`` at one response ``chi`` (a complex or a ChiValue).
+
+    A 0-d evaluation of the series formulas; raises NumericalFailure where
+    the cat witness's cosh overflows double precision.
+    """
+    c = chi.value if isinstance(chi, ChiValue) else chi
+    w, ok = _witness_of_chi(state, c)
+    if not ok:
+        raise NumericalFailure(
+            f"cosh argument {4.0 * state.alpha0.real * complex(c).real} "
+            "overflows double precision in the cat witness"
+        )
+    return complex(w)
 
 
 def extract_witness(w_ratio: complex, chi_sum: float) -> complex:
@@ -212,11 +175,18 @@ def extract_witness(w_ratio: complex, chi_sum: float) -> complex:
 
 
 def _witness_of_chi(state: StateSpec, chi_arr):
-    """Vectorized witness values for a chi array; returns (w, ok)."""
+    """Witness values for an array of chi or a single chi; returns (w, ok).
+
+    ``ok`` is False, and w NaN, where the cat witness's cosh overflows.
+    """
     chi_arr = np.asarray(chi_arr, dtype=complex)
     ok = np.ones(chi_arr.shape, dtype=bool)
+    if state.family in (StateFamily.FOCK, StateFamily.THERMAL):
+        # A single chi gets Python's abs and ** on the complex scalar: numpy's
+        # abs and square of the same value can differ in the last bit.
+        abs2 = abs(complex(chi_arr)) ** 2 if chi_arr.ndim == 0 else np.abs(chi_arr) ** 2
     if state.family is StateFamily.FOCK:
-        w = laguerre(state.n, 4.0 * np.abs(chi_arr) ** 2).astype(complex)
+        w = np.asarray(laguerre(state.n, 4.0 * abs2), dtype=complex)
     elif state.family is StateFamily.CAT:
         a0 = state.alpha0.real
         g = math.exp(-2.0 * a0 * a0)
@@ -224,11 +194,11 @@ def _witness_of_chi(state: StateSpec, chi_arr):
         ok &= np.abs(arg) <= _COSH_OVERFLOW
         arg = np.where(ok, arg, 0.0)
         w = ((np.cos(4.0 * a0 * chi_arr.imag) + g * np.cosh(arg)) / (1.0 + g)).astype(complex)
-        w[~ok] = np.nan
+        w = np.where(ok, w, np.nan)
     elif state.family is StateFamily.COHERENT:
         w = np.exp(4j * (np.conj(state.alpha0) * chi_arr).imag)
     else:
-        w = np.exp(-4.0 * state.nbar * np.abs(chi_arr) ** 2).astype(complex)
+        w = np.exp(-4.0 * state.nbar * abs2).astype(complex)
     return w, ok
 
 

@@ -111,6 +111,14 @@ class TestWitnessCommand:
         assert "numerical failure at tau=" in err and "quadrature" in err
         assert out.exists()  # CSV still written, invalid samples hold NaN
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_tolerance_is_invalid(self, tmp_path, capsys, tol):
+        rc = main([
+            "witness", "--traj", "accel:0.8", "--tol=" + tol, "--out", str(tmp_path / "w.csv"),
+        ])
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+
 
 class TestScanCommands:
     def test_velocity_scan_small(self, tmp_path):
@@ -151,6 +159,12 @@ class TestScanCommands:
             "--scan-steps", "3", "--eval-at", "10", "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_acceleration_scan_bad_tolerance_is_invalid(self, tmp_path, capsys, tol):
+        rc = main(["scan-acceleration", "--tol=" + tol, "--out", str(tmp_path / "acc.csv")])
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
 
     def test_alpha_scan_requires_cat(self, tmp_path):
         rc = main([

@@ -15,12 +15,13 @@ from udwitness.oracle import (
     evolve_closed_form,
     evolve_trotter,
     overlap_trace,
+    phase_beta,
     run_oracle_suite,
     state_density,
     trusted_block,
     unitarity_defect,
 )
-from udwitness.response import CouplingSpec, chi_quadrature, chi_static_amplitude, phase_beta
+from udwitness.response import CouplingSpec, chi_quadrature, chi_static_amplitude
 from udwitness.trajectory import TrajectorySpec, position
 from udwitness.witness import StateSpec, witness_value
 

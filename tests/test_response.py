@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,9 +20,6 @@ from udwitness.response import (
     _abs2_block,
     _adaptive_panels,
     _block_edges,
-    _chi_inertial_closed,
-    _chi_inertial_stable,
-    _inertial_params,
     _kernel_params,
     _oscillation_breakpoints,
     chi,
@@ -32,9 +30,9 @@ from udwitness.response import (
     chi_static,
     chi_static_amplitude,
     critical_velocity,
-    phase_beta,
 )
-from udwitness.trajectory import TrajectorySpec, position, wall_time
+from udwitness.oracle import phase_beta
+from udwitness.trajectory import TrajectoryKind, TrajectorySpec, position, wall_time
 
 V_CRIT_FIG = 0.76436169849601359  # frozen from 30-digit arithmetic
 
@@ -55,6 +53,29 @@ def scipy_chi(mode, lam, traj, tau):
     re, _ = quad(integrand_re, 0.0, t_end, limit=500, epsabs=1e-13, epsrel=1e-13)
     im, _ = quad(integrand_im, 0.0, t_end, limit=500, epsabs=1e-13, epsrel=1e-13)
     return -1j * lam * complex(re, im)
+
+
+def mpmath_inertial_chi(mode, lam, traj, tau, dps=40):
+    """Independent reference: the inertial integral in 40-digit arithmetic.
+
+    The literal antiderivative of sin(omega_L*t + phi)*exp(i*omega*t)
+    divides by omega_L^2 - omega^2; near resonance that cancellation costs
+    about 6 of the 40 digits, far more than double precision can spare.
+    """
+    with mpmath.workdps(dps):
+        k, L, m, v, x0 = (mpmath.mpf(x) for x in (mode.k, mode.L, mode.m, traj.v, traj.x0))
+        tau = mpmath.mpf(tau)
+        q = k * mpmath.pi / L
+        omega = mpmath.sqrt(q * q + m * m)
+        omega_l = q * v / mpmath.sqrt(1 - v * v)
+        phi = q * x0
+        psi = omega_l * tau + phi
+        num = (
+            mpmath.expj(omega * tau) * (omega * mpmath.sin(psi) + 1j * omega_l * mpmath.cos(psi))
+            - omega * mpmath.sin(phi)
+            - 1j * omega_l * mpmath.cos(phi)
+        )
+        return complex(lam * num / (mpmath.sqrt(k * mpmath.pi) * (omega_l**2 - omega**2)))
 
 
 class TestChiStatic:
@@ -141,19 +162,22 @@ class TestChiInertial:
         cq = chi_quadrature(self.mode, self.coup, traj, 50.0)
         assert abs(ca.value - cq.value) < 1e-6
 
-    def test_branches_agree_at_switchover(self):
-        # evaluate both representations right at the band edge
+    def test_matches_40_digit_reference(self):
+        # Around the band edge, where a literal closed form would cancel
+        # catastrophically, and far from resonance on both sides of v_c.
         omega = self.mode.omega
-        for rel in (DELTA_RES, 2 * DELTA_RES, 10 * DELTA_RES):
-            omega_t = omega * (1.0 + rel)
-            q = self.mode.k * math.pi / self.mode.L
-            v = omega_t / math.hypot(q, omega_t)
+        q = self.mode.k * math.pi / self.mode.L
+        vels = [0.55, 0.9]
+        for rel in (1, 2, 5, 10):
+            for sign in (1, -1):
+                omega_t = omega * (1.0 + sign * rel * DELTA_RES)
+                vels.append(omega_t / math.hypot(q, omega_t))
+        for v in vels:
             traj = TrajectorySpec.inertial(v, 1.0, 10000.0)
-            omega_l, phi = _inertial_params(self.mode, traj)
             for tau in (5.0, 50.0):
-                w = _chi_inertial_closed(self.coup.lam, self.mode.k, omega, omega_l, phi, tau)
-                s = _chi_inertial_stable(self.coup.lam, self.mode.k, omega, omega_l, phi, tau)
-                assert abs(w - s) <= 1e-8 * abs(s)
+                got = chi_inertial_analytic(self.mode, self.coup, traj, tau).value
+                ref = mpmath_inertial_chi(self.mode, self.coup.lam, traj, tau)
+                assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_modulus_continuous_across_band(self):
         omega = self.mode.omega
@@ -390,6 +414,62 @@ class TestDispatch:
             single = chi_quadrature(mode, coup, traj, taus[i])
             assert vals[i] == pytest.approx(single.value, abs=3e-10)
         assert vals[0] == 0
+
+
+class TestOnePath:
+    """The scalar entry points are 0-d calls of the grid evaluation."""
+
+    def test_scalar_entry_points_equal_series_element_zero(self, fig_cavity, fig_coupling):
+        mode, x0, L = fig_cavity.mode(), fig_cavity.x0, fig_cavity.L
+        cases = [
+            (TrajectorySpec.static(x0, L), 7.3),
+            (TrajectorySpec.inertial(0.6, x0, L), 12.5),
+            (TrajectorySpec.inertial(critical_velocity(mode), x0, L), 40.0),
+            (TrajectorySpec.accelerated(0.8, x0, L), 6.1),
+        ]
+        for traj, tau in cases:
+            vals, errs, branch = chi_series(mode, fig_coupling, traj, [tau])
+            series = ChiValue(complex(vals[0]), branch, float(errs[0]))
+            assert chi(mode, fig_coupling, traj, tau) == series
+            if traj.kind is TrajectoryKind.STATIC:
+                assert chi_static(mode, fig_coupling, x0, tau) == series
+            if traj.kind is TrajectoryKind.INERTIAL:
+                assert chi_inertial_analytic(mode, fig_coupling, traj, tau) == series
+            vals, errs, branch = chi_series(mode, fig_coupling, traj, [tau], force_quadrature=True)
+            forced = ChiValue(complex(vals[0]), branch, float(errs[0]))
+            assert chi_quadrature(mode, fig_coupling, traj, tau) == forced
+            assert chi(mode, fig_coupling, traj, tau, force_quadrature=True) == forced
+        in_band = chi_inertial_analytic(mode, fig_coupling, cases[2][0], cases[2][1])
+        assert in_band.branch is ChiBranch.INERTIAL_RESONANCE_LIMIT
+
+    @pytest.mark.parametrize("kind", ["static", "inertial"])
+    def test_closed_form_mode_block_matches_series(self, small_cavity, kind):
+        coup = CouplingSpec(0.4)
+        if kind == "static":
+            traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
+        else:
+            traj = TrajectorySpec.inertial(0.3, small_cavity.x0, small_cavity.L)
+        ks = np.arange(1, 41)
+        for tau in (0.37, 1.7, 60.0):
+            got = _abs2_block(ks, small_cavity, coup, traj, tau, DEFAULT_TOL)
+            for k, g in zip(ks, got):
+                vals, _, _ = chi_series(small_cavity.mode(int(k)), coup, traj, [tau])
+                ref = abs(vals[0]) ** 2
+                assert abs(g - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_series_rejects_bad_tolerance(self, small_cavity, tol):
+        mode = small_cavity.mode()
+        x0, L = small_cavity.x0, small_cavity.L
+        for traj in (
+            TrajectorySpec.static(x0, L),
+            TrajectorySpec.inertial(0.3, x0, L),
+            TrajectorySpec.accelerated(1.0, x0, L),
+        ):
+            with pytest.raises(InvalidParameterError, match="tol"):
+                chi_series(mode, CouplingSpec(0.4), traj, [0.5, 1.0], tol=tol)
+            with pytest.raises(InvalidParameterError, match="tol"):
+                chi(mode, CouplingSpec(0.4), traj, 1.0, tol=tol)
 
 
 class TestScalingInvariance:

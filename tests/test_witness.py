@@ -9,7 +9,7 @@ from scipy.special import eval_laguerre
 
 from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.field import CavityConfig
-from udwitness.response import ChiBranch, CouplingSpec, chi_static
+from udwitness.response import ChiBranch, ChiValue, CouplingSpec, chi_static
 from udwitness.trajectory import TrajectorySpec, wall_time
 from udwitness.witness import (
     BOUND_EPS,
@@ -22,12 +22,8 @@ from udwitness.witness import (
     laguerre,
     time_averaged_witness,
     violation_metrics,
-    witness_cat,
-    witness_coherent,
-    witness_fock,
     witness_series,
     witness_series_from_omega,
-    witness_thermal,
     witness_value,
 )
 
@@ -73,13 +69,13 @@ class TestLaguerre:
 class TestClosedForms:
     def test_fock_at_zero_response(self):
         for n in (1, 2, 5):
-            assert witness_fock(n, 0j) == 1.0
+            assert witness_value(StateSpec.fock(n), 0j) == 1.0
 
     def test_fock_one_quarter(self):
-        assert witness_fock(1, 0.5 + 0j) == pytest.approx(0.0, abs=1e-14)
+        assert witness_value(StateSpec.fock(1), 0.5 + 0j) == pytest.approx(0.0, abs=1e-14)
 
     def test_fock_one_unit_response_violates(self):
-        w = witness_fock(1, 1j)
+        w = witness_value(StateSpec.fock(1), 1j)
         assert w == pytest.approx(-3.0, abs=1e-14)
         assert abs(w) > 1.0 + BOUND_EPS
 
@@ -87,29 +83,25 @@ class TestClosedForms:
         rng = np.random.default_rng(3)
         for _ in range(20):
             c = complex(rng.normal(), rng.normal())
-            assert witness_fock(1, c) == 1.0 - 4.0 * abs(c) ** 2
-
-    def test_fock_requires_excitation(self):
-        with pytest.raises(InvalidParameterError):
-            witness_fock(0, 0.1j)
+            assert witness_value(StateSpec.fock(1), c) == 1.0 - 4.0 * abs(c) ** 2
 
     def test_cat_at_zero_response(self):
-        assert witness_cat(1.0, 0j) == pytest.approx(1.0, abs=1e-15)
+        assert witness_value(StateSpec.cat(1.0), 0j) == pytest.approx(1.0, abs=1e-15)
 
     def test_cat_degenerates_to_vacuum(self):
-        assert witness_cat(1e-7, 0.3 - 0.2j) == pytest.approx(1.0, abs=1e-6)
+        assert witness_value(StateSpec.cat(1e-7), 0.3 - 0.2j) == pytest.approx(1.0, abs=1e-6)
 
     def test_cat_quarter_period_point(self):
-        assert witness_cat(1.0, 1j * math.pi / 4) == pytest.approx(-TANH_1, abs=1e-14)
+        assert witness_value(StateSpec.cat(1.0), 1j * math.pi / 4) == pytest.approx(-TANH_1, abs=1e-14)
 
     def test_cat_overflow_reported(self):
         with pytest.raises(NumericalFailure):
-            witness_cat(200.0, 1.0 + 0j)
+            witness_value(StateSpec.cat(200.0), 1.0 + 0j)
 
     def test_coherent_pure_phase(self):
-        assert witness_coherent(0j, 0.7 + 0.1j) == 1.0
-        assert witness_coherent(1.5 - 0.3j, 0j) == 1.0
-        w = witness_coherent(1.0, 1j)
+        assert witness_value(StateSpec.coherent(0j), 0.7 + 0.1j) == 1.0
+        assert witness_value(StateSpec.coherent(1.5 - 0.3j), 0j) == 1.0
+        w = witness_value(StateSpec.coherent(1.0), 1j)
         assert w == pytest.approx(cmath.exp(4j), abs=1e-15)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -120,14 +112,14 @@ class TestClosedForms:
         ci=st.floats(-3, 3, allow_nan=False),
     )
     def test_coherent_modulus_one(self, ar, ai, cr, ci):
-        assert abs(witness_coherent(complex(ar, ai), complex(cr, ci))) == pytest.approx(
+        assert abs(witness_value(StateSpec.coherent(complex(ar, ai)), complex(cr, ci))) == pytest.approx(
             1.0, abs=1e-13
         )
 
     def test_thermal_examples(self):
-        assert witness_thermal(0.0, 0.9 + 0.2j) == 1.0
-        assert witness_thermal(3.0, 0j) == 1.0
-        assert witness_thermal(1.0, 0.5 + 0j) == pytest.approx(EXP_M1, abs=1e-15)
+        assert witness_value(StateSpec.thermal(0.0), 0.9 + 0.2j) == 1.0
+        assert witness_value(StateSpec.thermal(3.0), 0j) == 1.0
+        assert witness_value(StateSpec.thermal(1.0), 0.5 + 0j) == pytest.approx(EXP_M1, abs=1e-15)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -137,21 +129,29 @@ class TestClosedForms:
     )
     def test_thermal_never_violates(self, nbar, cr, ci):
         # underflow to exactly 0.0 is fine; the bound is what matters
-        w = witness_thermal(nbar, complex(cr, ci))
-        assert 0.0 <= w <= 1.0
-
-    def test_witness_value_dispatch(self):
-        c = 0.4 - 0.1j
-        assert witness_value(StateSpec.fock(2), c) == complex(
-            laguerre(2, 4 * abs(c) ** 2)
-        )
-        assert witness_value(StateSpec.cat(1.2), c) == complex(witness_cat(1.2, c))
-        assert witness_value(StateSpec.thermal(0.7), c) == complex(witness_thermal(0.7, c))
-        assert witness_value(StateSpec.coherent(1j), c) == witness_coherent(1j, c)
+        w = witness_value(StateSpec.thermal(nbar), complex(cr, ci))
+        assert w.imag == 0.0
+        assert 0.0 <= w.real <= 1.0
 
     def test_accepts_chi_value_objects(self):
         cv = chi_static(CavityConfig(L=4.0, m=1.0, k0=2).mode(), CouplingSpec(0.5), 1.0, 2.0)
-        assert witness_fock(1, cv) == 1.0 - 4.0 * abs(cv.value) ** 2
+        assert witness_value(StateSpec.fock(1), cv) == 1.0 - 4.0 * abs(cv.value) ** 2
+
+    @pytest.mark.parametrize(
+        "state", [StateSpec.fock(2), StateSpec.cat(1.2), StateSpec.coherent(0.6 + 0.3j), StateSpec.thermal(0.7)], ids=lambda s: s.label()
+    )
+    def test_witness_value_matches_series(self, small_cavity, state):
+        traj = TrajectorySpec.inertial(0.3, small_cavity.x0, small_cavity.L)
+        s = witness_series(state, small_cavity, CouplingSpec(0.4), traj, np.linspace(0.0, 4.0, 41))
+        assert s.ok.all()
+        for c, w in zip(s.chi, s.w):
+            got = witness_value(state, ChiValue(complex(c), s.branch))
+            if state.family in (StateFamily.CAT, StateFamily.COHERENT):
+                assert got == w
+            else:
+                # |chi|^2 of a single chi is Python's abs and **, which
+                # differ from numpy's array abs and square in the last bit.
+                assert abs(got - w) <= 16 * np.finfo(float).eps * max(1.0, 4 * abs(c) ** 2)
 
 
 class TestExtractWitness:
