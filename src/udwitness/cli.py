@@ -199,6 +199,8 @@ def cmd_witness(args) -> int:
             raise InvalidParameterError(
                 "--omega-override describes a resting detector; --traj must be static"
             )
+        if not args.tol > 0:
+            raise InvalidParameterError(f"tolerance --tol {args.tol} must be positive")
         lam = 2.0 * math.sqrt(args.k0) if args.lam is None else args.lam
         series = witness_series_from_omega(state, lam, args.omega_override, taus)
     else:

@@ -542,6 +542,8 @@ def chi_mode_sum(
     """
     if not rel_tail_tol > 0:
         raise InvalidParameterError(f"rel_tail_tol={rel_tail_tol} must be positive")
+    if not tol > 0:
+        raise InvalidParameterError(f"tolerance tol={tol} must be positive")
     if tau < 0:
         raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
     if coupling.lam == 0.0 or tau == 0.0:
@@ -585,8 +587,6 @@ def _abs2_block(ks, cavity, coupling, traj, tau, tol):
     if traj.kind is not TrajectoryKind.ACCELERATED:
         omega = np.array([mode_frequency(int(k), cavity.L, cavity.m) for k in ks])
         return np.abs(_closed_form(coupling.lam, ks, cavity.L, omega, traj, tau)) ** 2
-    if not tol > 0:
-        raise InvalidParameterError(f"tolerance tol={tol} must be positive")
     out = np.zeros(ks.shape)
     t_end = min(tau, wall_time(traj))
     if coupling.lam == 0.0 or t_end <= 0.0:

@@ -73,6 +73,15 @@ class TestWitnessCommand:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_omega_override_bad_tolerance_is_invalid(self, tmp_path, capsys, tol):
+        rc = main([
+            "witness", "--state", "fock:1", "--omega-override", "2.2", "--lambda", "1.7",
+            "--tol=" + tol, "--out", str(tmp_path / "w.csv"),
+        ])
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+
     def test_empty_grid_is_invalid(self, tmp_path):
         rc = main(["witness", "--samples", "0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2

@@ -1,19 +1,27 @@
 import cmath
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
+from udwitness import oracle
 from udwitness.errors import InvalidParameterError, NumericalFailure, TruncationTooSmall
 from udwitness.field import ModeSpec, mode_function
 from udwitness.oracle import (
+    UNITARITY_TOL,
     EndToEndReport,
     TruncatedMode,
     displacement_matrix,
     end_to_end_check,
     evolve_closed_form,
     evolve_trotter,
+    expm,
     overlap_trace,
     phase_beta,
     run_oracle_suite,
@@ -26,6 +34,40 @@ from udwitness.trajectory import TrajectorySpec, position
 from udwitness.witness import StateSpec, witness_value
 
 EXP_M_HALF = 0.60653065971263342  # frozen from 30-digit arithmetic
+
+
+@functools.cache
+def exact_displacement(beta: complex, rows: int = 60, cols: int = 20) -> np.ndarray:
+    """<m|D(beta)|n> from the associated Laguerre closed form in 40-digit
+    arithmetic: sqrt(j!/(j+k)!) z^k e^(-|beta|^2/2) L_j^(k)(|beta|^2) with
+    j = min(m, n), k = |m - n|, z = beta below the diagonal and
+    -conj(beta) above it. For each k, L_j^(k) comes from its three-term
+    recurrence in j. The elements do not depend on a cutoff, so one
+    60 x 20 corner serves every cutoff up to 60."""
+    out = np.empty((rows, cols), dtype=complex)
+    with mpmath.workdps(40):
+        b = mpmath.mpc(beta.real, beta.imag)
+        x = abs(b) ** 2
+        pre = mpmath.exp(-x / 2)
+        for k in range(rows):
+            lag_prev, lag = mpmath.mpf(0), mpmath.mpf(1)
+            norm = 1 / mpmath.sqrt(mpmath.factorial(k))  # sqrt(j!/(j+k)!) at j=0
+            for j in range(min(rows, cols)):
+                if j > 0:
+                    lag_prev, lag = lag, ((2 * j - 1 + k - x) * lag - (j - 1 + k) * lag_prev) / j
+                    norm *= mpmath.sqrt(mpmath.mpf(j) / (j + k))
+                if j + k < rows:
+                    out[j + k, j] = complex(pre * norm * b**k * lag)
+                if k > 0 and j + k < cols:
+                    out[j, j + k] = complex(pre * norm * (-mpmath.conj(b)) ** k * lag)
+    return out
+
+
+def padded_expm_displacement(cutoff: int, beta: complex) -> np.ndarray:
+    """The padded displacement by scipy's matrix exponential of the generator."""
+    pad = cutoff + 25 + math.ceil(4.0 * abs(beta) * math.sqrt(cutoff))
+    a = np.diag(np.sqrt(np.arange(1, pad)), 1).astype(complex)
+    return expm(beta * a.conj().T - np.conj(beta) * a)[:cutoff, :cutoff]
 
 
 class TestDisplacement:
@@ -59,6 +101,45 @@ class TestDisplacement:
         tm = TruncatedMode(40, 1.0)
         d = displacement_matrix(tm, 1.2 + 0.4j)
         assert unitarity_defect(d, block=trusted_block(40)) <= 1e-8
+
+    @pytest.mark.parametrize("cutoff", [30, 40, 60])
+    @pytest.mark.parametrize(
+        "beta, bound",
+        [
+            (0.05 + 0.02j, 5e-15),
+            (0.3 - 0.1j, 5e-15),
+            (0.7 + 0.3j, 5e-15),
+            (1.2 + 0.4j, 5e-15),
+            # a nearly undisplaced (vacuum-mode) factor keeps an error of
+            # order eps*|beta|; exp(-i*theta) - 1 summed over the spectrum
+            # without the identity split off measured 1.0e-15 to 1.9e-15 here
+            (0.05, 1e-15),
+            (0.03 - 0.04j, 1e-15),
+            (0.01 + 0.005j, 1e-15),
+        ],
+    )
+    def test_trusted_block_matches_laguerre_elements(self, cutoff, beta, bound):
+        h = trusted_block(cutoff)
+        d = displacement_matrix(TruncatedMode(cutoff, 1.0), beta)
+        ref = exact_displacement(beta)[:cutoff, :h]
+        assert np.abs(d[:, :h] - ref).max() <= bound
+
+    def test_matches_scipy_expm(self):
+        betas = (0.01 + 0.005j, 0.3 - 0.1j, 0.7 + 0.3j, -1.1j)
+        for cutoff in range(4, 61):
+            beta = betas[cutoff % len(betas)]
+            ref = padded_expm_displacement(cutoff, beta)
+            if unitarity_defect(ref, block=trusted_block(cutoff)) > UNITARITY_TOL:
+                with pytest.raises(TruncationTooSmall):
+                    displacement_matrix(TruncatedMode(cutoff, 1.0), beta)
+                continue
+            d = displacement_matrix(TruncatedMode(cutoff, 1.0), beta)
+            assert np.abs(d - ref).max() <= 1e-13, (cutoff, beta)
+
+    def test_cached_eigendecomposition_is_read_only(self):
+        for arr in oracle._quadrature_eigh(20):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_truncation_too_small(self):
         with pytest.raises(TruncationTooSmall):
@@ -322,6 +403,20 @@ class TestEndToEnd:
 
 
 class TestOracleSuite:
+    def test_suite_does_not_load_scipy(self):
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys; from udwitness.oracle import run_oracle_suite; "
+            "checks = run_oracle_suite(states=('coherent',)); "
+            "print(len(checks), all(c.passed for c in checks), "
+            "any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["5", "True", "False"]
+
     def test_subset_runs_clean(self):
         checks = run_oracle_suite(
             cutoff=40, k_max=8, states=("fock", "coherent"), include_trotter=False

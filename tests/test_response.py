@@ -5,11 +5,11 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, quad, simpson
 
 from udwitness import kernels
 from udwitness.errors import InvalidParameterError, NumericalFailure
-from udwitness.field import CavityConfig, ModeSpec
+from udwitness.field import CavityConfig, ModeSpec, mode_function
 from udwitness.response import (
     DEFAULT_TOL,
     DELTA_RES,
@@ -549,6 +549,18 @@ class TestChiModeSum:
         assert exact_16 <= exact_32 <= adaptive * (1 + 1e-12)
         assert adaptive == pytest.approx(deep, rel=1e-6)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("kind", ["static", "inertial", "accelerated"])
+    def test_bad_tolerance_rejected_on_every_worldline(self, small_cavity, kind, tol):
+        x0, L = small_cavity.x0, small_cavity.L
+        traj = {
+            "static": TrajectorySpec.static(x0, L),
+            "inertial": TrajectorySpec.inertial(0.3, x0, L),
+            "accelerated": TrajectorySpec.accelerated(1.0, x0, L),
+        }[kind]
+        with pytest.raises(InvalidParameterError, match="tol"):
+            chi_mode_sum(small_cavity, CouplingSpec(0.5), traj, 1.0, k_max=8, tol=tol)
+
     def test_hard_cap_failure_carries_partial(self, small_cavity):
         coup = CouplingSpec(0.5)
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
@@ -679,6 +691,37 @@ class TestPhaseBeta:
         span = t1 - t0
         analytic = (span - math.sin(omega * span) / omega) / omega
         assert val == pytest.approx(analytic, abs=1e-9)
+
+    @pytest.mark.parametrize("f0, omega, tau", [(0.4, 1.0, math.pi), (0.3, 1.4, 2.0), (1.0, 2.7, 5.3)])
+    def test_constant_drive_closed_form(self, f0, omega, tau):
+        val = phase_beta(lambda t: np.full_like(t, f0), omega, 0.0, tau)
+        exact = f0**2 * (omega * tau - math.sin(omega * tau)) / omega**2
+        assert abs(val - exact) <= 1e-9
+
+    def test_moving_drive_matches_scipy_simpson(self):
+        # the inertial drive of test_oracle's moving-drive propagator check,
+        # against the same doubling loop on scipy's Simpson rules
+        mode = ModeSpec(1, 4.0, 1.0)
+        traj = TrajectorySpec.inertial(0.3, 1.0, 4.0)
+        tau, tol = 2.0, 1e-9
+
+        def drive(t):
+            return 0.5 * mode_function(mode.k, mode.L, position(traj, t))
+
+        prev = ref = None
+        for n in (512, 1024, 2048, 4096, 8192, 16384):
+            t = np.linspace(0.0, tau, n + 1)
+            ft = drive(t)
+            c = cumulative_simpson(ft * np.cos(mode.omega * t), x=t, initial=0.0)
+            s = cumulative_simpson(ft * np.sin(mode.omega * t), x=t, initial=0.0)
+            inner = np.sin(mode.omega * t) * c - np.cos(mode.omega * t) * s
+            val = float(simpson(ft * inner, x=t))
+            if prev is not None and abs(val - prev) <= max(tol, tol * abs(val)):
+                ref = val
+                break
+            prev = val
+        assert ref is not None
+        assert abs(phase_beta(drive, mode.omega, 0.0, tau, tol=tol) - ref) <= tol
 
     def test_rejects_reversed_window(self):
         with pytest.raises(InvalidParameterError):
