@@ -96,7 +96,11 @@ def _add_common(p: argparse.ArgumentParser):
                    help="coupling strength (default 2*sqrt(k0))")
     p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance on chi")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scan evaluations")
+
+
+def _add_scan(p: argparse.ArgumentParser):
+    _add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help="parallel scan evaluations (>= 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "amplitude --lambda, bypassing cavity geometry")
 
     sv = sub.add_parser("scan-velocity", help="time-averaged |W| against velocity")
-    _add_common(sv)
+    _add_scan(sv)
     sv.add_argument("--scan-min", type=float, default=0.5)
     sv.add_argument("--scan-max", type=float, default=0.95)
     sv.add_argument("--scan-steps", type=int, default=200)
@@ -126,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--t2", type=float, default=None, help="averaging window end (default tau-max)")
 
     sa = sub.add_parser("scan-acceleration", help="asymptote of |W| against acceleration")
-    _add_common(sa)
+    _add_scan(sa)
     sa.add_argument("--scan-min", type=float, default=0.1)
     sa.add_argument("--scan-max", type=float, default=2.0)
     sa.add_argument("--scan-steps", type=int, default=40)
@@ -134,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="proper time at which the asymptote is read off")
 
     sc = sub.add_parser("scan-alpha", help="asymptote of |W| against the cat amplitude")
-    _add_common(sc)
+    _add_scan(sc)
     sc.add_argument("--traj", default="accel:0.8", help="accel:A trajectory of the scan")
     sc.add_argument("--scan-min", type=float, default=0.1)
     sc.add_argument("--scan-max", type=float, default=3.0)
@@ -224,6 +228,8 @@ def cmd_witness(args) -> int:
 
 def _run_scan(values, evaluate, jobs: int):
     """Evaluate scan points (optionally in parallel); failures become NaN."""
+    if jobs < 1:
+        raise InvalidParameterError(f"--jobs {jobs} must be >= 1")
 
     def safe(v):
         try:

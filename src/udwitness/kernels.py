@@ -84,11 +84,6 @@ _WG0 = 0.417959183673469387755102040816327
 _W_PAIRS = np.stack([_WK, _WG], axis=1)
 
 
-def _column(param):
-    """A per-panel parameter lined up against the node axis; scalars pass."""
-    return param[:, None] if isinstance(param, np.ndarray) else param
-
-
 def _amplitude(kind, phi0, rate, cc, t):
     """sin(A(t)) elementwise; phi0 and cc broadcast against t."""
     if kind == KIND_STATIC:
@@ -99,15 +94,17 @@ def _amplitude(kind, phi0, rate, cc, t):
 
 
 def _pair_sums(terms):
-    """terms @ _W_PAIRS by the same BLAS routine for any number of panels.
+    """terms.T @ _W_PAIRS by the same BLAS routine for any number of panels.
 
-    numpy sends a one-row product through gemv, which can round the last
-    bit differently from the gemm that serves two rows or more; one panel
-    is therefore evaluated as two copies.
+    ``terms`` is node-major (7, n); the gemm takes its transposed view, so
+    every call hands BLAS the same layout. numpy sends a one-row product
+    through gemv, which can round the last bit differently from the gemm
+    that serves two rows or more; one panel is therefore evaluated as two
+    copies.
     """
-    if terms.shape[0] == 1:
-        return (np.vstack([terms, terms]) @ _W_PAIRS)[:1]
-    return terms @ _W_PAIRS
+    if terms.shape[1] == 1:
+        return (np.hstack([terms, terms]).T @ _W_PAIRS)[:1]
+    return terms.T @ _W_PAIRS
 
 
 def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
@@ -119,20 +116,29 @@ def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    dt = half[:, None] * _X
-    phi0_n, cc_n = _column(phi0), _column(cc)
-    a_plus = _amplitude(kind, phi0_n, rate, cc_n, mid[:, None] + dt)
-    a_minus = _amplitude(kind, phi0_n, rate, cc_n, mid[:, None] - dt)
-    dt *= _column(omega)
+    # Node-major (7, n): per-panel arrays broadcast along the contiguous
+    # panel axis, which numpy runs as a few long loops.
+    dt = _X[:, None] * half
+    a_plus = _amplitude(kind, phi0, rate, cc, mid + dt)
+    a_minus = _amplitude(kind, phi0, rate, cc, mid - dt)
+    dt *= omega
     re = _pair_sums((a_plus + a_minus) * np.cos(dt))  # [:, 0] K15, [:, 1] G7
     im = _pair_sums((a_plus - a_minus) * np.sin(dt))
     amp0 = _amplitude(kind, phi0, rate, cc, mid)
     re_k = re[:, 0] + _WK0 * amp0
     err = half * np.hypot(re_k - re[:, 1] - _WG0 * amp0, im[:, 0] - im[:, 1])
     phase = omega * mid
-    vals = (np.cos(phase) + 1j * np.sin(phase)) * (re_k + 1j * im[:, 0])
+    # Not in place: a one-element in-place complex product rounds differently.
+    vals = _complex(np.cos(phase), np.sin(phase)) * _complex(re_k, im[:, 0])
     vals *= half
     return vals, err
+
+
+def _complex(re, im):
+    """re + 1j*im, assembled without complex arithmetic (same bits, fewer passes)."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def active_backend() -> str:

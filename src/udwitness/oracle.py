@@ -320,14 +320,19 @@ def _screen_tail(norm_sq: float, cutoff: int, state: StateSpec):
 def overlap_trace(state: StateSpec, mode: TruncatedMode, chi: complex, tau: float) -> complex:
     """Tr{U_+ rho U_-^dagger} with the two detector-conditioned propagators.
 
+    U_+- = D(+-beta) R (see evolve_closed_form), with R the free evolution
+    e^{-i*omega*tau*n} and beta = chi*e^{-i*omega*tau}. Since
+    D(-beta)^dagger = D(beta), the trace is Tr{D(beta) R rho R^dagger D(beta)}:
+    one displacement serves both propagators.
+
     For a coherent state |alpha> this must reproduce
     exp(4i*Im(conj(alpha)*chi) - 2*|chi|^2); multiplying any family's value
     by exp(2*|chi|^2) must land on its closed-form witness.
     """
-    rho = state_density(state, mode.cutoff)
-    u_plus = evolve_closed_form(mode, chi, tau, +1)
-    u_minus = evolve_closed_form(mode, chi, tau, -1)
-    return complex(np.trace(u_plus @ rho @ u_minus.conj().T))
+    rot = np.exp(-1j * mode.omega * tau * np.arange(mode.cutoff))
+    d = displacement_matrix(mode, chi * cmath.exp(-1j * mode.omega * tau))
+    u_plus, u_minus_dagger = d * rot[None, :], rot.conj()[:, None] * d
+    return complex(np.trace(u_plus @ state_density(state, mode.cutoff) @ u_minus_dagger))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,17 @@ right wall the integrand vanishes (F_k(L) = 0), so every chi_k freezes
 at its wall-arrival value; the integration explicitly stops there.
 
 Every chi comes from one grid evaluation (chi_series); the scalar entry
-points are its 0-d calls. The inertial closed form is evaluated in one
+points are its 0-d calls. Every quadrature chi (accelerated, or any
+worldline with force_quadrature) comes from one driver, _quadrature:
+modes ks and a tau grid in, chi[k, tau] out. Each mode is one segment of
+a single adaptive pass (_adaptive_panels) from half-cycle starting
+panels with the grid times inserted as edges (_block_edges), and chi at
+a grid time is a sequential prefix sum of its mode's panels, so a mode's
+values are the same bits alone or in a block. A single chi is a call
+with one mode; the mode sum (chi_mode_sum) calls it per block of
+_MODE_BLOCK modes at one time.
+
+The inertial closed form is evaluated in one
 cancellation-free form, exact through the resonance where the
 mode-crossing frequency omega_L = k*pi*v/(L*sqrt(1-v^2)) matches omega_k
 and the envelope of |chi| grows linearly in tau. Inside a narrow band
@@ -168,8 +178,17 @@ def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
     if not tol > 0:
         raise InvalidParameterError(f"tolerance tol={tol} must be positive")
     if force_quadrature or traj.kind is TrajectoryKind.ACCELERATED:
-        vals, errs = _quadrature_prefix(mode, coupling, traj, taus, tol)
-        return vals, errs, ChiBranch.QUADRATURE
+        chis, errs, (stall,) = _quadrature(
+            np.array([mode.k]), np.array([mode.omega]), mode.L, coupling, traj, taus, tol
+        )
+        if stall is not None:
+            raise NumericalFailure(
+                f"quadrature did not reach tol={tol} for mode k={mode.k}: {stall} "
+                f"(error estimate {errs.max():.3e})",
+                best=(chis[0], errs[0]),
+                err_estimate=float(errs.max()),
+            )
+        return chis[0], errs[0], ChiBranch.QUADRATURE
     vals = _closed_form(coupling.lam, mode.k, mode.L, mode.omega, traj, taus)
     return vals, np.zeros(taus.shape), _closed_branch(mode, traj)
 
@@ -243,76 +262,67 @@ def critical_velocity(mode: ModeSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_params(mode: ModeSpec, traj: TrajectorySpec):
-    phi0 = mode.k * math.pi * traj.x0 / mode.L
-    if traj.kind is TrajectoryKind.STATIC:
-        return kernels.KIND_STATIC, phi0, 0.0, 0.0
-    if traj.kind is TrajectoryKind.INERTIAL:
-        return kernels.KIND_INERTIAL, phi0, _crossing_frequency(mode.k, mode.L, traj.v), 0.0
-    cc = mode.k * math.pi / (mode.L * traj.a)
-    return kernels.KIND_ACCELERATED, phi0, traj.a, cc
+def _kernel_params(k, L, traj: TrajectorySpec):
+    """Kernel parameters (kind, phi0, rate, cc) of mode(s) k on ``traj``.
 
-
-def _oscillation_breakpoints(mode: ModeSpec, traj: TrajectorySpec, t_end: float):
-    """Starting panel edges for the field phase and the mode-crossing phase.
-
-    Panels never span more than half a cycle (_START_PANEL_PHASE) of
-    exp(i*omega_k*t) nor of the instantaneous mode-function oscillation
-    along the worldline; _adaptive_panels refines from there.
+    phi0 and cc take the shape of k (a scalar or an array of modes); rate
+    is one scalar: a, 0, or the crossing frequency of a forced-quadrature
+    inertial chi, which is always one mode.
     """
-    caps = [_START_PANEL_PHASE / mode.omega]
-    if traj.kind is TrajectoryKind.INERTIAL:
-        omega_l = _crossing_frequency(mode.k, mode.L, traj.v)
-        if omega_l > 0:
-            caps.append(_START_PANEL_PHASE / omega_l)
-    h = min(caps)
-    n_uniform = max(1, math.ceil(t_end / h))
-    pts = np.linspace(0.0, t_end, n_uniform + 1)
+    q = k * math.pi
+    phi0 = q * traj.x0 / L
     if traj.kind is TrajectoryKind.ACCELERATED:
-        cc = mode.k * math.pi / (mode.L * traj.a)
-        sweep = cc * (math.cosh(traj.a * t_end) - 1.0)
-        n_phase = math.ceil(sweep / _START_PANEL_PHASE)
-        if n_phase > 1:
-            theta = np.arange(1, n_phase) * (sweep / n_phase)
-            t_phase = np.arccosh(1.0 + theta / cc) / traj.a
-            pts = np.union1d(pts, t_phase)
-    return pts
+        return kernels.KIND_ACCELERATED, phi0, traj.a, q / (L * traj.a)
+    unused_cc = 0.0 * q
+    if traj.kind is TrajectoryKind.STATIC:
+        return kernels.KIND_STATIC, phi0, 0.0, unused_cc
+    (rate,) = np.ravel(_crossing_frequency(k, L, traj.v))
+    return kernels.KIND_INERTIAL, phi0, float(rate), unused_cc
 
 
-def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float):
-    """Starting panel edges of accelerated modes ``ks`` in one vectorised pass.
+def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
+    """Starting panel edges of modes ``ks`` (frequencies ``omega``) in one pass.
 
     Returns (edges, offsets): mode j's edges are
-    edges[offsets[j]:offsets[j + 1]], equal to
-    _oscillation_breakpoints(mode_j, traj, t_end) (t_end > 0). The uniform
-    grids (numpy.linspace arithmetic) and the mode-phase times of all
-    modes are computed as whole arrays with the same elementwise
-    arithmetic as for one mode, and one sort by (mode, time) merges them.
+    edges[offsets[j]:offsets[j + 1]], strictly increasing from 0 to
+    t_end > 0. They merge three sets of times:
+
+    - a uniform grid (numpy.linspace arithmetic) whose panels span at most
+      half a cycle (_START_PANEL_PHASE) of exp(i*omega_k*t) and, on an
+      inertial worldline, of the mode-crossing oscillation: the step is
+      pi/max(omega_k, omega_L), which is min(pi/omega_k, pi/omega_L) to
+      the bit;
+    - on an accelerated worldline, the times at which the mode phase
+      cc*(cosh(a*t) - 1) has advanced by equal steps of at most half a
+      cycle;
+    - the grid ``times`` in (0, t_end], so that chi at each of them is a
+      prefix of the panel sum.
+
+    Row j of one table holds mode j's times, padded with t_end; every
+    entry comes from the same elementwise arithmetic whatever the other
+    rows, so a mode's edges do not depend on the modes it is built with.
+    Sorting each row and dropping repeats gives the edges.
     """
-    n_uniform = np.maximum(1, np.ceil(t_end / (_START_PANEL_PHASE / omega))).astype(np.intp)
-    counts = n_uniform + 1
-    grid = _local_index(counts, 0) * np.repeat(t_end / n_uniform, counts)
-    grid[np.cumsum(counts) - 1] = t_end
-    cc = ks * math.pi / (L * traj.a)
-    sweep = cc * (math.cosh(traj.a * t_end) - 1.0)
-    n_phase = np.ceil(sweep / _START_PANEL_PHASE).astype(np.intp)
-    n_inner = np.maximum(n_phase - 1, 0)
-    theta = _local_index(n_inner, 1) * np.repeat(sweep / np.maximum(n_phase, 1), n_inner)
-    t = np.concatenate([grid, np.arccosh(1.0 + theta / np.repeat(cc, n_inner)) / traj.a])
-    modes = np.arange(ks.size)
-    t = t[np.lexsort((t, np.concatenate([np.repeat(modes, counts), np.repeat(modes, n_inner)])))]
-    # Every mode runs from 0 to t_end > 0, so a time equal to its
-    # predecessor is a repeat within one mode.
-    fresh = np.ones(t.size, dtype=bool)
-    fresh[1:] = t[1:] != t[:-1]
-    counts = [np.count_nonzero(f) for f in _segments(fresh, counts + n_inner)]
-    return t[fresh], np.concatenate([[0], np.cumsum(counts)])
-
-
-def _local_index(counts, start):
-    """start..start+counts[j]-1 for each j in turn, as one array."""
-    first = np.cumsum(counts) - counts
-    return np.arange(start, counts.sum() + start) - np.repeat(first, counts)
+    rate = omega
+    if traj.kind is TrajectoryKind.INERTIAL:
+        rate = np.maximum(omega, _crossing_frequency(ks, L, traj.v))
+    n_uniform = np.maximum(1.0, np.ceil(t_end / (_START_PANEL_PHASE / rate)))[:, None]
+    i = np.arange(n_uniform.max() + 1.0)
+    rows = [np.where(i < n_uniform, i * (t_end / n_uniform), t_end)]
+    if traj.kind is TrajectoryKind.ACCELERATED:
+        cc = (ks * math.pi / (L * traj.a))[:, None]
+        sweep = cc * (math.cosh(traj.a * t_end) - 1.0)
+        n_phase = np.ceil(sweep / _START_PANEL_PHASE)
+        i = np.arange(1.0, n_phase.max())
+        theta = i * (sweep / np.maximum(n_phase, 1.0))
+        rows.append(np.where(i < n_phase, np.arccosh(1.0 + theta / cc) / traj.a, t_end))
+    rows.append(np.repeat(times[None, :], ks.size, axis=0))
+    table = np.sort(np.concatenate(rows, axis=1), axis=1)
+    fresh = np.ones(table.shape, dtype=bool)
+    fresh[:, 1:] = table[:, 1:] != table[:, :-1]
+    offsets = np.zeros(ks.size + 1, dtype=np.intp)
+    np.cumsum(fresh.sum(axis=1), out=offsets[1:])
+    return table[fresh], offsets
 
 
 def _segments(x, counts):
@@ -339,19 +349,17 @@ def _stop_reason(history, s, n):
     return None
 
 
-def _adaptive_panels(kind, phi0, rate, cc, omega, edges, tol, offsets=None):
+def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
     """Bisect panels until each segment's error estimates sum to at most its tol.
 
-    A segment is one integral: the panels between consecutive ``edges``
-    from offsets[s] to offsets[s + 1] - 1, with phi0, cc, omega and tol
-    given as one entry per segment (a block of modes). Without
-    ``offsets`` all edges form one segment and the parameters are scalars
-    (a batch of one), which is how a single chi is evaluated. Every round
-    evaluates the split panels of all segments in one kernel call, and
-    each segment refines exactly as it would alone: its own tolerance, its
-    own panel count in the split threshold tol/(2*n), and its own verdict.
-    Splitting in place keeps each segment's panels contiguous and in
-    order, and the per-round bookkeeping is a few Python operations per
+    A segment is one integral (one mode): the panels between consecutive
+    ``edges`` from offsets[s] to offsets[s + 1] - 1, with phi0, cc, omega
+    and tol arrays of one entry per segment and rate one scalar. Every
+    round evaluates the split panels of all segments in one kernel call,
+    and each segment refines exactly as it would alone: its own tolerance,
+    its own panel count in the split threshold tol/(2*n), and its own
+    verdict. Splitting in place keeps each segment's panels contiguous and
+    in order, and the per-round bookkeeping is a few Python operations per
     segment.
 
     Returns (lo, hi, vals, errs, counts, stalls): segment s owns the
@@ -359,33 +367,28 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, tol, offsets=None):
     on convergence, else why its refinement stopped: its error sum has not
     shrunk over two rounds, or the round or panel cap was hit.
 
-    The stall rule assumes edges that already resolve the
-    oscillation. The half-cycle panels of _oscillation_breakpoints do: at
-    half-width pi/2 of a phase even the embedded G7 rule is converged (and
-    close to it where the two phases add up to a cycle), so a bisection
-    cuts a panel's estimate by about 2**15 (the G7 error goes as h**15)
-    until rounding dominates, and an error sum that has not shrunk in two
-    rounds sits at the rounding floor. The least resolved
-    starting panels are the first accelerated ones, where
-    A(t) = cc*(cosh(a*t) - 1) is far from linear; their estimate still
-    falls every round. Panels spanning many cycles can go several rounds
-    without shrinking and would be reported as stalled.
+    The stall rule assumes edges that already resolve the oscillation.
+    The half-cycle panels of _block_edges do: at half-width pi/2 of a
+    phase even the embedded G7 rule is converged (and close to it where
+    the two phases add up to a cycle), so a bisection cuts a panel's
+    estimate by about 2**15 (the G7 error goes as h**15) until rounding
+    dominates, and an error sum that has not shrunk in two rounds sits at
+    the rounding floor. The least resolved starting panels are the first
+    accelerated ones, where A(t) = cc*(cosh(a*t) - 1) is far from linear;
+    their estimate still falls every round. Panels spanning many cycles
+    can go several rounds without shrinking and would be reported as
+    stalled.
     """
-    if offsets is None:
-        lo, hi, seg = edges[:-1], edges[1:], None
-        counts, tols = [lo.size], [tol]
-    else:
-        lo = np.delete(edges, offsets[1:] - 1)
-        hi = np.delete(edges, offsets[:-1])
-        counts, tols = (np.diff(offsets) - 1).tolist(), np.asarray(tol).tolist()
-        seg = np.repeat(np.arange(len(counts)), counts)
+    lo = np.delete(edges, offsets[1:] - 1)
+    hi = np.delete(edges, offsets[:-1])
+    counts, tols = (np.diff(offsets) - 1).tolist(), np.asarray(tol).tolist()
 
-    def integrate(which, a, b):
-        if which is None:
-            return kernels.panel_integrals(kind, phi0, rate, cc, omega, a, b)
-        return kernels.panel_integrals(kind, phi0[which], rate, cc[which], omega[which], a, b)
+    def integrate(per_segment, a, b):
+        """Kernel call on panels a..b, per_segment[s] of them from segment s."""
+        phi0_p, cc_p, omega_p = (np.repeat(x, per_segment) for x in (phi0, cc, omega))
+        return kernels.panel_integrals(kind, phi0_p, rate, cc_p, omega_p, a, b)
 
-    vals, errs = integrate(seg, lo, hi)
+    vals, errs = integrate(counts, lo, hi)
     stalls = [None] * len(counts)
     running = [True] * len(counts)
     history = [[e.sum() for e in _segments(errs, counts)]]
@@ -400,7 +403,7 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, tol, offsets=None):
             thresholds.append(tols[s] / (2.0 * n) if running[s] else math.inf)
         if not any(running):
             break
-        mask = errs > (thresholds[0] if seg is None else np.repeat(thresholds, counts))
+        mask = errs > np.repeat(thresholds, counts)
         splits = [np.count_nonzero(m) for m in _segments(mask, counts)]
         if not any(splits):
             break
@@ -412,9 +415,7 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, tol, offsets=None):
         half_hi = np.column_stack([mid, split_hi]).ravel()
         reps = mask + 1
         slots = np.flatnonzero(np.repeat(mask, reps))
-        if seg is not None:
-            seg = np.repeat(seg, reps)
-        half_vals, half_errs = integrate(None if seg is None else seg[slots], half_lo, half_hi)
+        half_vals, half_errs = integrate([2 * k for k in splits], half_lo, half_hi)
         lo, hi, vals, errs = (np.repeat(x, reps) for x in (lo, hi, vals, errs))
         lo[slots], hi[slots], vals[slots], errs[slots] = half_lo, half_hi, half_vals, half_errs
         counts = [n + k for n, k in zip(counts, splits)]
@@ -422,45 +423,54 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, tol, offsets=None):
     return lo, hi, vals, errs, counts, stalls
 
 
-def _quadrature_prefix(mode, coupling, traj, taus, tol):
-    """chi at every grid time in one adaptive pass (cumulative panel sums).
+def _quadrature(ks, omega, L, coupling, traj, taus, tol):
+    """chi of modes ``ks`` at every grid time in one adaptive pass.
 
-    Grid times are inserted as panel edges, so each chi(tau) is an exact
-    prefix of the panel decomposition; times past the wall-arrival time
-    reuse the frozen full integral. Raises NumericalFailure with the best
-    per-sample estimates attached when refinement stalls.
+    Each mode is one segment of a single _adaptive_panels pass, from the
+    edges of _block_edges with the grid times inserted, so each
+    chi_k(tau) is an exact prefix of its mode's panel decomposition, taken
+    by one sequential prefix sum per mode; times past the wall-arrival
+    time reuse the frozen full integral. A mode's panels, and hence its
+    values, are the same bits whichever modes it is evaluated with.
+
+    Returns (chi, err, stalls): chi[j] and err[j] are mode j's values and
+    summed |K15 - G7| estimates on the grid (shaped like ``taus``), and
+    stalls[j] is None on convergence, else why its refinement stopped (the
+    values are then its best estimates).
     """
     taus = np.asarray(taus, dtype=float)
-    pref = coupling.lam / math.sqrt(mode.k * math.pi)
-    if coupling.lam == 0.0 or taus.size == 0:
-        return np.zeros(taus.shape, dtype=complex), np.zeros(taus.shape)
+    t_end = float(np.max(taus)) if taus.size else 0.0
     t_wall = wall_time(traj)
-    t_end = float(np.max(taus))
     if t_wall is not None:
         t_end = min(t_end, t_wall)
-    if t_end <= 0.0:
-        return np.zeros(taus.shape, dtype=complex), np.zeros(taus.shape)
+    if coupling.lam == 0.0 or t_end <= 0.0:
+        shape = (ks.size,) + taus.shape
+        return np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size
     t_clip = np.minimum(taus, t_end)
-    bps = _oscillation_breakpoints(mode, traj, t_end)
-    bps = np.union1d(bps, t_clip[t_clip > 0.0])
-    kind, phi0, rate, cc = _kernel_params(mode, traj)
-    tol_i = tol / max(pref, 1e-300)
-    lo, hi, vals, errs, _, (stall,) = _adaptive_panels(
-        kind, phi0, rate, cc, mode.omega, bps, tol_i
+    edges, offsets = _block_edges(ks, L, omega, traj, t_end, t_clip[t_clip > 0.0])
+    kind, phi0, rate, cc = _kernel_params(ks, L, traj)
+    pref = coupling.lam / np.sqrt(ks * math.pi)
+    _, hi, vals, errs, counts, stalls = _adaptive_panels(
+        kind, phi0, rate, cc, omega, edges, offsets, tol / np.maximum(pref, 1e-300)
     )
-    cum_vals = np.concatenate([[0.0 + 0.0j], np.cumsum(vals)])
-    cum_errs = np.concatenate([[0.0], np.cumsum(errs)])
-    idx = np.searchsorted(hi, t_clip, side="right")
-    chi_vals = -1j * pref * cum_vals[idx]
-    chi_errs = pref * cum_errs[idx]
-    if stall is not None:
-        raise NumericalFailure(
-            f"quadrature did not reach tol={tol} after {lo.size} panels: {stall} "
-            f"(error estimate {pref * errs.sum():.3e})",
-            best=(chi_vals, chi_errs),
-            err_estimate=pref * errs.sum(),
-        )
-    return chi_vals, chi_errs
+    # Row j holds 0 and mode j's running panel sums, one sequential
+    # prefix sum per row (the zeros after its last panel are never read).
+    vals_rows = np.zeros((ks.size, max(counts) + 1), dtype=complex)
+    errs_rows = np.zeros(vals_rows.shape)
+    cols = []
+    a = 0
+    for j, n in enumerate(counts):
+        vals_rows[j, 1:n + 1], errs_rows[j, 1:n + 1] = vals[a:a + n], errs[a:a + n]
+        # A grid time's prefix ends with the last panel ending at or before it.
+        cols.append(np.searchsorted(hi[a:a + n], t_clip, side="right"))
+        a += n
+    np.cumsum(vals_rows, axis=1, out=vals_rows)
+    np.cumsum(errs_rows, axis=1, out=errs_rows)
+    per_mode = (-1,) + (1,) * taus.ndim
+    flat = np.array(cols) + (np.arange(ks.size) * vals_rows.shape[1]).reshape(per_mode)
+    chi = (-1j * pref).reshape(per_mode) * vals_rows.ravel()[flat]
+    err = pref.reshape(per_mode) * errs_rows.ravel()[flat]
+    return chi, err, stalls
 
 
 def chi_quadrature(
@@ -522,116 +532,61 @@ def chi_mode_sum(
     coupling: CouplingSpec,
     traj: TrajectorySpec,
     tau: float,
-    rel_tail_tol: float = 1e-9,
-    k_max: int | None = None,
-    hard_cap: int = 262_144,
+    k_max: int,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Sum_k |chi_k(tau)|^2 over cavity modes.
+    """Sum_k |chi_k(tau)|^2 over cavity modes 1..k_max.
 
-    With ``k_max`` set, sums exactly modes 1..k_max (matched-truncation use,
-    e.g. against a mode-by-mode simulation). Otherwise adds blocks of
-    _MODE_BLOCK (16) modes until a whole block contributes less than
-    ``rel_tail_tol`` of the running sum; reaching ``hard_cap`` modes raises
-    NumericalFailure carrying the partial sum. Accelerated modes are
-    evaluated a block at a time as one batched quadrature (see
+    The truncation is exact (matched-truncation use, e.g. against a
+    mode-by-mode simulation). Accelerated modes are evaluated a block of
+    _MODE_BLOCK (16) at a time as one batched quadrature (see
     _abs2_block), each |chi_k|^2 bit-identical to chi_quadrature's. A mode
     whose quadrature stalls raises NumericalFailure naming k and the
     reason, with the partial sum over the modes evaluated so far (the
     failing block's at their best estimates) as ``best``.
     """
-    if not rel_tail_tol > 0:
-        raise InvalidParameterError(f"rel_tail_tol={rel_tail_tol} must be positive")
     if not tol > 0:
         raise InvalidParameterError(f"tolerance tol={tol} must be positive")
     if tau < 0:
         raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
+    if k_max < 1:
+        raise InvalidParameterError(f"k_max={k_max} must be >= 1")
     if coupling.lam == 0.0 or tau == 0.0:
         return 0.0
-    if k_max is not None:
-        if k_max < 1:
-            raise InvalidParameterError(f"k_max={k_max} must be >= 1")
-        return float(np.sum(_abs2_block(np.arange(1, k_max + 1), cavity, coupling, traj, tau, tol)))
-    total = 0.0
-    k_lo = 1
-    while True:
-        ks = np.arange(k_lo, min(k_lo + _MODE_BLOCK, hard_cap + 1))
-        try:
-            block = float(np.sum(_abs2_block(ks, cavity, coupling, traj, tau, tol)))
-        except NumericalFailure as exc:
-            raise NumericalFailure(
-                str(exc), best=total + exc.best, err_estimate=exc.err_estimate
-            ) from None
-        total += block
-        if ks.size == _MODE_BLOCK and total > 0.0 and block < rel_tail_tol * total:
-            return total
-        k_lo += ks.size
-        if k_lo > hard_cap:
-            raise NumericalFailure(
-                f"mode sum not converged after {hard_cap} modes (partial sum {total})",
-                best=total,
-            )
+    return float(np.sum(_abs2_block(np.arange(1, k_max + 1), cavity, coupling, traj, tau, tol)))
 
 
 def _abs2_block(ks, cavity, coupling, traj, tau, tol):
     """|chi_k(tau)|^2 for an array of mode indices.
 
     Static and inertial modes use their closed forms. Accelerated modes go
-    through _quadrature_abs2 in blocks of _MODE_BLOCK: one adaptive
-    quadrature per block, each value bit-identical to
+    through _quadrature in blocks of _MODE_BLOCK: one adaptive quadrature
+    per block, each value bit-identical to
     abs(chi_quadrature(mode_k, ...).value)**2. A stalled mode raises
     NumericalFailure with the float sum over ks evaluated so far as
     ``best``.
     """
     ks = np.asarray(ks)
+    omega = np.array([mode_frequency(int(k), cavity.L, cavity.m) for k in ks])
     if traj.kind is not TrajectoryKind.ACCELERATED:
-        omega = np.array([mode_frequency(int(k), cavity.L, cavity.m) for k in ks])
         return np.abs(_closed_form(coupling.lam, ks, cavity.L, omega, traj, tau)) ** 2
     out = np.zeros(ks.shape)
-    t_end = min(tau, wall_time(traj))
-    if coupling.lam == 0.0 or t_end <= 0.0:
-        return out
     for i in range(0, ks.size, _MODE_BLOCK):
         block = ks[i:i + _MODE_BLOCK]
-        out[i:i + block.size], stalls, errs = _quadrature_abs2(
-            block, cavity, coupling, traj, t_end, tol
+        chis, errs, stalls = _quadrature(
+            block, omega[i:i + _MODE_BLOCK], cavity.L, coupling, traj, [tau], tol
         )
+        # Python's abs and ** per mode, as on a ChiValue: np.abs and numpy's
+        # square of the same value can differ in the last bit.
+        out[i:i + block.size] = [abs(complex(c)) ** 2 for c in chis[:, 0]]
         failed = [j for j, stall in enumerate(stalls) if stall is not None]
         if failed:
             j = failed[0]
             raise NumericalFailure(
                 f"quadrature did not reach tol={tol} for mode k={block[j]}: {stalls[j]} "
-                f"(error estimate {errs[j]:.3e}; {len(failed)} of the {block.size} modes "
+                f"(error estimate {errs[j, 0]:.3e}; {len(failed)} of the {block.size} modes "
                 f"{block[0]}..{block[-1]} stalled)",
                 best=float(np.sum(out[:i + block.size])),
-                err_estimate=float(errs[j]),
+                err_estimate=float(errs[j, 0]),
             )
     return out
-
-
-def _quadrature_abs2(ks, cavity, coupling, traj, t_end, tol):
-    """|chi_k(t_end)|^2 of accelerated modes ks as one batched quadrature.
-
-    Each mode is a segment of one _adaptive_panels pass, with the starting
-    edges, kernel parameters and tolerance chi_quadrature gives it alone,
-    so its panels, and hence its value, are the same bits. Returns
-    (abs2 per mode, stall reason or None per mode, error estimate per
-    mode).
-    """
-    L = cavity.L
-    omega = np.array([mode_frequency(int(k), L, cavity.m) for k in ks])
-    edges, offsets = _block_edges(ks, L, omega, traj, t_end)
-    q = ks * math.pi
-    pref = coupling.lam / np.sqrt(q)
-    tol_i = tol / np.maximum(pref, 1e-300)
-    _, _, vals, errs, counts, stalls = _adaptive_panels(
-        kernels.KIND_ACCELERATED, q * traj.x0 / L, traj.a, q / (L * traj.a), omega,
-        edges, tol_i, offsets,
-    )
-    # Sequential sums, as the prefix sums of a single chi take them.
-    sums = np.array([np.cumsum(v)[-1] for v in _segments(vals, counts)])
-    chis = -1j * pref * sums
-    # Python's abs and ** per mode, as on a ChiValue: np.abs and numpy's
-    # square of the same value can differ in the last bit.
-    abs2 = [abs(complex(c)) ** 2 for c in chis]
-    return abs2, stalls, pref * np.array([e.sum() for e in _segments(errs, counts)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from udwitness import cli
 from udwitness.cli import main, parse_state, parse_traj
 from udwitness.errors import InvalidParameterError
 from udwitness.trajectory import TrajectoryKind
@@ -174,6 +175,32 @@ class TestScanCommands:
         rc = main(["scan-acceleration", "--tol=" + tol, "--out", str(tmp_path / "acc.csv")])
         assert rc == 2
         assert "tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["scan-velocity", "--scan-steps", "3", "--samples", "50"],
+            ["scan-acceleration", "--scan-steps", "3"],
+            ["scan-alpha", "--state", "cat:1", "--scan-steps", "3"],
+        ],
+        ids=["velocity", "acceleration", "alpha"],
+    )
+    def test_jobs_below_one_is_invalid(self, tmp_path, capsys, monkeypatch, command, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        out = tmp_path / "x.csv"
+        assert main(command + ["--jobs", jobs, "--out", str(out)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_witness_takes_no_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["witness", "--jobs", "2"])
+        assert exc_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_alpha_scan_requires_cat(self, tmp_path):
         rc = main([

@@ -120,8 +120,10 @@ class TestNumpyBackend:
         # stays off v_c here.
         mode = ModeSpec(5000, 10000.0, 1.0)
         traj = TrajectorySpec.inertial(v, 1.0, mode.L)
-        kind, phi0, rate, cc = response._kernel_params(mode, traj)
-        edges = response._oscillation_breakpoints(mode, traj, t_end)
+        kind, phi0, rate, cc = response._kernel_params(mode.k, mode.L, traj)
+        edges, offsets = response._block_edges(
+            np.array([mode.k]), mode.L, np.array([mode.omega]), traj, t_end, np.array([t_end])
+        )
         vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
         omega = mode.omega
         exact = (
@@ -130,7 +132,8 @@ class TestNumpyBackend:
         ) / 2j
         assert abs(vals.sum() - exact) <= errs.sum()
         _, _, vals, errs, _, stalls = response._adaptive_panels(
-            kind, phi0, rate, cc, mode.omega, edges, response.DEFAULT_TOL
+            kind, np.array([phi0]), rate, np.array([cc]), np.array([mode.omega]),
+            edges, offsets, np.array([response.DEFAULT_TOL]),
         )
         assert stalls == [None]
         assert abs(vals.sum() - exact) <= errs.sum() <= response.DEFAULT_TOL

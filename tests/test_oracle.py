@@ -342,6 +342,28 @@ class TestOverlapTrace:
             val = overlap_trace(state, tm, chi, tau) * math.exp(2 * abs(chi) ** 2)
             assert val == pytest.approx(witness_value(state, chi), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "state",
+        [StateSpec.fock(2), StateSpec.cat(1.0), StateSpec.coherent(0.7 + 0.4j), StateSpec.thermal(0.5)],
+        ids=lambda s: s.label(),
+    )
+    def test_equals_two_propagator_trace(self, state):
+        # One displacement D(beta) stands in for U_-^dagger = R^dagger D(-beta)^dagger.
+        tm = TruncatedMode(40, 1.3)
+        rho = state_density(state, tm.cutoff)
+        for chi, tau in [(0.31 - 0.22j, 2.1), (0.1 + 0.45j, 0.7), (1e-9 + 2e-9j, 5.3)]:
+            u_plus = evolve_closed_form(tm, chi, tau, +1)
+            u_minus = evolve_closed_form(tm, chi, tau, -1)
+            reference = np.trace(u_plus @ rho @ u_minus.conj().T)
+            assert abs(overlap_trace(state, tm, chi, tau) - reference) <= 1e-14
+
+    def test_one_displacement_per_trace(self, monkeypatch):
+        calls = []
+        real = oracle.displacement_matrix
+        monkeypatch.setattr(oracle, "displacement_matrix", lambda *a: calls.append(a) or real(*a))
+        overlap_trace(StateSpec.fock(1), TruncatedMode(30, 1.1), 0.2 - 0.3j, 1.7)
+        assert len(calls) == 1
+
     def test_sign_swap_conjugates(self):
         tm = TruncatedMode(30, 1.1)
         chi, tau = 0.2 - 0.3j, 1.7

@@ -21,7 +21,6 @@ from udwitness.response import (
     _adaptive_panels,
     _block_edges,
     _kernel_params,
-    _oscillation_breakpoints,
     chi,
     chi_inertial_analytic,
     chi_mode_sum,
@@ -35,6 +34,23 @@ from udwitness.oracle import phase_beta
 from udwitness.trajectory import TrajectoryKind, TrajectorySpec, position, wall_time
 
 V_CRIT_FIG = 0.76436169849601359  # frozen from 30-digit arithmetic
+
+
+def one_mode_edges(mode, traj, t_end):
+    """Starting edges of one mode's chi at t_end, as the quadrature builds them."""
+    edges, offsets = _block_edges(
+        np.array([mode.k]), mode.L, np.array([mode.omega]), traj, t_end, np.array([t_end])
+    )
+    np.testing.assert_array_equal(offsets, [0, edges.size])
+    return edges
+
+
+def one_segment(kind, phi0, rate, cc, omega, edges, tol):
+    """_adaptive_panels on a single segment (one mode) with scalar parameters."""
+    return _adaptive_panels(
+        kind, np.array([phi0]), rate, np.array([cc]), np.array([omega]),
+        edges, np.array([0, edges.size]), np.array([tol]),
+    )
 
 
 def scipy_chi(mode, lam, traj, tau):
@@ -302,9 +318,9 @@ class TestChiQuadrature:
         # the other two do.
         mode = ModeSpec(2, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
-        kind, phi0, rate, cc = _kernel_params(mode, traj)
+        kind, phi0, rate, cc = _kernel_params(mode.k, mode.L, traj)
         coarse = np.linspace(0.0, wall_time(traj), 4)
-        lo, hi, vals, errs, _, stalls = _adaptive_panels(
+        lo, hi, vals, errs, _, stalls = one_segment(
             kind, phi0, rate, cc, mode.omega, coarse, 1e-12
         )
         assert stalls == [None]
@@ -339,7 +355,7 @@ class TestHalfCycleStart:
         traj = TrajectorySpec.accelerated(a, fig_cavity.x0, fig_cavity.L)
         c = chi_quadrature(mode, fig_coupling, traj, 500.0)
         assert c.err_estimate <= DEFAULT_TOL
-        kind, phi0, rate, cc = _kernel_params(mode, traj)
+        kind, phi0, rate, cc = _kernel_params(mode.k, mode.L, traj)
         edges = _eighth_cycle_edges(mode, traj, wall_time(traj))
         _, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
         # At large a the first panel is unresolved even at 1/8 cycle, because
@@ -354,16 +370,32 @@ class TestHalfCycleStart:
         assert abs(c.value - (-1j * pref * vals.sum())) <= DEFAULT_TOL
 
     def test_starting_panels_span_half_a_cycle(self, fig_cavity):
-        mode = fig_cavity.mode()
-        traj = TrajectorySpec.accelerated(0.8, fig_cavity.x0, fig_cavity.L)
+        mode, x0, L = fig_cavity.mode(), fig_cavity.x0, fig_cavity.L
+        half_cycle = math.pi * (1 + 1e-9)
+        traj = TrajectorySpec.accelerated(0.8, x0, L)
         t_end = min(500.0, wall_time(traj))
-        edges = _oscillation_breakpoints(mode, traj, t_end)
+        edges = one_mode_edges(mode, traj, t_end)
         assert edges[0] == 0.0 and edges[-1] == t_end
         assert edges.size - 1 <= 5_100
         cc = mode.k * math.pi / (mode.L * traj.a)
         mode_phase = cc * (np.cosh(traj.a * edges) - 1.0)
-        assert np.all(np.diff(edges) * mode.omega <= math.pi * (1 + 1e-9))
-        assert np.all(np.diff(mode_phase) <= math.pi * (1 + 1e-9))
+        assert np.all(np.diff(edges) * mode.omega <= half_cycle)
+        assert np.all(np.diff(mode_phase) <= half_cycle)
+        # Forced-quadrature static and inertial chi start from the same
+        # builder: half a cycle of omega_k and of the mode-crossing omega_L.
+        # Below v_c omega_L < omega_k, at v_c they match, above it omega_L
+        # sets the step.
+        for v in (None, 0.3, critical_velocity(mode), 0.9):
+            traj = TrajectorySpec.static(x0, L) if v is None else TrajectorySpec.inertial(v, x0, L)
+            edges = one_mode_edges(mode, traj, 500.0)
+            assert edges[0] == 0.0 and edges[-1] == 500.0
+            steps = np.diff(edges)
+            assert np.all(steps > 0.0)
+            omega_l = 0.0 if v is None else mode.k * math.pi * v / (L * math.sqrt(1.0 - v * v))
+            assert np.all(steps * mode.omega <= half_cycle)
+            assert np.all(steps * omega_l <= half_cycle)
+            # ... and not much less: the faster phase sets the step.
+            assert steps.max() * max(mode.omega, omega_l) > 0.99 * math.pi
 
     @pytest.mark.parametrize("L", [4.0, 40.0, 400.0, 1e4])
     def test_sweep_converges_without_stall(self, L):
@@ -529,13 +561,13 @@ class TestCriticalVelocity:
 class TestChiModeSum:
     def test_zero_cases(self, small_cavity):
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
-        assert chi_mode_sum(small_cavity, CouplingSpec(0.0), traj, 3.0) == 0.0
-        assert chi_mode_sum(small_cavity, CouplingSpec(0.5), traj, 0.0) == 0.0
+        assert chi_mode_sum(small_cavity, CouplingSpec(0.0), traj, 3.0, k_max=64) == 0.0
+        assert chi_mode_sum(small_cavity, CouplingSpec(0.5), traj, 0.0, k_max=64) == 0.0
 
     def test_dominates_probed_mode(self, small_cavity):
         coup = CouplingSpec(0.5)
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
-        total = chi_mode_sum(small_cavity, coup, traj, 2.0)
+        total = chi_mode_sum(small_cavity, coup, traj, 2.0, k_max=256)
         probed = abs(chi_static(small_cavity.mode(), coup, small_cavity.x0, 2.0).value) ** 2
         assert total >= probed
 
@@ -544,10 +576,16 @@ class TestChiModeSum:
         traj = TrajectorySpec.inertial(0.3, small_cavity.x0, small_cavity.L)
         exact_16 = chi_mode_sum(small_cavity, coup, traj, 2.0, k_max=16)
         exact_32 = chi_mode_sum(small_cavity, coup, traj, 2.0, k_max=32)
-        adaptive = chi_mode_sum(small_cavity, coup, traj, 2.0, rel_tail_tol=1e-12)
         deep = chi_mode_sum(small_cavity, coup, traj, 2.0, k_max=4096)
-        assert exact_16 <= exact_32 <= adaptive * (1 + 1e-12)
-        assert adaptive == pytest.approx(deep, rel=1e-6)
+        deeper = chi_mode_sum(small_cavity, coup, traj, 2.0, k_max=16_384)
+        assert exact_16 <= exact_32 <= deep * (1 + 1e-12)
+        assert deeper == pytest.approx(deep, rel=1e-6)
+
+    def test_k_max_is_checked_first(self, small_cavity):
+        traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
+        for k_max in (0, -3):
+            with pytest.raises(InvalidParameterError, match="k_max"):
+                chi_mode_sum(small_cavity, CouplingSpec(0.0), traj, 1.0, k_max=k_max)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("kind", ["static", "inertial", "accelerated"])
@@ -560,13 +598,6 @@ class TestChiModeSum:
         }[kind]
         with pytest.raises(InvalidParameterError, match="tol"):
             chi_mode_sum(small_cavity, CouplingSpec(0.5), traj, 1.0, k_max=8, tol=tol)
-
-    def test_hard_cap_failure_carries_partial(self, small_cavity):
-        coup = CouplingSpec(0.5)
-        traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
-        with pytest.raises(NumericalFailure) as exc_info:
-            chi_mode_sum(small_cavity, coup, traj, 2.0, rel_tail_tol=1e-14, hard_cap=16)
-        assert exc_info.value.best > 0
 
     def test_accelerated_path(self, small_cavity):
         coup = CouplingSpec(0.5)
@@ -591,14 +622,6 @@ class TestChiModeSum:
         # Every mode stalls at once, in the first block: its 16 best estimates.
         reachable = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=16)
         assert best == pytest.approx(reachable, rel=1e-9)
-
-    def test_hard_cap_stops_at_the_cap(self, small_cavity):
-        coup = CouplingSpec(0.5)
-        traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
-        with pytest.raises(NumericalFailure) as exc_info:
-            chi_mode_sum(small_cavity, coup, traj, 2.0, rel_tail_tol=1e-300, hard_cap=20)
-        exact_20 = chi_mode_sum(small_cavity, coup, traj, 2.0, k_max=20)
-        assert exc_info.value.best == pytest.approx(exact_20, rel=1e-14)
 
     def test_accelerated_sum_memory_stays_block_sized(self):
         # One 256-mode sum holds one 16-mode block of panels at a time
@@ -637,16 +660,21 @@ class TestModeBlocks:
     @pytest.mark.parametrize("L", [4.0, 40.0])
     @pytest.mark.parametrize("a", [0.2, 2.0])
     def test_block_edges_equal_single_mode_edges(self, L, a):
+        # Slice j of a block's edges is the same mode built alone, grid
+        # times included.
         traj = TrajectorySpec.accelerated(a, L / 4, L)
-        modes = [ModeSpec(k, L, 1.0) for k in range(1, 41)]
-        omega = np.array([md.omega for md in modes])
+        ks = np.arange(1, 41)
+        omega = np.array([ModeSpec(int(k), L, 1.0).omega for k in ks])
         for t_end in (0.05, wall_time(traj)):
-            edges, offsets = _block_edges(np.arange(1, 41), L, omega, traj, t_end)
+            times = np.array([t_end / 3, t_end / 2, t_end])
+            edges, offsets = _block_edges(ks, L, omega, traj, t_end, times)
             assert offsets[0] == 0 and offsets[-1] == edges.size
-            for j, mode in enumerate(modes):
-                np.testing.assert_array_equal(
-                    edges[offsets[j]:offsets[j + 1]], _oscillation_breakpoints(mode, traj, t_end)
-                )
+            for j in range(ks.size):
+                own = edges[offsets[j]:offsets[j + 1]]
+                alone, _ = _block_edges(ks[j:j + 1], L, omega[j:j + 1], traj, t_end, times)
+                np.testing.assert_array_equal(own, alone)
+                assert own[0] == 0.0 and own[-1] == t_end and np.all(np.diff(own) > 0.0)
+                assert np.all(np.isin(times, own))
 
     def test_segments_refine_as_they_would_alone(self):
         # Two modes with different tolerances in one pass: each segment's
@@ -656,17 +684,15 @@ class TestModeBlocks:
         modes = [ModeSpec(k, L, 1.0) for k in (3, 11)]
         tols = np.array([1e-13, 1e-6])
         omega = np.array([md.omega for md in modes])
-        edges, offsets = _block_edges(np.array([3, 11]), L, omega, traj, t_end)
-        kind, _, rate, _ = _kernel_params(modes[0], traj)
-        phi0 = np.array([_kernel_params(md, traj)[1] for md in modes])
-        cc = np.array([_kernel_params(md, traj)[3] for md in modes])
+        edges, offsets = _block_edges(np.array([3, 11]), L, omega, traj, t_end, np.array([t_end]))
+        kind, phi0, rate, cc = _kernel_params(np.array([3, 11]), L, traj)
         lo, hi, vals, errs, counts, stalls = _adaptive_panels(
-            kind, phi0, rate, cc, omega, edges, tols, offsets
+            kind, phi0, rate, cc, omega, edges, offsets, tols
         )
         assert stalls == [None, None]
         assert sum(counts) == lo.size
         for j, mode in enumerate(modes):
-            alone = _adaptive_panels(
+            alone = one_segment(
                 kind, phi0[j], rate, cc[j], mode.omega, edges[offsets[j]:offsets[j + 1]], tols[j]
             )
             own = slice(sum(counts[:j]), sum(counts[:j + 1]))
