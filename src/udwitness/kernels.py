@@ -28,15 +28,28 @@ A+- = sin(A(mid +- h*x_j)) and A0 = sin(A(mid)) each rule reads
 The sums are real and the phase factor has modulus 1, so the error
 estimate needs no rotation at all.
 
-Why the trigonometry count matters: sin and cos set the kernel's speed.
-With numpy 2.4 on a 2-vCPU x86-64 host they take about 28-30 ns per
-element for arguments of hundreds of radians (the phases here) and about
-10-20 ns below pi/2, against under 2 ns for cosh, exp or a multiply.
-The folded rule takes sin A at 15 nodes, cos and sin of the small angles
-omega*h*x_j (below pi/2 on the half-cycle panels the quadrature starts
-from) at 7, and one cos/sin pair of omega*mid per panel: about 31 calls,
-17 of them on large arguments, where separate GL15 and GL7 rules with a
-complex exponential per node took about 66, all on large arguments.
+Trigonometry from one tan. sin and cos set the kernel's speed, so each
+sin, or sin/cos pair, comes from one t = tan(x/2) (the Weierstrass
+substitution, _sin_half and _sincos_half): sin x = 2t/(1 + t^2) and
+cos x = (1 - t^2)/(1 + t^2). The kernel takes sin A at the 15 nodes,
+the pairs of omega*h*x_j at 7 and the pair of omega*mid: 23 tans per panel,
+where the direct form took 31 sin/cos calls. The absolute error is about
+2.2e-16 at most, against 5.6e-17 for libm, far below the rounding of a
+phase A of thousands of radians. With numpy 2.4 on a 2-vCPU x86-64 host
+with AVX-512, np.sin and np.cos run as scalar libm calls: about 34 ns
+per element on random arguments of hundreds of radians or more and 18 ns
+below pi/2. np.tan takes numpy's SIMD path there at 3.2-3.5 ns, against
+about 1 ns for a multiply or a divide and 2 ns for cosh. A panel then
+costs 0.3-0.4 us instead of 0.9-1.2 us on random accelerated panels, and
+0.29 us instead of 0.39 us on the figure-scale starting panels, whose
+smooth phases libm handles faster. Where numpy has no SIMD tan for the
+CPU, np.tan falls back to libm: the accuracy is the same, and most of
+the speed-up goes away.
+
+Blocking. panel_integrals evaluates _CHUNK panels at a time, so the
+(15, n) temporaries of a block stay in cache whatever the number of
+panels; every operation is elementwise or a per-panel row of one gemm,
+so a panel's bits do not depend on the block it falls in.
 """
 
 from __future__ import annotations
@@ -84,13 +97,50 @@ _WG0 = 0.417959183673469387755102040816327
 _W_PAIRS = np.stack([_WK, _WG], axis=1)
 
 
-def _amplitude(kind, phi0, rate, cc, t):
-    """sin(A(t)) elementwise; phi0 and cc broadcast against t."""
-    if kind == KIND_STATIC:
-        return np.broadcast_to(np.sin(phi0), t.shape)
-    if kind == KIND_INERTIAL:
-        return np.sin(phi0 + rate * t)
-    return np.sin(phi0 + cc * (np.cosh(rate * t) - 1.0))
+# Node-major offsets of the 15 nodes from the panel centre, in units of
+# the half-width: rows 0-6 at +x_j, rows 7-13 at -x_j, row 14 the centre.
+_NODES = np.concatenate([_X, -_X, [0.0]])[:, None]
+
+#: Panels per block of the kernel's arithmetic. A block's temporaries, a
+#: few (15, _CHUNK) float arrays of 240 kB, stay in cache: with 2 MB of L2
+#: per core, blocks of 1024-4096 panels ran within 10% of each other and
+#: 6144 or more up to 1.6x slower per panel.
+_CHUNK = 2048
+
+
+def _sin_half(h):
+    """sin 2h = 2t/(1 + t^2) with t = tan(h), written over the float array h.
+
+    Returns (sin 2h, t^2). One tan and one denominator per element. The
+    absolute error is about 2.2e-16 at most (libm's sin: 5.6e-17), also
+    where t grows without bound (2h near an odd multiple of pi); NaN stays
+    NaN.
+    """
+    np.tan(h, out=h)
+    t2 = h * h
+    h *= 2.0
+    h /= t2 + 1.0
+    return h, t2
+
+
+def _sincos_half(h):
+    """(sin 2h, cos 2h) by _sin_half, with cos 2h = (1 - t^2)/(1 + t^2).
+
+    The cos has the same error bound, also where 1 - t^2 cancels (2h near
+    an odd multiple of pi/2).
+    """
+    sin, t2 = _sin_half(h)
+    cos = 1.0 - t2
+    t2 += 1.0
+    cos /= t2
+    return sin, cos
+
+
+def _sincos(x):
+    """(sin x, cos x) of x as 1-d or larger arrays, by _sincos_half of x/2."""
+    h = np.array(x, dtype=float, ndmin=1)
+    h *= 0.5
+    return _sincos_half(h)
 
 
 def _pair_sums(terms):
@@ -111,25 +161,55 @@ def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
     """Per-panel integrals with embedded error estimates.
 
     Returns (values, errors): the K15 value of each panel [lo[p], hi[p]]
-    and |K15 - G7| as its absolute error estimate. phi0, cc and omega are
-    scalars or arrays shaped like lo.
+    and |K15 - G7| as its absolute error estimate. lo and hi are 1-d;
+    phi0, cc and omega are scalars or arrays shaped like lo. The panels
+    are evaluated _CHUNK at a time.
     """
+    vals = np.empty(lo.shape, dtype=complex)
+    errs = np.empty(lo.shape)
+    for a in range(0, lo.size, _CHUNK):
+        block = slice(a, a + _CHUNK)
+        phi0_b, cc_b, omega_b = (x[block] if np.ndim(x) else x for x in (phi0, cc, omega))
+        vals[block], errs[block] = _panel_block(
+            kind, phi0_b, rate, cc_b, omega_b, lo[block], hi[block]
+        )
+    return vals, errs
+
+
+def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
+    """panel_integrals on one block of panels."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    # Node-major (7, n): per-panel arrays broadcast along the contiguous
-    # panel axis, which numpy runs as a few long loops.
-    dt = _X[:, None] * half
-    a_plus = _amplitude(kind, phi0, rate, cc, mid + dt)
-    a_minus = _amplitude(kind, phi0, rate, cc, mid - dt)
-    dt *= omega
-    re = _pair_sums((a_plus + a_minus) * np.cos(dt))  # [:, 0] K15, [:, 1] G7
-    im = _pair_sums((a_plus - a_minus) * np.sin(dt))
-    amp0 = _amplitude(kind, phi0, rate, cc, mid)
+    # Half angles throughout: halving is exact, so each tan sees half of
+    # the angle the sin or cos would, to the bit. Node-major arrays let
+    # per-panel parameters broadcast along the contiguous panel axis.
+    if kind == KIND_STATIC:
+        pair = (0.5 * omega) * (_X[:, None] * half)
+        amp = np.broadcast_to(_sincos(phi0)[0], (15,) + lo.shape)
+    else:
+        t = _NODES * half
+        pair = (0.5 * omega) * t[:7]
+        t += mid
+        if kind == KIND_INERTIAL:
+            t *= 0.5 * rate
+        else:
+            t *= rate
+            np.cosh(t, out=t)
+            t -= 1.0
+            t *= 0.5 * cc
+        t += 0.5 * phi0
+        amp, _ = _sin_half(t)  # sin A at the 15 nodes
+    sin_p, cos_p = _sincos_half(pair)  # of omega*h*x_j
+    cos_p *= amp[:7] + amp[7:14]
+    sin_p *= amp[:7] - amp[7:14]
+    re = _pair_sums(cos_p)  # [:, 0] K15, [:, 1] G7
+    im = _pair_sums(sin_p)
+    amp0 = amp[14]
     re_k = re[:, 0] + _WK0 * amp0
     err = half * np.hypot(re_k - re[:, 1] - _WG0 * amp0, im[:, 0] - im[:, 1])
-    phase = omega * mid
+    sin_m, cos_m = _sincos(omega * mid)
     # Not in place: a one-element in-place complex product rounds differently.
-    vals = _complex(np.cos(phase), np.sin(phase)) * _complex(re_k, im[:, 0])
+    vals = _complex(cos_m, sin_m) * _complex(re_k, im[:, 0])
     vals *= half
     return vals, err
 

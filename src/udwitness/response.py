@@ -166,15 +166,28 @@ def _closed_branch(mode: ModeSpec, traj: TrajectorySpec) -> ChiBranch:
     return ChiBranch.INERTIAL_CLOSED_FORM
 
 
+def _checked_times(taus, traj: TrajectorySpec):
+    """``taus`` as a float array; InvalidParameterError names the first bad time.
+
+    A time must be >= 0, so NaN is rejected, and finite on a static
+    worldline, whose chi never freezes at a wall.
+    """
+    taus = np.asarray(taus, dtype=float)
+    need, ok = "non-negative", taus >= 0
+    if wall_time(traj) is None:
+        need, ok = "non-negative and finite on a static worldline", ok & (taus < math.inf)
+    if not np.all(ok):
+        raise InvalidParameterError(f"proper time tau={taus[~ok].flat[0]} must be {need}")
+    return taus
+
+
 def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
     """(values, errors, branch) of chi on the grid ``taus``: the branch dispatch.
 
     A quadrature that stalls raises NumericalFailure with the best
     (values, errors) attached.
     """
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0):
-        raise InvalidParameterError("grid times must be non-negative")
+    taus = _checked_times(taus, traj)
     if not tol > 0:
         raise InvalidParameterError(f"tolerance tol={tol} must be positive")
     if force_quadrature or traj.kind is TrajectoryKind.ACCELERATED:
@@ -198,8 +211,6 @@ def _chi_at(mode, coupling, traj, tau, tol=DEFAULT_TOL, force_quadrature=False) 
 
     A quadrature stall raises NumericalFailure with the best ChiValue.
     """
-    if tau < 0:
-        raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
     try:
         vals, errs, branch = _chi_grid(mode, coupling, traj, [tau], tol, force_quadrature)
     except NumericalFailure as exc:
@@ -547,8 +558,7 @@ def chi_mode_sum(
     """
     if not tol > 0:
         raise InvalidParameterError(f"tolerance tol={tol} must be positive")
-    if tau < 0:
-        raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
+    _checked_times(tau, traj)
     if k_max < 1:
         raise InvalidParameterError(f"k_max={k_max} must be >= 1")
     if coupling.lam == 0.0 or tau == 0.0:

@@ -67,7 +67,7 @@ def position(traj: TrajectorySpec, tau):
     ``tau`` may be a scalar or an array of proper times >= 0.
     """
     t = np.asarray(tau, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise InvalidParameterError(f"proper time tau={tau} must be non-negative")
     if traj.kind is TrajectoryKind.STATIC:
         x = np.full_like(t, traj.x0)

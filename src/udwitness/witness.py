@@ -231,8 +231,8 @@ def _validate_grid(taus) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
         raise InvalidParameterError("time grid is empty")
-    if np.any(taus < 0):
-        raise InvalidParameterError("time grid must be non-negative")
+    if not np.all(taus >= 0):
+        raise InvalidParameterError("time grid must be non-negative (and not NaN)")
     if taus.size > 1 and not np.all(np.diff(taus) > 0):
         raise InvalidParameterError("time grid must be strictly increasing")
     return taus

@@ -165,6 +165,65 @@ class TestPerPanelParameters:
             np.testing.assert_array_equal(e, errs[a:b])
 
 
+class TestSinCos:
+    """The kernel's sin and cos from one tan of the half angle, against libm."""
+
+    BOUND = 4.5e-16
+
+    def _check(self, x):
+        s, c = kernels._sincos(x)
+        assert np.abs(s - np.sin(x)).max() <= self.BOUND
+        assert np.abs(c - np.cos(x)).max() <= self.BOUND
+
+    def test_uniform_up_to_1e6(self):
+        rng = np.random.default_rng(7)
+        self._check(rng.uniform(0.0, 1.6, 50_000))
+        self._check(rng.uniform(0.0, 1e6, 200_000))
+        self._check(-rng.uniform(0.0, 2e4, 50_000))
+
+    def test_near_odd_multiples_of_pi(self):
+        # tan(x/2) grows without bound there.
+        rng = np.random.default_rng(8)
+        m = rng.integers(0, 150_000, 50_000)
+        self._check((2 * m + 1) * math.pi + rng.uniform(-1e-9, 1e-9, m.size))
+        self._check(np.array([math.pi, -math.pi, 3.0 * math.pi, 1001.0 * math.pi]))
+
+    def test_near_multiples_of_half_pi(self):
+        # t = tan(x/2) is near +-1 there and 1 - t^2 cancels.
+        rng = np.random.default_rng(9)
+        m = rng.integers(0, 600_000, 50_000)
+        self._check(m * (0.5 * math.pi) + rng.uniform(-1e-6, 1e-6, m.size))
+
+    def test_nan_propagates(self):
+        with np.errstate(invalid="ignore"):
+            s, c = kernels._sincos(np.array([0.3, np.nan, np.inf, -np.inf]))
+        assert np.isfinite(s[0]) and np.isfinite(c[0])
+        assert np.isnan(s[1:]).all() and np.isnan(c[1:]).all()
+
+
+class TestChunkBoundaries:
+    """Panels are evaluated _CHUNK at a time; a panel's bits must not depend
+    on where the chunk boundaries fall, including a one-panel tail chunk."""
+
+    @pytest.mark.parametrize("case", CASES, ids=["static", "inertial", "accelerated"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_full_call_equals_slices(self, case, offset):
+        kind, phi0, rate, cc, omega, t_end = case
+        c = kernels._CHUNK
+        n = 2 * c + 1 if offset is None else c + offset
+        lo, hi = _panels(n, t_end)
+        scale = np.linspace(1.0, 3.0, n)
+        phi0s, ccs, omegas = phi0 * scale, cc * scale, omega * scale
+        vals, errs = kernels.panel_integrals(kind, phi0s, rate, ccs, omegas, lo, hi)
+        slices = [(0, 1), (1, n), (n - 1, n), (c - 1, min(c + 1, n)), (n // 2, n), (0, n - 1)]
+        for a, b in slices:
+            v, e = kernels.panel_integrals(
+                kind, phi0s[a:b], rate, ccs[a:b], omegas[a:b], lo[a:b], hi[a:b]
+            )
+            np.testing.assert_array_equal(v, vals[a:b])
+            np.testing.assert_array_equal(e, errs[a:b])
+
+
 class TestBackendSelection:
     def test_active_backend_name(self):
         assert kernels.active_backend() == "numpy"

@@ -763,3 +763,51 @@ class TestCouplingAndChiValue:
         c = ChiValue(1 + 2j, ChiBranch.QUADRATURE, 1e-12)
         assert c.value == 1 + 2j
         assert c.err_estimate >= 0
+
+
+class TestInvalidTimes:
+    """NaN times, and inf on a static worldline, raise InvalidParameterError
+    naming the time on every entry point and every worldline."""
+
+    @staticmethod
+    def _trajectories(cavity):
+        x0, L = cavity.x0, cavity.L
+        return {
+            "static": TrajectorySpec.static(x0, L),
+            "inertial": TrajectorySpec.inertial(0.3, x0, L),
+            "accelerated": TrajectorySpec.accelerated(1.0, x0, L),
+        }
+
+    @pytest.mark.parametrize("kind", ["static", "inertial", "accelerated"])
+    @pytest.mark.parametrize("force_quadrature", [False, True])
+    def test_nan_time_rejected(self, small_cavity, kind, force_quadrature):
+        traj = self._trajectories(small_cavity)[kind]
+        mode, coup = small_cavity.mode(), CouplingSpec(0.4)
+        with pytest.raises(InvalidParameterError, match="tau=nan"):
+            chi(mode, coup, traj, math.nan, force_quadrature=force_quadrature)
+        with pytest.raises(InvalidParameterError, match="tau=nan"):
+            chi_series(mode, coup, traj, [0.5, math.nan], force_quadrature=force_quadrature)
+
+    @pytest.mark.parametrize("kind", ["static", "inertial", "accelerated"])
+    def test_nan_time_rejected_by_mode_sum(self, small_cavity, kind):
+        traj = self._trajectories(small_cavity)[kind]
+        with pytest.raises(InvalidParameterError, match="tau=nan"):
+            chi_mode_sum(small_cavity, CouplingSpec(0.4), traj, math.nan, k_max=8)
+
+    def test_infinite_time_rejected_on_static_worldline(self, small_cavity):
+        traj = self._trajectories(small_cavity)["static"]
+        mode, coup = small_cavity.mode(), CouplingSpec(0.4)
+        with pytest.raises(InvalidParameterError, match="tau=inf.*static"):
+            chi(mode, coup, traj, math.inf)
+        with pytest.raises(InvalidParameterError, match="tau=inf"):
+            chi_series(mode, coup, traj, [0.5, math.inf])
+        with pytest.raises(InvalidParameterError, match="tau=inf"):
+            chi_mode_sum(small_cavity, coup, traj, math.inf, k_max=8)
+
+    @pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+    def test_infinite_time_is_the_wall_value_on_moving_worldlines(self, small_cavity, kind):
+        # Past the wall-arrival time chi is frozen, so tau = inf is well defined.
+        traj = self._trajectories(small_cavity)[kind]
+        mode, coup = small_cavity.mode(), CouplingSpec(0.4)
+        at_wall = chi(mode, coup, traj, wall_time(traj))
+        assert chi(mode, coup, traj, math.inf).value == at_wall.value

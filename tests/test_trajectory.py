@@ -57,6 +57,17 @@ class TestPosition:
         with pytest.raises(InvalidParameterError):
             position(TrajectorySpec.static(0.0, 1.0), -0.5)
 
+    @pytest.mark.parametrize(
+        "traj",
+        [TrajectorySpec.static(0.0, 1.0), TrajectorySpec.accelerated(1.0, 0.0, 1.0)],
+        ids=["static", "accelerated"],
+    )
+    def test_rejects_nan_tau(self, traj):
+        with pytest.raises(InvalidParameterError, match="nan"):
+            position(traj, math.nan)
+        with pytest.raises(InvalidParameterError):
+            position(traj, np.array([0.5, math.nan]))
+
     def test_array_input(self):
         traj = TrajectorySpec.accelerated(1.0, 0.0, 3.0)
         xs = position(traj, np.array([0.0, 1.0, 10.0]))

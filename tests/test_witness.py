@@ -333,6 +333,8 @@ class TestIntroModelSeries:
             witness_series_from_omega(StateSpec.fock(1), 1.0, 0.0, [0.0, 1.0])
         with pytest.raises(InvalidParameterError):
             witness_series_from_omega(StateSpec.fock(1), -1.0, 1.0, [0.0, 1.0])
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            witness_series_from_omega(StateSpec.fock(1), 1.0, 1.0, [math.nan])
 
 
 def _synthetic_series(taus, w_abs):
