@@ -102,9 +102,11 @@ _W_PAIRS = np.stack([_WK, _WG], axis=1)
 _NODES = np.concatenate([_X, -_X, [0.0]])[:, None]
 
 #: Panels per block of the kernel's arithmetic. A block's temporaries, a
-#: few (15, _CHUNK) float arrays of 240 kB, stay in cache: with 2 MB of L2
-#: per core, blocks of 1024-4096 panels ran within 10% of each other and
-#: 6144 or more up to 1.6x slower per panel.
+#: few (15, _CHUNK) float arrays of 240 kB, stay in cache. The starting
+#: calls of a figure-scale accelerated chi pass about 5,000 panels; with
+#: 2 MB of L2 per core, replaying the calls of one accel-asymptote pass
+#: took 0.058-0.060 s in blocks of 1536-3072 panels, 0.086 s in blocks
+#: of 4096 and 0.083 s whole.
 _CHUNK = 2048
 
 
@@ -185,7 +187,8 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
     # per-panel parameters broadcast along the contiguous panel axis.
     if kind == KIND_STATIC:
         pair = (0.5 * omega) * (_X[:, None] * half)
-        amp = np.broadcast_to(_sincos(phi0)[0], (15,) + lo.shape)
+        # One sin per panel, not per node: libm's cost does not matter here.
+        amp = np.broadcast_to(np.sin(phi0), (15,) + lo.shape)
     else:
         t = _NODES * half
         pair = (0.5 * omega) * t[:7]
