@@ -37,7 +37,6 @@ from .response import (
 from .trajectory import TrajectoryKind, TrajectorySpec, position, wall_time
 from .witness import (
     BOUND_EPS,
-    DetectorState,
     StateFamily,
     StateSpec,
     ViolationMetrics,

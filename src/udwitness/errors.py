@@ -15,8 +15,8 @@ class NumericalFailure(RuntimeError):
     """A numerical procedure did not reach its target tolerance.
 
     ``best`` holds the best estimate available when the failure was raised
-    (value, array or report object, procedure-dependent), ``err_estimate``
-    the corresponding error bound if one exists.
+    (a ChiValue, a float, or None where the work was refused before it
+    began), ``err_estimate`` the corresponding error bound if one exists.
     """
 
     def __init__(self, message, best=None, err_estimate=None):

@@ -23,10 +23,10 @@ def mode_frequency(k: int, L: float, m: float) -> float:
     """
     if k != int(k) or k < 1:
         raise InvalidParameterError(f"mode index k must be a positive integer, got {k}")
-    if not L > 0:
-        raise InvalidParameterError(f"cavity length L must be positive, got {L}")
-    if m < 0:
-        raise InvalidParameterError(f"field mass m must be non-negative, got {m}")
+    if not 0 < L < math.inf:
+        raise InvalidParameterError(f"cavity length L must be positive and finite, got {L}")
+    if not 0 <= m < math.inf:
+        raise InvalidParameterError(f"field mass m must be non-negative and finite, got {m}")
     return math.hypot(int(k) * math.pi / L, m)
 
 

@@ -61,14 +61,12 @@ def trusted_block(cutoff: int) -> int:
     return max(2, cutoff // 3)
 
 
-def unitarity_defect(u: np.ndarray, block: int | None = None) -> float:
-    """Operator-norm distance of U^dagger U from the identity.
-
-    With ``block`` set, only the upper-left block x block corner is
-    measured: the amplitude the operator leaks out of the basis when
-    acting on the first ``block`` number states.
+def unitarity_defect(u: np.ndarray, block: int) -> float:
+    """Operator-norm distance of U^dagger U from the identity on its first
+    ``block`` columns: the amplitude the operator leaks out of the basis
+    when acting on the first ``block`` number states.
     """
-    cols = u if block is None else u[:, :block]
+    cols = u[:, :block]
     g = cols.conj().T @ cols - np.eye(cols.shape[1])
     return float(np.linalg.norm(g, ord=2))
 
@@ -212,7 +210,6 @@ def evolve_trotter(
     tau: float,
     steps: int,
     sign: int = 1,
-    check_tol: float | None = None,
 ) -> np.ndarray:
     """Time-ordered interaction-picture propagator by a midpoint product.
 
@@ -235,9 +232,6 @@ def evolve_trotter(
     whatever the drive. No scipy routine runs inside the loop: numpy and
     scipy each load their own OpenBLAS runtime, and switching between the
     two thread pools on every step costs far more than the step itself.
-
-    With ``check_tol`` set, the run is repeated at twice the step count and
-    a deviation above the tolerance raises NumericalFailure.
     """
     if sign not in (-1, 1):
         raise InvalidParameterError(f"sign must be +1 or -1, got {sign}")
@@ -259,17 +253,7 @@ def evolve_trotter(
     for j in range(1, steps):
         u = hop @ u
         u *= np.exp((-1j * dt * sign * f[j]) * x)[:, None]
-    u = (np.exp(1j * mode.omega * t_mid[-1] * n)[:, None] * v) @ u
-    if check_tol is not None:
-        fine = evolve_trotter(mode, drive, tau, 2 * steps, sign=sign)
-        gap = float(np.linalg.norm(fine - u, ord=2))
-        if gap > check_tol:
-            raise NumericalFailure(
-                f"step-doubling changed the propagator by {gap:.3e} > {check_tol}",
-                best=fine,
-                err_estimate=gap,
-            )
-    return u
+    return (np.exp(1j * mode.omega * t_mid[-1] * n)[:, None] * v) @ u
 
 
 def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:

@@ -19,6 +19,7 @@ exp(-2*Sum_k |chi_k|^2), see extract_witness.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -53,44 +54,41 @@ class StateFamily(Enum):
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Field-state family occupying the probed mode; all other modes vacuum.
-
-    ``k0`` may be left as None to mean "the cavity's probed mode"; when set
-    it must match the cavity the state is used with.
-    """
+    """Field-state family occupying the probed mode; all other modes vacuum."""
 
     family: StateFamily
     n: int = 0
     alpha0: complex = 0j
     nbar: float = 0.0
-    k0: int | None = None
 
     def __post_init__(self):
         if self.family is StateFamily.FOCK and (self.n < 0 or self.n != int(self.n)):
             raise InvalidParameterError(f"Fock occupation N={self.n} must be a non-negative integer")
         if self.family is StateFamily.CAT:
-            if self.alpha0.imag != 0 or self.alpha0.real <= 0:
+            if self.alpha0.imag != 0 or not 0 < self.alpha0.real < math.inf:
                 raise InvalidParameterError(
-                    f"cat amplitude alpha0={self.alpha0} must be real and positive"
+                    f"cat amplitude alpha0={self.alpha0} must be real, positive and finite"
                 )
-        if self.family is StateFamily.THERMAL and self.nbar < 0:
-            raise InvalidParameterError(f"thermal occupation nbar={self.nbar} must be >= 0")
+        if self.family is StateFamily.COHERENT and not cmath.isfinite(self.alpha0):
+            raise InvalidParameterError(f"coherent amplitude alpha0={self.alpha0} must be finite")
+        if self.family is StateFamily.THERMAL and not 0 <= self.nbar < math.inf:
+            raise InvalidParameterError(f"thermal occupation nbar={self.nbar} must be >= 0 and finite")
 
     @classmethod
-    def fock(cls, n: int, k0: int | None = None) -> "StateSpec":
-        return cls(StateFamily.FOCK, n=n, k0=k0)
+    def fock(cls, n: int) -> "StateSpec":
+        return cls(StateFamily.FOCK, n=n)
 
     @classmethod
-    def cat(cls, alpha0: float, k0: int | None = None) -> "StateSpec":
-        return cls(StateFamily.CAT, alpha0=complex(alpha0), k0=k0)
+    def cat(cls, alpha0: float) -> "StateSpec":
+        return cls(StateFamily.CAT, alpha0=complex(alpha0))
 
     @classmethod
-    def coherent(cls, alpha0: complex, k0: int | None = None) -> "StateSpec":
-        return cls(StateFamily.COHERENT, alpha0=complex(alpha0), k0=k0)
+    def coherent(cls, alpha0: complex) -> "StateSpec":
+        return cls(StateFamily.COHERENT, alpha0=complex(alpha0))
 
     @classmethod
-    def thermal(cls, nbar: float, k0: int | None = None) -> "StateSpec":
-        return cls(StateFamily.THERMAL, nbar=nbar, k0=k0)
+    def thermal(cls, nbar: float) -> "StateSpec":
+        return cls(StateFamily.THERMAL, nbar=nbar)
 
     def label(self) -> str:
         if self.family is StateFamily.FOCK:
@@ -100,28 +98,6 @@ class StateSpec:
         if self.family is StateFamily.COHERENT:
             return f"coherent:{self.alpha0.real:g},{self.alpha0.imag:g}"
         return f"thermal:{self.nbar:g}"
-
-
-@dataclass(frozen=True)
-class DetectorState:
-    """Initial detector density-matrix data: coherence w0 and population p0.
-
-    Witness extraction divides by w0, so w0 = 0 is rejected; the pair must
-    form a valid density matrix, |w0| <= sqrt(p0*(1-p0)).
-    """
-
-    w0: complex
-    p0: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p0 <= 1.0:
-            raise InvalidParameterError(f"population p0={self.p0} must lie in [0, 1]")
-        if abs(self.w0) > math.sqrt(self.p0 * (1.0 - self.p0)) * (1.0 + 1e-12):
-            raise InvalidParameterError(
-                f"coherence |w0|={abs(self.w0)} exceeds sqrt(p0*(1-p0)); not a density matrix"
-            )
-        if self.w0 == 0:
-            raise InvalidParameterError("coherence w0 must be nonzero for witness extraction")
 
 
 def laguerre(n: int, x):
@@ -220,12 +196,6 @@ class WitnessSeries:
     violates: np.ndarray
     ok: np.ndarray
 
-    def chi_values(self) -> list[ChiValue]:
-        return [
-            ChiValue(complex(c), self.branch, float(e))
-            for c, e in zip(self.chi, self.chi_err)
-        ]
-
 
 def _validate_grid(taus) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
@@ -260,10 +230,6 @@ def witness_series(
 ) -> WitnessSeries:
     """Witness of ``state`` along ``traj``, sampled on the grid ``taus``."""
     taus = _validate_grid(taus)
-    if state.k0 is not None and state.k0 != cavity.k0:
-        raise InvalidParameterError(
-            f"state occupies mode k0={state.k0} but the cavity probes k0={cavity.k0}"
-        )
     if traj.L != cavity.L:
         raise InvalidParameterError(
             f"trajectory clamps at L={traj.L} but the cavity has L={cavity.L}"
@@ -285,10 +251,9 @@ def witness_series_from_omega(
     """Witness series for a resting detector with the oscillator frequency
     given directly (drive amplitude = lam, no cavity geometry involved)."""
     taus = _validate_grid(taus)
-    if lam < 0:
-        raise InvalidParameterError(f"coupling lam={lam} must be non-negative")
-    if not omega > 0:
-        raise InvalidParameterError(f"frequency omega={omega} must be positive")
+    CouplingSpec(lam)  # validates lam
+    if not 0 < omega < math.inf:
+        raise InvalidParameterError(f"frequency omega={omega} must be positive and finite")
     chi_vals = np.asarray(chi_static_amplitude(lam, omega, taus), dtype=complex)
     return _series_from_chi(
         state, taus, chi_vals, np.zeros(taus.shape), ChiBranch.STATIC_CLOSED_FORM, DEFAULT_TOL

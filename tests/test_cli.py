@@ -91,6 +91,24 @@ class TestWitnessCommand:
         rc = main(["witness", "--state", "plasma:1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--lambda", "nan"],
+        ["--lambda", "inf"],
+        ["--m", "nan"],
+        ["--L", "inf"],
+        ["--state", "thermal:nan"],
+        ["--state", "coherent:nan,0"],
+        ["--state", "cat:nan"],
+        ["--omega-override", "nan"],
+        ["--omega-override", "2.2", "--lambda", "nan"],
+    ])
+    def test_non_finite_parameter_is_invalid(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        rc = main(["witness", "--samples", "5", *args, "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lf_endings_and_format(self, tmp_path):
         out = tmp_path / "w.csv"
         main(["witness", "--samples", "5", "--tau-max", "2", "--out", str(out)])
@@ -120,6 +138,14 @@ class TestWitnessCommand:
         err = capsys.readouterr().err
         assert "numerical failure at tau=" in err and "quadrature" in err
         assert out.exists()  # CSV still written, invalid samples hold NaN
+
+    def test_starting_panels_over_the_cap_exit_3(self, tmp_path, capsys):
+        rc = main([
+            "witness", "--traj", "static", "--force-quadrature", "--tau-max", "1e9",
+            "--samples", "3", "--out", str(tmp_path / "w.csv"),
+        ])
+        assert rc == 3
+        assert "panel cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_bad_tolerance_is_invalid(self, tmp_path, capsys, tol):

@@ -46,7 +46,8 @@ class TestModeFrequency:
         assert w >= 4 * math.pi / 2.5
         assert w >= 1.3
 
-    @pytest.mark.parametrize("k,L,m", [(0, 1.0, 0.0), (-2, 1.0, 0.0), (1, 0.0, 0.0), (1, -1.0, 0.0), (1, 1.0, -0.1)])
+    @pytest.mark.parametrize("k,L,m", [(0, 1.0, 0.0), (-2, 1.0, 0.0), (1, 0.0, 0.0), (1, -1.0, 0.0), (1, 1.0, -0.1),
+                                       (1, math.inf, 0.0), (1, math.nan, 0.0), (1, 1.0, math.nan), (1, 1.0, math.inf)])
     def test_rejects_bad_parameters(self, k, L, m):
         with pytest.raises(InvalidParameterError):
             mode_frequency(k, L, m)

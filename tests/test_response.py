@@ -313,6 +313,24 @@ class TestChiQuadrature:
         with pytest.raises(NumericalFailure, match="stalled"):
             chi_quadrature(mode, CouplingSpec(1.0), traj, 2.0, tol=1e-300)
 
+    @pytest.mark.parametrize("k,traj,tau", [
+        (5000, TrajectorySpec.static(1.0, 10000.0), 2e6),
+        (5000, TrajectorySpec.static(1.0, 10000.0), 1e9),
+        (500_000, TrajectorySpec.accelerated(8.0, 1.0, 10000.0), 2.0),
+    ])
+    def test_starting_panels_over_the_cap_fail_before_allocating(self, k, traj, tau):
+        # Uniform steps on the static worldline, mode-phase steps on the
+        # accelerated one: each count is over the cap before any refinement.
+        mode = ModeSpec(k, 10000.0, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalFailure, match=f"k={k} .* panel cap 400000"):
+                chi_quadrature(mode, CouplingSpec(1.0), traj, tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
     def test_refinement_replaces_split_panels_in_place(self):
         # Three equal panels: the first needs no split at this tolerance,
         # the other two do.
@@ -473,6 +491,13 @@ class TestOnePath:
             assert chi(mode, fig_coupling, traj, tau, force_quadrature=True) == forced
         in_band = chi_inertial_analytic(mode, fig_coupling, cases[2][0], cases[2][1])
         assert in_band.branch is ChiBranch.INERTIAL_RESONANCE_LIMIT
+        # A stall: the series returns its best estimate, chi raises with the same bits.
+        mode, coup = ModeSpec(2, 4.0, 1.0), CouplingSpec(1.0)
+        traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
+        vals, errs, branch = chi_series(mode, coup, traj, [2.0], tol=1e-300)
+        with pytest.raises(NumericalFailure) as exc_info:
+            chi(mode, coup, traj, 2.0, tol=1e-300)
+        assert exc_info.value.best == ChiValue(complex(vals[0]), branch, float(errs[0]))
 
     @pytest.mark.parametrize("kind", ["static", "inertial"])
     def test_closed_form_mode_block_matches_series(self, small_cavity, kind):
@@ -583,7 +608,7 @@ class TestChiModeSum:
 
     def test_k_max_is_checked_first(self, small_cavity):
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
-        for k_max in (0, -3):
+        for k_max in (0, -3, 2.5, 3.0, math.nan, math.inf):
             with pytest.raises(InvalidParameterError, match="k_max"):
                 chi_mode_sum(small_cavity, CouplingSpec(0.0), traj, 1.0, k_max=k_max)
 
@@ -624,9 +649,9 @@ class TestChiModeSum:
         assert best == pytest.approx(reachable, rel=1e-9)
 
     def test_accelerated_sum_memory_stays_block_sized(self):
-        # One 256-mode sum holds one 16-mode block of panels at a time
-        # (about 1.9 MB traced peak); batching all 256 modes at once took
-        # 13.7 MB.
+        # One 256-mode sum holds one 16-mode block of edge and prefix-sum
+        # tables at a time (1.33 MB traced peak, 2.17 MB with 64-mode
+        # blocks); batching all 256 modes at once took 13.7 MB.
         cavity = CavityConfig(L=5.0, m=1.0, k0=2)
         traj = TrajectorySpec.accelerated(1.3, cavity.x0, cavity.L)
         tau = wall_time(traj) + 1.0
@@ -758,6 +783,11 @@ class TestCouplingAndChiValue:
     def test_coupling_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
             CouplingSpec(-0.1)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_coupling_rejects_non_finite(self, lam):
+        with pytest.raises(InvalidParameterError, match="lam"):
+            CouplingSpec(lam)
 
     def test_chi_value_fields(self):
         c = ChiValue(1 + 2j, ChiBranch.QUADRATURE, 1e-12)
