@@ -27,3 +27,13 @@ class NumericalFailure(RuntimeError):
 
 class TruncationTooSmall(NumericalFailure):
     """A truncated Fock basis cannot represent the requested object."""
+
+
+def _check_cap(what: str, size, cap_name: str, cap: int) -> None:
+    """Refuse work of ``size`` over ``cap`` before anything is allocated.
+
+    Raises NumericalFailure with no best estimate, its message naming the
+    request (``what``), the size and the cap.
+    """
+    if size > cap:
+        raise NumericalFailure(f"{what} is {size:.15g}, over the {cap_name} cap {cap}")

@@ -12,15 +12,21 @@ broadcast against lo/hi), so panels of several modes on one worldline
 share a call; rate is one scalar. Each panel's value and estimate are the
 same bits whichever call it comes in.
 
-Rule. Each panel [mid - h, mid + h] is evaluated with the 15-point
-Gauss-Kronrod rule K15 (Kronrod 1965; QUADPACK QK15, Piessens et al. 1983).
-Its odd-indexed nodes are the 7-point Gauss-Legendre nodes, so the
-embedded G7 value comes from the same 15 integrand evaluations and
-|K15 - G7| is the per-panel absolute error estimate.
+Rule. Each panel [mid - h, mid + h] is evaluated with the 61-point
+Gauss-Kronrod rule K61 (Kronrod 1965; QUADPACK QK61, Piessens et al. 1983),
+exact through degree 91. Its odd-indexed nodes are the 30-point
+Gauss-Legendre nodes, so the embedded G30 value (exact through degree 59)
+comes from the same 61 integrand evaluations and |K61 - G30| is the
+per-panel absolute error estimate. The nodes and weights are typed in
+below; Laurie's algorithm (Laurie 1997, Math. Comp. 66:1133) computes
+them, and the tests check them against it. A high-order rule pays on
+long panels: the callers start from panels of up to twelve half cycles
+of each phase, about 5 nodes per half cycle.
 
 Fold. The nodes come in pairs t = mid +- h*x_j around the centre, and
 exp(i*omega*t) = exp(i*omega*mid) * exp(+-i*omega*h*x_j), so with
-A+- = sin(A(mid +- h*x_j)) and A0 = sin(A(mid)) each rule reads
+A+- = sin(A(mid +- h*x_j)) and A0 = sin(A(mid)) each rule reads (G30
+has no centre node: w0 = 0)
 
     h * exp(i*omega*mid) * (w0*A0 + sum_j w_j*[(A+ + A-)*cos(omega*h*x_j)
                                                + i*(A+ - A-)*sin(omega*h*x_j)]).
@@ -31,23 +37,21 @@ estimate needs no rotation at all.
 Trigonometry from one tan. sin and cos set the kernel's speed, so each
 sin, or sin/cos pair, comes from one t = tan(x/2) (the Weierstrass
 substitution, _sin_half and _sincos_half): sin x = 2t/(1 + t^2) and
-cos x = (1 - t^2)/(1 + t^2). The kernel takes sin A at the 15 nodes,
-the pairs of omega*h*x_j at 7 and the pair of omega*mid: 23 tans per panel,
-where the direct form took 31 sin/cos calls. The absolute error is about
-2.2e-16 at most, against 5.6e-17 for libm, far below the rounding of a
-phase A of thousands of radians. With numpy 2.4 on a 2-vCPU x86-64 host
-with AVX-512, np.sin and np.cos run as scalar libm calls: about 34 ns
-per element on random arguments of hundreds of radians or more and 18 ns
-below pi/2. np.tan takes numpy's SIMD path there at 3.2-3.5 ns, against
-about 1 ns for a multiply or a divide and 2 ns for cosh. A panel then
-costs 0.3-0.4 us instead of 0.9-1.2 us on random accelerated panels, and
-0.29 us instead of 0.39 us on the figure-scale starting panels, whose
-smooth phases libm handles faster. Where numpy has no SIMD tan for the
-CPU, np.tan falls back to libm: the accuracy is the same, and most of
-the speed-up goes away.
+cos x = (1 - t^2)/(1 + t^2). The kernel takes sin A at the 61 nodes, the
+pairs of omega*h*x_j at 30 and the pair of omega*mid: 92 tans per panel,
+where the direct form takes 123 sin/cos calls. The absolute error is
+about 2.2e-16 at most, against 5.6e-17 for libm, far below the rounding
+of a phase A of thousands of radians. With numpy 2.4 on a 2-vCPU x86-64
+host with AVX-512, np.sin and np.cos run as scalar libm calls: about
+34 ns per element on random arguments of hundreds of radians or more and
+18 ns below pi/2. np.tan takes numpy's SIMD path there at 3.2-3.5 ns,
+against about 1 ns for a multiply or a divide and 2 ns for cosh; a panel
+costs about 0.9 us on random accelerated panels. Where numpy has no SIMD
+tan for the CPU, np.tan falls back to libm: the accuracy is the same,
+and most of the speed goes away.
 
 Blocking. panel_integrals evaluates _CHUNK panels at a time, so the
-(15, n) temporaries of a block stay in cache whatever the number of
+(61, n) temporaries of a block stay in cache whatever the number of
 panels; every operation is elementwise or a per-panel row of one gemm,
 so a panel's bits do not depend on the block it falls in.
 """
@@ -60,54 +64,125 @@ KIND_STATIC = 0
 KIND_INERTIAL = 1
 KIND_ACCELERATED = 2
 
-# QUADPACK qk15: the positive Kronrod nodes (descending) with their K15
-# weights, then the centre weight. The G7 nodes are _X[1], _X[3], _X[5]
-# and the centre.
+# The K61/G30 pair of QUADPACK's qk61, to 33 digits of Laurie's algorithm
+# run in 40-digit arithmetic: the 30 positive Kronrod nodes (descending)
+# with their K61 weights, then the centre weight. The G30 nodes are
+# _X[1], _X[3], ..., _X[29]; G30 has no centre node.
 _X = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+    0.999484410050490637571325895705811,
+    0.996893484074649540271630050918695,
+    0.991630996870404594858628366109486,
+    0.983668123279747209970032581605663,
+    0.973116322501126268374693868423707,
+    0.960021864968307512216871025581798,
+    0.944374444748559979415831324037439,
+    0.926200047429274325879324277080474,
+    0.905573307699907798546522558925958,
+    0.882560535792052681543116462530226,
+    0.857205233546061098958658510658944,
+    0.829565762382768397442898119732502,
+    0.799727835821839083013668942322683,
+    0.767777432104826194917977340974503,
+    0.733790062453226804726171131369528,
+    0.697850494793315796932292388026640,
+    0.660061064126626961370053668149271,
+    0.620526182989242861140477556431189,
+    0.579345235826361691756024932172540,
+    0.536624148142019899264169793311073,
+    0.492480467861778574993693061207709,
+    0.447033769538089176780609900322854,
+    0.400401254830394392535476211542661,
+    0.352704725530878113471037207089374,
+    0.304073202273625077372677107199257,
+    0.254636926167889846439805129817805,
+    0.204525116682309891438957671002025,
+    0.153869913608583546963794672743256,
+    0.102806937966737030147096751318001,
+    0.0514718425553176958330252131667226,
 ])
 _WK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
+    0.00138901369867700762455159122675970,
+    0.00389046112709988405126720184451550,
+    0.00663070391593129217331982636975017,
+    0.00927327965951776342844114689202436,
+    0.0118230152534963417422328988532506,
+    0.0143697295070458048124514324435800,
+    0.0169208891890532726275722894203221,
+    0.0194141411939423811734089510501285,
+    0.0218280358216091922971674857383390,
+    0.0241911620780806013656863707252320,
+    0.0265099548823331016106017093350754,
+    0.0287540487650412928439787853543342,
+    0.0309072575623877624728842529430923,
+    0.0329814470574837260318141910168539,
+    0.0349793380280600241374996707314679,
+    0.0368823646518212292239110656171360,
+    0.0386789456247275929503486515322811,
+    0.0403745389515359591119952797524681,
+    0.0419698102151642461471475412859698,
+    0.0434525397013560693168317281170733,
+    0.0448148001331626631923555516167232,
+    0.0460592382710069881162717355593736,
+    0.0471855465692991539452614781810995,
+    0.0481858617570871291407794922983046,
+    0.0490554345550297788875281653672382,
+    0.0497956834270742063578115693799423,
+    0.0504059214027823468408930856535850,
+    0.0508817958987496064922974730498047,
+    0.0512215478492587721706562826049442,
+    0.0514261285374590259338628792157813,
 ])
-_WK0 = 0.209482141084727828012999174891714
+_WK0 = 0.0514947294294515675583404336470993
 _WG = np.array([
     0.0,
-    0.129484966168869693270611432679082,
+    0.00796819249616660561546588347467362,
     0.0,
-    0.279705391489276667901467771423780,
+    0.0184664683110909591423021319120473,
     0.0,
-    0.381830050505118944950369775488975,
+    0.0287847078833233693497191796112920,
     0.0,
+    0.0387991925696270495968019364463477,
+    0.0,
+    0.0484026728305940529029381404228075,
+    0.0,
+    0.0574931562176190664817216894020561,
+    0.0,
+    0.0659742298821804951281285151159624,
+    0.0,
+    0.0737559747377052062682438500221907,
+    0.0,
+    0.0807558952294202153546949384605297,
+    0.0,
+    0.0868997872010829798023875307151257,
+    0.0,
+    0.0921225222377861287176327070876188,
+    0.0,
+    0.0963687371746442596394686263518099,
+    0.0,
+    0.0995934205867952670627802821035695,
+    0.0,
+    0.101762389748405504596428952168554,
+    0.0,
+    0.102852652893558840341285636705415,
 ])
-_WG0 = 0.417959183673469387755102040816327
 
-# Columns: K15 and G7 weights of the folded pair terms.
+# Columns: K61 and G30 weights of the folded pair terms.
 _W_PAIRS = np.stack([_WK, _WG], axis=1)
 
+_N = _X.size  # node pairs
 
-# Node-major offsets of the 15 nodes from the panel centre, in units of
-# the half-width: rows 0-6 at +x_j, rows 7-13 at -x_j, row 14 the centre.
+# Node-major offsets of the 61 nodes from the panel centre, in units of
+# the half-width: rows 0-29 at +x_j, rows 30-59 at -x_j, row 60 the centre.
 _NODES = np.concatenate([_X, -_X, [0.0]])[:, None]
 
 #: Panels per block of the kernel's arithmetic. A block's temporaries, a
-#: few (15, _CHUNK) float arrays of 240 kB, stay in cache. The starting
-#: calls of a figure-scale accelerated chi pass about 5,000 panels; with
-#: 2 MB of L2 per core, replaying the calls of one accel-asymptote pass
-#: took 0.058-0.060 s in blocks of 1536-3072 panels, 0.086 s in blocks
-#: of 4096 and 0.083 s whole.
-_CHUNK = 2048
+#: few (61, _CHUNK) float arrays of 250 kB, stay in cache. With 2 MB of
+#: L2 per core, 20k random accelerated panels took 17.5-18.2 ms in blocks
+#: of 512-1024 panels, 26.5-29.9 ms in blocks of 1536 and 34-40 ms in
+#: blocks of 2048. A figure-scale accelerated chi starts from one call of
+#: about 420 panels, which blocks of 256 or 384 split in two (27.5-28.6 ms
+#: per 20k panels against 18.5 ms at 512).
+_CHUNK = 512
 
 
 def _sin_half(h):
@@ -148,7 +223,7 @@ def _sincos(x):
 def _pair_sums(terms):
     """terms.T @ _W_PAIRS by the same BLAS routine for any number of panels.
 
-    ``terms`` is node-major (7, n); the gemm takes its transposed view, so
+    ``terms`` is node-major (_N, n); the gemm takes its transposed view, so
     every call hands BLAS the same layout. numpy sends a one-row product
     through gemv, which can round the last bit differently from the gemm
     that serves two rows or more; one panel is therefore evaluated as two
@@ -162,8 +237,8 @@ def _pair_sums(terms):
 def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
     """Per-panel integrals with embedded error estimates.
 
-    Returns (values, errors): the K15 value of each panel [lo[p], hi[p]]
-    and |K15 - G7| as its absolute error estimate. lo and hi are 1-d;
+    Returns (values, errors): the K61 value of each panel [lo[p], hi[p]]
+    and |K61 - G30| as its absolute error estimate. lo and hi are 1-d;
     phi0, cc and omega are scalars or arrays shaped like lo. The panels
     are evaluated _CHUNK at a time.
     """
@@ -188,10 +263,10 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
     if kind == KIND_STATIC:
         pair = (0.5 * omega) * (_X[:, None] * half)
         # One sin per panel, not per node: libm's cost does not matter here.
-        amp = np.broadcast_to(np.sin(phi0), (15,) + lo.shape)
+        amp = np.broadcast_to(np.sin(phi0), (2 * _N + 1,) + lo.shape)
     else:
         t = _NODES * half
-        pair = (0.5 * omega) * t[:7]
+        pair = (0.5 * omega) * t[:_N]
         t += mid
         if kind == KIND_INERTIAL:
             t *= 0.5 * rate
@@ -201,15 +276,14 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
             t -= 1.0
             t *= 0.5 * cc
         t += 0.5 * phi0
-        amp, _ = _sin_half(t)  # sin A at the 15 nodes
+        amp, _ = _sin_half(t)  # sin A at the 61 nodes
     sin_p, cos_p = _sincos_half(pair)  # of omega*h*x_j
-    cos_p *= amp[:7] + amp[7:14]
-    sin_p *= amp[:7] - amp[7:14]
-    re = _pair_sums(cos_p)  # [:, 0] K15, [:, 1] G7
+    cos_p *= amp[:_N] + amp[_N:-1]
+    sin_p *= amp[:_N] - amp[_N:-1]
+    re = _pair_sums(cos_p)  # [:, 0] K61, [:, 1] G30
     im = _pair_sums(sin_p)
-    amp0 = amp[14]
-    re_k = re[:, 0] + _WK0 * amp0
-    err = half * np.hypot(re_k - re[:, 1] - _WG0 * amp0, im[:, 0] - im[:, 1])
+    re_k = re[:, 0] + _WK0 * amp[-1]  # G30 has no centre node
+    err = half * np.hypot(re_k - re[:, 1], im[:, 0] - im[:, 1])
     sin_m, cos_m = _sincos(omega * mid)
     # Not in place: a one-element in-place complex product rounds differently.
     vals = _complex(cos_m, sin_m) * _complex(re_k, im[:, 0])

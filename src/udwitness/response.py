@@ -15,12 +15,12 @@ Every chi comes from one grid evaluation (chi_series); the scalar entry
 points are its 0-d calls. Every quadrature chi (accelerated, or any
 worldline with force_quadrature) comes from one driver, _quadrature:
 modes ks and a tau grid in, chi[k, tau] out. Each mode is one segment of
-a single adaptive pass (_adaptive_panels) from half-cycle starting
-panels with the grid times inserted as edges (_block_edges), and chi at
-a grid time is a sequential prefix sum of its mode's panels, so a mode's
-values are the same bits alone or in a block. A single chi is a call
-with one mode; the mode sum (chi_mode_sum) calls it per block of
-_MODE_BLOCK modes at one time.
+a single adaptive pass (_adaptive_panels) from starting panels of up to
+twelve half cycles with the grid times inserted as edges (_block_edges),
+and chi at a grid time is a sequential prefix sum of its mode's panels,
+so a mode's values are the same bits alone or in a block. A single chi
+is a call with one mode; the mode sum (chi_mode_sum) calls it per block
+of _MODE_BLOCK modes at one time.
 
 The inertial closed form is evaluated in one
 cancellation-free form, exact through the resonance where the
@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .errors import InvalidParameterError, NumericalFailure
+from .errors import InvalidParameterError, NumericalFailure, _check_cap
 from .field import CavityConfig, ModeSpec, mode_frequency
 from .trajectory import TrajectoryKind, TrajectorySpec, wall_time
 
@@ -53,17 +53,25 @@ DEFAULT_TOL = 1e-10
 
 _MAX_PANELS = 400_000
 _MAX_ROUNDS = 48
+#: Largest k_max of a mode sum. A closed-form sum traces 80-120 bytes per
+#: mode, 120 MB at the cap, and takes about 5 s there.
+_MAX_MODES = 1_000_000
 
 #: Modes per block of a mode sum. An accelerated block is one batched
 #: adaptive quadrature, and the block bounds its edge and prefix-sum
 #: tables (the kernel bounds its own temporaries): a 256-mode sum peaks at
-#: 1.33 MB traced with 16 modes per block, 2.17 MB with 64.
-_MODE_BLOCK = 16
+#: 1.00 MB traced with 64 modes per block, 0.68 MB with 16 and 1.14 MB
+#: with all 256. Fewer blocks mean fewer small kernel calls, each with a
+#: fixed cost of tens of microseconds: one accel-mode-sum benchmark pass
+#: took 0.135 s with 16 modes per block, 0.107 s with 32, 0.093 s with 64
+#: and 0.086-0.087 s with 128 or 256 (thread CPU time, median of 9).
+_MODE_BLOCK = 64
 
-#: Largest phase of either oscillation across one starting panel: half a
-#: cycle. The K15 rule resolves it to ~1e-12 relative, and the adaptive
-#: pass splits the panels whose estimate asks for more.
-_START_PANEL_PHASE = math.pi
+#: Largest phase of either oscillation across one starting panel: twelve
+#: half cycles. K61 and its embedded G30 both resolve one such phase to
+#: rounding (see _adaptive_panels), and the adaptive pass splits the
+#: panels whose estimate asks for more, mostly where the two phases add up.
+_START_PANEL_PHASE = 12.0 * math.pi
 
 
 class ChiBranch(Enum):
@@ -78,9 +86,10 @@ class ChiValue:
     """Complex response amplitude with evaluation metadata.
 
     ``err_estimate`` is 0 for the closed forms. For QUADRATURE it is the
-    summed per-panel truncation estimate |K15 - G7| (times the coupling
+    summed per-panel truncation estimate |K61 - G30| (times the coupling
     prefactor): it does not bound the rounding of the phases omega*t,
-    which on long spans near the inertial resonance can exceed it.
+    which on long spans near the inertial resonance can exceed it, and
+    it can read exactly 0 where both rules are converged to rounding.
     """
 
     value: complex
@@ -184,6 +193,22 @@ def _checked_times(taus, traj: TrajectorySpec):
     return taus
 
 
+def _checked_phase(omega, taus, traj=None):
+    """InvalidParameterError unless the phase omega*tau is finite over ``taus``.
+
+    chi is frozen past the wall-arrival time of ``traj``, so the phase
+    counts only up to it.
+    """
+    t_end = float(np.max(taus, initial=0.0))
+    t_wall = None if traj is None else wall_time(traj)
+    if t_wall is not None:
+        t_end = min(t_end, t_wall)
+    if not math.isfinite(omega * t_end):
+        raise InvalidParameterError(
+            f"phase omega*tau is not finite for omega={omega} at tau={t_end}"
+        )
+
+
 def _stall_text(tol, k, reason, err_estimate, detail=""):
     """Message of a quadrature that stopped short of ``tol`` on mode k."""
     return (
@@ -199,6 +224,7 @@ def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
     values are then its best estimates.
     """
     taus = _checked_times(taus, traj)
+    _checked_phase(mode.omega, taus, traj)
     if not tol > 0:
         raise InvalidParameterError(f"tolerance tol={tol} must be positive")
     if force_quadrature or traj.kind is TrajectoryKind.ACCELERATED:
@@ -300,13 +326,13 @@ def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
     t_end > 0. They merge three sets of times:
 
     - a uniform grid (numpy.linspace arithmetic) whose panels span at most
-      half a cycle (_START_PANEL_PHASE) of exp(i*omega_k*t) and, on an
-      inertial worldline, of the mode-crossing oscillation: the step is
-      pi/max(omega_k, omega_L), which is min(pi/omega_k, pi/omega_L) to
-      the bit;
+      twelve half cycles (_START_PANEL_PHASE) of exp(i*omega_k*t) and, on
+      an inertial worldline, of the mode-crossing oscillation: the step is
+      P/max(omega_k, omega_L) with P = _START_PANEL_PHASE, which is
+      min(P/omega_k, P/omega_L) to the bit;
     - on an accelerated worldline, the times at which the mode phase
-      cc*(cosh(a*t) - 1) has advanced by equal steps of at most half a
-      cycle;
+      cc*(cosh(a*t) - 1) has advanced by equal steps of at most twelve
+      half cycles;
     - the grid ``times`` in (0, t_end], so that chi at each of them is a
       prefix of the panel sum.
 
@@ -328,13 +354,11 @@ def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
         sweep = cc * (math.cosh(traj.a * t_end) - 1.0)
         n_phase = np.ceil(sweep / _START_PANEL_PHASE)
         n_start = n_uniform + n_phase
-    over = np.flatnonzero(n_start > _MAX_PANELS)
-    if over.size:
-        j = over[0]
-        raise NumericalFailure(
-            f"mode k={ks[j]} would start from {n_start[j, 0]:.0f} panels up to tau={t_end}, "
-            f"over the panel cap {_MAX_PANELS}"
-        )
+    j = int(np.argmax(n_start[:, 0]))
+    _check_cap(
+        f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
+        n_start[j, 0], "panel", _MAX_PANELS,
+    )
     i = np.arange(n_uniform.max() + 1.0)
     rows = [np.where(i < n_uniform, i * (t_end / n_uniform), t_end)]
     if traj.kind is TrajectoryKind.ACCELERATED:
@@ -392,17 +416,25 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
     on convergence, else why its refinement stopped: its error sum has not
     shrunk over two rounds, or the round or panel cap was hit.
 
-    The stall rule assumes edges that already resolve the oscillation.
-    The half-cycle panels of _block_edges do: at half-width pi/2 of a
-    phase even the embedded G7 rule is converged (and close to it where
-    the two phases add up to a cycle), so a bisection cuts a panel's
-    estimate by about 2**15 (the G7 error goes as h**15) until rounding
-    dominates, and an error sum that has not shrunk in two rounds sits at
-    the rounding floor. The least resolved starting panels are the first
-    accelerated ones, where A(t) = cc*(cosh(a*t) - 1) is far from linear;
-    their estimate still falls every round. Panels spanning many cycles
-    can go several rounds without shrinking and would be reported as
-    stalled.
+    The stall rule assumes edges on which the embedded G30 rule is in its
+    convergent range. sin(A)*exp(i*omega*t) is a sum of two exponentials
+    whose phase rates are omega +- dA/dt, and each starting panel of
+    _block_edges spans at most twelve half cycles of each phase: at most
+    kappa = 12*pi ~ 37.7 rad of the combined phase per half-width. The
+    n-point Gauss error on exp(i*kappa*x) over [-1, 1] is bounded by
+    about (e*kappa/(4*n))**(2*n) (the Taylor remainder with Stirling's
+    formula), below 1 for kappa < 4*30/e ~ 44, and each bisection halves
+    kappa, so the bound falls by about 2**60 per round until rounding
+    dominates. Measured on a unit-length panel of exp(i*omega*t):
+    |K61 - G30| is at rounding level (1e-16) up to 12 half cycles and
+    1.5e-8 at 24, and one bisection brings the latter to rounding level;
+    K61 itself is converged up to about 36. So an error sum that has not
+    shrunk in two rounds sits at the rounding floor. The least resolved
+    starting panels are the first accelerated ones, where
+    A(t) = cc*(cosh(a*t) - 1) is far from linear; their estimate still
+    falls every round. Panels whose combined phase is well above 4*n/e
+    rad per half-width can go several rounds without shrinking and would
+    be reported as stalled.
     """
     lo = np.delete(edges, offsets[1:] - 1)
     hi = np.delete(edges, offsets[:-1])
@@ -459,7 +491,7 @@ def _quadrature(ks, omega, L, coupling, traj, taus, tol):
     values, are the same bits whichever modes it is evaluated with.
 
     Returns (chi, err, stalls): chi[j] and err[j] are mode j's values and
-    summed |K15 - G7| estimates on the grid (shaped like ``taus``), and
+    summed |K61 - G30| estimates on the grid (shaped like ``taus``), and
     stalls[j] is None on convergence, else why its refinement stopped (the
     values are then its best estimates).
     """
@@ -508,7 +540,7 @@ def chi_quadrature(
     """Response by adaptive oscillation-aware quadrature, any trajectory.
 
     The returned err_estimate is a truncation estimate (the panels'
-    summed |K15 - G7|), not a bound: see ChiValue.
+    summed |K61 - G30|), not a bound: see ChiValue.
     """
     return _chi_at(mode, coupling, traj, tau, tol, force_quadrature=True)
 
@@ -563,7 +595,7 @@ def chi_mode_sum(
 
     The truncation is exact (matched-truncation use, e.g. against a
     mode-by-mode simulation). Accelerated modes are evaluated a block of
-    _MODE_BLOCK (16) at a time as one batched quadrature (see
+    _MODE_BLOCK (64) at a time as one batched quadrature (see
     _abs2_block), each |chi_k|^2 bit-identical to chi_quadrature's. A mode
     whose quadrature stalls raises NumericalFailure naming k and the
     reason, with the partial sum over the modes evaluated so far (the
@@ -574,6 +606,8 @@ def chi_mode_sum(
     _checked_times(tau, traj)
     if not isinstance(k_max, numbers.Integral) or k_max < 1:
         raise InvalidParameterError(f"k_max={k_max} must be an integer >= 1")
+    _check_cap("k_max", k_max, "mode", _MAX_MODES)
+    _checked_phase(mode_frequency(k_max, cavity.L, cavity.m), tau, traj)
     if coupling.lam == 0.0 or tau == 0.0:
         return 0.0
     return float(np.sum(_abs2_block(np.arange(1, k_max + 1), cavity, coupling, traj, tau, tol)))

@@ -41,8 +41,10 @@ class TrajectorySpec:
             )
         if self.kind is TrajectoryKind.INERTIAL and not 0 < self.v < 1:
             raise InvalidParameterError(f"velocity v={self.v} must satisfy 0 < v < 1")
-        if self.kind is TrajectoryKind.ACCELERATED and not self.a > 0:
-            raise InvalidParameterError(f"proper acceleration a={self.a} must be positive")
+        if self.kind is TrajectoryKind.ACCELERATED and not 0 < self.a < math.inf:
+            raise InvalidParameterError(
+                f"proper acceleration a={self.a} must be positive and finite"
+            )
 
     @classmethod
     def static(cls, x0: float, L: float) -> "TrajectorySpec":

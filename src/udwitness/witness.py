@@ -33,6 +33,7 @@ from .response import (
     ChiBranch,
     ChiValue,
     CouplingSpec,
+    _checked_phase,
     chi_series,
     chi_static_amplitude,
 )
@@ -254,6 +255,7 @@ def witness_series_from_omega(
     CouplingSpec(lam)  # validates lam
     if not 0 < omega < math.inf:
         raise InvalidParameterError(f"frequency omega={omega} must be positive and finite")
+    _checked_phase(omega, taus)
     chi_vals = np.asarray(chi_static_amplitude(lam, omega, taus), dtype=complex)
     return _series_from_chi(
         state, taus, chi_vals, np.zeros(taus.shape), ChiBranch.STATIC_CLOSED_FORM, DEFAULT_TOL

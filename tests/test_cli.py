@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,12 +102,26 @@ class TestWitnessCommand:
         ["--state", "cat:nan"],
         ["--omega-override", "nan"],
         ["--omega-override", "2.2", "--lambda", "nan"],
+        ["--traj", "accel:inf"],
     ])
     def test_non_finite_parameter_is_invalid(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
         rc = main(["witness", "--samples", "5", *args, "--out", str(out)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_mass_is_invalid_without_runtime_warning(self, tmp_path, capsys):
+        # omega = 1e308 is finite, but its phase omega*tau over the grid is not.
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([
+                "witness", "--m", "1e308", "--k0", "2", "--L", "4", "--samples", "3",
+                "--out", str(out),
+            ])
+        assert rc == 2
+        assert "omega=1e+308 at tau=50.0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lf_endings_and_format(self, tmp_path):
@@ -235,11 +250,13 @@ class TestScanCommands:
         assert rc == 2
 
     def test_failing_scan_point_becomes_nan_with_warning(self, tmp_path, capsys):
-        # an unreachable tolerance fails every point; the scan still completes
+        # A tolerance below rounding fails every point; the scan still
+        # completes. (At a=0.8 the K61 and G30 sums of the one panel agree
+        # to the bit, so 1e-300 would count as met there.)
         out = tmp_path / "nan.csv"
         rc = main([
             "scan-acceleration", "--k0", "2", "--L", "4", "--lambda", "1",
-            "--scan-min", "0.8", "--scan-max", "1.6", "--scan-steps", "3",
+            "--scan-min", "1.2", "--scan-max", "2.0", "--scan-steps", "3",
             "--eval-at", "60", "--tol", "1e-300", "--out", str(out),
         ])
         assert rc == 0

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,10 +45,95 @@ def _panels(n, t_end):
 
 
 def _full_rule(pair_weights, centre_weight):
-    """All 15 nodes in ascending order with the given rule's weights."""
+    """All 61 nodes in ascending order with the given rule's weights."""
     nodes = np.concatenate([-kernels._X, [0.0], kernels._X[::-1]])
     weights = np.concatenate([pair_weights, [centre_weight], pair_weights[::-1]])
     return nodes, weights
+
+
+def _laurie_kronrod(n):
+    """Jacobi matrix (a, b) of the (2n+1)-point Kronrod extension of n-point
+    Gauss-Legendre, by Laurie's algorithm (Laurie 1997, Math. Comp. 66:1133,
+    as in Gautschi's r_kronrod), in the current mpmath precision. b[0] is
+    the total mass 2 of the Legendre weight."""
+    size = (3 * n + 1) // 2 + 1  # b[0..ceil(3n/2)] start from the Legendre values
+    a = [mpmath.mpf(0)] * (2 * n + 1)
+    b = [mpmath.mpf(2)] + [mpmath.mpf(k * k) / (4 * k * k - 1) for k in range(1, size)]
+    b += [mpmath.mpf(0)] * (2 * n + 1 - size)
+    s = [mpmath.mpf(0)] * (n // 2 + 2)
+    t = [mpmath.mpf(0)] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        ks = range((m + 1) // 2, -1, -1)
+        terms = [(a[k + n + 1] - a[m - k]) * t[k + 1] + b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+                 for k in ks]
+        acc = mpmath.mpf(0)
+        for k, term in zip(ks, terms):
+            acc += term
+            s[k + 1] = acc
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1]
+    for m in range(n - 1, 2 * n - 2):
+        ks = range(m + 1 - n, (m - 1) // 2 + 1)
+        js = [n - 1 - (m - k) for k in ks]
+        terms = [-(a[k + n + 1] - a[m - k]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[m - k] * s[j + 2]
+                 for k, j in zip(ks, js)]
+        acc = mpmath.mpf(0)
+        for j, term in zip(js, terms):
+            acc += term
+            s[j + 1] = acc
+        j, k = js[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
+
+
+def _gauss_rule(a, b):
+    """Nodes and weights of the Jacobi matrix (a, b), descending.
+
+    Double-precision eigenvalues, polished by Newton steps on the monic
+    three-term recurrence in the current mpmath precision; the weight of
+    node x is 1/sum_k p_k(x)^2 over the orthonormal polynomials."""
+    size = len(a)
+    root_b = [mpmath.sqrt(x) for x in b[:size]]
+    start = np.linalg.eigvalsh(
+        np.diag([float(x) for x in a]) + np.diag([float(x) for x in root_b[1:]], -1)
+    )
+    nodes, weights = [], []
+    for x in start[::-1]:
+        x = mpmath.mpf(float(x))
+        for _ in range(6):
+            p_prev, p, d_prev, d = 0, 1, 0, 0
+            for k in range(size):
+                p_prev, p, d_prev, d = (
+                    p, (x - a[k]) * p - b[k] * p_prev * (k > 0),
+                    d, p + (x - a[k]) * d - b[k] * d_prev * (k > 0),
+                )
+            x -= p / d
+        q_prev, q, total = 0, 1 / root_b[0], 0
+        for k in range(size):
+            total += q * q
+            if k + 1 < size:
+                q_prev, q = q, ((x - a[k]) * q - root_b[k] * q_prev * (k > 0)) / root_b[k + 1]
+        nodes.append(x)
+        weights.append(1 / total)
+    return nodes, weights
+
+
+@pytest.fixture(scope="module")
+def k61_g30():
+    """K61 and G30 nodes and weights (descending) in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        kronrod = _gauss_rule(*_laurie_kronrod(30))
+        gauss = _gauss_rule(
+            [mpmath.mpf(0)] * 30,
+            [mpmath.mpf(2)] + [mpmath.mpf(k * k) / (4 * k * k - 1) for k in range(1, 30)],
+        )
+    return kronrod, gauss
 
 
 CASES = [
@@ -58,28 +144,43 @@ CASES = [
 
 
 class TestRuleConstants:
-    @pytest.mark.parametrize("degree", range(24))
-    def test_k15_exact_through_degree_23(self, degree):
+    """The typed K61/G30 literals against the rule computed here."""
+
+    def test_literals_match_laurie_at_40_digits(self, k61_g30):
+        (xk, wk), (xg, wg) = k61_g30
+        # Every literal is the double nearest its 40-digit value.
+        np.testing.assert_array_equal(kernels._X, [float(x) for x in xk[:30]])
+        np.testing.assert_array_equal(kernels._WK, [float(w) for w in wk[:30]])
+        assert abs(xk[30]) < 1e-35 and kernels._WK0 == float(wk[30])
+        np.testing.assert_array_equal(kernels._WG[1::2], [float(w) for w in wg[:15]])
+        np.testing.assert_array_equal(kernels._WG[::2], 0.0)
+        # The G30 nodes are the odd-indexed Kronrod nodes.
+        for j, x in enumerate(xg[:15]):
+            assert abs(x - xk[2 * j + 1]) < 1e-35
+
+    @pytest.mark.parametrize("degree", range(92))
+    def test_k61_exact_through_degree_91(self, degree):
         x, w = _full_rule(kernels._WK, kernels._WK0)
         exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
         assert w @ x**degree == pytest.approx(exact, abs=1e-15)
 
-    @pytest.mark.parametrize("degree", range(14))
-    def test_g7_exact_through_degree_13(self, degree):
-        x, w = _full_rule(kernels._WG, kernels._WG0)
+    @pytest.mark.parametrize("degree", range(60))
+    def test_g30_exact_through_degree_59(self, degree):
+        x, w = _full_rule(kernels._WG, 0.0)
         exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
         assert w @ x**degree == pytest.approx(exact, abs=1e-15)
 
-    def test_g7_is_gauss_legendre_on_kronrod_nodes(self):
-        x, w = _full_rule(kernels._WG, kernels._WG0)
+    def test_g30_is_gauss_legendre_on_kronrod_nodes(self):
+        x, w = _full_rule(kernels._WG, 0.0)
         used = w != 0.0
-        assert used.sum() == 7
-        np.testing.assert_allclose(x[used], _GL7_X, atol=2e-16)
-        np.testing.assert_allclose(w[used], _GL7_W, atol=5e-16)
+        assert used.sum() == 30
+        gl_x, gl_w = np.polynomial.legendre.leggauss(30)
+        np.testing.assert_allclose(x[used], gl_x, atol=2e-16)
+        np.testing.assert_allclose(w[used], gl_w, atol=5e-16)
 
     def test_weights_sum_to_two(self):
         assert 2.0 * kernels._WK.sum() + kernels._WK0 == pytest.approx(2.0, abs=1e-15)
-        assert 2.0 * kernels._WG.sum() + kernels._WG0 == pytest.approx(2.0, abs=1e-15)
+        assert 2.0 * kernels._WG.sum() == pytest.approx(2.0, abs=1e-15)
 
 
 class TestNumpyBackend:

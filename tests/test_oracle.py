@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from udwitness import oracle
-from udwitness.errors import InvalidParameterError, TruncationTooSmall
+from udwitness.errors import InvalidParameterError, NumericalFailure, TruncationTooSmall
 from udwitness.field import ModeSpec, mode_function
 from udwitness.oracle import (
     UNITARITY_TOL,
@@ -173,6 +175,22 @@ class TestEvolveClosedForm:
 
 
 class TestEvolveTrotter:
+    def test_work_over_the_cap_fails_before_allocating(self):
+        tm = TruncatedMode(40, 1.0)
+        tracemalloc.start()
+        try:
+            start = time.thread_time()
+            with pytest.raises(NumericalFailure, match=(
+                r"steps=2000000000, cutoff=40 is 3200000000000, "
+                r"over the Trotter work cap 100000000"
+            )):
+                evolve_trotter(tm, lambda t: np.zeros_like(t), 2.0, 2_000_000_000)
+            elapsed = time.thread_time() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01 and peak < 1e5
+
     def test_zero_drive_is_identity(self):
         tm = TruncatedMode(20, 1.0)
         u = evolve_trotter(tm, lambda t: np.zeros_like(t), 2.0, 64)

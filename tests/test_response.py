@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -32,6 +33,7 @@ from udwitness.response import (
 )
 from udwitness.oracle import phase_beta
 from udwitness.trajectory import TrajectoryKind, TrajectorySpec, position, wall_time
+from udwitness.witness import StateSpec, witness_series_from_omega
 
 V_CRIT_FIG = 0.76436169849601359  # frozen from 30-digit arithmetic
 
@@ -69,6 +71,36 @@ def scipy_chi(mode, lam, traj, tau):
     re, _ = quad(integrand_re, 0.0, t_end, limit=500, epsabs=1e-13, epsrel=1e-13)
     im, _ = quad(integrand_im, 0.0, t_end, limit=500, epsabs=1e-13, epsrel=1e-13)
     return -1j * lam * complex(re, im)
+
+
+_GL20_X, _GL20_W = np.polynomial.legendre.leggauss(20)
+
+
+def fine_accel_chi(mode, lam, traj, taus):
+    """Independent reference: chi at ``taus`` on the accelerated worldline by
+    20-point Gauss-Legendre on panels of at most 4 rad of either phase and
+    at most 1/(4a) of proper time.
+
+    The integrand is written from position(), not the kernel's phase
+    form. Over a panel the two phases turn by at most 8 rad together and
+    the mode-phase rate q*sinh(a*t) changes by a factor of at most
+    e**(1/4), so the panels need no refinement."""
+    q = mode.k * math.pi / mode.L
+    t_end = min(max(taus), wall_time(traj))
+    sweep = q * (position(traj, t_end) - traj.x0)
+    theta = np.linspace(0.0, sweep, max(1, math.ceil(sweep / 4.0)) + 1)[1:-1]
+    rate = max(mode.omega / 4.0, 4.0 * traj.a)
+    edges = np.unique(np.concatenate([
+        np.linspace(0.0, t_end, max(1, math.ceil(rate * t_end)) + 1),
+        np.arccosh(1.0 + traj.a * theta / q) / traj.a,
+        np.minimum(taus, t_end),
+    ]))
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    t = mid[:, None] + half[:, None] * _GL20_X
+    f = np.sin(q * position(traj, t)) * np.exp(1j * mode.omega * t)
+    sums = np.concatenate([[0.0], np.cumsum(half * (f @ _GL20_W))])
+    i = np.searchsorted(edges, np.minimum(taus, t_end))
+    return -1j * lam / math.sqrt(mode.k * math.pi) * sums[i]
 
 
 def mpmath_inertial_chi(mode, lam, traj, tau, dps=40):
@@ -314,9 +346,9 @@ class TestChiQuadrature:
             chi_quadrature(mode, CouplingSpec(1.0), traj, 2.0, tol=1e-300)
 
     @pytest.mark.parametrize("k,traj,tau", [
-        (5000, TrajectorySpec.static(1.0, 10000.0), 2e6),
+        (5000, TrajectorySpec.static(1.0, 10000.0), 2e7),
         (5000, TrajectorySpec.static(1.0, 10000.0), 1e9),
-        (500_000, TrajectorySpec.accelerated(8.0, 1.0, 10000.0), 2.0),
+        (10_000_000, TrajectorySpec.accelerated(8.0, 1.0, 10000.0), 2.0),
     ])
     def test_starting_panels_over_the_cap_fail_before_allocating(self, k, traj, tau):
         # Uniform steps on the static worldline, mode-phase steps on the
@@ -333,8 +365,9 @@ class TestChiQuadrature:
 
     def test_refinement_replaces_split_panels_in_place(self):
         # Three equal panels: the first needs no split at this tolerance,
-        # the other two do.
-        mode = ModeSpec(2, 4.0, 1.0)
+        # the other two do. The mode phase cc*(cosh(a*t) - 1) quickens
+        # along the worldline, so the later panels span more cycles.
+        mode = ModeSpec(64, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
         kind, phi0, rate, cc = _kernel_params(mode.k, mode.L, traj)
         coarse = np.linspace(0.0, wall_time(traj), 4)
@@ -345,7 +378,9 @@ class TestChiQuadrature:
         assert errs.sum() <= 1e-12
         assert lo[0] == coarse[0] and hi[-1] == coarse[-1]
         np.testing.assert_array_equal(lo[1:], hi[:-1])
-        assert lo.size > coarse.size - 1
+        assert hi[0] == coarse[1]
+        first_of = np.searchsorted(lo, coarse[1:3])
+        assert first_of[0] == 1 and first_of[1] > 2 and lo.size > first_of[1] + 1
         again, _ = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, lo, hi)
         np.testing.assert_allclose(vals, again, rtol=0, atol=1e-15)
         edges = np.linspace(0.0, coarse[-1], 4001)
@@ -365,7 +400,8 @@ def _eighth_cycle_edges(mode, traj, t_end):
 
 
 class TestHalfCycleStart:
-    """The adaptive pass starts from half-cycle panels and refines from there."""
+    """The adaptive pass starts from panels of up to twelve half cycles of
+    each phase and refines from there."""
 
     @pytest.mark.parametrize("a", [0.02, 0.8, 8.0, 50.0])
     def test_figure_scale_matches_fine_grid(self, fig_cavity, fig_coupling, a):
@@ -387,20 +423,21 @@ class TestHalfCycleStart:
         assert pref * errs.sum() <= DEFAULT_TOL
         assert abs(c.value - (-1j * pref * vals.sum())) <= DEFAULT_TOL
 
-    def test_starting_panels_span_half_a_cycle(self, fig_cavity):
+    def test_starting_panels_span_twelve_half_cycles(self, fig_cavity):
         mode, x0, L = fig_cavity.mode(), fig_cavity.x0, fig_cavity.L
-        half_cycle = math.pi * (1 + 1e-9)
+        span = 12 * math.pi * (1 + 1e-9)
         traj = TrajectorySpec.accelerated(0.8, x0, L)
         t_end = min(500.0, wall_time(traj))
         edges = one_mode_edges(mode, traj, t_end)
         assert edges[0] == 0.0 and edges[-1] == t_end
-        assert edges.size - 1 <= 5_100
+        assert edges.size - 1 <= 425
         cc = mode.k * math.pi / (mode.L * traj.a)
         mode_phase = cc * (np.cosh(traj.a * edges) - 1.0)
-        assert np.all(np.diff(edges) * mode.omega <= half_cycle)
-        assert np.all(np.diff(mode_phase) <= half_cycle)
+        assert np.all(np.diff(edges) * mode.omega <= span)
+        assert np.all(np.diff(mode_phase) <= span)
         # Forced-quadrature static and inertial chi start from the same
-        # builder: half a cycle of omega_k and of the mode-crossing omega_L.
+        # builder: twelve half cycles of omega_k and of the mode-crossing
+        # omega_L.
         # Below v_c omega_L < omega_k, at v_c they match, above it omega_L
         # sets the step.
         for v in (None, 0.3, critical_velocity(mode), 0.9):
@@ -410,19 +447,27 @@ class TestHalfCycleStart:
             steps = np.diff(edges)
             assert np.all(steps > 0.0)
             omega_l = 0.0 if v is None else mode.k * math.pi * v / (L * math.sqrt(1.0 - v * v))
-            assert np.all(steps * mode.omega <= half_cycle)
-            assert np.all(steps * omega_l <= half_cycle)
-            # ... and not much less: the faster phase sets the step.
-            assert steps.max() * max(mode.omega, omega_l) > 0.99 * math.pi
+            assert np.all(steps * mode.omega <= span)
+            assert np.all(steps * omega_l <= span)
+            # ... and no more panels than that takes: the faster phase sets
+            # the step.
+            assert steps.size == math.ceil(500.0 * max(mode.omega, omega_l) / (12 * math.pi))
 
     @pytest.mark.parametrize("L", [4.0, 40.0, 400.0, 1e4])
     def test_sweep_converges_without_stall(self, L):
+        # 144 cases per cavity length, 576 in all: chi_quadrature raises on
+        # a stall, and both its estimate and its true error, against the
+        # fine-panel reference, stay within tol.
         coup = CouplingSpec(1.0)
-        for k, a, tol in itertools.product((1, 17, 256, 5000), (0.05, 2.0, 20.0), (1e-6, 1e-13)):
+        for k, a in itertools.product((1, 3, 17, 60, 256, 5000), (0.05, 0.3, 2.0, 20.0)):
             mode = ModeSpec(k, L, 1.0)
             traj = TrajectorySpec.accelerated(a, L / (2 * k), L)
-            c = chi_quadrature(mode, coup, traj, wall_time(traj), tol=tol)
-            assert c.err_estimate <= tol
+            taus = [0.37 * wall_time(traj), wall_time(traj)]
+            ref = fine_accel_chi(mode, coup.lam, traj, taus)
+            for (tau, chi_ref), tol in itertools.product(zip(taus, ref), (1e-6, 1e-10, 1e-13)):
+                c = chi_quadrature(mode, coup, traj, tau, tol=tol)
+                assert c.err_estimate <= tol
+                assert abs(c.value - chi_ref) <= tol, (k, a, tau, tol)
 
 
 class TestDispatch:
@@ -606,6 +651,19 @@ class TestChiModeSum:
         assert exact_16 <= exact_32 <= deep * (1 + 1e-12)
         assert deeper == pytest.approx(deep, rel=1e-6)
 
+    def test_k_max_over_the_cap_fails_before_allocating(self, small_cavity):
+        traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
+        tracemalloc.start()
+        try:
+            start = time.thread_time()
+            with pytest.raises(NumericalFailure, match="k_max is 2000000000, over the mode cap 1000000"):
+                chi_mode_sum(small_cavity, CouplingSpec(0.5), traj, 1.0, k_max=2_000_000_000)
+            elapsed = time.thread_time() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01 and peak < 1e5
+
     def test_k_max_is_checked_first(self, small_cavity):
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
         for k_max in (0, -3, 2.5, 3.0, math.nan, math.inf):
@@ -644,14 +702,15 @@ class TestChiModeSum:
         assert "k=" in str(exc_info.value)
         best = exc_info.value.best
         assert isinstance(best, float)
-        # Every mode stalls at once, in the first block: its 16 best estimates.
-        reachable = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=16)
+        # Every mode stalls at once, in the first block, which holds all 20
+        # modes: the partial sum is their 20 best estimates.
+        reachable = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=20)
         assert best == pytest.approx(reachable, rel=1e-9)
 
     def test_accelerated_sum_memory_stays_block_sized(self):
-        # One 256-mode sum holds one 16-mode block of edge and prefix-sum
-        # tables at a time (1.33 MB traced peak, 2.17 MB with 64-mode
-        # blocks); batching all 256 modes at once took 13.7 MB.
+        # One 256-mode sum holds one 64-mode block of edge and prefix-sum
+        # tables at a time: 1.00 MB traced peak (0.68 MB with 16-mode
+        # blocks, 1.14 MB with all 256 modes in one block).
         cavity = CavityConfig(L=5.0, m=1.0, k0=2)
         traj = TrajectorySpec.accelerated(1.3, cavity.x0, cavity.L)
         tau = wall_time(traj) + 1.0
@@ -777,6 +836,29 @@ class TestPhaseBeta:
     def test_rejects_reversed_window(self):
         with pytest.raises(InvalidParameterError):
             phase_beta(lambda t: np.ones_like(t), 1.0, 2.0, 1.0)
+
+
+class TestNonFinitePhase:
+    """A finite omega whose phase omega*tau overflows is rejected, naming both."""
+
+    @pytest.mark.parametrize("kind", ["static", "inertial", "accelerated"])
+    def test_rejected_on_every_worldline(self, kind):
+        cavity = CavityConfig(L=4.0, m=1e308, k0=2)
+        x0, L = cavity.x0, cavity.L
+        traj = {
+            "static": TrajectorySpec.static(x0, L),
+            "inertial": TrajectorySpec.inertial(0.3, x0, L),
+            "accelerated": TrajectorySpec.accelerated(1.0, x0, L),
+        }[kind]
+        match = r"phase omega\*tau is not finite for omega=1e\+308 at tau=2\.0"
+        with pytest.raises(InvalidParameterError, match=match):
+            chi_series(cavity.mode(), CouplingSpec(0.5), traj, [0.0, 2.0])
+        with pytest.raises(InvalidParameterError, match=match):
+            chi_mode_sum(cavity, CouplingSpec(0.5), traj, 2.0, k_max=4)
+
+    def test_rejected_with_frequency_given_directly(self):
+        with pytest.raises(InvalidParameterError, match=r"omega=1e\+308 at tau=2\.0"):
+            witness_series_from_omega(StateSpec.fock(1), 1.0, 1e308, [0.0, 2.0])
 
 
 class TestCouplingAndChiValue:

@@ -109,7 +109,7 @@ class TestValidation:
                 TrajectorySpec.inertial(v, 0.0, 1.0)
 
     def test_accelerated_positive(self):
-        for a in (0.0, -1.0):
+        for a in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidParameterError):
                 TrajectorySpec.accelerated(a, 0.0, 1.0)
 
