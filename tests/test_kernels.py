@@ -136,6 +136,19 @@ def k61_g30():
     return kronrod, gauss
 
 
+@pytest.fixture(scope="module")
+def k15_g7():
+    """QUADPACK's K15/G7 pair from the same construction, rounded to doubles:
+    the Laurie extension checked at a second size."""
+    with mpmath.workdps(40):
+        kronrod = _gauss_rule(*_laurie_kronrod(7))
+        gauss = _gauss_rule(
+            [mpmath.mpf(0)] * 7,
+            [mpmath.mpf(2)] + [mpmath.mpf(k * k) / (4 * k * k - 1) for k in range(1, 7)],
+        )
+    return [tuple(np.array([float(v) for v in part]) for part in rule) for rule in (kronrod, gauss)]
+
+
 CASES = [
     (kernels.KIND_STATIC, 0.7, 0.0, 0.0, 1.3, 2.0),
     (kernels.KIND_INERTIAL, 0.4, 2.1, 0.0, 1.86, 5.0),
@@ -144,7 +157,8 @@ CASES = [
 
 
 class TestRuleConstants:
-    """The typed K61/G30 literals against the rule computed here."""
+    """The typed K61/G30 literals against the rule computed here, and that
+    construction on the K15/G7 pair."""
 
     def test_literals_match_laurie_at_40_digits(self, k61_g30):
         (xk, wk), (xg, wg) = k61_g30
@@ -177,6 +191,26 @@ class TestRuleConstants:
         gl_x, gl_w = np.polynomial.legendre.leggauss(30)
         np.testing.assert_allclose(x[used], gl_x, atol=2e-16)
         np.testing.assert_allclose(w[used], gl_w, atol=5e-16)
+
+    @pytest.mark.parametrize("degree", range(24))
+    def test_k15_exact_through_degree_23(self, k15_g7, degree):
+        (x, w), _ = k15_g7
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert w @ x**degree == pytest.approx(exact, abs=1e-15)
+
+    @pytest.mark.parametrize("degree", range(14))
+    def test_g7_exact_through_degree_13(self, k15_g7, degree):
+        _, (x, w) = k15_g7
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert w @ x**degree == pytest.approx(exact, abs=1e-15)
+
+    def test_g7_is_gauss_legendre_on_kronrod_nodes(self, k15_g7):
+        (xk, _), (xg, wg) = k15_g7
+        assert xk.size == 15 and xg.size == 7
+        np.testing.assert_array_equal(xg, xk[1::2])
+        gl_x, gl_w = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(xg[::-1], gl_x, atol=2e-16)
+        np.testing.assert_allclose(wg[::-1], gl_w, atol=5e-16)
 
     def test_weights_sum_to_two(self):
         assert 2.0 * kernels._WK.sum() + kernels._WK0 == pytest.approx(2.0, abs=1e-15)
