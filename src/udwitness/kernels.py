@@ -17,7 +17,8 @@ Gauss-Kronrod rule K61 (Kronrod 1965; QUADPACK QK61, Piessens et al. 1983),
 exact through degree 91. Its odd-indexed nodes are the 30-point
 Gauss-Legendre nodes, so the embedded G30 value (exact through degree 59)
 comes from the same 61 integrand evaluations and |K61 - G30| is the
-per-panel absolute error estimate. The nodes and weights are typed in
+per-panel absolute error estimate, floored at the rounding level
+ERR_FLOOR*(hi - lo). The nodes and weights are typed in
 below; Laurie's algorithm (Laurie 1997, Math. Comp. 66:1133) computes
 them, and the tests check them against it. A high-order rule pays on
 long panels: the callers start from panels of up to twelve half cycles
@@ -63,6 +64,12 @@ import numpy as np
 KIND_STATIC = 0
 KIND_INERTIAL = 1
 KIND_ACCELERATED = 2
+
+#: Least error estimate per unit of panel length. The integrand has
+#: modulus at most 1 and is evaluated to about machine epsilon absolute at
+#: best, so no panel estimate falls below eps*(hi - lo): where K61 and G30
+#: agree to the bit, |K61 - G30| alone would read 0.
+ERR_FLOOR = float(np.finfo(float).eps)
 
 # The K61/G30 pair of QUADPACK's qk61, to 33 digits of Laurie's algorithm
 # run in 40-digit arithmetic: the 30 positive Kronrod nodes (descending)
@@ -238,7 +245,8 @@ def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
     """Per-panel integrals with embedded error estimates.
 
     Returns (values, errors): the K61 value of each panel [lo[p], hi[p]]
-    and |K61 - G30| as its absolute error estimate. lo and hi are 1-d;
+    and |K61 - G30|, floored at ERR_FLOOR*(hi - lo), as its absolute error
+    estimate. lo and hi are 1-d;
     phi0, cc and omega are scalars or arrays shaped like lo. The panels
     are evaluated _CHUNK at a time.
     """
@@ -283,7 +291,7 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
     re = _pair_sums(cos_p)  # [:, 0] K61, [:, 1] G30
     im = _pair_sums(sin_p)
     re_k = re[:, 0] + _WK0 * amp[-1]  # G30 has no centre node
-    err = half * np.hypot(re_k - re[:, 1], im[:, 0] - im[:, 1])
+    err = half * np.maximum(np.hypot(re_k - re[:, 1], im[:, 0] - im[:, 1]), 2.0 * ERR_FLOOR)
     sin_m, cos_m = _sincos(omega * mid)
     # Not in place: a one-element in-place complex product rounds differently.
     vals = _complex(cos_m, sin_m) * _complex(re_k, im[:, 0])

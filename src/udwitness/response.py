@@ -52,6 +52,11 @@ DELTA_RES = 1e-6
 DEFAULT_TOL = 1e-10
 
 _MAX_PANELS = 400_000
+#: Largest starting edge table of one pass: modes times the longest row of
+#: uniform and phase steps. _MAX_PANELS bounds each mode, this the block,
+#: at the table a 16-mode block could reach under _MAX_PANELS: a 64-mode
+#: block of 6.39M entries traced a 160 MB peak in 0.17 s.
+_MAX_EDGE_TABLE = 16 * _MAX_PANELS
 _MAX_ROUNDS = 48
 #: Largest k_max of a mode sum. A closed-form sum traces 80-120 bytes per
 #: mode, 120 MB at the cap, and takes about 5 s there.
@@ -87,9 +92,10 @@ class ChiValue:
 
     ``err_estimate`` is 0 for the closed forms. For QUADRATURE it is the
     summed per-panel truncation estimate |K61 - G30| (times the coupling
-    prefactor): it does not bound the rounding of the phases omega*t,
-    which on long spans near the inertial resonance can exceed it, and
-    it can read exactly 0 where both rules are converged to rounding.
+    prefactor), each floored at eps times its panel's length, so it is
+    never below about eps*tau: it does not bound the rounding of the
+    phases omega*t, which on long spans near the inertial resonance can
+    exceed it. A tolerance under that floor is reported as a stall.
     """
 
     value: complex
@@ -341,8 +347,9 @@ def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
     rows, so a mode's edges do not depend on the modes it is built with.
     Sorting each row and dropping repeats gives the edges.
 
-    A mode whose uniform and phase steps add up to more than _MAX_PANELS
-    raises NumericalFailure before the table is built.
+    A mode whose uniform and phase steps add up to more than _MAX_PANELS,
+    or a table of more than _MAX_EDGE_TABLE uniform and phase steps, raises
+    NumericalFailure before the table is built.
     """
     rate = omega
     if traj.kind is TrajectoryKind.INERTIAL:
@@ -358,6 +365,11 @@ def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
     _check_cap(
         f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
         n_start[j, 0], "panel", _MAX_PANELS,
+    )
+    width = n_uniform.max() + (n_phase.max() if traj.kind is TrajectoryKind.ACCELERATED else 0.0)
+    _check_cap(
+        f"the starting edge table of modes k={ks[0]}..{ks[-1]} up to tau={t_end}",
+        ks.size * width, "edge table", _MAX_EDGE_TABLE,
     )
     i = np.arange(n_uniform.max() + 1.0)
     rows = [np.where(i < n_uniform, i * (t_end / n_uniform), t_end)]
@@ -387,8 +399,14 @@ def _segments(x, counts):
         a += n
 
 
-def _stop_reason(history, s, n):
-    """Why segment s, with n panels, stops refining short of its tolerance."""
+def _stop_reason(history, s, n, at_floor):
+    """Why segment s, with n panels, stops refining short of its tolerance.
+
+    ``at_floor`` says that every panel estimate of the segment sits at the
+    kernel's rounding floor, which no split lowers.
+    """
+    if at_floor:
+        return "stalled at the rounding floor (every panel estimate at eps times its length)"
     if len(history) > 2 and history[-1][s] >= history[-3][s]:
         return "stalled (error sum not shrinking over two rounds)"
     if len(history) > _MAX_ROUNDS:
@@ -451,9 +469,11 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
     history = [[e.sum() for e in _segments(errs, counts)]]
     while True:
         thresholds = []
+        floored = errs <= kernels.ERR_FLOOR * (hi - lo)
+        at_floor = np.logical_and.reduceat(floored, np.cumsum([0] + counts[:-1])).tolist()
         for s, n in enumerate(counts):
             if running[s] and history[-1][s] > tols[s]:
-                stalls[s] = _stop_reason(history, s, n)
+                stalls[s] = _stop_reason(history, s, n, at_floor[s])
                 running[s] = stalls[s] is None
             else:
                 running[s] = False

@@ -250,13 +250,11 @@ class TestScanCommands:
         assert rc == 2
 
     def test_failing_scan_point_becomes_nan_with_warning(self, tmp_path, capsys):
-        # A tolerance below rounding fails every point; the scan still
-        # completes. (At a=0.8 the K61 and G30 sums of the one panel agree
-        # to the bit, so 1e-300 would count as met there.)
+        # an unreachable tolerance fails every point; the scan still completes
         out = tmp_path / "nan.csv"
         rc = main([
             "scan-acceleration", "--k0", "2", "--L", "4", "--lambda", "1",
-            "--scan-min", "1.2", "--scan-max", "2.0", "--scan-steps", "3",
+            "--scan-min", "0.8", "--scan-max", "1.6", "--scan-steps", "3",
             "--eval-at", "60", "--tol", "1e-300", "--out", str(out),
         ])
         assert rc == 0

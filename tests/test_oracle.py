@@ -181,8 +181,7 @@ class TestEvolveTrotter:
         try:
             start = time.thread_time()
             with pytest.raises(NumericalFailure, match=(
-                r"steps=2000000000, cutoff=40 is 3200000000000, "
-                r"over the Trotter work cap 100000000"
+                r"steps is 2000000000, over the Trotter step cap 100000000"
             )):
                 evolve_trotter(tm, lambda t: np.zeros_like(t), 2.0, 2_000_000_000)
             elapsed = time.thread_time() - start
@@ -190,6 +189,19 @@ class TestEvolveTrotter:
         finally:
             tracemalloc.stop()
         assert elapsed < 0.01 and peak < 1e5
+
+    def test_steps_at_the_cap_are_accepted(self):
+        # The cap lets the largest step count through to the drive check;
+        # a one-sample drive array fails there without building the grid.
+        steps = oracle._MAX_TROTTER_STEPS
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match=f"expected \\({steps},\\)"):
+                evolve_trotter(TruncatedMode(60, 1.0), np.zeros(1), 2.0, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
     def test_zero_drive_is_identity(self):
         tm = TruncatedMode(20, 1.0)

@@ -339,6 +339,17 @@ class TestChiQuadrature:
         assert np.any(errs > 1e-300)
         assert np.all(np.isfinite(vals))
 
+    def test_tolerance_below_the_rounding_floor_stalls(self):
+        # One starting panel on which K61 and G30 agree to the bit: the
+        # estimate is the rounding floor, not 0, and tol=1e-300 stalls.
+        mode = ModeSpec(2, 4.0, 1.0)
+        traj = TrajectorySpec.accelerated(0.8, 1.0, 4.0)
+        with pytest.raises(NumericalFailure, match="stalled at the rounding floor") as exc_info:
+            chi_quadrature(mode, CouplingSpec(1.0), traj, 60.0, tol=1e-300)
+        best = exc_info.value.best
+        assert best.err_estimate > 0.0
+        assert best.value == chi_quadrature(mode, CouplingSpec(1.0), traj, 60.0).value
+
     def test_unreachable_tolerance_reports_stall(self):
         mode = ModeSpec(2, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
@@ -663,6 +674,23 @@ class TestChiModeSum:
         finally:
             tracemalloc.stop()
         assert elapsed < 0.01 and peak < 1e5
+
+    def test_block_edge_table_over_the_cap_fails_before_allocating(self):
+        # Each of the 64 heavy modes starts from about 133k uniform panels,
+        # under the per-mode cap; the block's table of 8.5M is not.
+        cavity = CavityConfig(4.0, 1000.0, 1)
+        traj = TrajectorySpec.accelerated(1e-7, 1.0, cavity.L)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalFailure, match=(
+                r"edge table of modes k=1\.\.64 up to tau=5000\.0 is 8499136, "
+                r"over the edge table cap 6400000"
+            )):
+                chi_mode_sum(cavity, CouplingSpec(0.5), traj, 5000.0, k_max=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
     def test_k_max_is_checked_first(self, small_cavity):
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
