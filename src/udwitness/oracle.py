@@ -207,9 +207,9 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 #: Largest step count of one Trotter product. The times and drive samples
 #: take 16 bytes a step (tracemalloc peak of 16.1 MB at 1e6 steps), 1.6 GB
 #: at the cap, and a step takes 6.7 us at cutoff 2 and 74 us at cutoff 60
-#: (2-vCPU x86-64 host, OpenBLAS), so the cap runs for 11 minutes to two
-#: hours: only step counts that cannot run in reasonable time or memory
-#: are refused.
+#: (2-vCPU x86-64 host, OpenBLAS), so a product at the cap runs for 11
+#: minutes (cutoff 2) to two hours (cutoff 60): only step counts that
+#: cannot run in reasonable time or memory are refused.
 _MAX_TROTTER_STEPS = 10**8
 
 

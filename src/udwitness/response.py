@@ -399,14 +399,16 @@ def _segments(x, counts):
         a += n
 
 
-def _stop_reason(history, s, n, at_floor):
+def _stop_reason(history, s, n, floor):
     """Why segment s, with n panels, stops refining short of its tolerance.
 
-    ``at_floor`` says that every panel estimate of the segment sits at the
-    kernel's rounding floor, which no split lowers.
+    ``floor`` is the segment's rounding floor, eps times its span: its
+    panels' floors ERR_FLOOR*(hi - lo) add up to it within n ulps, and no
+    split lowers it. An error sum at the floor (to 1e-9 relative, far
+    above those ulps) leaves nothing that a split could remove.
     """
-    if at_floor:
-        return "stalled at the rounding floor (every panel estimate at eps times its length)"
+    if history[-1][s] <= floor * (1.0 + 1e-9):
+        return "stalled at the rounding floor (error sum at eps times the span)"
     if len(history) > 2 and history[-1][s] >= history[-3][s]:
         return "stalled (error sum not shrinking over two rounds)"
     if len(history) > _MAX_ROUNDS:
@@ -431,8 +433,9 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
 
     Returns (lo, hi, vals, errs, counts, stalls): segment s owns the
     counts[s] panels after those of segments 0..s-1; ``stalls[s]`` is None
-    on convergence, else why its refinement stopped: its error sum has not
-    shrunk over two rounds, or the round or panel cap was hit.
+    on convergence, else why its refinement stopped: its error sum sits at
+    the kernel's rounding floor, which no split lowers, it has not shrunk
+    over two rounds, or the round or panel cap was hit.
 
     The stall rule assumes edges on which the embedded G30 rule is in its
     convergent range. sin(A)*exp(i*omega*t) is a sum of two exponentials
@@ -457,6 +460,7 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
     lo = np.delete(edges, offsets[1:] - 1)
     hi = np.delete(edges, offsets[:-1])
     counts, tols = (np.diff(offsets) - 1).tolist(), np.asarray(tol).tolist()
+    floors = (kernels.ERR_FLOOR * (edges[offsets[1:] - 1] - edges[offsets[:-1]])).tolist()
 
     def integrate(per_segment, a, b):
         """Kernel call on panels a..b, per_segment[s] of them from segment s."""
@@ -469,11 +473,9 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
     history = [[e.sum() for e in _segments(errs, counts)]]
     while True:
         thresholds = []
-        floored = errs <= kernels.ERR_FLOOR * (hi - lo)
-        at_floor = np.logical_and.reduceat(floored, np.cumsum([0] + counts[:-1])).tolist()
         for s, n in enumerate(counts):
             if running[s] and history[-1][s] > tols[s]:
-                stalls[s] = _stop_reason(history, s, n, at_floor[s])
+                stalls[s] = _stop_reason(history, s, n, floors[s])
                 running[s] = stalls[s] is None
             else:
                 running[s] = False
