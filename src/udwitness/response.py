@@ -598,8 +598,8 @@ def chi_series(
     Returns (values, err_estimates, branch). Closed-form branches carry
     zero error; the quadrature branch returns its best estimates even when
     refinement stalls (callers decide per-sample validity from the errors),
-    and raises NumericalFailure only when a mode would start from more
-    panels than the cap.
+    and raises NumericalFailure only when the starting panels would exceed
+    a cap.
     """
     vals, errs, branch, _ = _chi_grid(mode, coupling, traj, taus, tol, force_quadrature)
     return vals, errs, branch
