@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalFailure
+from .errors import InvalidParameterError, NumericalFailure, _check_cap
 from .field import CavityConfig
 from .oracle import run_oracle_suite
 from .response import CouplingSpec
@@ -38,6 +38,16 @@ from .witness import (
 )
 
 _CSV_HEADER = "tau,re_chi,im_chi,re_w,im_w,abs_w,violates"
+
+#: Largest --samples of a time grid. A witness run traces 358 bytes and
+#: takes 7-8 us a sample, mostly for its CSV lines, static or accelerated
+#: (measured at 1e5 and 1e6 samples): about 1.8 GB and 40 s at the cap.
+_MAX_SAMPLES = 5_000_000
+
+#: Largest --scan-steps of a scan. A step takes 1.0-2.8 ms and traces
+#: 200-350 bytes (a velocity point on the default 6000-sample grid, an
+#: asymptote point), so a scan at the cap runs for 17-47 minutes.
+_MAX_SCAN_STEPS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -165,8 +175,9 @@ def _cavity_and_coupling(args):
 def _grid(args) -> np.ndarray:
     if args.samples < 1:
         raise InvalidParameterError(f"--samples {args.samples}: the grid would be empty")
-    if not args.tau_max > 0:
-        raise InvalidParameterError(f"--tau-max {args.tau_max} must be positive")
+    _check_cap("--samples", args.samples, "sample", _MAX_SAMPLES)
+    if not 0 < args.tau_max < math.inf:
+        raise InvalidParameterError(f"--tau-max {args.tau_max} must be positive and finite")
     return np.linspace(0.0, args.tau_max, args.samples)
 
 
@@ -226,6 +237,19 @@ def cmd_witness(args) -> int:
     return 0
 
 
+def _scan_values(args, what: str, need: str, upper: float = math.inf) -> np.ndarray:
+    """The --scan-steps values from --scan-min to --scan-max, 0 < min < max < ``upper``."""
+    for option, value in (("--scan-min", args.scan_min), ("--scan-max", args.scan_max)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{option} {value} must be finite")
+    if not 0.0 < args.scan_min < args.scan_max < upper:
+        raise InvalidParameterError(f"{what} range [{args.scan_min}, {args.scan_max}] {need}")
+    if args.scan_steps < 1:
+        raise InvalidParameterError(f"--scan-steps {args.scan_steps} must be >= 1")
+    _check_cap("--scan-steps", args.scan_steps, "scan step", _MAX_SCAN_STEPS)
+    return np.linspace(args.scan_min, args.scan_max, args.scan_steps)
+
+
 def _run_scan(values, evaluate, jobs: int):
     """Evaluate scan points (optionally in parallel); failures become NaN."""
     if jobs < 1:
@@ -253,12 +277,7 @@ def _run_scan(values, evaluate, jobs: int):
 def cmd_scan_velocity(args) -> int:
     state = parse_state(args.state)
     cavity, coupling = _cavity_and_coupling(args)
-    if not 0.0 < args.scan_min < args.scan_max < 1.0:
-        raise InvalidParameterError(
-            f"velocity range [{args.scan_min}, {args.scan_max}] must lie inside (0, 1)"
-        )
-    if args.scan_steps < 1:
-        raise InvalidParameterError(f"--scan-steps {args.scan_steps} must be >= 1")
+    vels = _scan_values(args, "velocity", "must lie inside (0, 1)", upper=1.0)
     taus = _grid(args)
     t1 = 0.0 if args.t1 is None else args.t1
     t2 = args.tau_max if args.t2 is None else args.t2
@@ -268,7 +287,6 @@ def cmd_scan_velocity(args) -> int:
         series = witness_series(state, cavity, coupling, traj, taus, tol=args.tol)
         return time_averaged_witness(series, t1, t2)
 
-    vels = np.linspace(args.scan_min, args.scan_max, args.scan_steps)
     metrics = _run_scan(vels, evaluate, args.jobs)
     lines = ["velocity,avg_abs_w"]
     lines += [f"{_fmt(v)},{_fmt(m)}" for v, m in zip(vels, metrics)]
@@ -296,13 +314,7 @@ def _scan_asymptote(args, values, state_of, traj_of) -> list[float]:
 
 def cmd_scan_acceleration(args) -> int:
     state = parse_state(args.state)
-    if not 0.0 < args.scan_min < args.scan_max:
-        raise InvalidParameterError(
-            f"acceleration range [{args.scan_min}, {args.scan_max}] must be positive and increasing"
-        )
-    if args.scan_steps < 1:
-        raise InvalidParameterError(f"--scan-steps {args.scan_steps} must be >= 1")
-    accs = np.linspace(args.scan_min, args.scan_max, args.scan_steps)
+    accs = _scan_values(args, "acceleration", "must be positive and increasing")
     metrics = _scan_asymptote(
         args,
         accs,
@@ -319,17 +331,11 @@ def cmd_scan_alpha(args) -> int:
     base = parse_state(args.state)
     if base.family is not StateFamily.CAT:
         raise InvalidParameterError("--state must be a cat state for scan-alpha")
-    if not 0.0 < args.scan_min < args.scan_max:
-        raise InvalidParameterError(
-            f"alpha0 range [{args.scan_min}, {args.scan_max}] must be positive and increasing"
-        )
-    if args.scan_steps < 1:
-        raise InvalidParameterError(f"--scan-steps {args.scan_steps} must be >= 1")
+    alphas = _scan_values(args, "alpha0", "must be positive and increasing")
     cavity, _ = _cavity_and_coupling(args)
     traj = parse_traj(args.traj, cavity.x0, cavity.L)
     if traj.kind is not TrajectoryKind.ACCELERATED:
         raise InvalidParameterError("scan-alpha requires an accel:A trajectory")
-    alphas = np.linspace(args.scan_min, args.scan_max, args.scan_steps)
     metrics = _scan_asymptote(
         args,
         alphas,

@@ -11,16 +11,16 @@ oscillation-aware adaptive quadrature. Once the detector reaches the
 right wall the integrand vanishes (F_k(L) = 0), so every chi_k freezes
 at its wall-arrival value; the integration explicitly stops there.
 
-Every chi comes from one grid evaluation (chi_series); the scalar entry
-points are its 0-d calls. Every quadrature chi (accelerated, or any
-worldline with force_quadrature) comes from one driver, _quadrature:
-modes ks and a tau grid in, chi[k, tau] out. Each mode is one segment of
-a single adaptive pass (_adaptive_panels) from starting panels of up to
-twelve half cycles with the grid times inserted as edges (_block_edges),
-and chi at a grid time is a sequential prefix sum of its mode's panels,
-so a mode's values are the same bits alone or in a block. A single chi
-is a call with one mode; the mode sum (chi_mode_sum) calls it per block
-of _MODE_BLOCK modes at one time.
+Every chi comes from one dispatch over modes and times, _chi_modes: the
+closed forms, or one driver, _quadrature, for every quadrature chi
+(accelerated, or any worldline with force_quadrature). A series
+(chi_series, and the scalar entry points as its 0-d calls) is one mode;
+chi_modes and its sum chi_mode_sum take _MODE_BLOCK modes to a pass. In
+_quadrature each mode is one segment of a single adaptive pass
+(_adaptive_panels) from starting panels of up to twelve half cycles with
+the grid times inserted as edges (_block_edges), and chi at a grid time
+is a sequential prefix sum of its mode's panels, so a mode's values are
+the same bits alone or in a block.
 
 The inertial closed form is evaluated in one
 cancellation-free form, exact through the resonance where the
@@ -58,8 +58,8 @@ _MAX_PANELS = 400_000
 #: block of 6.39M entries traced a 160 MB peak in 0.17 s.
 _MAX_EDGE_TABLE = 16 * _MAX_PANELS
 _MAX_ROUNDS = 48
-#: Largest k_max of a mode sum. A closed-form sum traces 80-120 bytes per
-#: mode, 120 MB at the cap, and takes about 5 s there.
+#: Largest k_max of a mode sum. A closed-form sum traces 88-120 bytes per
+#: mode, 120 MB at the cap, and takes 1.5-1.7 s there.
 _MAX_MODES = 1_000_000
 
 #: Modes per block of a mode sum. An accelerated block is one batched
@@ -153,7 +153,7 @@ def _crossing_frequency(k, L: float, v: float):
 def _closed_form(lam, k, L, omega, traj: TrajectorySpec, taus):
     """chi of mode(s) k at ``taus`` on a static or inertial worldline.
 
-    ``k`` and ``omega`` are a scalar or matching arrays of modes and
+    ``k`` and ``omega`` are scalars or matching arrays of modes that
     broadcast against ``taus``. The inertial integrand
     sin(omega_L*t + phi)*exp(i*omega*t) splits into a fast and a slow
     exponential, each integrated by _seg, so nothing cancels as
@@ -200,7 +200,8 @@ def _checked_times(taus, traj: TrajectorySpec):
 
 
 def _checked_phase(omega, taus, traj=None):
-    """InvalidParameterError unless the phase omega*tau is finite over ``taus``.
+    """The last time chi integrates to over ``taus``; InvalidParameterError
+    unless the phase omega*tau is finite up to it.
 
     chi is frozen past the wall-arrival time of ``traj``, so the phase
     counts only up to it.
@@ -213,6 +214,7 @@ def _checked_phase(omega, taus, traj=None):
         raise InvalidParameterError(
             f"phase omega*tau is not finite for omega={omega} at tau={t_end}"
         )
+    return t_end
 
 
 def _stall_text(tol, k, reason, err_estimate, detail=""):
@@ -223,37 +225,41 @@ def _stall_text(tol, k, reason, err_estimate, detail=""):
     )
 
 
-def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
-    """(values, errors, branch, stall) of chi on the grid ``taus``: the branch dispatch.
+def _chi_modes(ks, omega, L, coupling, traj, taus, tol, quad):
+    """(chi, err, stalls) of modes ``ks`` (frequencies ``omega``) on the grid ``taus``.
 
-    ``stall`` is None unless the quadrature stopped short of ``tol``; the
-    values are then its best estimates.
+    The one branch dispatch: all modes by their closed forms at once, with
+    zero error, or with ``quad`` by _quadrature, one pass per _MODE_BLOCK
+    modes. chi[j] and err[j] are shaped like ``taus``; stalls[j] is None
+    unless mode j stopped short of ``tol``, at its best estimates.
     """
     taus = _checked_times(taus, traj)
-    _checked_phase(mode.omega, taus, traj)
+    t_end = _checked_phase(float(omega.max()), taus, traj)
     if not tol > 0:
         raise InvalidParameterError(f"tolerance tol={tol} must be positive")
-    if force_quadrature or traj.kind is TrajectoryKind.ACCELERATED:
-        chis, errs, (stall,) = _quadrature(
-            np.array([mode.k]), np.array([mode.omega]), mode.L, coupling, traj, taus, tol
-        )
-        return chis[0], errs[0], ChiBranch.QUADRATURE, stall
-    vals = _closed_form(coupling.lam, mode.k, mode.L, mode.omega, traj, taus)
-    return vals, np.zeros(taus.shape), _closed_branch(mode, traj), None
+    if not quad:
+        per_mode = (-1,) + (1,) * taus.ndim
+        k, w = ks.reshape(per_mode), omega.reshape(per_mode)
+        if ks.size == 1:
+            # As Python scalars: a 1-element mode axis made a 6000-sample
+            # series 4-6% slower, and velocity-average run_s 4% slower.
+            k, w = ks.item(), omega.item()
+        chi = _closed_form(coupling.lam, k, L, w, traj, taus).reshape((ks.size,) + taus.shape)
+        return chi, np.zeros(chi.shape), [None] * ks.size
+    blocks = [slice(i, i + _MODE_BLOCK) for i in range(0, ks.size, _MODE_BLOCK)]
+    chis, errs, stalls = zip(*(
+        _quadrature(ks[b], omega[b], L, coupling, traj, taus, t_end, tol) for b in blocks
+    ))
+    return np.concatenate(chis), np.concatenate(errs), [s for block in stalls for s in block]
 
 
-def _chi_at(mode, coupling, traj, tau, tol=DEFAULT_TOL, force_quadrature=False) -> ChiValue:
-    """chi at one time: the grid evaluation at [tau].
-
-    A quadrature stall raises NumericalFailure with the best ChiValue.
-    """
-    vals, errs, branch, stall = _chi_grid(mode, coupling, traj, [tau], tol, force_quadrature)
-    c = ChiValue(complex(vals[0]), branch, float(errs[0]))
-    if stall is not None:
-        raise NumericalFailure(
-            _stall_text(tol, mode.k, stall, c.err_estimate), best=c, err_estimate=c.err_estimate
-        )
-    return c
+def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
+    """(values, errors, branch, stall) of one mode's chi on the grid ``taus``."""
+    quad = force_quadrature or traj.kind is TrajectoryKind.ACCELERATED
+    chis, errs, (stall,) = _chi_modes(
+        np.array([mode.k]), np.array([mode.omega]), mode.L, coupling, traj, taus, tol, quad
+    )
+    return chis[0], errs[0], ChiBranch.QUADRATURE if quad else _closed_branch(mode, traj), stall
 
 
 def chi_static(mode: ModeSpec, coupling: CouplingSpec, x0: float, tau: float) -> ChiValue:
@@ -262,7 +268,7 @@ def chi_static(mode: ModeSpec, coupling: CouplingSpec, x0: float, tau: float) ->
     |chi|^2 = 4*(lam*F/omega)^2 * sin^2(omega*tau/2), periodic in tau
     with period 2*pi/omega.
     """
-    return _chi_at(mode, coupling, TrajectorySpec.static(x0, mode.L), tau)
+    return chi(mode, coupling, TrajectorySpec.static(x0, mode.L), tau)
 
 
 def chi_inertial_analytic(
@@ -280,7 +286,7 @@ def chi_inertial_analytic(
             f"tau={tau} exceeds the wall-arrival time {t_wall}; "
             "the closed form only covers the moving segment"
         )
-    c = _chi_at(mode, coupling, traj, tau)
+    c = chi(mode, coupling, traj, tau)
     if not np.isfinite(c.value):
         raise NumericalFailure(
             f"non-finite inertial response at tau={tau} "
@@ -502,8 +508,8 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
     return lo, hi, vals, errs, counts, stalls
 
 
-def _quadrature(ks, omega, L, coupling, traj, taus, tol):
-    """chi of modes ``ks`` at every grid time in one adaptive pass.
+def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol):
+    """chi of modes ``ks`` at every grid time in one adaptive pass up to ``t_end``.
 
     Each mode is one segment of a single _adaptive_panels pass, from the
     edges of _block_edges with the grid times inserted, so each
@@ -517,11 +523,6 @@ def _quadrature(ks, omega, L, coupling, traj, taus, tol):
     stalls[j] is None on convergence, else why its refinement stopped (the
     values are then its best estimates).
     """
-    taus = np.asarray(taus, dtype=float)
-    t_end = float(np.max(taus)) if taus.size else 0.0
-    t_wall = wall_time(traj)
-    if t_wall is not None:
-        t_end = min(t_end, t_wall)
     if coupling.lam == 0.0 or t_end <= 0.0:
         shape = (ks.size,) + taus.shape
         return np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size
@@ -564,7 +565,7 @@ def chi_quadrature(
     The returned err_estimate is a truncation estimate (the panels'
     summed |K61 - G30|), not a bound: see ChiValue.
     """
-    return _chi_at(mode, coupling, traj, tau, tol, force_quadrature=True)
+    return chi(mode, coupling, traj, tau, tol, force_quadrature=True)
 
 
 def chi(
@@ -575,14 +576,21 @@ def chi(
     tol: float = DEFAULT_TOL,
     force_quadrature: bool = False,
 ) -> ChiValue:
-    """Response amplitude with branch dispatch.
+    """Response amplitude at one time: the grid evaluation at [tau].
 
     Static and inertial trajectories use their closed forms (clamped at the
     wall-arrival time, past which chi is frozen); accelerated motion goes
     through quadrature. ``force_quadrature`` routes everything through
-    quadrature, for validation runs.
+    quadrature, for validation runs. A quadrature stall raises
+    NumericalFailure with the best ChiValue.
     """
-    return _chi_at(mode, coupling, traj, tau, tol, force_quadrature)
+    vals, errs, branch, stall = _chi_grid(mode, coupling, traj, [tau], tol, force_quadrature)
+    c = ChiValue(complex(vals[0]), branch, float(errs[0]))
+    if stall is not None:
+        raise NumericalFailure(
+            _stall_text(tol, mode.k, stall, c.err_estimate), best=c, err_estimate=c.err_estimate
+        )
+    return c
 
 
 def chi_series(
@@ -605,6 +613,44 @@ def chi_series(
     return vals, errs, branch
 
 
+def _abs2_sum(chis) -> float:
+    """Sum_k |chi_k|^2 by Python's abs and ** per mode, as on a ChiValue
+    (np.abs and numpy's square of the same value can differ in the last bit)."""
+    return float(np.sum([abs(c) ** 2 for c in chis.tolist()]))
+
+
+def chi_modes(
+    cavity: CavityConfig,
+    coupling: CouplingSpec,
+    traj: TrajectorySpec,
+    tau: float,
+    k_max: int,
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """chi_k(tau) of cavity modes k = 1..k_max, as a complex array.
+
+    An accelerated chi_k is bit-identical to chi_quadrature's. A stall is
+    raised once every mode is evaluated: NumericalFailure names the first
+    stalled k, with Sum_k |chi_k|^2 at the best estimates as ``best``.
+    """
+    if not isinstance(k_max, numbers.Integral) or k_max < 1:
+        raise InvalidParameterError(f"k_max={k_max} must be an integer >= 1")
+    _check_cap("k_max", k_max, "mode", _MAX_MODES)
+    ks = np.arange(1, k_max + 1)
+    omega = np.array([mode_frequency(k, cavity.L, cavity.m) for k in range(1, k_max + 1)])
+    quad = traj.kind is TrajectoryKind.ACCELERATED
+    chis, errs, stalls = _chi_modes(ks, omega, cavity.L, coupling, traj, tau, tol, quad)
+    failed = [j for j, stall in enumerate(stalls) if stall is not None]
+    if failed:
+        j, detail = failed[0], f"; {len(failed)} of modes 1..{k_max} stalled"
+        raise NumericalFailure(
+            _stall_text(tol, ks[j], stalls[j], errs[j], detail),
+            best=_abs2_sum(chis),
+            err_estimate=float(errs[j]),
+        )
+    return chis
+
+
 def chi_mode_sum(
     cavity: CavityConfig,
     coupling: CouplingSpec,
@@ -613,60 +659,11 @@ def chi_mode_sum(
     k_max: int,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Sum_k |chi_k(tau)|^2 over cavity modes 1..k_max.
+    """Sum_k |chi_k(tau)|^2 of chi_modes over modes 1..k_max, an exact truncation
+    for matched-truncation use, e.g. against a mode-by-mode simulation.
 
-    The truncation is exact (matched-truncation use, e.g. against a
-    mode-by-mode simulation). Accelerated modes are evaluated a block of
-    _MODE_BLOCK (64) at a time as one batched quadrature (see
-    _abs2_block), each |chi_k|^2 bit-identical to chi_quadrature's. A mode
-    whose quadrature stalls raises NumericalFailure naming k and the
-    reason, with the partial sum over the modes evaluated so far (the
-    failing block's at their best estimates) as ``best``.
+    Each term is abs(chi_k)**2 on a Python complex, so an accelerated term is
+    bit-identical to abs(chi_quadrature(...).value)**2. A stall raises
+    chi_modes' NumericalFailure, whose ``best`` is this sum.
     """
-    if not tol > 0:
-        raise InvalidParameterError(f"tolerance tol={tol} must be positive")
-    _checked_times(tau, traj)
-    if not isinstance(k_max, numbers.Integral) or k_max < 1:
-        raise InvalidParameterError(f"k_max={k_max} must be an integer >= 1")
-    _check_cap("k_max", k_max, "mode", _MAX_MODES)
-    _checked_phase(mode_frequency(k_max, cavity.L, cavity.m), tau, traj)
-    if coupling.lam == 0.0 or tau == 0.0:
-        return 0.0
-    return float(np.sum(_abs2_block(np.arange(1, k_max + 1), cavity, coupling, traj, tau, tol)))
-
-
-def _abs2_block(ks, cavity, coupling, traj, tau, tol):
-    """|chi_k(tau)|^2 for an array of mode indices.
-
-    Static and inertial modes use their closed forms. Accelerated modes go
-    through _quadrature in blocks of _MODE_BLOCK: one adaptive quadrature
-    per block, each value bit-identical to
-    abs(chi_quadrature(mode_k, ...).value)**2. A stalled mode raises
-    NumericalFailure with the float sum over ks evaluated so far as
-    ``best``.
-    """
-    ks = np.asarray(ks)
-    omega = np.array([mode_frequency(int(k), cavity.L, cavity.m) for k in ks])
-    if traj.kind is not TrajectoryKind.ACCELERATED:
-        return np.abs(_closed_form(coupling.lam, ks, cavity.L, omega, traj, tau)) ** 2
-    out = np.zeros(ks.shape)
-    for i in range(0, ks.size, _MODE_BLOCK):
-        block = ks[i:i + _MODE_BLOCK]
-        chis, errs, stalls = _quadrature(
-            block, omega[i:i + _MODE_BLOCK], cavity.L, coupling, traj, [tau], tol
-        )
-        # Python's abs and ** per mode, as on a ChiValue: np.abs and numpy's
-        # square of the same value can differ in the last bit.
-        out[i:i + block.size] = [abs(complex(c)) ** 2 for c in chis[:, 0]]
-        failed = [j for j, stall in enumerate(stalls) if stall is not None]
-        if failed:
-            j = failed[0]
-            raise NumericalFailure(
-                _stall_text(
-                    tol, block[j], stalls[j], errs[j, 0],
-                    f"; {len(failed)} of the {block.size} modes {block[0]}..{block[-1]} stalled",
-                ),
-                best=float(np.sum(out[:i + block.size])),
-                err_estimate=float(errs[j, 0]),
-            )
-    return out
+    return _abs2_sum(chi_modes(cavity, coupling, traj, tau, k_max, tol))

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalFailure
+from .errors import InvalidParameterError, NumericalFailure, _check_cap
 from .field import CavityConfig
 from .response import (
     DEFAULT_TOL,
@@ -44,6 +44,10 @@ from .trajectory import TrajectoryKind, TrajectorySpec, wall_time
 BOUND_EPS = 1e-9
 
 _COSH_OVERFLOW = 700.0
+
+#: Largest Laguerre degree, the Fock N of a witness. The recurrence takes
+#: 2.5 us a degree on one sample and 17 us on 2000: 2.5 and 17 s at the cap.
+_MAX_LAGUERRE_DEGREE = 1_000_000
 
 
 class StateFamily(Enum):
@@ -108,6 +112,7 @@ def laguerre(n: int, x):
     """
     if n < 0 or n != int(n):
         raise InvalidParameterError(f"Laguerre degree N={n} must be a non-negative integer")
+    _check_cap("the Laguerre degree N", n, "degree", _MAX_LAGUERRE_DEGREE)
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if n == 0:
@@ -142,8 +147,8 @@ def extract_witness(w_ratio: complex, chi_sum: float) -> complex:
     """
     if not np.isfinite(w_ratio):
         raise InvalidParameterError(f"coherence ratio {w_ratio} is not finite")
-    if chi_sum < 0:
-        raise InvalidParameterError(f"chi_sum={chi_sum} must be non-negative")
+    if not 0 <= chi_sum < math.inf:
+        raise InvalidParameterError(f"chi_sum={chi_sum} must be non-negative and finite")
     if 2.0 * chi_sum > _COSH_OVERFLOW:
         raise NumericalFailure(
             f"decoherence exponent 2*chi_sum={2.0 * chi_sum} overflows double precision"

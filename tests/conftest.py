@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -21,3 +23,24 @@ def fig_coupling():
 def small_cavity():
     """Desk-scale cavity for oracle runs."""
     return CavityConfig(L=4.0, m=1.0, k0=2)
+
+
+@pytest.fixture(scope="session")
+def fails_fast():
+    """check(fn, exc, match): fn() raises ``exc`` matching ``match`` within
+    10 ms of thread time and a traced peak of 100 kB, so the refused work
+    was never allocated."""
+
+    def check(fn, exc, match):
+        tracemalloc.start()
+        try:
+            start = time.thread_time()
+            with pytest.raises(exc, match=match):
+                fn()
+            elapsed = time.thread_time() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01 and peak < 1e5
+
+    return check

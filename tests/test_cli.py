@@ -1,3 +1,4 @@
+import argparse
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 from udwitness import cli
 from udwitness.cli import main, parse_state, parse_traj
-from udwitness.errors import InvalidParameterError
+from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.trajectory import TrajectoryKind
 from udwitness.witness import StateFamily
 
@@ -309,6 +310,61 @@ class TestOracleCommand:
 
     def test_unknown_state_rejected(self):
         assert main(["oracle", "--states", "squeezed"]) == 2
+
+    def test_basis_over_the_cap_fails_its_checks_with_exit_3(self, capsys):
+        rc = main(["oracle", "--states", "coherent", "--kmax", "4", "--cutoff", "20000",
+                   "--no-trotter"])
+        assert rc == 3
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 4 and out.count("over the basis cap 4096") == 4
+
+
+class TestWorkCaps:
+    """Grid sizes, scan sizes and the Fock degree are refused before any work."""
+
+    def test_samples_over_the_cap_fail_before_the_grid(self, fails_fast):
+        args = argparse.Namespace(samples=2_000_000_000, tau_max=50.0)
+        fails_fast(
+            lambda: cli._grid(args),
+            NumericalFailure,
+            "--samples is 2000000000, over the sample cap 5000000",
+        )
+
+    def test_scan_steps_over_the_cap_fail_before_the_scan(self, fails_fast):
+        args = argparse.Namespace(scan_min=0.1, scan_max=2.0, scan_steps=2_000_000_000)
+        fails_fast(
+            lambda: cli._scan_values(args, "acceleration", "must be positive and increasing"),
+            NumericalFailure,
+            "--scan-steps is 2000000000, over the scan step cap 1000000",
+        )
+
+    @pytest.mark.parametrize("argv, cap", [
+        (["witness", "--samples", "2000000000"], "sample cap 5000000"),
+        (["witness", "--state", "fock:100000000"], "degree cap 1000000"),
+        (["scan-velocity", "--scan-steps", "2000000000"], "scan step cap 1000000"),
+        (["scan-acceleration", "--scan-steps", "2000000000"], "scan step cap 1000000"),
+        (["scan-alpha", "--state", "cat:1", "--scan-steps", "2000000000"], "scan step cap 1000000"),
+    ])
+    def test_oversized_run_exits_3(self, tmp_path, capsys, argv, cap):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert cap in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["scan-acceleration", "--scan-max", "inf"], "--scan-max inf"),
+        (["scan-acceleration", "--scan-min=-inf"], "--scan-min -inf"),
+        (["scan-alpha", "--state", "cat:1", "--scan-max", "inf"], "--scan-max inf"),
+        (["scan-velocity", "--scan-min", "nan"], "--scan-min nan"),
+        (["witness", "--tau-max", "inf"], "--tau-max inf"),
+        (["scan-velocity", "--tau-max", "inf"], "--tau-max inf"),
+    ])
+    def test_non_finite_grid_or_scan_bound_is_invalid(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert option in err and "finite" in err
+        assert not out.exists()
 
 
 class TestDeterminism:

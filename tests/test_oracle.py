@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from udwitness import oracle
+from udwitness import oracle, response
 from udwitness.errors import InvalidParameterError, NumericalFailure, TruncationTooSmall
 from udwitness.field import ModeSpec, mode_function
 from udwitness.oracle import (
@@ -150,6 +150,14 @@ class TestDisplacement:
     def test_cutoff_validation(self):
         with pytest.raises(InvalidParameterError):
             TruncatedMode(1, 1.0)
+
+    def test_basis_over_the_cap_fails_before_allocating(self, fails_fast):
+        # Cutoff 20000 pads to 20591 levels: a 3.4 GB eigendecomposition.
+        fails_fast(
+            lambda: displacement_matrix(TruncatedMode(20000, 1.0), 1.0),
+            NumericalFailure,
+            "the padded basis size is 20591, over the basis cap 4096",
+        )
 
 
 class TestEvolveClosedForm:
@@ -426,6 +434,31 @@ class TestEndToEnd:
         )
         assert rep.gap < 1e-8
         assert abs(abs(rep.extracted) - 1.0) < 1e-8
+
+    def test_chi_is_evaluated_once(self, small_cavity, monkeypatch):
+        # One chi_modes call feeds both the traces and the mode sum; no
+        # scalar chi is evaluated.
+        calls = []
+        chi_modes = response.chi_modes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return chi_modes(*args, **kwargs)
+
+        def scalar_chi(*args, **kwargs):
+            raise AssertionError("end_to_end_check called response.chi")
+
+        monkeypatch.setattr(response, "chi_modes", counted)
+        monkeypatch.setattr(response, "chi", scalar_chi)
+        for traj in (
+            TrajectorySpec.static(small_cavity.x0, small_cavity.L),
+            TrajectorySpec.inertial(0.3, small_cavity.x0, small_cavity.L),
+        ):
+            rep = end_to_end_check(
+                StateSpec.fock(1), small_cavity, CouplingSpec(0.4), traj, 1.7, k_max=8, cutoff=30
+            )
+            assert rep.gap < 1e-6
+        assert len(calls) == 2
 
     def test_probed_mode_must_be_simulated(self, small_cavity):
         with pytest.raises(InvalidParameterError):

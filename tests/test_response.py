@@ -18,13 +18,13 @@ from udwitness.response import (
     ChiValue,
     CouplingSpec,
     _MODE_BLOCK,
-    _abs2_block,
     _adaptive_panels,
     _block_edges,
     _kernel_params,
     chi,
     chi_inertial_analytic,
     chi_mode_sum,
+    chi_modes,
     chi_quadrature,
     chi_series,
     chi_static,
@@ -564,7 +564,7 @@ class TestOnePath:
             traj = TrajectorySpec.inertial(0.3, small_cavity.x0, small_cavity.L)
         ks = np.arange(1, 41)
         for tau in (0.37, 1.7, 60.0):
-            got = _abs2_block(ks, small_cavity, coup, traj, tau, DEFAULT_TOL)
+            got = [abs(c) ** 2 for c in chi_modes(small_cavity, coup, traj, tau, ks.size).tolist()]
             for k, g in zip(ks, got):
                 vals, _, _ = chi_series(small_cavity.mode(int(k)), coup, traj, [tau])
                 ref = abs(vals[0]) ** 2
@@ -735,6 +735,21 @@ class TestChiModeSum:
         reachable = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=20)
         assert best == pytest.approx(reachable, rel=1e-9)
 
+    def test_stall_across_two_blocks_is_raised_after_both(self, small_cavity):
+        # Modes 1..80 fill one 64-mode block and part of a second; every
+        # mode stalls. The raise names the first stalled mode and counts the
+        # stalls of both blocks, and ``best`` sums all 80 best estimates.
+        coup = CouplingSpec(0.5)
+        traj = TrajectorySpec.accelerated(1.0, small_cavity.x0, small_cavity.L)
+        assert _MODE_BLOCK < 80 < 2 * _MODE_BLOCK
+        with pytest.raises(NumericalFailure, match="mode k=1: ") as exc_info:
+            chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=80, tol=1e-300)
+        assert "80 of modes 1..80 stalled" in str(exc_info.value)
+        reachable = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=80)
+        first_block = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=_MODE_BLOCK)
+        assert exc_info.value.best == pytest.approx(reachable, rel=1e-9)
+        assert reachable > first_block * (1.0 + 1e-3)
+
     def test_accelerated_sum_memory_stays_block_sized(self):
         # One 256-mode sum holds one 64-mode block of edge and prefix-sum
         # tables at a time: 1.00 MB traced peak (0.68 MB with 16-mode
@@ -765,7 +780,7 @@ class TestModeBlocks:
         ks = np.arange(1, 41)
         assert ks.size % _MODE_BLOCK != 0
         for tau in (0.05, wall_time(traj) + 1.0):
-            got = _abs2_block(ks, cavity, coup, traj, tau, DEFAULT_TOL)
+            got = [abs(c) ** 2 for c in chi_modes(cavity, coup, traj, tau, ks.size).tolist()]
             ref = [abs(chi_quadrature(cavity.mode(int(k)), coup, traj, tau).value) ** 2 for k in ks]
             np.testing.assert_array_equal(got, ref)
 

@@ -64,6 +64,13 @@ class TestLaguerre:
         with pytest.raises(InvalidParameterError):
             laguerre(-1, 0.5)
 
+    def test_degree_over_the_cap_fails_before_the_loop(self, fails_fast):
+        fails_fast(
+            lambda: laguerre(2_000_000_000, np.zeros(2000)),
+            NumericalFailure,
+            "the Laguerre degree N is 2000000000, over the degree cap 1000000",
+        )
+
 
 class TestClosedForms:
     def test_fock_at_zero_response(self):
@@ -169,6 +176,11 @@ class TestExtractWitness:
             extract_witness(complex(math.inf, 0.0), 0.0)
         with pytest.raises(InvalidParameterError):
             extract_witness(1.0, -0.1)
+
+    @pytest.mark.parametrize("chi_sum", [math.nan, math.inf])
+    def test_rejects_non_finite_mode_sum(self, chi_sum):
+        with pytest.raises(InvalidParameterError, match="must be non-negative and finite"):
+            extract_witness(1.0, chi_sum)
 
 
 class TestStateSpec:
