@@ -39,15 +39,20 @@ from .witness import (
 
 _CSV_HEADER = "tau,re_chi,im_chi,re_w,im_w,abs_w,violates"
 
-#: Largest --samples of a time grid. A witness run traces 358 bytes and
-#: takes 7-8 us a sample, mostly for its CSV lines, static or accelerated
-#: (measured at 1e5 and 1e6 samples): about 1.8 GB and 40 s at the cap.
+#: Largest --samples of a time grid. A witness run traces 68 bytes a
+#: sample static and 93 accelerated, its numeric arrays, since the CSV rows
+#: are written as they are formatted, and takes 7.5-8 us a sample, mostly
+#: formatting (measured at 1e6 samples): about 470 MB and 40 s at the cap.
 _MAX_SAMPLES = 5_000_000
 
 #: Largest --scan-steps of a scan. A step takes 1.0-2.8 ms and traces
 #: 200-350 bytes (a velocity point on the default 6000-sample grid, an
 #: asymptote point), so a scan at the cap runs for 17-47 minutes.
 _MAX_SCAN_STEPS = 1_000_000
+
+#: Samples formatted per block of a witness CSV: the rows are written as
+#: they are formatted, so a run holds one block's Python values at a time.
+_ROW_BLOCK = 4096
 
 
 def _fmt(x: float) -> str:
@@ -181,29 +186,35 @@ def _grid(args) -> np.ndarray:
     return np.linspace(0.0, args.tau_max, args.samples)
 
 
-def _write(out: str, lines: list[str]):
-    text = "\n".join(lines) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+def _write(out: str, lines):
+    """Write ``lines``, any iterable of strings, LF-terminated to ``out``
+    ('-' for stdout) as they come, so no run holds its whole output."""
+    fh = sys.stdout if out == "-" else open(out, "w", newline="")
+    try:
+        fh.writelines(f"{line}\n" for line in lines)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
-def _series_lines(series) -> list[str]:
-    lines = [_CSV_HEADER]
-    for i, tau in enumerate(series.taus):
-        row = [
-            _fmt(tau),
-            _fmt(series.chi[i].real),
-            _fmt(series.chi[i].imag),
-            _fmt(series.w[i].real),
-            _fmt(series.w[i].imag),
-            _fmt(series.w_abs[i]),
-            "true" if series.violates[i] else "false",
-        ]
-        lines.append(",".join(row))
-    return lines
+def _series_lines(series):
+    """The CSV header, then one row per sample, formatted _ROW_BLOCK samples at a time."""
+    yield _CSV_HEADER
+    columns = (series.taus, series.chi, series.w, series.w_abs, series.violates)
+    for a in range(0, series.taus.size, _ROW_BLOCK):
+        block = slice(a, a + _ROW_BLOCK)
+        for tau, chi, w, w_abs, violates in zip(*(x[block].tolist() for x in columns)):
+            yield ",".join([
+                _fmt(tau), _fmt(chi.real), _fmt(chi.imag), _fmt(w.real), _fmt(w.imag),
+                _fmt(w_abs), "true" if violates else "false",
+            ])
+
+
+def _scan_lines(header: str, values, metrics):
+    """The CSV header, then one ``value,metric`` row per scan point."""
+    yield header
+    for v, m in zip(values, metrics):
+        yield f"{_fmt(v)},{_fmt(m)}"
 
 
 def cmd_witness(args) -> int:
@@ -288,9 +299,7 @@ def cmd_scan_velocity(args) -> int:
         return time_averaged_witness(series, t1, t2)
 
     metrics = _run_scan(vels, evaluate, args.jobs)
-    lines = ["velocity,avg_abs_w"]
-    lines += [f"{_fmt(v)},{_fmt(m)}" for v, m in zip(vels, metrics)]
-    _write(args.out, lines)
+    _write(args.out, _scan_lines("velocity,avg_abs_w", vels, metrics))
     return 0
 
 
@@ -321,9 +330,7 @@ def cmd_scan_acceleration(args) -> int:
         state_of=lambda a: state,
         traj_of=lambda a, cav: TrajectorySpec.accelerated(a, cav.x0, cav.L),
     )
-    lines = ["acceleration,asymptote_abs_w"]
-    lines += [f"{_fmt(a)},{_fmt(m)}" for a, m in zip(accs, metrics)]
-    _write(args.out, lines)
+    _write(args.out, _scan_lines("acceleration,asymptote_abs_w", accs, metrics))
     return 0
 
 
@@ -342,9 +349,7 @@ def cmd_scan_alpha(args) -> int:
         state_of=lambda a0: StateSpec.cat(a0),
         traj_of=lambda a0, cav: traj,
     )
-    lines = ["alpha0,asymptote_abs_w"]
-    lines += [f"{_fmt(a)},{_fmt(m)}" for a, m in zip(alphas, metrics)]
-    _write(args.out, lines)
+    _write(args.out, _scan_lines("alpha0,asymptote_abs_w", alphas, metrics))
     return 0
 
 

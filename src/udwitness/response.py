@@ -27,6 +27,13 @@ cancellation-free form, exact through the resonance where the
 mode-crossing frequency omega_L = k*pi*v/(L*sqrt(1-v^2)) matches omega_k
 and the envelope of |chi| grows linearly in tau. Inside a narrow band
 around that resonance the result is labelled INERTIAL_RESONANCE_LIMIT.
+
+The closed forms (static, inertial, and chi_static_amplitude for the
+oracle and a resting detector of given frequency) take the sin and
+1 - cos of every phase from one np.tan of its half angle
+(kernels._sin_versin, through _cis_m1 and _seg), the substitution the
+panel kernel uses: one SIMD tan per phase in place of two scalar libm
+sin calls.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ from .trajectory import TrajectoryKind, TrajectorySpec, wall_time
 #: with |omega_L - omega_k| below it carries the INERTIAL_RESONANCE_LIMIT
 #: label; the evaluation is the same cancellation-free form on both sides.
 DELTA_RES = 1e-6
+
+_TINY = float(np.finfo(float).tiny)
 
 #: Default absolute tolerance of the adaptive quadrature (on chi itself).
 DEFAULT_TOL = 1e-10
@@ -115,22 +124,29 @@ class CouplingSpec:
 
 
 def _cis_m1(theta):
-    """exp(i*theta) - 1 evaluated without cancellation near theta = 0 mod 2*pi."""
-    return -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
+    """exp(i*theta) - 1 = -(1 - cos theta) + i*sin theta, both parts from
+    one tan (kernels._sin_versin), without cancellation near theta = 0 mod 2*pi."""
+    sin, versin = kernels._sin_versin(theta)
+    return -versin + 1j * sin
 
 
 def _seg(mu, tau):
     """Integral of exp(i*mu*t) over [0, tau] as its (real, imaginary) parts.
 
-    (sin(mu*tau), 2*sin(mu*tau/2)**2)/mu, without cancellation for small
-    |mu*tau|; (tau, 0) where mu = 0. ``mu`` and ``tau`` are scalars or
-    arrays that broadcast together.
+    (sin(mu*tau), 1 - cos(mu*tau))/mu, both from one tan
+    (kernels._sin_versin), without cancellation for small |mu*tau|. Where
+    |mu| is below the smallest normal double (0 or subnormal), 1/mu can
+    overflow and halving mu*tau loses bits, so the limit (tau, 0) is
+    taken: the parts differ from it by about (mu*tau)**2/6 and mu*tau/2
+    relative to tau. ``mu`` and ``tau`` are scalars or arrays that
+    broadcast together.
     """
     mu = np.asarray(mu, dtype=float)
-    zero = mu == 0.0
-    theta = mu * tau
+    zero = np.abs(mu) < _TINY
     inv = 1.0 / np.where(zero, 1.0, mu)
-    re, im = np.sin(theta) * inv, 2.0 * inv * np.sin(0.5 * theta) ** 2
+    re, im = kernels._sin_versin(mu * tau)
+    re *= inv
+    im *= inv
     if zero.any():
         re, im = np.where(zero, tau, re), np.where(zero, 0.0, im)
     return re, im

@@ -282,9 +282,11 @@ def time_averaged_witness(series: WitnessSeries, t1: float, t2: float) -> float:
         raise NumericalFailure(
             "window contains invalid samples; tighten the tolerance or refine the grid"
         )
-    inner = taus[(taus > t1) & (taus < t2)]
-    xs = np.concatenate([[t1], inner, [t2]])
-    ys = np.interp(xs, taus, series.w_abs)
+    # Grid points lo + 1 .. hi - 1 lie strictly inside the window; only the
+    # two window ends need interpolating.
+    y1, y2 = np.interp([t1, t2], taus, series.w_abs)
+    xs = np.concatenate([[t1], taus[lo + 1 : hi], [t2]])
+    ys = np.concatenate([[y1], series.w_abs[lo + 1 : hi], [y2]])
     return float(np.trapezoid(ys, xs) / (t2 - t1))
 
 

@@ -21,6 +21,7 @@ from udwitness.response import (
     _adaptive_panels,
     _block_edges,
     _kernel_params,
+    _seg,
     chi,
     chi_inertial_analytic,
     chi_mode_sum,
@@ -555,6 +556,26 @@ class TestOnePath:
             chi(mode, coup, traj, 2.0, tol=1e-300)
         assert exc_info.value.best == ChiValue(complex(vals[0]), branch, float(errs[0]))
 
+    @pytest.mark.parametrize("kind", ["static", "inertial", "resonance"])
+    def test_one_point_chi_equals_every_series_element(self, fig_cavity, fig_coupling, kind):
+        mode, x0, L = fig_cavity.mode(), fig_cavity.x0, fig_cavity.L
+        traj = {
+            "static": TrajectorySpec.static(x0, L),
+            "inertial": TrajectorySpec.inertial(0.6, x0, L),
+            "resonance": TrajectorySpec.inertial(critical_velocity(mode), x0, L),
+        }[kind]
+        rng = np.random.default_rng(31)
+        taus = np.sort(np.concatenate([np.linspace(0.0, 500.0, 201), rng.uniform(0.0, 500.0, 100)]))
+        vals, _, branch = chi_series(mode, fig_coupling, traj, taus)
+        for tau, v in zip(taus.tolist(), vals.tolist()):
+            c = chi(mode, fig_coupling, traj, tau)
+            assert c.branch is branch
+            assert c.value.real == v.real and c.value.imag == v.imag
+            if kind == "static":
+                assert chi_static(mode, fig_coupling, x0, tau).value == c.value
+            else:
+                assert chi_inertial_analytic(mode, fig_coupling, traj, tau).value == c.value
+
     @pytest.mark.parametrize("kind", ["static", "inertial"])
     def test_closed_form_mode_block_matches_series(self, small_cavity, kind):
         coup = CouplingSpec(0.4)
@@ -879,6 +900,31 @@ class TestPhaseBeta:
     def test_rejects_reversed_window(self):
         with pytest.raises(InvalidParameterError):
             phase_beta(lambda t: np.ones_like(t), 1.0, 2.0, 1.0)
+
+
+class TestSeg:
+    """Integral of exp(i*mu*t) over [0, tau] at and near mu = 0."""
+
+    TAUS = np.array([0.0, 0.5, 3.0, 1e6])
+
+    @pytest.mark.parametrize("mu", [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-308])
+    def test_zero_and_subnormal_rate_give_the_limit(self, mu):
+        re, im = _seg(mu, self.TAUS)
+        np.testing.assert_array_equal(re, self.TAUS)
+        np.testing.assert_array_equal(im, 0.0)
+
+    def test_rates_per_row(self):
+        mu = np.array([0.0, 5e-324, 1e-300, 2.0])[:, None]
+        re, im = _seg(mu, self.TAUS)
+        np.testing.assert_array_equal(re[:2], np.broadcast_to(self.TAUS, (2, 4)))
+        np.testing.assert_array_equal(im[:2], 0.0)
+        # A tiny normal rate divides by mu and lands on the limit to rounding.
+        np.testing.assert_allclose(re[2], self.TAUS, rtol=1e-15)
+        assert (0.0 <= im[2]).all() and (im[2] <= 1e-300 * self.TAUS**2).all()
+        with mpmath.workdps(40):
+            for tau, r, i in zip(self.TAUS.tolist(), re[3], im[3]):
+                assert r == pytest.approx(float(mpmath.sin(2 * tau) / 2), abs=5e-16)
+                assert i == pytest.approx(float((1 - mpmath.cos(2 * tau)) / 2), abs=5e-16)
 
 
 class TestNonFinitePhase:

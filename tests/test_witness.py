@@ -9,7 +9,7 @@ from scipy.special import eval_laguerre
 
 from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.field import CavityConfig
-from udwitness.response import ChiBranch, ChiValue, CouplingSpec, chi_static
+from udwitness.response import ChiBranch, ChiValue, CouplingSpec, chi_static, chi_static_amplitude
 from udwitness.trajectory import TrajectorySpec, wall_time
 from udwitness.witness import (
     BOUND_EPS,
@@ -314,6 +314,16 @@ class TestIntroModelSeries:
                 8.0 * (lam / omega) ** 2 * math.sin(0.5 * omega * tau) ** 2, abs=1e-12
             )
 
+    def test_one_point_chi_equals_every_series_element(self):
+        rng = np.random.default_rng(12)
+        taus = np.sort(np.concatenate([np.linspace(0.0, 50.0, 401), rng.uniform(0.0, 50.0, 200)]))
+        state = StateSpec.cat(1.3)
+        s = witness_series_from_omega(state, INTRO_LAM, INTRO_OMEGA, taus)
+        for tau, c, w in zip(taus.tolist(), s.chi.tolist(), s.w.tolist()):
+            one = complex(chi_static_amplitude(INTRO_LAM, INTRO_OMEGA, tau))
+            assert one.real == c.real and one.imag == c.imag
+            assert witness_value(state, one) == w
+
     def test_violation_needs_coupling_above_threshold(self):
         # Fock-1 at rest violates the bound iff 16*(lam/omega)^2 > 2
         taus = np.linspace(0.0, 20.0, 4000)
@@ -373,6 +383,34 @@ class TestTimeAveragedWitness:
         taus = np.linspace(0.0, 2.0, 2001)
         s = _synthetic_series(taus, taus)  # |W| = tau
         assert time_averaged_witness(s, 0.5, 1.5) == pytest.approx(1.0, rel=1e-12)
+
+    @staticmethod
+    def _full_grid_average(series, t1, t2):
+        """The average with every grid point interpolated, as a reference."""
+        taus = series.taus
+        xs = np.concatenate([[t1], taus[(taus > t1) & (taus < t2)], [t2]])
+        ys = np.interp(xs, taus, series.w_abs)
+        return float(np.trapezoid(ys, xs) / (t2 - t1))
+
+    def test_equals_full_grid_interpolation_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        taus = np.cumsum(rng.uniform(0.01, 0.2, 3000))
+        s = _synthetic_series(taus, rng.uniform(0.0, 3.0, taus.size))
+        n = taus.size
+        windows = []
+        for _ in range(300):
+            i, j = np.sort(rng.choice(n, 2, replace=False))
+            windows.append((taus[i], taus[j]))  # on the grid
+            a, b = np.sort(rng.uniform(taus[0], taus[-1], 2))
+            windows.append((a, b))  # off the grid
+            windows.append((taus[i], b) if taus[i] < b else (a, taus[j]))  # one end on it
+            lo, hi = np.sort(rng.uniform(taus[i], taus[i + 1], 2))
+            windows.append((lo, hi))  # inside one interval
+        windows += [(taus[0], taus[-1]), (taus[0], taus[1]), (taus[-2], taus[-1])]
+        for t1, t2 in windows:
+            assert t1 < t2
+            got = time_averaged_witness(s, float(t1), float(t2))
+            assert got == self._full_grid_average(s, float(t1), float(t2))
 
     def test_window_validation(self):
         taus = np.linspace(0.0, 1.0, 11)
