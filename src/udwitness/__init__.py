@@ -26,11 +26,8 @@ from .response import (
     ChiValue,
     CouplingSpec,
     chi,
-    chi_inertial_analytic,
     chi_mode_sum,
-    chi_quadrature,
     chi_series,
-    chi_static,
     chi_static_amplitude,
     critical_velocity,
 )

@@ -10,7 +10,7 @@ Subcommands::
 
 All quantities are in natural units. Output is deterministic: fixed
 12-significant-digit decimal formatting, comma delimiter, LF endings;
-identical configurations produce byte-identical files under any --jobs.
+identical configurations produce byte-identical files.
 Exit codes: 0 ok, 2 invalid parameters, 3 numerical failure.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -113,11 +112,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
 
-def _add_scan(p: argparse.ArgumentParser):
-    _add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel scan evaluations (>= 1)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="udwitness", description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -134,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "amplitude --lambda, bypassing cavity geometry")
 
     sv = sub.add_parser("scan-velocity", help="time-averaged |W| against velocity")
-    _add_scan(sv)
+    _add_common(sv)
     sv.add_argument("--scan-min", type=float, default=0.5)
     sv.add_argument("--scan-max", type=float, default=0.95)
     sv.add_argument("--scan-steps", type=int, default=200)
@@ -145,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--t2", type=float, default=None, help="averaging window end (default tau-max)")
 
     sa = sub.add_parser("scan-acceleration", help="asymptote of |W| against acceleration")
-    _add_scan(sa)
+    _add_common(sa)
     sa.add_argument("--scan-min", type=float, default=0.1)
     sa.add_argument("--scan-max", type=float, default=2.0)
     sa.add_argument("--scan-steps", type=int, default=40)
@@ -153,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="proper time at which the asymptote is read off")
 
     sc = sub.add_parser("scan-alpha", help="asymptote of |W| against the cat amplitude")
-    _add_scan(sc)
+    _add_common(sc)
     sc.add_argument("--traj", default="accel:0.8", help="accel:A trajectory of the scan")
     sc.add_argument("--scan-min", type=float, default=0.1)
     sc.add_argument("--scan-max", type=float, default=3.0)
@@ -261,27 +255,15 @@ def _scan_values(args, what: str, need: str, upper: float = math.inf) -> np.ndar
     return np.linspace(args.scan_min, args.scan_max, args.scan_steps)
 
 
-def _run_scan(values, evaluate, jobs: int):
-    """Evaluate scan points (optionally in parallel); failures become NaN."""
-    if jobs < 1:
-        raise InvalidParameterError(f"--jobs {jobs} must be >= 1")
-
-    def safe(v):
-        try:
-            return evaluate(v), None
-        except NumericalFailure as exc:
-            return math.nan, f"scan point {v:g} failed: {exc}"
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(safe, values))
-    else:
-        results = [safe(v) for v in values]
+def _run_scan(values, evaluate):
+    """Evaluate scan points in order; a failed point warns and becomes NaN."""
     metrics = []
-    for metric, warning in results:
-        if warning is not None:
-            print(warning, file=sys.stderr)
-        metrics.append(metric)
+    for v in values:
+        try:
+            metrics.append(evaluate(v))
+        except NumericalFailure as exc:
+            print(f"scan point {v:g} failed: {exc}", file=sys.stderr)
+            metrics.append(math.nan)
     return metrics
 
 
@@ -298,7 +280,7 @@ def cmd_scan_velocity(args) -> int:
         series = witness_series(state, cavity, coupling, traj, taus, tol=args.tol)
         return time_averaged_witness(series, t1, t2)
 
-    metrics = _run_scan(vels, evaluate, args.jobs)
+    metrics = _run_scan(vels, evaluate)
     _write(args.out, _scan_lines("velocity,avg_abs_w", vels, metrics))
     return 0
 
@@ -318,7 +300,7 @@ def _scan_asymptote(args, values, state_of, traj_of) -> list[float]:
             state_of(v), cavity, coupling, traj_of(v, cavity), args.eval_at, tol=args.tol
         )
 
-    return _run_scan(values, evaluate, args.jobs)
+    return _run_scan(values, evaluate)
 
 
 def cmd_scan_acceleration(args) -> int:

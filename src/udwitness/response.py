@@ -14,8 +14,8 @@ at its wall-arrival value; the integration explicitly stops there.
 Every chi comes from one dispatch over modes and times, _chi_modes: the
 closed forms, or one driver, _quadrature, for every quadrature chi
 (accelerated, or any worldline with force_quadrature). A series
-(chi_series, and the scalar entry points as its 0-d calls) is one mode;
-chi_modes and its sum chi_mode_sum take _MODE_BLOCK modes to a pass. In
+(chi_series, and chi as its 0-d call) is one mode; chi_modes and its
+sum chi_mode_sum take _MODE_BLOCK modes to a pass. In
 _quadrature each mode is one segment of a single adaptive pass
 (_adaptive_panels) from starting panels of up to twelve half cycles with
 the grid times inserted as edges (_block_edges), and chi at a grid time
@@ -278,39 +278,6 @@ def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
     return chis[0], errs[0], ChiBranch.QUADRATURE if quad else _closed_branch(mode, traj), stall
 
 
-def chi_static(mode: ModeSpec, coupling: CouplingSpec, x0: float, tau: float) -> ChiValue:
-    """Closed-form response of a detector at rest at x0 (0 <= x0 < L).
-
-    |chi|^2 = 4*(lam*F/omega)^2 * sin^2(omega*tau/2), periodic in tau
-    with period 2*pi/omega.
-    """
-    return chi(mode, coupling, TrajectorySpec.static(x0, mode.L), tau)
-
-
-def chi_inertial_analytic(
-    mode: ModeSpec, coupling: CouplingSpec, traj: TrajectorySpec, tau: float
-) -> ChiValue:
-    """Closed-form response for inertial motion, valid up to wall arrival.
-
-    Labelled INERTIAL_RESONANCE_LIMIT when |omega_L - omega_k| < DELTA_RES*omega_k.
-    """
-    if traj.kind is not TrajectoryKind.INERTIAL:
-        raise InvalidParameterError(f"trajectory kind {traj.kind} is not inertial")
-    t_wall = wall_time(traj)
-    if tau > t_wall * (1.0 + 1e-12):
-        raise InvalidParameterError(
-            f"tau={tau} exceeds the wall-arrival time {t_wall}; "
-            "the closed form only covers the moving segment"
-        )
-    c = chi(mode, coupling, traj, tau)
-    if not np.isfinite(c.value):
-        raise NumericalFailure(
-            f"non-finite inertial response at tau={tau} "
-            f"(omega_L={_crossing_frequency(mode.k, mode.L, traj.v)})"
-        )
-    return c
-
-
 def critical_velocity(mode: ModeSpec) -> float:
     """Velocity at which the mode-crossing frequency matches omega_k.
 
@@ -569,21 +536,6 @@ def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol):
     return chi, err, stalls
 
 
-def chi_quadrature(
-    mode: ModeSpec,
-    coupling: CouplingSpec,
-    traj: TrajectorySpec,
-    tau: float,
-    tol: float = DEFAULT_TOL,
-) -> ChiValue:
-    """Response by adaptive oscillation-aware quadrature, any trajectory.
-
-    The returned err_estimate is a truncation estimate (the panels'
-    summed |K61 - G30|), not a bound: see ChiValue.
-    """
-    return chi(mode, coupling, traj, tau, tol, force_quadrature=True)
-
-
 def chi(
     mode: ModeSpec,
     coupling: CouplingSpec,
@@ -645,9 +597,10 @@ def chi_modes(
 ) -> np.ndarray:
     """chi_k(tau) of cavity modes k = 1..k_max, as a complex array.
 
-    An accelerated chi_k is bit-identical to chi_quadrature's. A stall is
-    raised once every mode is evaluated: NumericalFailure names the first
-    stalled k, with Sum_k |chi_k|^2 at the best estimates as ``best``.
+    An accelerated chi_k is bit-identical to chi(..., force_quadrature=True)'s.
+    A stall is raised once every mode is evaluated: NumericalFailure names
+    the first stalled k, with Sum_k |chi_k|^2 at the best estimates as
+    ``best``.
     """
     if not isinstance(k_max, numbers.Integral) or k_max < 1:
         raise InvalidParameterError(f"k_max={k_max} must be an integer >= 1")
@@ -679,7 +632,7 @@ def chi_mode_sum(
     for matched-truncation use, e.g. against a mode-by-mode simulation.
 
     Each term is abs(chi_k)**2 on a Python complex, so an accelerated term is
-    bit-identical to abs(chi_quadrature(...).value)**2. A stall raises
-    chi_modes' NumericalFailure, whose ``best`` is this sum.
+    bit-identical to abs(chi(..., force_quadrature=True).value)**2. A stall
+    raises chi_modes' NumericalFailure, whose ``best`` is this sum.
     """
     return _abs2_sum(chi_modes(cavity, coupling, traj, tau, k_max, tol))

@@ -159,7 +159,9 @@ def extract_witness(w_ratio: complex, chi_sum: float) -> complex:
 def _witness_of_chi(state: StateSpec, chi_arr):
     """Witness values for an array of chi or a single chi; returns (w, ok).
 
-    ``ok`` is False, and w NaN, where the cat witness's cosh overflows.
+    w is real for the Fock, cat and thermal families and complex for the
+    coherent one. ``ok`` is False, and w NaN, where the cat witness's cosh
+    overflows.
     """
     chi_arr = np.asarray(chi_arr, dtype=complex)
     ok = np.ones(chi_arr.shape, dtype=bool)
@@ -168,19 +170,19 @@ def _witness_of_chi(state: StateSpec, chi_arr):
         # abs and square of the same value can differ in the last bit.
         abs2 = abs(complex(chi_arr)) ** 2 if chi_arr.ndim == 0 else np.abs(chi_arr) ** 2
     if state.family is StateFamily.FOCK:
-        w = np.asarray(laguerre(state.n, 4.0 * abs2), dtype=complex)
+        w = laguerre(state.n, 4.0 * abs2)
     elif state.family is StateFamily.CAT:
         a0 = state.alpha0.real
         g = math.exp(-2.0 * a0 * a0)
         arg = 4.0 * a0 * chi_arr.real
         ok &= np.abs(arg) <= _COSH_OVERFLOW
         arg = np.where(ok, arg, 0.0)
-        w = ((np.cos(4.0 * a0 * chi_arr.imag) + g * np.cosh(arg)) / (1.0 + g)).astype(complex)
+        w = (np.cos(4.0 * a0 * chi_arr.imag) + g * np.cosh(arg)) / (1.0 + g)
         w = np.where(ok, w, np.nan)
     elif state.family is StateFamily.COHERENT:
         w = np.exp(4j * (np.conj(state.alpha0) * chi_arr).imag)
     else:
-        w = np.exp(-4.0 * state.nbar * abs2).astype(complex)
+        w = np.exp(-4.0 * state.nbar * abs2)
     return w, ok
 
 
@@ -191,6 +193,8 @@ class WitnessSeries:
     ``ok`` marks samples whose response evaluation met its tolerance and
     whose witness value is finite; invalid samples hold NaN and never flag
     a violation. ``branch`` is the response branch used for the series.
+    ``w`` is a real array for Fock, cat and thermal states and a complex
+    one for coherent states.
     """
 
     taus: np.ndarray
@@ -218,7 +222,7 @@ def _series_from_chi(state, taus, chi_vals, chi_errs, branch, tol) -> WitnessSer
     ok = chi_errs <= tol * (1.0 + 1e-9)
     w, w_ok = _witness_of_chi(state, chi_vals)
     ok &= w_ok
-    w = np.where(ok, w, np.nan + 0j)
+    w = np.where(ok, w, np.nan)
     w_abs = np.abs(w)
     violates = np.zeros(taus.shape, dtype=bool)
     violates[ok] = w_abs[ok] > 1.0 + BOUND_EPS

@@ -419,11 +419,20 @@ class TestBackendSelection:
         assert kernels.active_backend() == "numpy"
 
 
-def test_cli_import_does_not_load_scipy():
+def _loaded_by_cli_import(module):
+    """Whether a fresh ``import udwitness.cli`` puts ``module`` in sys.modules."""
     src = str(Path(udwitness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, udwitness.cli; print('scipy' in sys.modules)"
+    code = f"import sys, udwitness.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy():
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_cli_import_does_not_load_a_thread_pool():
+    assert not _loaded_by_cli_import("concurrent.futures")

@@ -31,7 +31,7 @@ from udwitness.oracle import (
     trusted_block,
     unitarity_defect,
 )
-from udwitness.response import CouplingSpec, chi_quadrature, chi_static_amplitude
+from udwitness.response import CouplingSpec, chi, chi_static_amplitude
 from udwitness.trajectory import TrajectorySpec, position
 from udwitness.witness import StateSpec, witness_value
 
@@ -258,7 +258,7 @@ class TestEvolveTrotter:
             return lam * mode_function(mode.k, mode.L, position(traj, t))
 
         tm = TruncatedMode(30, mode.omega)
-        zeta = chi_quadrature(mode, CouplingSpec(lam), traj, tau).value
+        zeta = chi(mode, CouplingSpec(lam), traj, tau, force_quadrature=True).value
         beta = phase_beta(drive, mode.omega, 0.0, tau)
         u = evolve_trotter(tm, drive, tau, 2048)
         ref = cmath.exp(1j * beta) * displacement_matrix(tm, zeta)

@@ -23,17 +23,14 @@ from udwitness.response import (
     _kernel_params,
     _seg,
     chi,
-    chi_inertial_analytic,
     chi_mode_sum,
     chi_modes,
-    chi_quadrature,
     chi_series,
-    chi_static,
     chi_static_amplitude,
     critical_velocity,
 )
 from udwitness.oracle import phase_beta
-from udwitness.trajectory import TrajectoryKind, TrajectorySpec, position, wall_time
+from udwitness.trajectory import TrajectorySpec, position, wall_time
 from udwitness.witness import StateSpec, witness_series_from_omega
 
 V_CRIT_FIG = 0.76436169849601359  # frozen from 30-digit arithmetic
@@ -136,24 +133,27 @@ class TestChiStatic:
 
     def test_zero_coupling(self):
         mode = ModeSpec(3, 5.0, 0.7)
-        assert chi_static(mode, CouplingSpec(0.0), 1.0, 4.0).value == 0
+        traj = TrajectorySpec.static(1.0, mode.L)
+        assert chi(mode, CouplingSpec(0.0), traj, 4.0).value == 0
 
     def test_modulus_identity(self):
         mode = ModeSpec(3, 5.0, 0.7)
         coup = CouplingSpec(1.3)
+        traj = TrajectorySpec.static(1.0, mode.L)
         lam_f = coup.lam * mode.profile(1.0)
         for tau in np.linspace(0.1, 30.0, 37):
-            c = chi_static(mode, coup, 1.0, tau)
+            c = chi(mode, coup, traj, tau)
             expected = 4.0 * (lam_f / mode.omega) ** 2 * math.sin(0.5 * mode.omega * tau) ** 2
             assert abs(c.value) ** 2 == pytest.approx(expected, abs=1e-14)
 
     def test_periodicity(self):
         mode = ModeSpec(2, 4.0, 1.0)
         coup = CouplingSpec(0.9)
+        traj = TrajectorySpec.static(1.0, mode.L)
         period = 2 * math.pi / mode.omega
         for tau in (0.3, 1.7):
-            a = chi_static(mode, coup, 1.0, tau).value
-            b = chi_static(mode, coup, 1.0, tau + period).value
+            a = chi(mode, coup, traj, tau).value
+            b = chi(mode, coup, traj, tau + period).value
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_matches_quadrature(self):
@@ -161,20 +161,20 @@ class TestChiStatic:
         coup = CouplingSpec(2 * math.sqrt(5000.0))
         traj = TrajectorySpec.static(1.0, 10000.0)
         for tau in (0.7, 3.0, 11.0):
-            cs = chi_static(mode, coup, 1.0, tau)
-            cq = chi_quadrature(mode, coup, traj, tau)
+            cs = chi(mode, coup, traj, tau)
+            cq = chi(mode, coup, traj, tau, force_quadrature=True)
             assert cs.value == pytest.approx(cq.value, abs=1e-10)
 
     def test_branch_and_error(self):
         mode = ModeSpec(2, 4.0, 1.0)
-        c = chi_static(mode, CouplingSpec(1.0), 1.0, 2.0)
+        c = chi(mode, CouplingSpec(1.0), TrajectorySpec.static(1.0, 4.0), 2.0)
         assert c.branch is ChiBranch.STATIC_CLOSED_FORM
         assert c.err_estimate == 0.0
 
     def test_rejects_negative_tau(self):
         mode = ModeSpec(2, 4.0, 1.0)
         with pytest.raises(InvalidParameterError):
-            chi_static(mode, CouplingSpec(1.0), 1.0, -1.0)
+            chi(mode, CouplingSpec(1.0), TrajectorySpec.static(1.0, 4.0), -1.0)
 
 
 class TestChiInertial:
@@ -184,31 +184,31 @@ class TestChiInertial:
 
     def test_figure_point_matches_quadrature(self):
         traj = TrajectorySpec.inertial(0.5, 1.0, 10000.0)
-        ca = chi_inertial_analytic(self.mode, self.coup, traj, 20.0)
-        cq = chi_quadrature(self.mode, self.coup, traj, 20.0)
+        ca = chi(self.mode, self.coup, traj, 20.0)
+        cq = chi(self.mode, self.coup, traj, 20.0, force_quadrature=True)
         assert abs(ca.value - cq.value) < 1e-8
         assert ca.branch is ChiBranch.INERTIAL_CLOSED_FORM
 
     def test_small_velocity_approaches_static(self):
         traj = TrajectorySpec.inertial(1e-10, 1.0, 10000.0)
-        ca = chi_inertial_analytic(self.mode, self.coup, traj, 5.0)
-        cs = chi_static(self.mode, self.coup, 1.0, 5.0)
+        ca = chi(self.mode, self.coup, traj, 5.0)
+        cs = chi(self.mode, self.coup, TrajectorySpec.static(1.0, 10000.0), 5.0)
         assert abs(ca.value - cs.value) < 1e-7
 
     def test_resonance_branch_and_linear_envelope(self):
         vc = critical_velocity(self.mode)
         traj = TrajectorySpec.inertial(vc, 1.0, 10000.0)
         for tau in (50.0, 100.0, 200.0):
-            c1 = chi_inertial_analytic(self.mode, self.coup, traj, tau)
-            c2 = chi_inertial_analytic(self.mode, self.coup, traj, 2 * tau)
+            c1 = chi(self.mode, self.coup, traj, tau)
+            c2 = chi(self.mode, self.coup, traj, 2 * tau)
             assert c1.branch is ChiBranch.INERTIAL_RESONANCE_LIMIT
             assert 1.9 < abs(c2.value) / abs(c1.value) < 2.1
 
     def test_resonance_matches_quadrature(self):
         vc = critical_velocity(self.mode)
         traj = TrajectorySpec.inertial(vc, 1.0, 10000.0)
-        ca = chi_inertial_analytic(self.mode, self.coup, traj, 50.0)
-        cq = chi_quadrature(self.mode, self.coup, traj, 50.0)
+        ca = chi(self.mode, self.coup, traj, 50.0)
+        cq = chi(self.mode, self.coup, traj, 50.0, force_quadrature=True)
         assert abs(ca.value - cq.value) < 1e-6
 
     def test_matches_40_digit_reference(self):
@@ -224,7 +224,7 @@ class TestChiInertial:
         for v in vels:
             traj = TrajectorySpec.inertial(v, 1.0, 10000.0)
             for tau in (5.0, 50.0):
-                got = chi_inertial_analytic(self.mode, self.coup, traj, tau).value
+                got = chi(self.mode, self.coup, traj, tau).value
                 ref = mpmath_inertial_chi(self.mode, self.coup.lam, traj, tau)
                 assert abs(got - ref) <= 1e-12 * abs(ref)
 
@@ -236,7 +236,7 @@ class TestChiInertial:
             omega_t = omega * (1.0 + rel)
             v = omega_t / math.hypot(q, omega_t)
             traj = TrajectorySpec.inertial(v, 1.0, 10000.0)
-            return chi_inertial_analytic(self.mode, self.coup, traj, 20.0)
+            return chi(self.mode, self.coup, traj, 20.0)
 
         inside = chi_at(0.99 * DELTA_RES)
         outside = chi_at(1.01 * DELTA_RES)
@@ -244,30 +244,19 @@ class TestChiInertial:
         assert outside.branch is ChiBranch.INERTIAL_CLOSED_FORM
         assert abs(abs(inside.value) - abs(outside.value)) < 1e-7 * abs(outside.value)
 
-    def test_rejects_past_wall(self):
-        traj = TrajectorySpec.inertial(0.5, 1.0, 10000.0)
-        with pytest.raises(InvalidParameterError):
-            chi_inertial_analytic(self.mode, self.coup, traj, 2 * wall_time(traj))
-
-    def test_rejects_non_inertial(self):
-        with pytest.raises(InvalidParameterError):
-            chi_inertial_analytic(
-                self.mode, self.coup, TrajectorySpec.static(1.0, 10000.0), 1.0
-            )
-
 
 class TestChiQuadrature:
     def test_zero_coupling(self):
         mode = ModeSpec(2, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
-        c = chi_quadrature(mode, CouplingSpec(0.0), traj, 3.0)
+        c = chi(mode, CouplingSpec(0.0), traj, 3.0, force_quadrature=True)
         assert c.value == 0 and c.err_estimate == 0.0
 
     def test_error_estimate_within_tolerance(self):
         mode = ModeSpec(5000, 10000.0, 1.0)
         coup = CouplingSpec(2 * math.sqrt(5000.0))
         traj = TrajectorySpec.accelerated(0.8, 1.0, 10000.0)
-        c = chi_quadrature(mode, coup, traj, 10.0, tol=1e-10)
+        c = chi(mode, coup, traj, 10.0, tol=1e-10, force_quadrature=True)
         assert c.branch is ChiBranch.QUADRATURE
         assert c.err_estimate <= 1e-10
 
@@ -277,7 +266,7 @@ class TestChiQuadrature:
         coup = CouplingSpec(1.1)
         traj = TrajectorySpec.accelerated(0.6, 0.4, 9.0)
         for tau in (1.5, 4.0):
-            mine = chi_quadrature(mode, coup, traj, tau).value
+            mine = chi(mode, coup, traj, tau, force_quadrature=True).value
             ref = scipy_chi(mode, coup.lam, traj, tau)
             assert mine == pytest.approx(ref, abs=5e-11)
 
@@ -286,8 +275,8 @@ class TestChiQuadrature:
         coup = CouplingSpec(1.1)
         traj = TrajectorySpec.accelerated(0.6, 0.4, 9.0)
         tau1, tau2 = 2.0, 5.0
-        c1 = chi_quadrature(mode, coup, traj, tau1).value
-        c2 = chi_quadrature(mode, coup, traj, tau2).value
+        c1 = chi(mode, coup, traj, tau1, force_quadrature=True).value
+        c2 = chi(mode, coup, traj, tau2, force_quadrature=True).value
 
         def f(t, trig):
             return mode.profile(position(traj, t)) * trig(mode.omega * t)
@@ -302,22 +291,25 @@ class TestChiQuadrature:
         coup = CouplingSpec(2 * math.sqrt(5000.0))
         traj = TrajectorySpec.accelerated(0.8, 1.0, 10000.0)
         tw = wall_time(traj)
-        ref = chi_quadrature(mode, coup, traj, tw).value
+        ref = chi(mode, coup, traj, tw, force_quadrature=True).value
         for tau in (1.5 * tw, 10 * tw, 40 * tw):
-            assert chi_quadrature(mode, coup, traj, tau).value == ref
+            assert chi(mode, coup, traj, tau, force_quadrature=True).value == ref
 
     def test_static_trajectory_agrees_with_closed_form(self):
         mode = ModeSpec(3, 6.0, 0.5)
         coup = CouplingSpec(0.7)
         traj = TrajectorySpec.static(1.0, 6.0)
-        cs = chi_static(mode, coup, 1.0, 7.7)
-        cq = chi_quadrature(mode, coup, traj, 7.7, tol=1e-12)
+        cs = chi(mode, coup, traj, 7.7)
+        cq = chi(mode, coup, traj, 7.7, tol=1e-12, force_quadrature=True)
         assert cs.value == pytest.approx(cq.value, abs=1e-12)
 
     def test_rejects_bad_tolerance(self):
         mode = ModeSpec(2, 4.0, 1.0)
         with pytest.raises(InvalidParameterError):
-            chi_quadrature(mode, CouplingSpec(1.0), TrajectorySpec.static(1.0, 4.0), 1.0, tol=0.0)
+            chi(
+                mode, CouplingSpec(1.0), TrajectorySpec.static(1.0, 4.0), 1.0,
+                tol=0.0, force_quadrature=True,
+            )
 
     def test_non_convergence_carries_best_estimate(self):
         # an unreachable tolerance must fail loudly, with the best value attached
@@ -325,10 +317,10 @@ class TestChiQuadrature:
         coup = CouplingSpec(1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
         with pytest.raises(NumericalFailure) as exc_info:
-            chi_quadrature(mode, coup, traj, 2.0, tol=1e-300)
+            chi(mode, coup, traj, 2.0, tol=1e-300, force_quadrature=True)
         best = exc_info.value.best
         assert best.branch is ChiBranch.QUADRATURE
-        reference = chi_quadrature(mode, coup, traj, 2.0).value
+        reference = chi(mode, coup, traj, 2.0, force_quadrature=True).value
         assert abs(best.value - reference) < 1e-9
 
     def test_series_marks_unconverged_samples(self):
@@ -346,16 +338,16 @@ class TestChiQuadrature:
         mode = ModeSpec(2, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(0.8, 1.0, 4.0)
         with pytest.raises(NumericalFailure, match="stalled at the rounding floor") as exc_info:
-            chi_quadrature(mode, CouplingSpec(1.0), traj, 60.0, tol=1e-300)
+            chi(mode, CouplingSpec(1.0), traj, 60.0, tol=1e-300, force_quadrature=True)
         best = exc_info.value.best
         assert best.err_estimate > 0.0
-        assert best.value == chi_quadrature(mode, CouplingSpec(1.0), traj, 60.0).value
+        assert best.value == chi(mode, CouplingSpec(1.0), traj, 60.0, force_quadrature=True).value
 
     def test_unreachable_tolerance_reports_stall(self):
         mode = ModeSpec(2, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
         with pytest.raises(NumericalFailure, match="stalled"):
-            chi_quadrature(mode, CouplingSpec(1.0), traj, 2.0, tol=1e-300)
+            chi(mode, CouplingSpec(1.0), traj, 2.0, tol=1e-300, force_quadrature=True)
 
     @pytest.mark.parametrize("k,traj,tau", [
         (5000, TrajectorySpec.static(1.0, 10000.0), 2e7),
@@ -369,7 +361,7 @@ class TestChiQuadrature:
         tracemalloc.start()
         try:
             with pytest.raises(NumericalFailure, match=f"k={k} .* panel cap 400000"):
-                chi_quadrature(mode, CouplingSpec(1.0), traj, tau)
+                chi(mode, CouplingSpec(1.0), traj, tau, force_quadrature=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -419,7 +411,7 @@ class TestHalfCycleStart:
     def test_figure_scale_matches_fine_grid(self, fig_cavity, fig_coupling, a):
         mode = fig_cavity.mode()
         traj = TrajectorySpec.accelerated(a, fig_cavity.x0, fig_cavity.L)
-        c = chi_quadrature(mode, fig_coupling, traj, 500.0)
+        c = chi(mode, fig_coupling, traj, 500.0, force_quadrature=True)
         assert c.err_estimate <= DEFAULT_TOL
         kind, phi0, rate, cc = _kernel_params(mode.k, mode.L, traj)
         edges = _eighth_cycle_edges(mode, traj, wall_time(traj))
@@ -467,7 +459,7 @@ class TestHalfCycleStart:
 
     @pytest.mark.parametrize("L", [4.0, 40.0, 400.0, 1e4])
     def test_sweep_converges_without_stall(self, L):
-        # 144 cases per cavity length, 576 in all: chi_quadrature raises on
+        # 144 cases per cavity length, 576 in all: chi raises on
         # a stall, and both its estimate and its true error, against the
         # fine-panel reference, stay within tol.
         coup = CouplingSpec(1.0)
@@ -477,7 +469,7 @@ class TestHalfCycleStart:
             taus = [0.37 * wall_time(traj), wall_time(traj)]
             ref = fine_accel_chi(mode, coup.lam, traj, taus)
             for (tau, chi_ref), tol in itertools.product(zip(taus, ref), (1e-6, 1e-10, 1e-13)):
-                c = chi_quadrature(mode, coup, traj, tau, tol=tol)
+                c = chi(mode, coup, traj, tau, tol=tol, force_quadrature=True)
                 assert c.err_estimate <= tol
                 assert abs(c.value - chi_ref) <= tol, (k, a, tau, tol)
 
@@ -518,13 +510,13 @@ class TestDispatch:
         vals, errs, branch = chi_series(mode, coup, traj, taus)
         assert branch is ChiBranch.QUADRATURE
         for i in (0, 7, 23, 40):
-            single = chi_quadrature(mode, coup, traj, taus[i])
+            single = chi(mode, coup, traj, taus[i], force_quadrature=True)
             assert vals[i] == pytest.approx(single.value, abs=3e-10)
         assert vals[0] == 0
 
 
 class TestOnePath:
-    """The scalar entry points are 0-d calls of the grid evaluation."""
+    """chi is a 0-d call of the grid evaluation."""
 
     def test_scalar_entry_points_equal_series_element_zero(self, fig_cavity, fig_coupling):
         mode, x0, L = fig_cavity.mode(), fig_cavity.x0, fig_cavity.L
@@ -538,15 +530,10 @@ class TestOnePath:
             vals, errs, branch = chi_series(mode, fig_coupling, traj, [tau])
             series = ChiValue(complex(vals[0]), branch, float(errs[0]))
             assert chi(mode, fig_coupling, traj, tau) == series
-            if traj.kind is TrajectoryKind.STATIC:
-                assert chi_static(mode, fig_coupling, x0, tau) == series
-            if traj.kind is TrajectoryKind.INERTIAL:
-                assert chi_inertial_analytic(mode, fig_coupling, traj, tau) == series
             vals, errs, branch = chi_series(mode, fig_coupling, traj, [tau], force_quadrature=True)
             forced = ChiValue(complex(vals[0]), branch, float(errs[0]))
-            assert chi_quadrature(mode, fig_coupling, traj, tau) == forced
             assert chi(mode, fig_coupling, traj, tau, force_quadrature=True) == forced
-        in_band = chi_inertial_analytic(mode, fig_coupling, cases[2][0], cases[2][1])
+        in_band = chi(mode, fig_coupling, cases[2][0], cases[2][1])
         assert in_band.branch is ChiBranch.INERTIAL_RESONANCE_LIMIT
         # A stall: the series returns its best estimate, chi raises with the same bits.
         mode, coup = ModeSpec(2, 4.0, 1.0), CouplingSpec(1.0)
@@ -571,10 +558,6 @@ class TestOnePath:
             c = chi(mode, fig_coupling, traj, tau)
             assert c.branch is branch
             assert c.value.real == v.real and c.value.imag == v.imag
-            if kind == "static":
-                assert chi_static(mode, fig_coupling, x0, tau).value == c.value
-            else:
-                assert chi_inertial_analytic(mode, fig_coupling, traj, tau).value == c.value
 
     @pytest.mark.parametrize("kind", ["static", "inertial"])
     def test_closed_form_mode_block_matches_series(self, small_cavity, kind):
@@ -620,16 +603,12 @@ class TestScalingInvariance:
         assert s * L / (2 * s * k0) == x0  # antinode is scale-invariant
         # inertial closed form
         for v, tau in [(0.37, 15.0), (0.62, 28.0)]:
-            b = chi_inertial_analytic(base_mode, base_coup, TrajectorySpec.inertial(v, x0, L), tau)
-            c = chi_inertial_analytic(
-                scaled_mode, scaled_coup, TrajectorySpec.inertial(v, x0, s * L), tau
-            )
+            b = chi(base_mode, base_coup, TrajectorySpec.inertial(v, x0, L), tau)
+            c = chi(scaled_mode, scaled_coup, TrajectorySpec.inertial(v, x0, s * L), tau)
             assert abs(b.value - c.value) < 1e-10
         # accelerated quadrature
-        b = chi_quadrature(base_mode, base_coup, TrajectorySpec.accelerated(0.8, x0, L), 8.0)
-        c = chi_quadrature(
-            scaled_mode, scaled_coup, TrajectorySpec.accelerated(0.8, x0, s * L), 8.0
-        )
+        b = chi(base_mode, base_coup, TrajectorySpec.accelerated(0.8, x0, L), 8.0)
+        c = chi(scaled_mode, scaled_coup, TrajectorySpec.accelerated(0.8, x0, s * L), 8.0)
         assert abs(b.value - c.value) < 1e-9
 
 
@@ -670,7 +649,7 @@ class TestChiModeSum:
         coup = CouplingSpec(0.5)
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
         total = chi_mode_sum(small_cavity, coup, traj, 2.0, k_max=256)
-        probed = abs(chi_static(small_cavity.mode(), coup, small_cavity.x0, 2.0).value) ** 2
+        probed = abs(chi(small_cavity.mode(), coup, traj, 2.0).value) ** 2
         assert total >= probed
 
     def test_exact_truncation_matches_blockwise(self, small_cavity):
@@ -736,7 +715,7 @@ class TestChiModeSum:
         traj = TrajectorySpec.accelerated(1.0, small_cavity.x0, small_cavity.L)
         total = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=8)
         direct = sum(
-            abs(chi_quadrature(small_cavity.mode(k), coup, traj, 1.0).value) ** 2
+            abs(chi(small_cavity.mode(k), coup, traj, 1.0, force_quadrature=True).value) ** 2
             for k in range(1, 9)
         )
         # The terms are the same bits; only the order in which the 8
@@ -802,7 +781,7 @@ class TestModeBlocks:
         assert ks.size % _MODE_BLOCK != 0
         for tau in (0.05, wall_time(traj) + 1.0):
             got = [abs(c) ** 2 for c in chi_modes(cavity, coup, traj, tau, ks.size).tolist()]
-            ref = [abs(chi_quadrature(cavity.mode(int(k)), coup, traj, tau).value) ** 2 for k in ks]
+            ref = [abs(chi(cavity.mode(int(k)), coup, traj, tau).value) ** 2 for k in ks]
             np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("L", [4.0, 40.0])

@@ -9,7 +9,7 @@ from scipy.special import eval_laguerre
 
 from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.field import CavityConfig
-from udwitness.response import ChiBranch, ChiValue, CouplingSpec, chi_static, chi_static_amplitude
+from udwitness.response import ChiBranch, ChiValue, CouplingSpec, chi, chi_static_amplitude
 from udwitness.trajectory import TrajectorySpec, wall_time
 from udwitness.witness import (
     BOUND_EPS,
@@ -140,7 +140,10 @@ class TestClosedForms:
         assert 0.0 <= w.real <= 1.0
 
     def test_accepts_chi_value_objects(self):
-        cv = chi_static(CavityConfig(L=4.0, m=1.0, k0=2).mode(), CouplingSpec(0.5), 1.0, 2.0)
+        cv = chi(
+            CavityConfig(L=4.0, m=1.0, k0=2).mode(), CouplingSpec(0.5),
+            TrajectorySpec.static(1.0, 4.0), 2.0,
+        )
         assert witness_value(StateSpec.fock(1), cv) == 1.0 - 4.0 * abs(cv.value) ** 2
 
     @pytest.mark.parametrize(
