@@ -1,4 +1,4 @@
-"""Panel kernel of the oscillatory response quadrature.
+"""Panel kernels of the oscillatory response quadrature.
 
 The detector response integral reduces to panel sums of
 sin(A(t)) * exp(i*omega*t) where A is the mode phase along the worldline:
@@ -10,9 +10,11 @@ sin(A(t)) * exp(i*omega*t) where A is the mode phase along the worldline:
 phi0, cc and omega are scalars or per-panel arrays (one entry per panel,
 broadcast against lo/hi), so panels of several modes on one worldline
 share a call; rate is one scalar. Each panel's value and estimate are the
-same bits whichever call it comes in.
+same bits whichever call it comes in. There are two rules: panel_integrals
+(K61, every worldline) and filon_integrals (the x-rule, the accelerated
+worldline past the switch time, where the mode phase is fast).
 
-Rule. Each panel [mid - h, mid + h] is evaluated with the 61-point
+K61. Each panel [mid - h, mid + h] is evaluated with the 61-point
 Gauss-Kronrod rule K61 (Kronrod 1965; QUADPACK QK61, Piessens et al. 1983),
 exact through degree 91. Its odd-indexed nodes are the 30-point
 Gauss-Legendre nodes, so the embedded G30 value (exact through degree 59)
@@ -22,7 +24,7 @@ ERR_FLOOR*(hi - lo). The nodes and weights are typed in
 below; Laurie's algorithm (Laurie 1997, Math. Comp. 66:1133) computes
 them, and the tests check them against it. A high-order rule pays on
 long panels: the callers start from panels of up to twelve half cycles
-of each phase, about 5 nodes per half cycle.
+of the phase, about 5 nodes per half cycle.
 
 Fold. The nodes come in pairs t = mid +- h*x_j around the centre, and
 exp(i*omega*t) = exp(i*omega*mid) * exp(+-i*omega*h*x_j), so with
@@ -35,18 +37,51 @@ has no centre node: w0 = 0)
 The sums are real and the phase factor has modulus 1, so the error
 estimate needs no rotation at all.
 
+The x-rule (a Filon-type rule: Iserles & Norsett 2005, Proc. R. Soc. A
+461:1383). On the accelerated worldline x - x0 = u/a with
+u = cosh(a*t) - 1, so the integral over a panel is, over u,
+
+    (1/a) * Integral sin(phi0 + cc*u) * g(u) du,  g = exp(i*omega*t(u)) / sqrt(u*(u + 2)),
+
+with a*t(u) = log1p(u + sqrt(u*(u + 2))) and sqrt(u*(u + 2)) = sinh(a*t).
+The mode phase is integrated exactly and only the slow g is sampled,
+whatever the number of mode-phase cycles across the panel. On the panel
+u = u_c + u_h*s, s in [-1, 1], g is sampled at the 24 Gauss-Legendre
+nodes, and one fixed 24 x 24 matrix (_COEF) gives the coefficients c_l of
+its degree-23 Legendre interpolant. With kappa = cc*u_h = q*h (q = k*pi/L,
+h = u_h/a the half-width in x) and the moments of DLMF 18.17.19,
+
+    Integral_{-1}^{1} P_l(s) * exp(i*kappa*s) ds = 2 * i**l * j_l(kappa),
+
+the panel value is
+
+    2h * [sin(theta) * sum_{l even} (-1)**(l/2) c_l j_l(kappa)
+          + cos(theta) * sum_{l odd} (-1)**((l-1)/2) c_l j_l(kappa)],
+
+theta = phi0 + cc*u_c the mode phase at the centre. The spherical Bessel
+j_0..j_23 come from the upward recurrence j_{l+1} = (2l+1)/kappa*j_l -
+j_{l-1} where kappa >= 23, on which it is stable (l < kappa), and below
+23 from one fixed 64-point Gauss matrix (_MOMENTS) applied to
+cos(kappa*s_i) and sin(kappa*s_i), exact there to rounding: the moments
+are within 2e-16 of 40-digit values for kappa in [1e-3, 1e4]. The
+estimate is 2h*(|c_22| + |c_23|)*max(|j_22|, |j_23|), the size of the
+last two terms, floored like K61's at ERR_FLOOR*(t_b - t_a) in time, so a
+tolerance below the rounding level stalls there.
+
 Trigonometry from one tan. sin and cos set the kernel's speed, so each
 sin, or sin/cos pair, comes from one t = tan(x/2) (the Weierstrass
 substitution, _sin_half and _sincos_half): sin x = 2t/(1 + t^2) and
-cos x = (1 - t^2)/(1 + t^2). The kernel takes sin A at the 61 nodes, the
+cos x = (1 - t^2)/(1 + t^2). The K61 kernel takes sin A at the 61 nodes, the
 pairs of omega*h*x_j at 30 and the pair of omega*mid: 92 tans per panel,
-where the direct form takes 123 sin/cos calls. The absolute error is
+where the direct form takes 123 sin/cos calls; the x-rule takes the pairs
+of omega*t at 24 nodes, of theta, of kappa (recurrence) or of kappa*s_i
+at 32 nodes (64-point moments). The absolute error is
 about 2.2e-16 at most, against 5.6e-17 for libm, far below the rounding
 of a phase A of thousands of radians. With numpy 2.4 on a 2-vCPU x86-64
 host with AVX-512, np.sin and np.cos run as scalar libm calls: about
 34 ns per element on random arguments of hundreds of radians or more and
 18 ns below pi/2. np.tan takes numpy's SIMD path there at 3.2-3.5 ns,
-against about 1 ns for a multiply or a divide and 2 ns for cosh; a panel
+against about 1 ns for a multiply or a divide and 2 ns for cosh; a K61 panel
 costs about 0.9 us on random accelerated panels. Where numpy has no SIMD
 tan for the CPU, np.tan falls back to libm: the accuracy is the same,
 and most of the speed goes away. The closed forms of chi share the
@@ -54,10 +89,11 @@ substitution: _sin_versin gives sin x and 1 - cos x = 2t^2/(1 + t^2)
 from one tan per phase (on 6000 phases of up to 3000 rad, 45 us against
 470 us for np.sin of x and of x/2).
 
-Blocking. panel_integrals evaluates _CHUNK panels at a time, so the
-(61, n) temporaries of a block stay in cache whatever the number of
-panels; every operation is elementwise or a per-panel row of one gemm,
-so a panel's bits do not depend on the block it falls in.
+Blocking. Both rules evaluate _CHUNK panels at a time, so the
+(nodes, n) temporaries of a block stay in cache whatever the number of
+panels; every operation is elementwise, a per-panel row reduction or a
+per-panel row of one gemm (_rows), so a panel's bits do not depend on the
+block it falls in.
 """
 
 from __future__ import annotations
@@ -251,18 +287,29 @@ def _sin_versin(x):
     return t, t2
 
 
-def _pair_sums(terms):
-    """terms.T @ _W_PAIRS by the same BLAS routine for any number of panels.
+def _rows(terms, weights):
+    """terms.T @ weights by the same BLAS routine for any number of panels.
 
-    ``terms`` is node-major (_N, n); the gemm takes its transposed view, so
-    every call hands BLAS the same layout. numpy sends a one-row product
+    ``terms`` is node-major (nodes, n); the gemm takes its transposed view,
+    so every call hands BLAS the same layout. numpy sends a one-row product
     through gemv, which can round the last bit differently from the gemm
     that serves two rows or more; one panel is therefore evaluated as two
     copies.
     """
     if terms.shape[1] == 1:
-        return (np.hstack([terms, terms]).T @ _W_PAIRS)[:1]
-    return terms.T @ _W_PAIRS
+        return (np.hstack([terms, terms]).T @ weights)[:1]
+    return terms.T @ weights
+
+
+def _by_chunks(block, params, lo, hi):
+    """(values, errors) of block(*params, lo, hi) evaluated _CHUNK panels at a
+    time; params are scalars or arrays shaped like lo."""
+    vals = np.empty(lo.shape, dtype=complex)
+    errs = np.empty(lo.shape)
+    for a in range(0, lo.size, _CHUNK):
+        b = slice(a, a + _CHUNK)
+        vals[b], errs[b] = block(*(x[b] if np.ndim(x) else x for x in params), lo[b], hi[b])
+    return vals, errs
 
 
 def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
@@ -274,15 +321,9 @@ def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
     phi0, cc and omega are scalars or arrays shaped like lo. The panels
     are evaluated _CHUNK at a time.
     """
-    vals = np.empty(lo.shape, dtype=complex)
-    errs = np.empty(lo.shape)
-    for a in range(0, lo.size, _CHUNK):
-        block = slice(a, a + _CHUNK)
-        phi0_b, cc_b, omega_b = (x[block] if np.ndim(x) else x for x in (phi0, cc, omega))
-        vals[block], errs[block] = _panel_block(
-            kind, phi0_b, rate, cc_b, omega_b, lo[block], hi[block]
-        )
-    return vals, errs
+    return _by_chunks(
+        lambda p, c, w, a, b: _panel_block(kind, p, rate, c, w, a, b), (phi0, cc, omega), lo, hi
+    )
 
 
 def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
@@ -312,8 +353,8 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
     sin_p, cos_p = _sincos_half(pair)  # of omega*h*x_j
     cos_p *= amp[:_N] + amp[_N:-1]
     sin_p *= amp[:_N] - amp[_N:-1]
-    re = _pair_sums(cos_p)  # [:, 0] K61, [:, 1] G30
-    im = _pair_sums(sin_p)
+    re = _rows(cos_p, _W_PAIRS)  # [:, 0] K61, [:, 1] G30
+    im = _rows(sin_p, _W_PAIRS)
     re_k = re[:, 0] + _WK0 * amp[-1]  # G30 has no centre node
     err = half * np.maximum(np.hypot(re_k - re[:, 1], im[:, 0] - im[:, 1]), 2.0 * ERR_FLOOR)
     sin_m, cos_m = _sincos(omega * mid)
@@ -328,6 +369,168 @@ def _complex(re, im):
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
+
+
+# Positive nodes (descending) and weights of the 24- and 64-point
+# Gauss-Legendre rules, from Newton's method on P_n in 40-digit arithmetic.
+_GL24_X = np.array([
+    0.9951872199970213, 0.9747285559713095, 0.9382745520027328, 0.8864155270044011,
+    0.820001985973903, 0.7401241915785544, 0.6480936519369755, 0.5454214713888396,
+    0.4337935076260451, 0.3150426796961634, 0.1911188674736163, 0.06405689286260563,
+])
+_GL24_W = np.array([
+    0.0123412297999872, 0.028531388628933663, 0.04427743881741981, 0.05929858491543678,
+    0.0733464814110803, 0.08619016153195327, 0.09761865210411388, 0.10744427011596563,
+    0.1155056680537256, 0.12167047292780339, 0.1258374563468283, 0.12793819534675216,
+])
+_GL64_X = np.array([
+    0.9993050417357722, 0.9963401167719553, 0.9910133714767443, 0.983336253884626,
+    0.973326827789911, 0.9610087996520538, 0.9464113748584028, 0.9295691721319396,
+    0.9105221370785028, 0.8893154459951141, 0.8659993981540928, 0.8406292962525803,
+    0.8132653151227975, 0.7839723589433414, 0.7528199072605319, 0.7198818501716109,
+    0.6852363130542333, 0.6489654712546573, 0.6111553551723933, 0.571895646202634,
+    0.5312794640198946, 0.48940314570705296, 0.4463660172534641, 0.4022701579639916,
+    0.3572201583376681, 0.31132287199021097, 0.2646871622087674, 0.21742364374000708,
+    0.16964442042399283, 0.12146281929612056, 0.07299312178779904, 0.024350292663424433,
+])
+_GL64_W = np.array([
+    0.001783280721696433, 0.004147033260562468, 0.006504457968978363, 0.008846759826363947,
+    0.011168139460131128, 0.013463047896718643, 0.015726030476024718, 0.017951715775697343,
+    0.02013482315353021, 0.022270173808383253, 0.024352702568710874, 0.02637746971505466,
+    0.028339672614259483, 0.030234657072402478, 0.03205792835485155, 0.033805161837141606,
+    0.035472213256882386, 0.03705512854024005, 0.038550153178615626, 0.03995374113272034,
+    0.04126256324262353, 0.04247351512365359, 0.04358372452932345, 0.044590558163756566,
+    0.04549162792741814, 0.046284796581314416, 0.04696818281621002, 0.04754016571483031,
+    0.04799938859645831, 0.048344762234802954, 0.04857546744150343, 0.048690957009139724,
+])
+
+#: Legendre degrees 0.._DEGREES - 1 of the x-rule, sampled at as many Gauss nodes.
+_DEGREES = 24
+#: Below this kappa the moments come from the 64-point rule (_MOMENTS),
+#: above it from the upward recurrence, which is stable for l < kappa.
+_KAPPA_SWITCH = 23.0
+
+
+def _legendre_rows(x):
+    """P_0(x) .. P_{_DEGREES - 1}(x) as the rows of a (_DEGREES, x.size) array."""
+    p = np.empty((_DEGREES, x.size))
+    p[0], p[1] = 1.0, x
+    for l in range(1, _DEGREES - 1):
+        p[l + 1] = ((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1)
+    return p
+
+
+_DEG = np.arange(_DEGREES)
+_SIGN = np.where(_DEG // 2 % 2, -1.0, 1.0)  # (-1)**(l//2): Re or Im of i**l
+_EVEN = _DEG % 2 == 0
+_RECURRENCE = (2.0 * _DEG[1:-1] + 1.0)[:, None]
+# The 24 sample points of an x-panel, in units of its half-width.
+_S = np.concatenate([_GL24_X, -_GL24_X])[:, None]
+#: Node-major (24, 24): samples g(s_i) to d_l = 2*(-1)**(l//2)*c_l, with c_l
+#: the coefficients of g's degree-23 Legendre interpolant at the nodes.
+_COEF = (np.concatenate([_GL24_W, _GL24_W])[:, None] * _legendre_rows(_S[:, 0]).T
+         * (_SIGN * (2 * _DEG + 1)))
+#: (64, 24): [cos(kappa*s_i), sin(kappa*s_i)] at the 32 positive 64-point
+#: nodes to j_l(kappa) = (-1)**(l//2) * sum_i w_i P_l(s_i) * (cos or sin),
+#: the even l from the cos rows and the odd l from the sin rows.
+_MOMENTS = _GL64_W[:, None] * _legendre_rows(_GL64_X).T * _SIGN
+_MOMENTS = np.concatenate([np.where(_EVEN, _MOMENTS, 0.0), np.where(_EVEN, 0.0, _MOMENTS)])
+
+
+def _bessel_rows(kappa):
+    """Spherical Bessel j_l(kappa), l = 0..23, one row per panel: (n, 24)."""
+    big = kappa >= _KAPPA_SWITCH
+    if big.all():
+        return _bessel_upward(kappa).T
+    j = _rows(_trig_columns(kappa), _MOMENTS)
+    if big.any():
+        j[big] = _bessel_upward(kappa[big]).T
+    return j
+
+
+def _bessel_upward(kappa):
+    """j_0..j_23 by upward recurrence from j_0 and j_1, node-major: stable for kappa >= 23."""
+    sin, cos = _sincos(kappa)
+    inv = 1.0 / kappa
+    r = np.empty((_DEGREES, kappa.size))
+    j = list(r)  # the rows j_l, as views made once
+    np.multiply(sin, inv, out=j[0])
+    np.subtract(j[0], cos, out=j[1])
+    j[1] *= inv
+    step = list(_RECURRENCE * inv)  # (2l + 1)/kappa for l = 1..22
+    for l in range(1, _DEGREES - 1):
+        np.multiply(step[l - 1], j[l], out=j[l + 1])
+        np.subtract(j[l + 1], j[l - 1], out=j[l + 1])
+    return r
+
+
+def _trig_columns(kappa):
+    """(64, n): cos(kappa*s_i) over sin(kappa*s_i) at the positive 64-point nodes."""
+    sin, cos = _sincos_half(_GL64_X[:, None] * (0.5 * kappa))
+    return np.concatenate([cos, sin])
+
+
+def filon_integrals(phi0, rate, cc, omega, lo, hi, t_wall, u_wall):
+    """Per-panel accelerated integrals by the Filon rule in the position variable.
+
+    The accelerated integrand of panel_integrals over [lo[p], hi[p]], as
+    the integral over u = cosh(rate*t) - 1 = rate*(x - x0) of
+    sin(phi0 + cc*u) * exp(i*omega*t(u)) / (rate*sqrt(u*(u + 2))). The
+    edges map to u, except that a panel ending at ``t_wall`` ends at
+    ``u_wall``, the wall's exact position. Returns (values, errors) like
+    panel_integrals: the error estimate is the degree-22 and 23 Legendre
+    terms' largest moment, floored at ERR_FLOOR*(hi - lo).
+    """
+    return _by_chunks(
+        lambda p, c, w, a, b: _filon_block(p, rate, c, w, a, b, t_wall, u_wall),
+        (phi0, cc, omega), lo, hi,
+    )
+
+
+def _samples(rate, omega, mid, half):
+    """Node-major (24, 2n) samples of g = exp(i*omega*t)/sinh(rate*t) at
+    u = mid + half*s_i, as the columns [Re g | Im g]."""
+    u = _S * half
+    u += mid
+    inv = u + 2.0
+    np.sqrt(inv, out=inv)
+    inv *= np.sqrt(u)  # sinh(rate*t), with no overflow in u*(u + 2)
+    u += inv
+    np.log1p(u, out=u)  # rate*t
+    u *= 0.5 * omega / rate
+    np.divide(1.0, inv, out=inv)
+    sin, cos = _sincos_half(u)  # of omega*t
+    g = np.empty((_DEGREES, 2 * mid.size))
+    np.multiply(cos, inv, out=g[:, :mid.size])
+    np.multiply(sin, inv, out=g[:, mid.size:])
+    return g
+
+
+def _filon_block(phi0, rate, cc, omega, lo, hi, t_wall, u_wall):
+    """filon_integrals on one block of panels."""
+    # u = cosh(rate*t) - 1 = 2*sinh(rate*t/2)**2, with no cancellation.
+    u_lo = np.sinh(0.5 * rate * lo)
+    u_lo *= 2.0 * u_lo
+    u_hi = np.sinh(0.5 * rate * hi)
+    u_hi *= 2.0 * u_hi
+    u_hi[hi >= t_wall] = u_wall
+    mid = 0.5 * (u_lo + u_hi)
+    half = 0.5 * (u_hi - u_lo)
+    n = lo.size
+    d = _rows(_samples(rate, omega, mid, half), _COEF).reshape(2, n, _DEGREES)  # Re, Im of d_l
+    j = _bessel_rows(cc * half)
+    sin_c, cos_c = _sincos(phi0 + cc * mid)
+    half /= rate  # the half-width in x
+    tail = np.hypot(d[0, :, -2], d[1, :, -2]) + np.hypot(d[0, :, -1], d[1, :, -1])
+    err = half * tail * np.maximum(np.abs(j[:, -2]), np.abs(j[:, -1]))
+    j_w = np.empty(j.shape)
+    np.multiply(j[:, 0::2], sin_c[:, None], out=j_w[:, 0::2])
+    np.multiply(j[:, 1::2], cos_c[:, None], out=j_w[:, 1::2])
+    d *= j_w
+    re, im = d.sum(axis=2)
+    vals = _complex(re, im)
+    vals *= half
+    return vals, np.maximum(err, ERR_FLOOR * (hi - lo))
 
 
 def active_backend() -> str:

@@ -17,10 +17,25 @@ closed forms, or one driver, _quadrature, for every quadrature chi
 (chi_series, and chi as its 0-d call) is one mode; chi_modes and its
 sum chi_mode_sum take _MODE_BLOCK modes to a pass. In
 _quadrature each mode is one segment of a single adaptive pass
-(_adaptive_panels) from starting panels of up to twelve half cycles with
-the grid times inserted as edges (_block_edges), and chi at a grid time
-is a sequential prefix sum of its mode's panels, so a mode's values are
-the same bits alone or in a block.
+(_adaptive_panels) with the grid times inserted as edges (_block_edges),
+and chi at a grid time is a sequential prefix sum of its mode's panels,
+so a mode's values are the same bits alone or in a block.
+
+Two rules, one switch. On the accelerated worldline the mode phase
+A(t) = q*(x(t) - x0) + phi0 (q = k*pi/L) turns at the rate q*sinh(a*t),
+about 15,700 rad in all at figure scale (k = 5000, L = 1e4), far more
+than the omega_k*t of the detector clock. Up to the switch time t_s,
+where that rate reaches 2*omega_k (_switch_times), the panels are K61
+panels of at most twelve half cycles of the combined phase
+omega_k*t + A(t), which resolve it node by node. Past t_s each panel is
+integrated over position by the x-rule (kernels.filon_integrals), which
+takes sin(q*x) exactly and samples only exp(i*omega_k*t)/sinh(a*t), at
+most 1/2 there: its starting panels are equal steps in t of at most
+_X_PANEL_PHASE of omega_k*t and 1 of a*t. Both kinds are bisected in t
+by the same refinement; a panel keeps its rule, since t_s is an edge.
+A figure-scale chi takes 280-1,720 integrand evaluations this way, where
+resolving the mode phase everywhere took 25,600-26,300. The static and
+inertial worldlines (and force_quadrature on them) use K61 alone.
 
 The inertial closed form is evaluated in one
 cancellation-free form, exact through the resonance where the
@@ -61,8 +76,8 @@ _TINY = float(np.finfo(float).tiny)
 DEFAULT_TOL = 1e-10
 
 _MAX_PANELS = 400_000
-#: Largest starting edge table of one pass: modes times the longest row of
-#: uniform and phase steps. _MAX_PANELS bounds each mode, this the block,
+#: Largest starting edge table of one pass: modes times the longest rows of
+#: K61 and x-rule steps. _MAX_PANELS bounds each mode, this the block,
 #: at the table a 16-mode block could reach under _MAX_PANELS: a 64-mode
 #: block of 6.39M entries traced a 160 MB peak in 0.17 s.
 _MAX_EDGE_TABLE = 16 * _MAX_PANELS
@@ -81,11 +96,13 @@ _MAX_MODES = 1_000_000
 #: and 0.086-0.087 s with 128 or 256 (thread CPU time, median of 9).
 _MODE_BLOCK = 64
 
-#: Largest phase of either oscillation across one starting panel: twelve
-#: half cycles. K61 and its embedded G30 both resolve one such phase to
-#: rounding (see _adaptive_panels), and the adaptive pass splits the
-#: panels whose estimate asks for more, mostly where the two phases add up.
+#: Largest phase across one starting K61 panel: twelve half cycles of the
+#: faster oscillation (on the accelerated worldline, of the combined phase
+#: omega_k*t + A(t)). K61 and its embedded G30 both resolve one such phase
+#: to rounding (see _adaptive_panels).
 _START_PANEL_PHASE = 12.0 * math.pi
+#: Largest advance of omega_k*t across one starting x-rule panel, in rad.
+_X_PANEL_PHASE = 10.0
 
 
 class ChiBranch(Enum):
@@ -100,8 +117,9 @@ class ChiValue:
     """Complex response amplitude with evaluation metadata.
 
     ``err_estimate`` is 0 for the closed forms. For QUADRATURE it is the
-    summed per-panel truncation estimate |K61 - G30| (times the coupling
-    prefactor), each floored at eps times its panel's length, so it is
+    summed per-panel truncation estimate, |K61 - G30| or the x-rule's last
+    Legendre terms (times the coupling prefactor), each floored at eps
+    times its panel's length in time, so it is
     never below about eps*tau: it does not bound the rounding of the
     phases omega*t, which on long spans near the inertial resonance can
     exceed it. A tolerance under that floor is reported as a stall.
@@ -313,6 +331,15 @@ def _kernel_params(k, L, traj: TrajectorySpec):
     return kernels.KIND_INERTIAL, phi0, float(rate), unused_cc
 
 
+def _switch_times(ks, L, omega, traj: TrajectorySpec):
+    """Per mode, the time t_s from which an accelerated chi is integrated
+    over position: where the mode phase's rate q*sinh(a*t), q = k*pi/L,
+    reaches 2*omega_k. Infinite on the other worldlines."""
+    if traj.kind is not TrajectoryKind.ACCELERATED:
+        return np.full(ks.shape, math.inf)
+    return np.arcsinh(2.0 * omega / (ks * (math.pi / L))) / traj.a
+
+
 def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
     """Starting panel edges of modes ``ks`` (frequencies ``omega``) in one pass.
 
@@ -320,14 +347,17 @@ def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
     edges[offsets[j]:offsets[j + 1]], strictly increasing from 0 to
     t_end > 0. They merge three sets of times:
 
-    - a uniform grid (numpy.linspace arithmetic) whose panels span at most
-      twelve half cycles (_START_PANEL_PHASE) of exp(i*omega_k*t) and, on
-      an inertial worldline, of the mode-crossing oscillation: the step is
-      P/max(omega_k, omega_L) with P = _START_PANEL_PHASE, which is
-      min(P/omega_k, P/omega_L) to the bit;
-    - on an accelerated worldline, the times at which the mode phase
-      cc*(cosh(a*t) - 1) has advanced by equal steps of at most twelve
-      half cycles;
+    - a uniform grid (numpy.linspace arithmetic) on [0, t_x], with t_x the
+      smaller of t_end and the switch time t_s (_switch_times), whose
+      K61 panels span at most twelve half cycles (_START_PANEL_PHASE): the
+      step is P/r with P = _START_PANEL_PHASE. r is omega_k on a static
+      worldline, max(omega_k, omega_L) with the mode-crossing omega_L on an
+      inertial one (P/r is min(P/omega_k, P/omega_L) to the bit), and the
+      combined phase rate omega_k + q*sinh(a*t_x) on an accelerated one,
+      the largest on [0, t_x];
+    - on an accelerated worldline past t_s, the x-rule's panels: equal
+      steps from t_x to t_end of at most _X_PANEL_PHASE of omega_k*t and
+      at most 1 of a*t;
     - the grid ``times`` in (0, t_end], so that chi at each of them is a
       prefix of the panel sum.
 
@@ -336,38 +366,35 @@ def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
     rows, so a mode's edges do not depend on the modes it is built with.
     Sorting each row and dropping repeats gives the edges.
 
-    A mode whose uniform and phase steps add up to more than _MAX_PANELS,
-    or a table of more than _MAX_EDGE_TABLE uniform and phase steps, raises
-    NumericalFailure before the table is built.
+    A mode of more than _MAX_PANELS starting panels, or a table of more
+    than _MAX_EDGE_TABLE steps, raises NumericalFailure before the table
+    is built.
     """
+    t_x = np.minimum(_switch_times(ks, L, omega, traj), t_end)
     rate = omega
     if traj.kind is TrajectoryKind.INERTIAL:
         rate = np.maximum(omega, _crossing_frequency(ks, L, traj.v))
-    n_uniform = np.maximum(1.0, np.ceil(t_end / (_START_PANEL_PHASE / rate)))[:, None]
-    n_start = n_uniform
-    if traj.kind is TrajectoryKind.ACCELERATED:
-        cc = (ks * math.pi / (L * traj.a))[:, None]
-        sweep = cc * (math.cosh(traj.a * t_end) - 1.0)
-        n_phase = np.ceil(sweep / _START_PANEL_PHASE)
-        n_start = n_uniform + n_phase
+    elif traj.kind is TrajectoryKind.ACCELERATED:
+        rate = omega + ks * (math.pi / L) * np.sinh(traj.a * t_x)
+    t_x = t_x[:, None]
+    n_t = np.maximum(1.0, np.ceil(t_x / (_START_PANEL_PHASE / rate[:, None])))
+    n_x = np.ceil((t_end - t_x) * np.maximum(omega / _X_PANEL_PHASE, traj.a)[:, None])
+    n_start = n_t + n_x
     j = int(np.argmax(n_start[:, 0]))
     _check_cap(
         f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
         n_start[j, 0], "panel", _MAX_PANELS,
     )
-    width = n_uniform.max() + (n_phase.max() if traj.kind is TrajectoryKind.ACCELERATED else 0.0)
     _check_cap(
         f"the starting edge table of modes k={ks[0]}..{ks[-1]} up to tau={t_end}",
-        ks.size * width, "edge table", _MAX_EDGE_TABLE,
+        ks.size * (n_t.max() + n_x.max()), "edge table", _MAX_EDGE_TABLE,
     )
-    i = np.arange(n_uniform.max() + 1.0)
-    rows = [np.where(i < n_uniform, i * (t_end / n_uniform), t_end)]
-    if traj.kind is TrajectoryKind.ACCELERATED:
-        i = np.arange(1.0, n_phase.max())
-        theta = i * (sweep / np.maximum(n_phase, 1.0))
-        rows.append(np.where(i < n_phase, np.arccosh(1.0 + theta / cc) / traj.a, t_end))
-    rows.append(np.repeat(times[None, :], ks.size, axis=0))
-    table = np.sort(np.concatenate(rows, axis=1), axis=1)
+    i = np.arange(n_t.max() + 1.0)
+    k61 = np.where(i < n_t, i * (t_x / n_t), t_end)
+    i = np.arange(n_x.max())
+    x_rule = np.where(i < n_x, t_x + i * ((t_end - t_x) / np.maximum(n_x, 1.0)), t_end)
+    times = np.repeat(times[None, :], ks.size, axis=0)
+    table = np.sort(np.concatenate([k61, x_rule, times], axis=1), axis=1)
     fresh = np.ones(table.shape, dtype=bool)
     fresh[:, 1:] = table[:, 1:] != table[:, :-1]
     offsets = np.zeros(ks.size + 1, dtype=np.intp)
@@ -375,17 +402,14 @@ def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
     return table[fresh], offsets
 
 
-def _segments(x, counts):
-    """Consecutive slices of x with counts[s] elements each.
+def _segment_sums(x, counts):
+    """Per-segment sums of x, counts[s] elements to segment s, as a list of
+    floats (a boolean x is counted).
 
-    Per-segment sums go over these slices: x[a:b].sum() is the sum the
-    segment gets on its own, where np.add.reduceat adds in another order
-    and differs in the last bits.
+    np.add.reduceat reduces each segment's slice on its own, so a
+    segment's sum does not depend on the segments around it.
     """
-    a = 0
-    for n in counts:
-        yield x[a:a + n]
-        a += n
+    return np.add.reduceat(x, np.cumsum(counts) - counts, dtype=float).tolist()
 
 
 def _stop_reason(history, s, n, floor):
@@ -407,13 +431,17 @@ def _stop_reason(history, s, n, floor):
     return None
 
 
-def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
+def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule=None):
     """Bisect panels until each segment's error estimates sum to at most its tol.
 
     A segment is one integral (one mode): the panels between consecutive
     ``edges`` from offsets[s] to offsets[s + 1] - 1, with phi0, cc, omega
-    and tol arrays of one entry per segment and rate one scalar. Every
-    round evaluates the split panels of all segments in one kernel call,
+    and tol arrays of one entry per segment and rate one scalar. Without
+    ``x_rule`` every panel is a K61 panel; with x_rule = (switch, t_wall,
+    u_wall) on an accelerated worldline, a panel of segment s starting at
+    or after switch[s] (an edge) is an x-rule panel, kernels.filon_integrals
+    with the wall at (t_wall, u_wall). Every round evaluates the split
+    panels of all segments in one call per rule,
     and each segment refines exactly as it would alone: its own tolerance,
     its own panel count in the split threshold tol/(2*n), and its own
     verdict. Splitting in place keeps each segment's panels contiguous and
@@ -426,11 +454,11 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
     the kernel's rounding floor, which no split lowers, it has not shrunk
     over two rounds, or the round or panel cap was hit.
 
-    The stall rule assumes edges on which the embedded G30 rule is in its
+    The stall rule assumes edges on which both rules are in their
     convergent range. sin(A)*exp(i*omega*t) is a sum of two exponentials
-    whose phase rates are omega +- dA/dt, and each starting panel of
-    _block_edges spans at most twelve half cycles of each phase: at most
-    kappa = 12*pi ~ 37.7 rad of the combined phase per half-width. The
+    whose phase rates are omega +- dA/dt, and each starting K61 panel of
+    _block_edges spans at most twelve half cycles of the faster one: at
+    most kappa = 6*pi ~ 18.8 rad per half-width. The
     n-point Gauss error on exp(i*kappa*x) over [-1, 1] is bounded by
     about (e*kappa/(4*n))**(2*n) (the Taylor remainder with Stirling's
     formula), below 1 for kappa < 4*30/e ~ 44, and each bisection halves
@@ -438,28 +466,47 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
     dominates. Measured on a unit-length panel of exp(i*omega*t):
     |K61 - G30| is at rounding level (1e-16) up to 12 half cycles and
     1.5e-8 at 24, and one bisection brings the latter to rounding level;
-    K61 itself is converged up to about 36. So an error sum that has not
-    shrunk in two rounds sits at the rounding floor. The least resolved
-    starting panels are the first accelerated ones, where
-    A(t) = cc*(cosh(a*t) - 1) is far from linear; their estimate still
-    falls every round. Panels whose combined phase is well above 4*n/e
-    rad per half-width can go several rounds without shrinking and would
-    be reported as stalled.
+    K61 itself is converged up to about 36. An x-rule panel samples only
+    exp(i*omega*t)/sinh(a*t), whose starting panels span at most 10 rad
+    of omega*t (5 per half-width, where the degree-22 and 23 Legendre
+    coefficients of exp(5i*s) are 3.2e-12 and 3.6e-13) and 1 of a*t
+    (1/sinh(a*t) changes by at most a factor e), so its last terms, and
+    the estimate, fall with every bisection whatever the mode phase does.
+    So an error sum that has not shrunk in two rounds sits at the
+    rounding floor.
     """
-    lo = np.delete(edges, offsets[1:] - 1)
-    hi = np.delete(edges, offsets[:-1])
+    is_lo = np.ones(edges.size, dtype=bool)
+    is_lo[offsets[1:] - 1] = False
+    is_hi = np.ones(edges.size, dtype=bool)
+    is_hi[offsets[:-1]] = False
+    lo, hi = edges[is_lo], edges[is_hi]
     counts, tols = (np.diff(offsets) - 1).tolist(), np.asarray(tol).tolist()
     floors = (kernels.ERR_FLOOR * (edges[offsets[1:] - 1] - edges[offsets[:-1]])).tolist()
 
     def integrate(per_segment, a, b):
-        """Kernel call on panels a..b, per_segment[s] of them from segment s."""
+        """Kernel calls on panels a..b, per_segment[s] of them from segment s."""
         phi0_p, cc_p, omega_p = (np.repeat(x, per_segment) for x in (phi0, cc, omega))
-        return kernels.panel_integrals(kind, phi0_p, rate, cc_p, omega_p, a, b)
+        if x_rule is None:
+            return kernels.panel_integrals(kind, phi0_p, rate, cc_p, omega_p, a, b)
+        # Bisection keeps a panel on its side of the switch time.
+        switch, t_wall, u_wall = x_rule
+        on_x = a >= np.repeat(switch, per_segment)
+        on_t = ~on_x
+        vals, errs = np.empty(a.shape, dtype=complex), np.empty(a.shape)
+        if on_t.any():
+            vals[on_t], errs[on_t] = kernels.panel_integrals(
+                kind, phi0_p[on_t], rate, cc_p[on_t], omega_p[on_t], a[on_t], b[on_t]
+            )
+        if on_x.any():
+            vals[on_x], errs[on_x] = kernels.filon_integrals(
+                phi0_p[on_x], rate, cc_p[on_x], omega_p[on_x], a[on_x], b[on_x], t_wall, u_wall
+            )
+        return vals, errs
 
     vals, errs = integrate(counts, lo, hi)
     stalls = [None] * len(counts)
     running = [True] * len(counts)
-    history = [[e.sum() for e in _segments(errs, counts)]]
+    history = [_segment_sums(errs, counts)]
     while True:
         thresholds = []
         for s, n in enumerate(counts):
@@ -472,7 +519,7 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
         if not any(running):
             break
         mask = errs > np.repeat(thresholds, counts)
-        splits = [np.count_nonzero(m) for m in _segments(mask, counts)]
+        splits = [int(k) for k in _segment_sums(mask, counts)]
         if not any(splits):
             break
         running = [r and k > 0 for r, k in zip(running, splits)]
@@ -487,7 +534,7 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol):
         lo, hi, vals, errs = (np.repeat(x, reps) for x in (lo, hi, vals, errs))
         lo[slots], hi[slots], vals[slots], errs[slots] = half_lo, half_hi, half_vals, half_errs
         counts = [n + k for n, k in zip(counts, splits)]
-        history.append([e.sum() for e in _segments(errs, counts)])
+        history.append(_segment_sums(errs, counts))
     return lo, hi, vals, errs, counts, stalls
 
 
@@ -495,14 +542,15 @@ def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol):
     """chi of modes ``ks`` at every grid time in one adaptive pass up to ``t_end``.
 
     Each mode is one segment of a single _adaptive_panels pass, from the
-    edges of _block_edges with the grid times inserted, so each
+    edges of _block_edges with the grid times inserted, K61 panels up to
+    the mode's switch time and x-rule panels past it, so each
     chi_k(tau) is an exact prefix of its mode's panel decomposition, taken
     by one sequential prefix sum per mode; times past the wall-arrival
     time reuse the frozen full integral. A mode's panels, and hence its
     values, are the same bits whichever modes it is evaluated with.
 
     Returns (chi, err, stalls): chi[j] and err[j] are mode j's values and
-    summed |K61 - G30| estimates on the grid (shaped like ``taus``), and
+    summed panel estimates on the grid (shaped like ``taus``), and
     stalls[j] is None on convergence, else why its refinement stopped (the
     values are then its best estimates).
     """
@@ -513,26 +561,34 @@ def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol):
     edges, offsets = _block_edges(ks, L, omega, traj, t_end, t_clip[t_clip > 0.0])
     kind, phi0, rate, cc = _kernel_params(ks, L, traj)
     pref = coupling.lam / np.sqrt(ks * math.pi)
+    switch = _switch_times(ks, L, omega, traj)
+    x_rule = None
+    if np.any(switch < t_end):
+        x_rule = (switch, wall_time(traj), traj.a * (traj.L - traj.x0))
     _, hi, vals, errs, counts, stalls = _adaptive_panels(
-        kind, phi0, rate, cc, omega, edges, offsets, tol / np.maximum(pref, 1e-300)
+        kind, phi0, rate, cc, omega, edges, offsets, tol / np.maximum(pref, 1e-300), x_rule
     )
     # Row j holds 0 and mode j's running panel sums, one sequential
     # prefix sum per row (the zeros after its last panel are never read).
-    vals_rows = np.zeros((ks.size, max(counts) + 1), dtype=complex)
+    counts = np.array(counts)
+    width = counts.max() + 1
+    shift = np.arange(ks.size) * width - (np.cumsum(counts) - counts)
+    slots = np.arange(hi.size) + np.repeat(shift + 1, counts)
+    vals_rows = np.zeros(ks.size * width, dtype=complex)
     errs_rows = np.zeros(vals_rows.shape)
-    cols = []
-    a = 0
-    for j, n in enumerate(counts):
-        vals_rows[j, 1:n + 1], errs_rows[j, 1:n + 1] = vals[a:a + n], errs[a:a + n]
-        # A grid time's prefix ends with the last panel ending at or before it.
-        cols.append(np.searchsorted(hi[a:a + n], t_clip, side="right"))
-        a += n
-    np.cumsum(vals_rows, axis=1, out=vals_rows)
-    np.cumsum(errs_rows, axis=1, out=errs_rows)
+    vals_rows[slots], errs_rows[slots] = vals, errs
+    np.cumsum(vals_rows.reshape(-1, width), axis=1, out=vals_rows.reshape(-1, width))
+    np.cumsum(errs_rows.reshape(-1, width), axis=1, out=errs_rows.reshape(-1, width))
+    # A grid time's prefix ends with the last panel ending at or before it.
+    # One search over all modes: the keys j + i*hi of the panels are in
+    # order, since complex numbers sort by real part, then imaginary.
     per_mode = (-1,) + (1,) * taus.ndim
-    flat = np.array(cols) + (np.arange(ks.size) * vals_rows.shape[1]).reshape(per_mode)
-    chi = (-1j * pref).reshape(per_mode) * vals_rows.ravel()[flat]
-    err = pref.reshape(per_mode) * errs_rows.ravel()[flat]
+    modes = np.arange(ks.size).reshape(per_mode)
+    keys = np.repeat(np.arange(ks.size), counts) + 1j * hi
+    last = np.searchsorted(keys, modes + 1j * t_clip, side="right")
+    flat = last + shift.reshape(per_mode)
+    chi = (-1j * pref).reshape(per_mode) * vals_rows[flat]
+    err = pref.reshape(per_mode) * errs_rows[flat]
     return chi, err, stalls
 
 

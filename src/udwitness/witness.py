@@ -208,13 +208,19 @@ class WitnessSeries:
 
 
 def _validate_grid(taus) -> np.ndarray:
+    """``taus`` as a float array: non-empty, strictly increasing, from a time >= 0.
+
+    A strictly increasing grid holds no NaN, so its sign is checked at the
+    first time alone; response._checked_times, which every chi passes
+    through, owns the scan of each time.
+    """
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
         raise InvalidParameterError("time grid is empty")
-    if not np.all(taus >= 0):
-        raise InvalidParameterError("time grid must be non-negative (and not NaN)")
     if taus.size > 1 and not np.all(np.diff(taus) > 0):
         raise InvalidParameterError("time grid must be strictly increasing")
+    if not taus.flat[0] >= 0:
+        raise InvalidParameterError("time grid must be non-negative (and not NaN)")
     return taus
 
 

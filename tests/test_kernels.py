@@ -414,6 +414,133 @@ class TestChunkBoundaries:
             np.testing.assert_array_equal(e, errs[a:b])
 
 
+def _gauss_legendre_40_digits(n):
+    """Positive nodes (descending) and weights of n-point Gauss-Legendre by
+    Newton's method on P_n in 40-digit arithmetic."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for i in range(n // 2):
+            x = mpmath.cos(mpmath.pi * (i + mpmath.mpf(0.75)) / (n + mpmath.mpf(0.5)))
+            for _ in range(12):
+                dp = n * (mpmath.legendre(n - 1, x) - x * mpmath.legendre(n, x)) / (1 - x * x)
+                x -= mpmath.legendre(n, x) / dp
+            dp = n * (mpmath.legendre(n - 1, x) - x * mpmath.legendre(n, x)) / (1 - x * x)
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return nodes, weights
+
+
+# kappa from 1e-3 to 1e4, with the doubles on either side of the switch
+# from the 64-point moments to the upward recurrence.
+_KAPPAS = np.concatenate([
+    np.geomspace(1e-3, 1e4, 15),
+    [np.nextafter(kernels._KAPPA_SWITCH, 0.0), kernels._KAPPA_SWITCH,
+     np.nextafter(kernels._KAPPA_SWITCH, 1e9)],
+])
+
+
+def _moment_40_digits(l, kappa):
+    """2 * i**l * j_l(kappa), j_l the spherical Bessel function, in 40 digits."""
+    with mpmath.workdps(40):
+        k = mpmath.mpf(kappa)
+        j = mpmath.sqrt(mpmath.pi / (2 * k)) * mpmath.besselj(l + mpmath.mpf(0.5), k)
+        return 2 * mpmath.mpc(0, 1) ** l * j
+
+
+class TestFilonRule:
+    """The x-rule of the accelerated chi: Legendre coefficients of g at 24
+    Gauss nodes, times exact moments of the mode phase."""
+
+    def test_node_literals_match_40_digits(self):
+        for n, (x, w) in ((24, (kernels._GL24_X, kernels._GL24_W)),
+                          (64, (kernels._GL64_X, kernels._GL64_W))):
+            ref_x, ref_w = _gauss_legendre_40_digits(n)
+            np.testing.assert_array_equal(x, ref_x)
+            np.testing.assert_array_equal(w, ref_w)
+
+    @pytest.mark.parametrize("l,kappa", [(0, 1e-3), (1, 5.0), (7, 23.0), (22, 23.0), (23, 40.0)])
+    def test_moment_is_the_legendre_integral(self, l, kappa):
+        # The identity the rule rests on (DLMF 18.17.19), in 40 digits.
+        with mpmath.workdps(40):
+            direct = mpmath.quad(
+                lambda s: mpmath.legendre(l, s) * mpmath.expj(kappa * s), mpmath.linspace(-1, 1, 9)
+            )
+            assert abs(direct - _moment_40_digits(l, kappa)) < mpmath.mpf(10) ** -30
+
+    def test_moments_match_40_digits(self):
+        # l = 0..23 from the 64-point matrix below the switch and the
+        # upward recurrence above it, each within 4e-16 of j_l.
+        got = kernels._bessel_rows(_KAPPAS)
+        assert got.shape == (_KAPPAS.size, 24)
+        for p, kappa in enumerate(_KAPPAS):
+            for l in range(24):
+                ref = _moment_40_digits(l, kappa)
+                moment = 2 * 1j**l * got[p, l]
+                assert abs(moment - complex(ref)) <= 8e-16, (l, kappa)
+
+    def test_moment_rows_do_not_depend_on_the_call(self):
+        whole = kernels._bessel_rows(_KAPPAS)
+        for p in range(_KAPPAS.size):
+            np.testing.assert_array_equal(kernels._bessel_rows(_KAPPAS[p:p + 1]), whole[p:p + 1])
+
+    @pytest.mark.parametrize("k,a,start,step", [(40, 0.5, 0.0, 1.0), (400, 0.5, 4.0, 0.3)])
+    def test_panel_matches_mpmath_quad(self, k, a, start, step):
+        # One x-panel at ``start`` past the switch time, against the
+        # t-integral in 30 digits; kappa = q*h is below the moment switch
+        # for k = 40 and above it for k = 400.
+        L, x0 = 40.0, 1.0
+        mode = ModeSpec(k, L, 1.0)
+        traj = TrajectorySpec.accelerated(a, x0, L)
+        kind, phi0, rate, cc = response._kernel_params(k, L, traj)
+        (t_s,) = response._switch_times(np.array([k]), L, np.array([mode.omega]), traj)
+        lo = np.array([t_s + start])
+        hi = lo + step
+        t_wall = response.wall_time(traj)
+        vals, errs = kernels.filon_integrals(phi0, rate, cc, mode.omega, lo, hi, t_wall, a * (L - x0))
+        u_h = 0.5 * (np.cosh(a * hi) - np.cosh(a * lo))
+        assert (cc * u_h[0] < kernels._KAPPA_SWITCH) == (k == 40)
+        with mpmath.workdps(30):
+            def f(t):
+                return mpmath.sin(phi0 + cc * (mpmath.cosh(a * t) - 1)) * mpmath.expj(mode.omega * t)
+            ref = complex(mpmath.quad(f, mpmath.linspace(lo[0], hi[0], 41)))
+        assert abs(vals[0] - ref) <= max(errs[0], 1e-15)
+        assert errs[0] <= 1e-12
+
+    def test_panel_ending_at_the_wall_ends_at_the_wall(self):
+        # The last edge maps to u_wall itself, not to cosh(a*t_wall) - 1.
+        L, x0, a, k = 40.0, 1.0, 0.5, 40
+        mode = ModeSpec(k, L, 1.0)
+        traj = TrajectorySpec.accelerated(a, x0, L)
+        _, phi0, rate, cc = response._kernel_params(k, L, traj)
+        t_wall = response.wall_time(traj)
+        lo, hi = np.array([t_wall - 0.5]), np.array([t_wall])
+        args = (phi0, rate, cc, mode.omega, lo, hi, t_wall)
+        exact, _ = kernels.filon_integrals(*args, a * (L - x0))
+        moved, _ = kernels.filon_integrals(*args, a * (L - x0) * (1.0 - 1e-9))
+        assert exact != moved
+
+    def test_estimate_floor_and_per_panel_bits(self):
+        # Short panels far past the switch time: the degree-22 and 23
+        # terms vanish there, so the estimate is the floor eps*(hi - lo),
+        # never 0; and every panel's bits are those of a call of its own.
+        L, x0, a = 40.0, 1.0, 0.5
+        ks = np.repeat([3, 40, 400], 20)
+        omega = np.array([ModeSpec(int(k), L, 1.0).omega for k in ks])
+        traj = TrajectorySpec.accelerated(a, x0, L)
+        _, phi0, rate, cc = response._kernel_params(ks, L, traj)
+        t_wall = response.wall_time(traj)
+        lo = np.tile(np.linspace(t_wall - 1.0, t_wall - 1e-3, 20), 3)
+        hi = lo + 1e-3
+        vals, errs = kernels.filon_integrals(phi0, rate, cc, omega, lo, hi, t_wall, a * (L - x0))
+        assert np.all(errs >= kernels.ERR_FLOOR * (hi - lo))
+        assert np.any(errs == kernels.ERR_FLOOR * (hi - lo))
+        for p in range(lo.size):
+            v, e = kernels.filon_integrals(
+                phi0[p], rate, cc[p], omega[p], lo[p:p + 1], hi[p:p + 1], t_wall, a * (L - x0)
+            )
+            assert vals[p] == v[0] and errs[p] == e[0]
+
+
 class TestBackendSelection:
     def test_active_backend_name(self):
         assert kernels.active_backend() == "numpy"

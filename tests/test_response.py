@@ -22,6 +22,7 @@ from udwitness.response import (
     _block_edges,
     _kernel_params,
     _seg,
+    _switch_times,
     chi,
     chi_mode_sum,
     chi_modes,
@@ -352,11 +353,14 @@ class TestChiQuadrature:
     @pytest.mark.parametrize("k,traj,tau", [
         (5000, TrajectorySpec.static(1.0, 10000.0), 2e7),
         (5000, TrajectorySpec.static(1.0, 10000.0), 1e9),
-        (10_000_000, TrajectorySpec.accelerated(8.0, 1.0, 10000.0), 2.0),
+        (10_000_000_000, TrajectorySpec.accelerated(8.0, 1.0, 10000.0), 2.0),
+        (1_000_000, TrajectorySpec.accelerated(1e-7, 1.0, 10000.0), 1e6),
     ])
     def test_starting_panels_over_the_cap_fail_before_allocating(self, k, traj, tau):
-        # Uniform steps on the static worldline, mode-phase steps on the
-        # accelerated one: each count is over the cap before any refinement.
+        # Uniform steps on the static worldline; on the accelerated one,
+        # x-rule steps of at most 10 rad of omega_k*t (a = 8) and uniform
+        # K61 steps before the switch time (a = 1e-7, which the detector
+        # does not reach): each count is over the cap before any refinement.
         mode = ModeSpec(k, 10000.0, 1.0)
         tracemalloc.start()
         try:
@@ -430,15 +434,28 @@ class TestHalfCycleStart:
     def test_starting_panels_span_twelve_half_cycles(self, fig_cavity):
         mode, x0, L = fig_cavity.mode(), fig_cavity.x0, fig_cavity.L
         span = 12 * math.pi * (1 + 1e-9)
-        traj = TrajectorySpec.accelerated(0.8, x0, L)
-        t_end = min(500.0, wall_time(traj))
-        edges = one_mode_edges(mode, traj, t_end)
-        assert edges[0] == 0.0 and edges[-1] == t_end
-        assert edges.size - 1 <= 425
-        cc = mode.k * math.pi / (mode.L * traj.a)
-        mode_phase = cc * (np.cosh(traj.a * edges) - 1.0)
-        assert np.all(np.diff(edges) * mode.omega <= span)
-        assert np.all(np.diff(mode_phase) <= span)
+        q = mode.k * math.pi / L
+        # Accelerated: K61 panels up to the switch time t_s, where the mode
+        # phase's rate q*sinh(a*t) reaches 2*omega_k, of at most twelve
+        # half cycles of the combined phase omega_k*t + A(t); past t_s the
+        # x-rule's equal steps of at most 10 rad of omega_k*t and 1 of a*t.
+        for a in (0.02, 0.8, 50.0):
+            traj = TrajectorySpec.accelerated(a, x0, L)
+            t_end = min(500.0, wall_time(traj))
+            edges = one_mode_edges(mode, traj, t_end)
+            assert edges[0] == 0.0 and edges[-1] == t_end
+            (t_s,) = _switch_times(np.array([mode.k]), L, np.array([mode.omega]), traj)
+            assert q * math.sinh(a * t_s) == pytest.approx(2.0 * mode.omega, rel=1e-14)
+            assert 0.0 < t_s < t_end and t_s in edges
+            k61, x = edges[edges <= t_s], edges[edges >= t_s]
+            combined = mode.omega * k61 + q / a * (np.cosh(a * k61) - 1.0)
+            assert np.all(np.diff(combined) <= span)
+            assert np.all(np.diff(x) * mode.omega <= 10.0 * (1 + 1e-9))
+            assert np.all(np.diff(x) * a <= 1.0 + 1e-9)
+            # ... and no more panels than the largest rate on each side takes.
+            assert k61.size - 1 == math.ceil(t_s * 3.0 * mode.omega / (12 * math.pi) - 1e-9)
+            assert x.size - 1 == math.ceil((t_end - t_s) * max(mode.omega / 10.0, a))
+            assert edges.size - 1 <= 60
         # Forced-quadrature static and inertial chi start from the same
         # builder: twelve half cycles of omega_k and of the mode-crossing
         # omega_L.
@@ -472,6 +489,61 @@ class TestHalfCycleStart:
                 c = chi(mode, coup, traj, tau, tol=tol, force_quadrature=True)
                 assert c.err_estimate <= tol
                 assert abs(c.value - chi_ref) <= tol, (k, a, tau, tol)
+
+
+class TestPositionRule:
+    """Past the switch time an accelerated chi is integrated over position
+    by the Filon x-rule; only [0, t_s] resolves the mode phase node by node."""
+
+    @pytest.mark.parametrize("a", [0.02, 0.1, 0.8, 8.0, 50.0])
+    def test_figure_scale_evaluations(self, fig_cavity, fig_coupling, monkeypatch, a):
+        # K61 nodes plus x-rule nodes of one figure-scale chi, counted at
+        # the two kernel functions: at most a fifth of the 25.6k-26.3k
+        # K61 nodes that resolving the mode phase took at every a.
+        nodes = []
+        k61, x_rule = kernels.panel_integrals, kernels.filon_integrals
+
+        def count_k61(kind, phi0, rate, cc, omega, lo, hi):
+            nodes.append(61 * lo.size)
+            return k61(kind, phi0, rate, cc, omega, lo, hi)
+
+        def count_x(phi0, rate, cc, omega, lo, hi, t_wall, u_wall):
+            nodes.append(24 * lo.size)
+            return x_rule(phi0, rate, cc, omega, lo, hi, t_wall, u_wall)
+
+        monkeypatch.setattr(kernels, "panel_integrals", count_k61)
+        monkeypatch.setattr(kernels, "filon_integrals", count_x)
+        traj = TrajectorySpec.accelerated(a, fig_cavity.x0, fig_cavity.L)
+        c = chi(fig_cavity.mode(), fig_coupling, traj, 500.0)
+        assert c.err_estimate <= DEFAULT_TOL
+        assert len(nodes) == 2 and sum(nodes) <= 25_600 / 5
+
+    @pytest.mark.parametrize("a", [1e160, 1e300])
+    def test_extreme_acceleration_against_fine_grid(self, fig_cavity, fig_coupling, a):
+        # u = a*(x - x0) reaches 1e164-1e304 at the wall, where u*(u + 2)
+        # overflows; sinh(a*t) = sqrt(u)*sqrt(u + 2) does not.
+        mode = fig_cavity.mode()
+        traj = TrajectorySpec.accelerated(a, fig_cavity.x0, fig_cavity.L)
+        c = chi(mode, fig_coupling, traj, 500.0)
+        (ref,) = fine_accel_chi(mode, fig_coupling.lam, traj, [wall_time(traj)])
+        assert abs(c.value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("a", [0.8, 8.0, 50.0])
+    def test_figure_scale_tolerance_below_the_rounding_floor_stalls(
+        self, fig_cavity, fig_coupling, a
+    ):
+        # The refined panels' estimates sit at their floors eps*(t_b - t_a):
+        # the sum is eps times the span, never 0, and tol=1e-300 stalls
+        # there within a few rounds, at the value the default tolerance gives.
+        mode = fig_cavity.mode()
+        traj = TrajectorySpec.accelerated(a, fig_cavity.x0, fig_cavity.L)
+        with pytest.raises(NumericalFailure, match="stalled at the rounding floor") as exc_info:
+            chi(mode, fig_coupling, traj, 500.0, tol=1e-300)
+        best = exc_info.value.best
+        pref = fig_coupling.lam / math.sqrt(mode.k * math.pi)
+        floor = pref * kernels.ERR_FLOOR * wall_time(traj)
+        assert floor <= best.err_estimate <= floor * (1 + 1e-9)
+        assert abs(best.value - chi(mode, fig_coupling, traj, 500.0).value) <= 1e-14
 
 
 class TestDispatch:
@@ -676,14 +748,15 @@ class TestChiModeSum:
         assert elapsed < 0.01 and peak < 1e5
 
     def test_block_edge_table_over_the_cap_fails_before_allocating(self):
-        # Each of the 64 heavy modes starts from about 133k uniform panels,
-        # under the per-mode cap; the block's table of 8.5M is not.
+        # Each of the 64 heavy modes starts from about 133k uniform K61
+        # panels (the detector never reaches the switch time), under the
+        # per-mode cap; the block's table of 8.5M is not.
         cavity = CavityConfig(4.0, 1000.0, 1)
         traj = TrajectorySpec.accelerated(1e-7, 1.0, cavity.L)
         tracemalloc.start()
         try:
             with pytest.raises(NumericalFailure, match=(
-                r"edge table of modes k=1\.\.64 up to tau=5000\.0 is 8499136, "
+                r"edge table of modes k=1\.\.64 up to tau=5000\.0 is 8499200, "
                 r"over the edge table cap 6400000"
             )):
                 chi_mode_sum(cavity, CouplingSpec(0.5), traj, 5000.0, k_max=64)
@@ -788,10 +861,11 @@ class TestModeBlocks:
     @pytest.mark.parametrize("a", [0.2, 2.0])
     def test_block_edges_equal_single_mode_edges(self, L, a):
         # Slice j of a block's edges is the same mode built alone, grid
-        # times included.
+        # times and the mode's own switch time included.
         traj = TrajectorySpec.accelerated(a, L / 4, L)
         ks = np.arange(1, 41)
         omega = np.array([ModeSpec(int(k), L, 1.0).omega for k in ks])
+        switch = _switch_times(ks, L, omega, traj)
         for t_end in (0.05, wall_time(traj)):
             times = np.array([t_end / 3, t_end / 2, t_end])
             edges, offsets = _block_edges(ks, L, omega, traj, t_end, times)
@@ -802,6 +876,7 @@ class TestModeBlocks:
                 np.testing.assert_array_equal(own, alone)
                 assert own[0] == 0.0 and own[-1] == t_end and np.all(np.diff(own) > 0.0)
                 assert np.all(np.isin(times, own))
+                assert switch[j] >= t_end or switch[j] in own
 
     def test_segments_refine_as_they_would_alone(self):
         # Two modes with different tolerances in one pass: each segment's

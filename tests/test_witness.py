@@ -9,7 +9,9 @@ from scipy.special import eval_laguerre
 
 from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.field import CavityConfig
-from udwitness.response import ChiBranch, ChiValue, CouplingSpec, chi, chi_static_amplitude
+from udwitness.response import (
+    ChiBranch, ChiValue, CouplingSpec, chi, chi_series, chi_static_amplitude,
+)
 from udwitness.trajectory import TrajectorySpec, wall_time
 from udwitness.witness import (
     BOUND_EPS,
@@ -276,6 +278,22 @@ class TestWitnessSeries:
             witness_series(state, small_cavity, CouplingSpec(0.4), traj, [1.0, 0.5])
         with pytest.raises(InvalidParameterError):
             witness_series(state, small_cavity, CouplingSpec(0.4), traj, [-1.0, 0.5])
+
+    def test_time_checks_and_their_messages(self, small_cavity):
+        # The grid check reads the sign at the first time only (a strictly
+        # increasing grid has no NaN); chi's own check scans every time,
+        # and rejects an infinite time on a static worldline.
+        traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
+        coupling, state = CouplingSpec(0.4), StateSpec.fock(1)
+        for taus in ([-1.0, 0.5], [math.nan]):
+            with pytest.raises(InvalidParameterError, match=r"time grid must be non-negative \(and not NaN\)"):
+                witness_series(state, small_cavity, coupling, traj, taus)
+        with pytest.raises(InvalidParameterError, match="time grid must be strictly increasing"):
+            witness_series(state, small_cavity, coupling, traj, [0.0, math.nan])
+        with pytest.raises(InvalidParameterError, match="tau=inf must be non-negative and finite"):
+            witness_series(state, small_cavity, coupling, traj, [0.0, math.inf])
+        with pytest.raises(InvalidParameterError, match="proper time tau=-1.0 must be non-negative"):
+            chi_series(small_cavity.mode(), coupling, traj, [0.5, -1.0])
 
     def test_mismatched_specs_rejected(self, small_cavity):
         other = TrajectorySpec.static(small_cavity.x0, 5.0)
