@@ -23,11 +23,23 @@ def mode_frequency(k: int, L: float, m: float) -> float:
     """
     if k != int(k) or k < 1:
         raise InvalidParameterError(f"mode index k must be a positive integer, got {k}")
+    _check_cavity(L, m)
+    return math.hypot(int(k) * math.pi / L, m)
+
+
+def mode_frequencies(k_max: int, L: float, m: float) -> np.ndarray:
+    """mode_frequency of modes k = 1..k_max as an array, the same bits,
+    with L and m validated once."""
+    _check_cavity(L, m)
+    return np.array([math.hypot(k * math.pi / L, m) for k in range(1, k_max + 1)])
+
+
+def _check_cavity(L: float, m: float) -> None:
+    """InvalidParameterError unless 0 < L < inf and 0 <= m < inf."""
     if not 0 < L < math.inf:
         raise InvalidParameterError(f"cavity length L must be positive and finite, got {L}")
     if not 0 <= m < math.inf:
         raise InvalidParameterError(f"field mass m must be non-negative and finite, got {m}")
-    return math.hypot(int(k) * math.pi / L, m)
 
 
 def mode_function(k: int, L: float, x) -> float:

@@ -438,11 +438,16 @@ _MOMENTS = np.concatenate([np.where(_EVEN, _MOMENTS, 0.0), np.where(_EVEN, 0.0, 
 
 
 def _bessel_rows(kappa):
-    """Spherical Bessel j_l(kappa), l = 0..23, one row per panel: (n, 24)."""
+    """Spherical Bessel j_l(kappa), l = 0..23, one row per panel: (n, 24).
+
+    The 64-point moments see only the kappa below the switch, the
+    recurrence only the rest; each row is the same bits in any call.
+    """
     big = kappa >= _KAPPA_SWITCH
-    if big.all():
-        return _bessel_upward(kappa).T
-    j = _rows(_trig_columns(kappa), _MOMENTS)
+    small = ~big
+    j = np.empty((kappa.size, _DEGREES))
+    if small.any():
+        j[small] = _rows(_trig_columns(kappa[small]), _MOMENTS)
     if big.any():
         j[big] = _bessel_upward(kappa[big]).T
     return j

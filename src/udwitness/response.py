@@ -62,7 +62,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidParameterError, NumericalFailure, _check_cap
-from .field import CavityConfig, ModeSpec, mode_frequency
+from .field import CavityConfig, ModeSpec, mode_frequencies
 from .trajectory import TrajectoryKind, TrajectorySpec, wall_time
 
 #: Half-width of the resonance band, relative to omega_k. An inertial chi
@@ -79,7 +79,10 @@ _MAX_PANELS = 400_000
 #: Largest starting edge table of one pass: modes times the longest rows of
 #: K61 and x-rule steps. _MAX_PANELS bounds each mode, this the block,
 #: at the table a 16-mode block could reach under _MAX_PANELS: a 64-mode
-#: block of 6.39M entries traced a 160 MB peak in 0.17 s.
+#: block of 6.39M entries traced a 160 MB peak in 0.17 s. A full block
+#: of _MODE_BLOCK modes meets it at 25k starting panels a mode; the
+#: benchmark's 256-mode sums start from at most 31-57 a mode (seeds 1-3),
+#: and the oracle sums 16 modes.
 _MAX_EDGE_TABLE = 16 * _MAX_PANELS
 _MAX_ROUNDS = 48
 #: Largest k_max of a mode sum. A closed-form sum traces 88-120 bytes per
@@ -89,12 +92,14 @@ _MAX_MODES = 1_000_000
 #: Modes per block of a mode sum. An accelerated block is one batched
 #: adaptive quadrature, and the block bounds its edge and prefix-sum
 #: tables (the kernel bounds its own temporaries): a 256-mode sum peaks at
-#: 1.00 MB traced with 64 modes per block, 0.68 MB with 16 and 1.14 MB
-#: with all 256. Fewer blocks mean fewer small kernel calls, each with a
-#: fixed cost of tens of microseconds: one accel-mode-sum benchmark pass
-#: took 0.135 s with 16 modes per block, 0.107 s with 32, 0.093 s with 64
-#: and 0.086-0.087 s with 128 or 256 (thread CPU time, median of 9).
-_MODE_BLOCK = 64
+#: 1.33 MB traced in one block, 1.08 MB with 64 modes per block and
+#: 0.47 MB with 16. Each block pays a fixed cost per round (an edge
+#: build, a K61 call and an x-rule call) of about 0.7 ms, where a panel
+#: costs the kernels about 2 us: one accel-mode-sum benchmark pass (16
+#: sums of 256 modes) took 114-120 ms with 64 modes per block, 90-99 ms
+#: with 128 and 80-87 ms with 256 (thread CPU time, median of 30 passes
+#: alternated in one process, two processes; 2-vCPU x86-64, numpy 2.4).
+_MODE_BLOCK = 256
 
 #: Largest phase across one starting K61 panel: twelve half cycles of the
 #: faster oscillation (on the accelerated worldline, of the combined phase
@@ -662,7 +667,7 @@ def chi_modes(
         raise InvalidParameterError(f"k_max={k_max} must be an integer >= 1")
     _check_cap("k_max", k_max, "mode", _MAX_MODES)
     ks = np.arange(1, k_max + 1)
-    omega = np.array([mode_frequency(k, cavity.L, cavity.m) for k in range(1, k_max + 1)])
+    omega = mode_frequencies(k_max, cavity.L, cavity.m)
     quad = traj.kind is TrajectoryKind.ACCELERATED
     chis, errs, stalls = _chi_modes(ks, omega, cavity.L, coupling, traj, tau, tol, quad)
     failed = [j for j, stall in enumerate(stalls) if stall is not None]

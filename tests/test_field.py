@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udwitness.errors import InvalidParameterError
-from udwitness.field import CavityConfig, ModeSpec, mode_frequency, mode_function
+from udwitness.field import CavityConfig, ModeSpec, mode_frequencies, mode_frequency, mode_function
 
 # sqrt((pi/2)^2 + 1), frozen from 30-digit arithmetic
 OMEGA_5000_10000_1 = 1.8620958891185866
@@ -51,6 +51,22 @@ class TestModeFrequency:
     def test_rejects_bad_parameters(self, k, L, m):
         with pytest.raises(InvalidParameterError):
             mode_frequency(k, L, m)
+
+
+class TestModeFrequencies:
+    @pytest.mark.parametrize("L,m", [(4.0, 1.0), (40.0, 0.0), (1e4, 1.0)])
+    def test_bits_of_mode_frequency(self, L, m):
+        k_max = 6000
+        got = mode_frequencies(k_max, L, m)
+        assert got.shape == (k_max,)
+        np.testing.assert_array_equal(got, [mode_frequency(k, L, m) for k in range(1, k_max + 1)])
+
+    @pytest.mark.parametrize("L,m,name", [(0.0, 0.0, "cavity length L"), (math.inf, 0.0, "cavity length L"),
+                                          (math.nan, 0.0, "cavity length L"), (1.0, -0.1, "field mass m"),
+                                          (1.0, math.inf, "field mass m"), (1.0, math.nan, "field mass m")])
+    def test_rejects_bad_cavity(self, L, m, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            mode_frequencies(4, L, m)
 
 
 class TestModeFunction:

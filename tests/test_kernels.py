@@ -478,6 +478,22 @@ class TestFilonRule:
                 moment = 2 * 1j**l * got[p, l]
                 assert abs(moment - complex(ref)) <= 8e-16, (l, kappa)
 
+    def test_each_moment_path_sees_only_its_kappas(self, monkeypatch):
+        # The 64-point moments are taken only below the switch and the
+        # recurrence only at or above it.
+        seen = {"_trig_columns": [], "_bessel_upward": []}
+
+        def recorded(name):
+            real = getattr(kernels, name)
+            return lambda k: seen[name].append(k) or real(k)
+
+        for name in seen:
+            monkeypatch.setattr(kernels, name, recorded(name))
+        kernels._bessel_rows(_KAPPAS)
+        small = _KAPPAS < kernels._KAPPA_SWITCH
+        assert [k.tolist() for k in seen["_trig_columns"]] == [_KAPPAS[small].tolist()]
+        assert [k.tolist() for k in seen["_bessel_upward"]] == [_KAPPAS[~small].tolist()]
+
     def test_moment_rows_do_not_depend_on_the_call(self):
         whole = kernels._bessel_rows(_KAPPAS)
         for p in range(_KAPPAS.size):

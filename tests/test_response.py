@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, quad, simpson
 
-from udwitness import kernels
+from udwitness import kernels, response
 from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.field import CavityConfig, ModeSpec, mode_function
 from udwitness.response import (
@@ -765,6 +765,22 @@ class TestChiModeSum:
             tracemalloc.stop()
         assert peak < 1e5
 
+    @pytest.mark.parametrize("field,bad,name", [("L", -1.0, "cavity length L"), ("L", math.nan, "cavity length L"),
+                                                ("m", -0.5, "field mass m"), ("m", math.inf, "field mass m")])
+    def test_bad_cavity_is_named_before_any_work(self, monkeypatch, field, bad, name):
+        # A cavity changed after its checks: chi_modes validates L and m
+        # once, before the dispatch.
+        cavity = CavityConfig(L=4.0, m=1.0, k0=2)
+        object.__setattr__(cavity, field, bad)
+        traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
+
+        def no_work(*args):
+            raise AssertionError("chi evaluated")
+
+        monkeypatch.setattr(response, "_chi_modes", no_work)
+        with pytest.raises(InvalidParameterError, match=name):
+            chi_modes(cavity, CouplingSpec(0.5), traj, 1.0, k_max=256)
+
     def test_k_max_is_checked_first(self, small_cavity):
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
         for k_max in (0, -3, 2.5, 3.0, math.nan, math.inf):
@@ -809,24 +825,28 @@ class TestChiModeSum:
         assert best == pytest.approx(reachable, rel=1e-9)
 
     def test_stall_across_two_blocks_is_raised_after_both(self, small_cavity):
-        # Modes 1..80 fill one 64-mode block and part of a second; every
-        # mode stalls. The raise names the first stalled mode and counts the
-        # stalls of both blocks, and ``best`` sums all 80 best estimates.
+        # Modes 1..1.5 * _MODE_BLOCK fill one block and half of a second;
+        # every mode stalls. The raise names the first stalled mode and
+        # counts the stalls of both blocks, and ``best`` sums the best
+        # estimates of all modes. With 256-mode blocks the second block adds
+        # 2.2e-3 of the first one's sum; 16 modes past the first block would
+        # add 3.9e-4, under the 1e-3 asserted below.
         coup = CouplingSpec(0.5)
         traj = TrajectorySpec.accelerated(1.0, small_cavity.x0, small_cavity.L)
-        assert _MODE_BLOCK < 80 < 2 * _MODE_BLOCK
+        k_max = _MODE_BLOCK + _MODE_BLOCK // 2
+        assert _MODE_BLOCK < k_max < 2 * _MODE_BLOCK
         with pytest.raises(NumericalFailure, match="mode k=1: ") as exc_info:
-            chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=80, tol=1e-300)
-        assert "80 of modes 1..80 stalled" in str(exc_info.value)
-        reachable = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=80)
+            chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=k_max, tol=1e-300)
+        assert f"{k_max} of modes 1..{k_max} stalled" in str(exc_info.value)
+        reachable = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=k_max)
         first_block = chi_mode_sum(small_cavity, coup, traj, 1.0, k_max=_MODE_BLOCK)
         assert exc_info.value.best == pytest.approx(reachable, rel=1e-9)
         assert reachable > first_block * (1.0 + 1e-3)
 
     def test_accelerated_sum_memory_stays_block_sized(self):
-        # One 256-mode sum holds one 64-mode block of edge and prefix-sum
-        # tables at a time: 1.00 MB traced peak (0.68 MB with 16-mode
-        # blocks, 1.14 MB with all 256 modes in one block).
+        # One 256-mode sum is one block of edge and prefix-sum tables:
+        # 1.33 MB traced peak (1.08 MB with 64-mode blocks, 0.47 MB with
+        # 16-mode blocks).
         cavity = CavityConfig(L=5.0, m=1.0, k0=2)
         traj = TrajectorySpec.accelerated(1.3, cavity.x0, cavity.L)
         tau = wall_time(traj) + 1.0
@@ -845,8 +865,8 @@ class TestModeBlocks:
     @pytest.mark.parametrize("L", [4.0, 40.0])
     @pytest.mark.parametrize("a", [0.2, 2.0])
     def test_abs2_block_matches_chi_quadrature_bitwise(self, L, a):
-        # 1..40 crosses two block edges and ends inside a block. The early
-        # time starts some modes from a single panel.
+        # 1..40 ends inside a block. The early time starts some modes from
+        # a single panel.
         cavity = CavityConfig(L=L, m=1.0, k0=2)
         coup = CouplingSpec(0.4)
         traj = TrajectorySpec.accelerated(a, cavity.x0, L)
@@ -856,6 +876,46 @@ class TestModeBlocks:
             got = [abs(c) ** 2 for c in chi_modes(cavity, coup, traj, tau, ks.size).tolist()]
             ref = [abs(chi(cavity.mode(int(k)), coup, traj, tau).value) ** 2 for k in ks]
             np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("L", [4.0, 40.0])
+    @pytest.mark.parametrize("a", [0.2, 2.0])
+    def test_block_size_changes_no_bits(self, L, a, monkeypatch):
+        # 256 modes in one block, and in four blocks of 64.
+        cavity = CavityConfig(L=L, m=1.0, k0=2)
+        coup = CouplingSpec(0.4)
+        traj = TrajectorySpec.accelerated(a, cavity.x0, L)
+        for tau in (0.05, wall_time(traj) + 1.0):
+            whole = chi_modes(cavity, coup, traj, tau, 256)
+            with monkeypatch.context() as m:
+                m.setattr(response, "_MODE_BLOCK", 64)
+                quarters = chi_modes(cavity, coup, traj, tau, 256)
+            np.testing.assert_array_equal(whole, quarters)
+
+    def test_one_kernel_call_per_rule_and_round(self, monkeypatch):
+        # A block of modes refines as one pass: each round evaluates the
+        # split K61 panels of all modes in one panel_integrals call and the
+        # split x-panels in one filon_integrals call. The pass takes one
+        # error sum per round (a float _segment_sums); the split counts are
+        # boolean. A tolerance under the rounding floor keeps both rules
+        # splitting for several rounds before modes stall.
+        events = []
+        k61, x_rule, sums = kernels.panel_integrals, kernels.filon_integrals, response._segment_sums
+        monkeypatch.setattr(kernels, "panel_integrals", lambda *p: events.append("k61") or k61(*p))
+        monkeypatch.setattr(kernels, "filon_integrals", lambda *p: events.append("x") or x_rule(*p))
+
+        def error_sums(x, counts):
+            if x.dtype != bool:
+                events.append("round")
+            return sums(x, counts)
+
+        monkeypatch.setattr(response, "_segment_sums", error_sums)
+        cavity = CavityConfig(L=4.0, m=1.0, k0=2)
+        traj = TrajectorySpec.accelerated(2.0, cavity.x0, cavity.L)
+        with pytest.raises(NumericalFailure, match=f"of modes 1..{_MODE_BLOCK} stalled"):
+            chi_modes(cavity, CouplingSpec(0.4), traj, 1.0, _MODE_BLOCK, tol=1e-17)
+        rounds = events.count("round")
+        assert rounds >= 3
+        assert events == ["k61", "x", "round"] * rounds
 
     @pytest.mark.parametrize("L", [4.0, 40.0])
     @pytest.mark.parametrize("a", [0.2, 2.0])
