@@ -68,7 +68,9 @@ def unitarity_defect(u: np.ndarray, block: int) -> float:
     """
     cols = u[:, :block]
     g = cols.conj().T @ cols - np.eye(cols.shape[1])
-    return float(np.linalg.norm(g, ord=2))
+    # g is Hermitian, so its spectral norm is its largest |eigenvalue|:
+    # one Hermitian eigenvalue solve in place of the SVD of norm(g, 2).
+    return float(np.abs(np.linalg.eigvalsh(g)).max())
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -214,10 +216,12 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 
 #: Largest step count of one Trotter product. The times and drive samples
 #: take 16 bytes a step (tracemalloc peak of 16.1 MB at 1e6 steps), 1.6 GB
-#: at the cap, and a step takes 6.7 us at cutoff 2 and 74 us at cutoff 60
-#: (2-vCPU x86-64 host, OpenBLAS), so a product at the cap runs for 11
-#: minutes (cutoff 2) to two hours (cutoff 60): only step counts that
-#: cannot run in reasonable time or memory are refused.
+#: at the cap. A step takes 9 us at cutoff 2; at cutoff 60 it takes 78 us
+#: for the full product and 36 us for a 20-column block (2-vCPU x86-64
+#: host, OpenBLAS, median of 7 products of 4096 steps), so a product at the
+#: cap runs for 15 minutes (cutoff 2) to about two hours (cutoff 60, all
+#: columns): only step counts that cannot run in reasonable time or memory
+#: are refused.
 _MAX_TROTTER_STEPS = 10**8
 
 
@@ -227,6 +231,7 @@ def evolve_trotter(
     tau: float,
     steps: int,
     sign: int = 1,
+    block: int | None = None,
 ) -> np.ndarray:
     """Time-ordered interaction-picture propagator by a midpoint product.
 
@@ -249,9 +254,19 @@ def evolve_trotter(
     whatever the drive. No scipy routine runs inside the loop: numpy and
     scipy each load their own OpenBLAS runtime, and switching between the
     two thread pools on every step costs far more than the step itself.
+
+    ``block`` returns only the first ``block`` columns of the propagator,
+    its action on the number states 0..block-1, as a (cutoff, block)
+    array; None returns all of them. Column j of the product depends only
+    on column j of the starting matrix, so only those columns are
+    propagated: a step multiplies a (cutoff, block) array, not a
+    (cutoff, cutoff) one. This is the propagation of vectors rather than
+    matrices: ``block=1`` gives the column U|0>.
     """
     if sign not in (-1, 1):
         raise InvalidParameterError(f"sign must be +1 or -1, got {sign}")
+    if block is not None and not 1 <= block <= mode.cutoff:
+        raise InvalidParameterError(f"block={block} must be in 1..{mode.cutoff}")
     if steps < 1:
         raise InvalidParameterError(f"steps={steps} must be >= 1")
     _check_cap("steps", steps, "Trotter step", _MAX_TROTTER_STEPS)
@@ -267,7 +282,7 @@ def evolve_trotter(
     n = np.arange(mode.cutoff)
     hop = v.T @ (np.exp(-1j * mode.omega * dt * n)[:, None] * v)
     # u is held in the eigenbasis of X, between the outer rotations
-    u = v.T * np.exp(-1j * mode.omega * (0.5 * dt) * n)[None, :]
+    u = (v.T * np.exp(-1j * mode.omega * (0.5 * dt) * n)[None, :])[:, :block]
     u *= np.exp((-1j * dt * sign * f[0]) * x)[:, None]
     for j in range(1, steps):
         u = hop @ u
@@ -276,11 +291,12 @@ def evolve_trotter(
 
 
 def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    vec = np.empty(cutoff, dtype=complex)
-    vec[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, cutoff):
-        vec[n] = vec[n - 1] * alpha / math.sqrt(n)
-    return vec
+    """Amplitudes alpha^n e^{-|alpha|^2/2} / sqrt(n!) for n < cutoff, as the
+    running product of e^{-|alpha|^2/2}, alpha/sqrt(1), alpha/sqrt(2), ..."""
+    factors = np.empty(cutoff, dtype=complex)
+    factors[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    factors[1:] = alpha / np.sqrt(np.arange(1, cutoff))
+    return np.cumprod(factors)
 
 
 def state_density(state: StateSpec, cutoff: int) -> np.ndarray:
@@ -482,12 +498,14 @@ def run_oracle_suite(
         def trotter_gap():
             tmode = TruncatedMode(trotter_cutoff, 1.0)
             f0, t_end = 0.4, math.pi
-            u_prod = evolve_trotter(tmode, lambda t: np.full_like(t, f0), t_end, trotter_steps)
+            h = trusted_block(trotter_cutoff)
+            u_prod = evolve_trotter(
+                tmode, lambda t: np.full_like(t, f0), t_end, trotter_steps, block=h
+            )
             zeta = complex(chi_static_amplitude(f0, tmode.omega, t_end))
             beta = phase_beta(lambda t: np.full_like(t, f0), tmode.omega, 0.0, t_end)
             u_ref = cmath.exp(1j * beta) * displacement_matrix(tmode, zeta)
-            h = trusted_block(trotter_cutoff)
-            return float(np.linalg.norm((u_prod - u_ref)[:, :h], ord=2))
+            return float(np.linalg.norm(u_prod - u_ref[:, :h], ord=2))
 
         guarded("time-ordered product vs factorized form", 1e-5, trotter_gap)
 

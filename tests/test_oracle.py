@@ -160,6 +160,32 @@ class TestDisplacement:
         )
 
 
+class TestUnitarityDefect:
+    @staticmethod
+    def near_unitaries(cutoff):
+        rng = np.random.default_rng(cutoff)
+        tm = TruncatedMode(cutoff, 1.0)
+        for beta in (0.01 + 0.005j, 0.3 - 0.1j, 0.7 + 0.3j):
+            yield displacement_matrix(tm, beta)
+        for scale in (1e-12, 1e-8, 1e-4, 1e-2):
+            z = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+            q, _ = np.linalg.qr(z)
+            e = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+            yield q + scale * e
+
+    @pytest.mark.parametrize("cutoff", [20, 40, 60])
+    def test_equals_spectral_norm(self, cutoff):
+        # the eigenvalue form against the SVD it replaced: to 1e-15 on the
+        # trusted block the screens use, and to 1e-14 of the defect on the
+        # whole matrix, where the cut edge makes it of order one
+        for u in self.near_unitaries(cutoff):
+            for block, rel in ((trusted_block(cutoff), 0.0), (cutoff, 1e-14)):
+                cols = u[:, :block]
+                g = cols.conj().T @ cols - np.eye(block)
+                ref = np.linalg.norm(g, ord=2)
+                assert abs(unitarity_defect(u, block) - ref) <= max(1e-15, rel * ref)
+
+
 class TestEvolveClosedForm:
     def test_identity_cases(self):
         tm = TruncatedMode(25, 1.3)
@@ -302,8 +328,55 @@ class TestEvolveTrotter:
         with pytest.raises(InvalidParameterError):
             evolve_trotter(tm, np.full(steps - 1, 0.3), 1.5, steps)
 
+    @pytest.mark.parametrize("cutoff, block", [(60, 20), (40, 13), (60, 1), (20, 20)])
+    def test_block_is_the_first_columns(self, cutoff, block):
+        # not bit for bit: a one-column block goes through gemv, not gemm
+        tm = TruncatedMode(cutoff, 1.3)
+
+        def drive(t):
+            return 0.4 + 0.3 * np.sin(2.3 * t)
+
+        full = evolve_trotter(tm, drive, 1.9, 256)
+        u = evolve_trotter(tm, drive, 1.9, 256, block=block)
+        assert u.shape == (cutoff, block)
+        assert np.abs(u - full[:, :block]).max() <= 1e-13
+
+    def test_block_none_is_the_full_product(self):
+        tm = TruncatedMode(20, 1.0)
+        u = evolve_trotter(tm, lambda t: np.full_like(t, 0.3), 1.5, 64, block=None)
+        assert u.shape == (20, 20)
+        assert np.array_equal(u, evolve_trotter(tm, lambda t: np.full_like(t, 0.3), 1.5, 64))
+
+    @pytest.mark.parametrize("block", [0, -1, 41])
+    def test_bad_block_fails_before_any_step(self, block, fails_fast):
+        def drive(t):
+            raise AssertionError("the drive was sampled")
+
+        fails_fast(
+            lambda: evolve_trotter(TruncatedMode(40, 1.0), drive, 2.0, 10**6, block=block),
+            InvalidParameterError,
+            f"block={block} must be in 1..40",
+        )
+
+
+def mp_coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
+    """alpha^n e^{-|alpha|^2/2} / sqrt(n!) in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        a = mpmath.mpc(alpha.real, alpha.imag)
+        pre = mpmath.exp(-abs(a) ** 2 / 2)
+        return np.array(
+            [complex(pre * a**n / mpmath.sqrt(mpmath.factorial(n))) for n in range(cutoff)]
+        )
+
 
 class TestStateDensity:
+    @pytest.mark.parametrize("cutoff", [40, 60])
+    @pytest.mark.parametrize("alpha", [0j, 0.6 + 0.3j, 1 + 0j, -1 + 0j, 2.5 + 0j])
+    def test_coherent_vector_matches_mpmath(self, alpha, cutoff):
+        ref = mp_coherent_vector(alpha, cutoff)
+        vec = oracle._coherent_vector(alpha, cutoff)
+        assert np.abs(vec - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_fock_fits(self):
         rho = state_density(StateSpec.fock(1), 10)
         assert rho[1, 1] == 1.0
@@ -496,6 +569,31 @@ class TestOracleSuite:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.split() == ["5", "True", "False"]
+
+    @pytest.mark.parametrize("trotter_cutoff", [60, 30])
+    def test_product_runs_on_the_trusted_block(self, trotter_cutoff, monkeypatch):
+        blocks = []
+
+        def spy(*args, **kwargs):
+            blocks.append(kwargs.get("block"))
+            return evolve_trotter(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "evolve_trotter", spy)
+        checks = run_oracle_suite(states=(), trotter_cutoff=trotter_cutoff, trotter_steps=64)
+        assert blocks == [trusted_block(trotter_cutoff)]
+        assert checks[-1].name == "time-ordered product vs factorized form"
+
+    def test_trotter_gap_equals_full_product_gap(self):
+        steps = 1024
+        gap = run_oracle_suite(states=(), trotter_steps=steps)[-1].gap
+        tm = TruncatedMode(60, 1.0)
+        f0, t_end = 0.4, math.pi
+        u = evolve_trotter(tm, lambda t: np.full_like(t, f0), t_end, steps)
+        zeta = complex(chi_static_amplitude(f0, tm.omega, t_end))
+        beta = phase_beta(lambda t: np.full_like(t, f0), tm.omega, 0.0, t_end)
+        ref = cmath.exp(1j * beta) * displacement_matrix(tm, zeta)
+        h = trusted_block(60)
+        assert abs(gap - np.linalg.norm((u - ref)[:, :h], ord=2)) <= 1e-15
 
     def test_subset_runs_clean(self):
         checks = run_oracle_suite(
