@@ -80,9 +80,9 @@ _MAX_PANELS = 400_000
 #: K61 and x-rule steps. _MAX_PANELS bounds each mode, this the block,
 #: at the table a 16-mode block could reach under _MAX_PANELS: a 64-mode
 #: block of 6.39M entries traced a 160 MB peak in 0.17 s. A full block
-#: of _MODE_BLOCK modes meets it at 25k starting panels a mode; the
-#: benchmark's 256-mode sums start from at most 31-57 a mode (seeds 1-3),
-#: and the oracle sums 16 modes.
+#: of _MODE_BLOCK modes meets it at 25k starting panels a mode and is then
+#: split (_SPLIT_BLOCK); the benchmark's 256-mode sums start from at most
+#: 31-57 a mode (seeds 1-3), and the oracle sums 16 modes.
 _MAX_EDGE_TABLE = 16 * _MAX_PANELS
 _MAX_ROUNDS = 48
 #: Largest k_max of a mode sum. A closed-form sum traces 88-120 bytes per
@@ -100,6 +100,10 @@ _MAX_MODES = 1_000_000
 #: with 128 and 80-87 ms with 256 (thread CPU time, median of 30 passes
 #: alternated in one process, two processes; 2-vCPU x86-64, numpy 2.4).
 _MODE_BLOCK = 256
+#: A block whose starting edge table is over _MAX_EDGE_TABLE is evaluated
+#: in blocks of this many modes, the block size the cap was sized with; a
+#: block of these over the cap is refused. Sums that fit are not split.
+_SPLIT_BLOCK = 64
 
 #: Largest phase across one starting K61 panel: twelve half cycles of the
 #: faster oscillation (on the accelerated worldline, of the combined phase
@@ -285,7 +289,15 @@ def _chi_modes(ks, omega, L, coupling, traj, taus, tol, quad):
             k, w = ks.item(), omega.item()
         chi = _closed_form(coupling.lam, k, L, w, traj, taus).reshape((ks.size,) + taus.shape)
         return chi, np.zeros(chi.shape), [None] * ks.size
-    blocks = [slice(i, i + _MODE_BLOCK) for i in range(0, ks.size, _MODE_BLOCK)]
+    return _blockwise(_MODE_BLOCK, ks, omega, L, coupling, traj, taus, t_end, tol)
+
+
+def _blockwise(size, ks, omega, L, coupling, traj, taus, t_end, tol):
+    """_quadrature of modes ``ks`` in blocks of ``size``, concatenated.
+
+    A mode's values are the same bits whichever block it is in.
+    """
+    blocks = [slice(i, i + size) for i in range(0, ks.size, size)]
     chis, errs, stalls = zip(*(
         _quadrature(ks[b], omega[b], L, coupling, traj, taus, t_end, tol) for b in blocks
     ))
@@ -345,8 +357,42 @@ def _switch_times(ks, L, omega, traj: TrajectorySpec):
     return np.arcsinh(2.0 * omega / (ks * (math.pi / L))) / traj.a
 
 
-def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
-    """Starting panel edges of modes ``ks`` (frequencies ``omega``) in one pass.
+def _start_panels(ks, L, omega, traj: TrajectorySpec, t_end: float):
+    """(t_x, n_t, n_x) of modes ``ks`` (frequencies ``omega``) up to t_end,
+    each a column with one row per mode: the end t_x of the K61 range and
+    the numbers of starting K61 and x-rule panels (see _block_edges).
+
+    A mode of more than _MAX_PANELS starting panels raises
+    NumericalFailure.
+    """
+    t_x = np.minimum(_switch_times(ks, L, omega, traj), t_end)
+    rate = omega
+    if traj.kind is TrajectoryKind.INERTIAL:
+        rate = np.maximum(omega, _crossing_frequency(ks, L, traj.v))
+    elif traj.kind is TrajectoryKind.ACCELERATED:
+        rate = omega + ks * (math.pi / L) * np.sinh(traj.a * t_x)
+    t_x = t_x[:, None]
+    n_t = np.maximum(1.0, np.ceil(t_x / (_START_PANEL_PHASE / rate[:, None])))
+    n_x = np.ceil((t_end - t_x) * np.maximum(omega / _X_PANEL_PHASE, traj.a)[:, None])
+    n_start = n_t + n_x
+    j = int(np.argmax(n_start[:, 0]))
+    _check_cap(
+        f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
+        n_start[j, 0], "panel", _MAX_PANELS,
+    )
+    return t_x, n_t, n_x
+
+
+def _edge_table_size(start) -> float:
+    """Entries of the starting edge table of _start_panels' counts: every
+    mode's row is padded to the longest K61 and x-rule rows."""
+    _, n_t, n_x = start
+    return n_t.shape[0] * (n_t.max() + n_x.max())
+
+
+def _block_edges(ks, t_end: float, times, start):
+    """Starting panel edges of modes ``ks`` in one pass, from their
+    _start_panels counts ``start``.
 
     Returns (edges, offsets): mode j's edges are
     edges[offsets[j]:offsets[j + 1]], strictly increasing from 0 to
@@ -371,28 +417,13 @@ def _block_edges(ks, L, omega, traj: TrajectorySpec, t_end: float, times):
     rows, so a mode's edges do not depend on the modes it is built with.
     Sorting each row and dropping repeats gives the edges.
 
-    A mode of more than _MAX_PANELS starting panels, or a table of more
-    than _MAX_EDGE_TABLE steps, raises NumericalFailure before the table
-    is built.
+    A table of more than _MAX_EDGE_TABLE steps raises NumericalFailure
+    before it is built.
     """
-    t_x = np.minimum(_switch_times(ks, L, omega, traj), t_end)
-    rate = omega
-    if traj.kind is TrajectoryKind.INERTIAL:
-        rate = np.maximum(omega, _crossing_frequency(ks, L, traj.v))
-    elif traj.kind is TrajectoryKind.ACCELERATED:
-        rate = omega + ks * (math.pi / L) * np.sinh(traj.a * t_x)
-    t_x = t_x[:, None]
-    n_t = np.maximum(1.0, np.ceil(t_x / (_START_PANEL_PHASE / rate[:, None])))
-    n_x = np.ceil((t_end - t_x) * np.maximum(omega / _X_PANEL_PHASE, traj.a)[:, None])
-    n_start = n_t + n_x
-    j = int(np.argmax(n_start[:, 0]))
-    _check_cap(
-        f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
-        n_start[j, 0], "panel", _MAX_PANELS,
-    )
+    t_x, n_t, n_x = start
     _check_cap(
         f"the starting edge table of modes k={ks[0]}..{ks[-1]} up to tau={t_end}",
-        ks.size * (n_t.max() + n_x.max()), "edge table", _MAX_EDGE_TABLE,
+        _edge_table_size(start), "edge table", _MAX_EDGE_TABLE,
     )
     i = np.arange(n_t.max() + 1.0)
     k61 = np.where(i < n_t, i * (t_x / n_t), t_end)
@@ -552,7 +583,9 @@ def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol):
     chi_k(tau) is an exact prefix of its mode's panel decomposition, taken
     by one sequential prefix sum per mode; times past the wall-arrival
     time reuse the frozen full integral. A mode's panels, and hence its
-    values, are the same bits whichever modes it is evaluated with.
+    values, are the same bits whichever modes it is evaluated with, so a
+    block whose starting edge table would be over _MAX_EDGE_TABLE is
+    evaluated in blocks of _SPLIT_BLOCK modes instead.
 
     Returns (chi, err, stalls): chi[j] and err[j] are mode j's values and
     summed panel estimates on the grid (shaped like ``taus``), and
@@ -562,8 +595,11 @@ def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol):
     if coupling.lam == 0.0 or t_end <= 0.0:
         shape = (ks.size,) + taus.shape
         return np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size
+    start = _start_panels(ks, L, omega, traj, t_end)
+    if ks.size > _SPLIT_BLOCK and _edge_table_size(start) > _MAX_EDGE_TABLE:
+        return _blockwise(_SPLIT_BLOCK, ks, omega, L, coupling, traj, taus, t_end, tol)
     t_clip = np.minimum(taus, t_end)
-    edges, offsets = _block_edges(ks, L, omega, traj, t_end, t_clip[t_clip > 0.0])
+    edges, offsets = _block_edges(ks, t_end, t_clip[t_clip > 0.0], start)
     kind, phi0, rate, cc = _kernel_params(ks, L, traj)
     pref = coupling.lam / np.sqrt(ks * math.pi)
     switch = _switch_times(ks, L, omega, traj)

@@ -256,8 +256,9 @@ class TestNumpyBackend:
         mode = ModeSpec(5000, 10000.0, 1.0)
         traj = TrajectorySpec.inertial(v, 1.0, mode.L)
         kind, phi0, rate, cc = response._kernel_params(mode.k, mode.L, traj)
+        ks, omegas = np.array([mode.k]), np.array([mode.omega])
         edges, offsets = response._block_edges(
-            np.array([mode.k]), mode.L, np.array([mode.omega]), traj, t_end, np.array([t_end])
+            ks, t_end, np.array([t_end]), response._start_panels(ks, mode.L, omegas, traj, t_end)
         )
         vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
         omega = mode.omega

@@ -14,7 +14,7 @@ import pytest
 
 from udwitness import oracle, response
 from udwitness.errors import InvalidParameterError, NumericalFailure, TruncationTooSmall
-from udwitness.field import ModeSpec, mode_function
+from udwitness.field import CavityConfig, ModeSpec, mode_function
 from udwitness.oracle import (
     UNITARITY_TOL,
     EndToEndReport,
@@ -28,6 +28,7 @@ from udwitness.oracle import (
     phase_beta,
     run_oracle_suite,
     state_density,
+    state_vectors,
     trusted_block,
     unitarity_defect,
 )
@@ -184,6 +185,31 @@ class TestUnitarityDefect:
                 g = cols.conj().T @ cols - np.eye(block)
                 ref = np.linalg.norm(g, ord=2)
                 assert abs(unitarity_defect(u, block) - ref) <= max(1e-15, rel * ref)
+
+    def test_stack_equals_each_matrix(self):
+        # one defect per matrix of a stack, each the bits of the matrix
+        # alone; a single matrix gives a float
+        for cutoff in (20, 40):
+            h = trusted_block(cutoff)
+            stack = np.stack(list(self.near_unitaries(cutoff)))
+            for block in (h, cutoff):
+                alone = [unitarity_defect(u, block) for u in stack]
+                assert all(type(d) is float for d in alone)
+                stacked = unitarity_defect(stack, block)
+                assert stacked.shape == (len(stack),)
+                assert stacked.tolist() == alone
+            # any leading axes, and only the first ``block`` columns given
+            two = unitarity_defect(stack[:6, :, :h].reshape(2, 3, cutoff, h), h)
+            assert two.tolist() == np.reshape(unitarity_defect(stack[:6], h), (2, 3)).tolist()
+
+    def test_batched_screen_names_the_displacement(self):
+        # the vacuum batch shares displacement_matrix's screen and message
+        betas = np.array([0.1, 0.3j, 2.5 + 0j, 0.2])
+        message = r"\|beta\|=2\.5 has unitarity defect .* at cutoff 10"
+        with pytest.raises(TruncationTooSmall, match=message):
+            oracle._vacuum_traces(10, betas)
+        with pytest.raises(TruncationTooSmall, match=message):
+            displacement_matrix(TruncatedMode(10, 1.0), 2.5)
 
 
 class TestEvolveClosedForm:
@@ -405,6 +431,22 @@ class TestStateDensity:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(rho - rho.conj().T) < 1e-14
 
+    @pytest.mark.parametrize(
+        "state, columns",
+        [(StateSpec.fock(2), 1), (StateSpec.cat(1.0), 1), (StateSpec.coherent(0.5 + 0.5j), 1),
+         (StateSpec.thermal(0.5), 40)],
+        ids=lambda x: x.label() if isinstance(x, StateSpec) else str(x),
+    )
+    def test_vectors_carry_the_density(self, state, columns):
+        psi, p = state_vectors(state, 40)
+        assert psi.shape == (40, columns) and p.shape == (columns,)
+        assert np.array_equal(state_density(state, 40), (psi * p) @ psi.conj().T)
+        if columns == 1:
+            assert p.tolist() == [1.0]
+            assert abs(np.vdot(psi[:, 0], psi[:, 0]) - 1.0) < 1e-12
+        else:
+            assert np.array_equal(psi, np.eye(40))
+
 
 class TestOverlapTrace:
     def test_vacuum_no_response(self):
@@ -532,6 +574,72 @@ class TestEndToEnd:
             )
             assert rep.gap < 1e-6
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("moving", [False, True], ids=["static", "inertial"])
+    def test_every_trace_matches_the_two_propagator_trace(self, small_cavity, moving):
+        # The suite's cavity, coupling, tau and cutoff: for each of the 16
+        # modes, the batched vacuum trace and the trace of every suite state
+        # lie within 1e-14 of Tr{U_+ rho U_-^dagger} from evolve_closed_form.
+        cutoff, k_max, tau = 40, 16, 1.7
+        cav = small_cavity
+        traj = (
+            TrajectorySpec.inertial(0.3, cav.x0, cav.L) if moving
+            else TrajectorySpec.static(cav.x0, cav.L)
+        )
+        chis = response.chi_modes(cav, CouplingSpec(0.4), traj, tau, k_max=k_max)
+        omegas = [cav.mode(k).omega for k in range(1, k_max + 1)]
+        betas = np.array([c * cmath.exp(-1j * w * tau) for c, w in zip(chis.tolist(), omegas)])
+        vacuum = oracle._vacuum_traces(cutoff, betas)
+        for k, (chi_k, omega) in enumerate(zip(chis.tolist(), omegas)):
+            tm = TruncatedMode(cutoff, omega)
+            u_plus = evolve_closed_form(tm, chi_k, tau, +1)
+            u_minus = evolve_closed_form(tm, chi_k, tau, -1)
+
+            def reference(state):
+                rho = state_density(state, cutoff)
+                return np.trace(u_plus @ rho @ u_minus.conj().T)
+
+            assert abs(vacuum[k] - reference(StateSpec.coherent(0j))) <= 1e-14
+            for state in oracle._SUITE_STATES.values():
+                assert abs(overlap_trace(state, tm, chi_k, tau) - reference(state)) <= 1e-14
+
+    def test_vacuum_modes_are_displaced_in_one_batched_call(self, small_cavity, monkeypatch):
+        # Per check: one stack for the k_max - 1 vacuum modes, and the probed
+        # mode's own displacement_matrix, a stack of one.
+        sizes, probed = [], []
+        stack, single = oracle._displacements, oracle.displacement_matrix
+
+        def counted_stack(cutoff, betas, *parts):
+            sizes.append(betas.size)
+            return stack(cutoff, betas, *parts)
+
+        def counted_single(mode, beta):
+            probed.append(mode)
+            return single(mode, beta)
+
+        monkeypatch.setattr(oracle, "_displacements", counted_stack)
+        monkeypatch.setattr(oracle, "displacement_matrix", counted_single)
+        for traj in (
+            TrajectorySpec.static(small_cavity.x0, small_cavity.L),
+            TrajectorySpec.inertial(0.3, small_cavity.x0, small_cavity.L),
+        ):
+            sizes.clear()
+            probed.clear()
+            rep = end_to_end_check(
+                StateSpec.cat(1.0), small_cavity, CouplingSpec(0.4), traj, 1.7, k_max=16, cutoff=40
+            )
+            assert rep.gap < 1e-14
+            assert sorted(sizes) == [1, 15]
+            assert len(probed) == 1 and probed[0].omega == small_cavity.mode().omega
+
+    def test_probed_mode_alone_leaves_an_empty_batch(self):
+        cavity = CavityConfig(L=4.0, m=1.0, k0=1)
+        rep = end_to_end_check(
+            StateSpec.fock(1), cavity, CouplingSpec(0.4),
+            TrajectorySpec.static(cavity.x0, cavity.L), 1.7, k_max=1,
+        )
+        assert rep.gap < 1e-14
+        assert oracle._vacuum_traces(40, np.array([], dtype=complex)).shape == (0,)
 
     def test_probed_mode_must_be_simulated(self, small_cavity):
         with pytest.raises(InvalidParameterError):

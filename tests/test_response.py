@@ -22,6 +22,7 @@ from udwitness.response import (
     _block_edges,
     _kernel_params,
     _seg,
+    _start_panels,
     _switch_times,
     chi,
     chi_mode_sum,
@@ -39,8 +40,9 @@ V_CRIT_FIG = 0.76436169849601359  # frozen from 30-digit arithmetic
 
 def one_mode_edges(mode, traj, t_end):
     """Starting edges of one mode's chi at t_end, as the quadrature builds them."""
+    ks, omega = np.array([mode.k]), np.array([mode.omega])
     edges, offsets = _block_edges(
-        np.array([mode.k]), mode.L, np.array([mode.omega]), traj, t_end, np.array([t_end])
+        ks, t_end, np.array([t_end]), _start_panels(ks, mode.L, omega, traj, t_end)
     )
     np.testing.assert_array_equal(offsets, [0, edges.size])
     return edges
@@ -928,11 +930,14 @@ class TestModeBlocks:
         switch = _switch_times(ks, L, omega, traj)
         for t_end in (0.05, wall_time(traj)):
             times = np.array([t_end / 3, t_end / 2, t_end])
-            edges, offsets = _block_edges(ks, L, omega, traj, t_end, times)
+            edges, offsets = _block_edges(ks, t_end, times, _start_panels(ks, L, omega, traj, t_end))
             assert offsets[0] == 0 and offsets[-1] == edges.size
             for j in range(ks.size):
                 own = edges[offsets[j]:offsets[j + 1]]
-                alone, _ = _block_edges(ks[j:j + 1], L, omega[j:j + 1], traj, t_end, times)
+                one = slice(j, j + 1)
+                alone, _ = _block_edges(
+                    ks[one], t_end, times, _start_panels(ks[one], L, omega[one], traj, t_end)
+                )
                 np.testing.assert_array_equal(own, alone)
                 assert own[0] == 0.0 and own[-1] == t_end and np.all(np.diff(own) > 0.0)
                 assert np.all(np.isin(times, own))
@@ -946,7 +951,9 @@ class TestModeBlocks:
         modes = [ModeSpec(k, L, 1.0) for k in (3, 11)]
         tols = np.array([1e-13, 1e-6])
         omega = np.array([md.omega for md in modes])
-        edges, offsets = _block_edges(np.array([3, 11]), L, omega, traj, t_end, np.array([t_end]))
+        ks = np.array([3, 11])
+        start = _start_panels(ks, L, omega, traj, t_end)
+        edges, offsets = _block_edges(ks, t_end, np.array([t_end]), start)
         kind, phi0, rate, cc = _kernel_params(np.array([3, 11]), L, traj)
         lo, hi, vals, errs, counts, stalls = _adaptive_panels(
             kind, phi0, rate, cc, omega, edges, offsets, tols
@@ -960,6 +967,61 @@ class TestModeBlocks:
             own = slice(sum(counts[:j]), sum(counts[:j + 1]))
             for got, ref in zip((lo, hi, vals, errs), alone[:4]):
                 np.testing.assert_array_equal(got[own], ref)
+
+    def test_block_over_the_table_cap_is_split_without_changing_bits(self, monkeypatch):
+        # With the cap between the widest 64-mode table and the 256-mode
+        # one, the block is evaluated as four blocks of 64, each one edge
+        # build, and the sum equals the unsplit one bit for bit.
+        cavity = CavityConfig(L=4.0, m=1.0, k0=2)
+        coup = CouplingSpec(0.4)
+        traj = TrajectorySpec.accelerated(2.0, cavity.x0, cavity.L)
+        tau = wall_time(traj) + 1.0
+        ks = np.arange(1, 257)
+        omega = np.array([cavity.mode(int(k)).omega for k in ks])
+        whole = response._edge_table_size(response._start_panels(ks, 4.0, omega, traj, tau))
+        quarter = max(
+            response._edge_table_size(response._start_panels(ks[b], 4.0, omega[b], traj, tau))
+            for b in (slice(i, i + 64) for i in range(0, 256, 64))
+        )
+        assert quarter < whole
+        unsplit = chi_modes(cavity, coup, traj, tau, 256)
+        blocks = []
+        real = response._block_edges
+
+        def spy(ks, *args):
+            blocks.append((int(ks[0]), int(ks[-1])))
+            return real(ks, *args)
+
+        monkeypatch.setattr(response, "_block_edges", spy)
+        monkeypatch.setattr(response, "_MAX_EDGE_TABLE", quarter)
+        split = chi_modes(cavity, coup, traj, tau, 256)
+        assert blocks == [(1, 64), (65, 128), (129, 192), (193, 256)]
+        np.testing.assert_array_equal(split, unsplit)
+        blocks.clear()
+        monkeypatch.setattr(response, "_MAX_EDGE_TABLE", whole)
+        np.testing.assert_array_equal(chi_modes(cavity, coup, traj, tau, 256), unsplit)
+        assert blocks == [(1, 256)]
+
+    def test_sum_over_the_table_cap_in_one_block_runs_in_blocks_of_64(self, monkeypatch):
+        # 256 modes at a = 2e-7 up to the wall make a padded table of 7.49M,
+        # over the cap, while every 64-mode block fits: the sum starts its
+        # first block's quadrature instead of being refused. The quadrature
+        # itself is stopped there.
+        class Reached(Exception):
+            pass
+
+        def stop(*args):
+            raise Reached
+
+        monkeypatch.setattr(response, "_adaptive_panels", stop)
+        cavity = CavityConfig(L=4.0, m=1.0, k0=2)
+        traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
+        ks = np.arange(1, 257)
+        omega = np.array([cavity.mode(int(k)).omega for k in ks])
+        start = response._start_panels(ks, 4.0, omega, traj, 5477.0)
+        assert response._edge_table_size(start) > response._MAX_EDGE_TABLE
+        with pytest.raises(Reached):
+            chi_mode_sum(cavity, CouplingSpec(0.4), traj, 5477.0, k_max=256)
 
 
 class TestPhaseBeta:
