@@ -70,12 +70,16 @@ def unitarity_defect(u: np.ndarray, block: int) -> float | np.ndarray:
     giving one defect per matrix; each matrix of a stack gets the bits it
     would get alone.
     """
-    cols = u[..., :block]
-    g = np.swapaxes(cols.conj(), -1, -2) @ cols - np.eye(cols.shape[-1])
     # g is Hermitian, so its spectral norm is its largest |eigenvalue|:
     # one Hermitian eigenvalue solve in place of the SVD of norm(g, 2).
-    defect = np.abs(np.linalg.eigvalsh(g)).max(axis=-1)
+    defect = np.abs(np.linalg.eigvalsh(_gram_residual(u, block))).max(axis=-1)
     return float(defect) if u.ndim == 2 else defect
+
+
+def _gram_residual(u: np.ndarray, block: int) -> np.ndarray:
+    """C^dagger C - I for C the first ``block`` columns of each matrix of ``u``."""
+    cols = u[..., :block]
+    return np.swapaxes(cols.conj(), -1, -2) @ cols - np.eye(cols.shape[-1])
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -158,12 +162,23 @@ def _screen_displacements(d: np.ndarray, betas: np.ndarray, cutoff: int) -> None
     """Raise TruncationTooSmall if a displacement of the stack ``d`` (the
     trusted block's columns at least) moves more than UNITARITY_TOL of
     amplitude past the basis edge from the trusted block, which is what
-    |beta|^2 approaching the cutoff looks like."""
-    defect = unitarity_defect(d, block=trusted_block(cutoff))
+    |beta|^2 approaching the cutoff looks like.
+
+    The spectral norm of G = C^dagger C - I is at most its Frobenius norm,
+    so only the matrices whose ||G||_F is over the tolerance can be refused:
+    they alone take the exact unitarity_defect. The factor 1 + 1e-12 keeps
+    rounding in either norm from passing over one, so the decisions and
+    the worst defect named are the exact screen's."""
+    h = trusted_block(cutoff)
+    frobenius = np.linalg.norm(_gram_residual(d, h), axis=(-2, -1))
+    suspects = np.flatnonzero(frobenius * (1.0 + 1e-12) > UNITARITY_TOL)
+    if suspects.size == 0:
+        return
+    defect = unitarity_defect(d[suspects], h)
     if np.any(defect > UNITARITY_TOL):
         worst = int(np.argmax(defect))
         raise TruncationTooSmall(
-            f"displacement by |beta|={abs(betas[worst]):.3g} has unitarity defect "
+            f"displacement by |beta|={abs(betas[suspects[worst]]):.3g} has unitarity defect "
             f"{defect[worst]:.3e} at cutoff {cutoff}; increase the cutoff"
         )
 
@@ -266,12 +281,13 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 
 #: Largest step count of one Trotter product. The times and drive samples
 #: take 16 bytes a step (tracemalloc peak of 16.1 MB at 1e6 steps), 1.6 GB
-#: at the cap. A step takes 9 us at cutoff 2; at cutoff 60 it takes 78 us
-#: for the full product and 36 us for a 20-column block (2-vCPU x86-64
-#: host, OpenBLAS, median of 7 products of 4096 steps), so a product at the
-#: cap runs for 15 minutes (cutoff 2) to about two hours (cutoff 60, all
-#: columns): only step counts that cannot run in reasonable time or memory
-#: are refused.
+#: at the cap, whatever the drive. A step of the loop takes 9 us at cutoff
+#: 2; at cutoff 60 it takes 78 us for the full product and 36 us for a
+#: 20-column block (2-vCPU x86-64 host, OpenBLAS, median of 7 products of
+#: 4096 steps), so a non-constant drive at the cap runs for 15 minutes
+#: (cutoff 2) to about two hours (cutoff 60, all columns); a constant one
+#: takes about 27 squarings. Only step counts that cannot run in
+#: reasonable time or memory are refused.
 _MAX_TROTTER_STEPS = 10**8
 
 
@@ -300,8 +316,15 @@ def evolve_trotter(
     one eigendecomposition X = V diag(x) V^T gives every step exponential:
     exp(g_j) = R(omega*t_j) V diag(e^{-i*dt*sign*f_j*x}) V^T R(omega*t_j)^dagger.
     Between neighbouring steps the rotations combine into the fixed matrix
-    V^T R(-omega*dt) V, so the product costs one small matmul per step
-    whatever the drive. No scipy routine runs inside the loop: numpy and
+    V^T R(-omega*dt) V, so a step costs one small matmul. A constant drive
+    (all samples exactly equal, as on a resting worldline) repeats one
+    step factor, and its (steps - 1)th power is applied by repeated
+    squaring: about log2(steps) squarings of a (cutoff, cutoff) matrix
+    and as many block products at most. That regroups the same product:
+    the regrouping rounds about log2(steps) times where the loop rounds
+    once a step, and the rounding of the step factor itself is raised to
+    the same power on both paths (about 1e-9 at 10^6 steps, cutoff 40).
+    Any other drive takes the step loop. No scipy routine runs here: numpy and
     scipy each load their own OpenBLAS runtime, and switching between the
     two thread pools on every step costs far more than the step itself.
 
@@ -333,10 +356,22 @@ def evolve_trotter(
     hop = v.T @ (np.exp(-1j * mode.omega * dt * n)[:, None] * v)
     # u is held in the eigenbasis of X, between the outer rotations
     u = (v.T * np.exp(-1j * mode.omega * (0.5 * dt) * n)[None, :])[:, :block]
-    u *= np.exp((-1j * dt * sign * f[0]) * x)[:, None]
-    for j in range(1, steps):
-        u = hop @ u
-        u *= np.exp((-1j * dt * sign * f[j]) * x)[:, None]
+    kick = np.exp((-1j * dt * sign * f[0]) * x)[:, None]
+    u *= kick
+    if np.all(f == f[0]):
+        # every later step is the same factor kick*hop
+        step = kick * hop
+        power = steps - 1
+        while power:
+            if power & 1:
+                u = step @ u
+            power >>= 1
+            if power:
+                step = step @ step
+    else:
+        for j in range(1, steps):
+            u = hop @ u
+            u *= np.exp((-1j * dt * sign * f[j]) * x)[:, None]
     return (np.exp(1j * mode.omega * ((steps - 0.5) * dt) * n)[:, None] * v) @ u
 
 

@@ -202,6 +202,35 @@ class TestUnitarityDefect:
             two = unitarity_defect(stack[:6, :, :h].reshape(2, 3, cutoff, h), h)
             assert two.tolist() == np.reshape(unitarity_defect(stack[:6], h), (2, 3)).tolist()
 
+    @pytest.mark.parametrize("two_eps, refused", [(5e-9, False), (2e-8, True)])
+    def test_screen_reads_the_spectral_norm(self, two_eps, refused):
+        # C = sqrt(1 + 2eps) on the 13 trusted columns of cutoff 40 gives
+        # G = 2eps*I: ||G||_F = sqrt(13)*2eps is over the tolerance in both
+        # cases, the spectral norm 2eps only in the second
+        cutoff = 40
+        h = trusted_block(cutoff)
+        clean = np.eye(cutoff, h, dtype=complex)
+        d = np.stack([clean, math.sqrt(1.0 + two_eps) * clean, clean])
+        betas = np.array([0.1, 0.25, 0.3j])
+        assert np.linalg.norm(oracle._gram_residual(d, h)[1]) > UNITARITY_TOL
+        if refused:
+            message = r"\|beta\|=0\.25 has unitarity defect 2\.000e-08 at cutoff 40"
+            with pytest.raises(TruncationTooSmall, match=message):
+                oracle._screen_displacements(d, betas, cutoff)
+        else:
+            oracle._screen_displacements(d, betas, cutoff)
+
+    def test_clean_stack_takes_no_eigenvalue_solve(self, monkeypatch):
+        # every displacement of a suite-scale batch is within the tolerance
+        # in the Frobenius norm, so the exact defect is never computed
+        def spy(*args):
+            raise AssertionError("unitarity_defect was called")
+
+        monkeypatch.setattr(oracle, "unitarity_defect", spy)
+        betas = np.array([0.05, 0.3 - 0.1j, 0.7 + 0.3j, 1.2 + 0.4j])
+        traces = oracle._vacuum_traces(40, betas)
+        assert np.abs(traces - np.exp(-2.0 * np.abs(betas) ** 2)).max() <= 1e-14
+
     def test_batched_screen_names_the_displacement(self):
         # the vacuum batch shares displacement_matrix's screen and message
         betas = np.array([0.1, 0.3j, 2.5 + 0j, 0.2])
@@ -268,26 +297,66 @@ class TestEvolveTrotter:
         u = evolve_trotter(tm, lambda t: np.zeros_like(t), 2.0, 64)
         np.testing.assert_allclose(u, np.eye(20), atol=1e-13)
 
+    @staticmethod
+    def step_exponential_product(tm, f, tau, sign):
+        """The definition: a time-ordered product of scipy exponentials of
+        the step generators at the midpoint samples ``f``."""
+        steps = f.size
+        dt = tau / steps
+        a = np.diag(np.sqrt(np.arange(1, tm.cutoff)), 1).astype(complex)
+        ref = np.eye(tm.cutoff, dtype=complex)
+        for j in range(steps):
+            phase = cmath.exp(-1j * tm.omega * (j + 0.5) * dt)
+            g = (-1j * dt * sign * f[j]) * (a * phase + a.conj().T * np.conj(phase))
+            ref = expm(g) @ ref
+        return ref
+
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("steps", [32, 64])
     def test_matches_product_of_step_exponentials(self, sign, steps):
-        # the definition: a time-ordered product of scipy step exponentials
         tm = TruncatedMode(20, 1.3)
         tau = 1.9
 
         def drive(t):
             return 0.4 + 0.3 * np.sin(2.3 * t)
 
-        dt = tau / steps
-        a = np.diag(np.sqrt(np.arange(1, 20)), 1).astype(complex)
-        ref = np.eye(20, dtype=complex)
-        for j in range(steps):
-            t_j = (j + 0.5) * dt
-            phase = cmath.exp(-1j * tm.omega * t_j)
-            g = (-1j * dt * sign * drive(t_j)) * (a * phase + a.conj().T * np.conj(phase))
-            ref = expm(g) @ ref
+        mids = (np.arange(steps) + 0.5) * (tau / steps)
+        ref = self.step_exponential_product(tm, drive(mids), tau, sign)
         u = evolve_trotter(tm, drive, tau, steps, sign=sign)
         assert np.linalg.norm(u - ref, ord=2) <= 1e-11
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("steps", [32, 64])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_constant_drive_matches_product_of_step_exponentials(self, sign, steps, perturbed):
+        # A constant drive is powered by squaring; one sample moved by 1e-3
+        # must send the drive back to the step loop, or the product misses it.
+        tm = TruncatedMode(20, 1.3)
+        tau = 1.9
+        f = np.full(steps, 0.4)
+        if perturbed:
+            f[steps // 3] += 1e-3
+        ref = self.step_exponential_product(tm, f, tau, sign)
+        u = evolve_trotter(tm, f, tau, steps, sign=sign)
+        assert np.linalg.norm(u - ref, ord=2) <= 1e-11
+
+    def test_constant_drive_work_grows_as_log_steps(self):
+        # 10^6 steps of a resting detector's drive: about 20 squarings,
+        # where the step loop takes about 14 s. At 10^4 steps the product
+        # is 2.4e-8 from the factorized form; at 10^6 it reaches the
+        # rounding of the step factor itself, about 1.1e-9 on either path.
+        # (At cutoff 20 the basis cut alone leaves 8.3e-7.)
+        tm = TruncatedMode(40, 1.0)
+        f0, t_end = 0.4, math.pi
+        h = trusted_block(40)
+        start = time.thread_time()
+        u = evolve_trotter(tm, lambda t: np.full_like(t, f0), t_end, 10**6, block=h)
+        elapsed = time.thread_time() - start
+        zeta = complex(chi_static_amplitude(f0, tm.omega, t_end))
+        beta = phase_beta(lambda t: np.full_like(t, f0), tm.omega, 0.0, t_end, tol=1e-12)
+        ref = cmath.exp(1j * beta) * displacement_matrix(tm, zeta)
+        assert np.linalg.norm(u - ref[:, :h], ord=2) <= 5e-9
+        assert elapsed < 2.0
 
     def test_constant_drive_matches_factorized_form(self):
         tm = TruncatedMode(40, 1.0)
