@@ -211,74 +211,6 @@ def _vacuum_traces(cutoff: int, betas: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", row[:, 0], cols[:, :, 0])
 
 
-def evolve_closed_form(mode: TruncatedMode, chi: complex, tau: float, sign: int) -> np.ndarray:
-    """Factorized propagator D(sign*chi*e^{-i*omega*tau}) * e^{-i*omega*tau*n}.
-
-    The drive-independent global phase is omitted; it is identical for
-    sign = +1 and sign = -1 and cancels in every coherence ratio.
-    """
-    if sign not in (-1, 1):
-        raise InvalidParameterError(f"sign must be +1 or -1, got {sign}")
-    rot = np.exp(-1j * mode.omega * tau * np.arange(mode.cutoff))
-    d = displacement_matrix(mode, sign * chi * cmath.exp(-1j * mode.omega * tau))
-    return d * rot[None, :]
-
-
-def phase_beta(f, omega: float, tau0: float, tau: float, tol: float = 1e-9) -> float:
-    """Accumulated phase of the forced-oscillator evolution.
-
-    Evaluates the triangular double integral
-
-        Integral_tau0^tau dt' Integral_tau0^t' dt'' f(t') f(t'') sin(omega*(t'-t''))
-
-    by nested quadrature: the sine addition identity turns the inner
-    integral into cumulative integrals of f*cos(omega*t) and f*sin(omega*t),
-    evaluated on a uniform Simpson grid that is doubled until the result is
-    stable to ``tol``. ``f`` is a callable drive amplitude.
-
-    This phase is proportional to the squared drive, so it is common to the
-    two detector-conditioned evolutions and cancels in the coherence ratio;
-    it only matters for cross-checking the factorized evolution operator.
-    """
-    if tau < tau0:
-        raise InvalidParameterError(f"tau={tau} must be >= tau0={tau0}")
-    if tau == tau0:
-        return 0.0
-    prev = None
-    for n in (512, 1024, 2048, 4096, 8192, 16384):
-        t = np.linspace(tau0, tau, n + 1)
-        h = (tau - tau0) / n
-        ft = np.asarray(f(t), dtype=float) * np.ones(n + 1)
-        c = _cumulative_simpson(ft * np.cos(omega * t), h)
-        s = _cumulative_simpson(ft * np.sin(omega * t), h)
-        inner = np.sin(omega * t) * c - np.cos(omega * t) * s
-        val = float(_cumulative_simpson(ft * inner, h)[-1])
-        if prev is not None and abs(val - prev) <= max(tol, tol * abs(val)):
-            return val
-        prev = val
-    raise NumericalFailure(
-        f"phase integral not converged to tol={tol}", best=prev
-    )
-
-
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Running integral of samples ``y`` on a uniform grid of an even number
-    of steps ``h``, starting at 0.
-
-    Each pair of steps is one Simpson panel; its two halves are integrated
-    on the panel's parabola, h/12*(5, 8, -1) and h/12*(-1, 8, 5), so the
-    value at every even node is the composite Simpson rule.
-    """
-    y0, y1, y2 = y[:-2:2], y[1:-1:2], y[2::2]
-    steps = np.empty(y.size - 1)
-    steps[0::2] = 5.0 * y0 + 8.0 * y1 - y2
-    steps[1::2] = -y0 + 8.0 * y1 + 5.0 * y2
-    out = np.empty(y.size)
-    out[0] = 0.0
-    np.cumsum(steps * (h / 12.0), out=out[1:])
-    return out
-
-
 #: Largest step count of one Trotter product. The times and drive samples
 #: take 16 bytes a step (tracemalloc peak of 16.1 MB at 1e6 steps), 1.6 GB
 #: at the cap, whatever the drive. A step of the loop takes 9 us at cutoff
@@ -304,10 +236,13 @@ def evolve_trotter(
     ``drive`` is the drive amplitude along the worldline, either a callable
     of proper time or an array of per-step midpoint samples. The returned
     operator approximates T exp(-i Integral V_I dt) and carries the full
-    drive-induced phase; multiplying the closed form by exp(i*beta) from
-    phase_beta and by the free rotation makes the two comparable:
+    drive-induced phase beta, the double integral of
+    f(t') f(t'') sin(omega*(t' - t'')) over 0 <= t'' <= t' <= tau:
 
-        evolve_trotter ~= exp(i*beta) * e^{+i*omega*tau*n} * evolve_closed_form
+        evolve_trotter ~= exp(i*beta) * D(sign*zeta)
+
+    with zeta the response chi of the drive. For a constant drive f0,
+    beta = f0^2*(tau - sin(omega*tau)/omega)/omega.
 
     Each factor is the exact exponential of its step generator
     g_j = -i*dt*sign*f_j*(a e^{-i*omega*t_j} + a^dagger e^{+i*omega*t_j}).
@@ -323,10 +258,10 @@ def evolve_trotter(
     and as many block products at most. That regroups the same product:
     the regrouping rounds about log2(steps) times where the loop rounds
     once a step, and the rounding of the step factor itself is raised to
-    the same power on both paths (about 1e-9 at 10^6 steps, cutoff 40).
-    Any other drive takes the step loop. No scipy routine runs here: numpy and
-    scipy each load their own OpenBLAS runtime, and switching between the
-    two thread pools on every step costs far more than the step itself.
+    the same power on both paths (about 4e-11 at 10^6 steps, cutoff 40).
+    Any other drive takes the step loop. No scipy routine runs here: numpy
+    and scipy each load their own OpenBLAS runtime, and switching between
+    the two thread pools on every step costs far more than the step itself.
 
     ``block`` returns only the first ``block`` columns of the propagator,
     its action on the number states 0..block-1, as a (cutoff, block)
@@ -353,7 +288,10 @@ def evolve_trotter(
         )
     x, v = _quadrature_eigh(mode.cutoff)
     n = np.arange(mode.cutoff)
-    hop = v.T @ (np.exp(-1j * mode.omega * dt * n)[:, None] * v)
+    # hop = V^T R(-omega*dt) V = I + V^T (R - I) V, rounding as in _displacements
+    theta = mode.omega * dt * n
+    hop = v.T @ ((-2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta))[:, None] * v)
+    hop[n, n] += 1.0
     # u is held in the eigenbasis of X, between the outer rotations
     u = (v.T * np.exp(-1j * mode.omega * (0.5 * dt) * n)[None, :])[:, :block]
     kick = np.exp((-1j * dt * sign * f[0]) * x)[:, None]
@@ -413,12 +351,6 @@ def state_vectors(state: StateSpec, cutoff: int) -> tuple[np.ndarray, np.ndarray
     return vec[:, None], np.ones(1)
 
 
-def state_density(state: StateSpec, cutoff: int) -> np.ndarray:
-    """Density matrix Psi diag(p) Psi^dagger of ``state`` (see state_vectors)."""
-    psi, p = state_vectors(state, cutoff)
-    return (psi * p) @ psi.conj().T
-
-
 def _screen_tail(norm_sq: float, cutoff: int, state: StateSpec):
     if abs(1.0 - norm_sq) > STATE_TAIL_TOL:
         raise TruncationTooSmall(
@@ -430,8 +362,9 @@ def _screen_tail(norm_sq: float, cutoff: int, state: StateSpec):
 def overlap_trace(state: StateSpec, mode: TruncatedMode, chi: complex, tau: float) -> complex:
     """Tr{U_+ rho U_-^dagger} with the two detector-conditioned propagators.
 
-    U_+- = D(+-beta) R (see evolve_closed_form), with R the free evolution
-    e^{-i*omega*tau*n} and beta = chi*e^{-i*omega*tau}. Since
+    U_+- = D(+-beta) R are the factorized propagators, with R the free
+    evolution e^{-i*omega*tau*n} and beta = chi*e^{-i*omega*tau}, less the
+    drive-induced phase common to both. Since
     D(-beta)^dagger = D(beta), the trace is Tr{D(beta) R rho R^dagger D(beta)}:
     one displacement serves both propagators. It is taken from the state's
     vectors (state_vectors), rho = Sum_m p_m |psi_m><psi_m|: with
@@ -525,12 +458,15 @@ _SUITE_STATES = {
 }
 
 
+#: Basis size of the suite's time-ordered product check.
+_TROTTER_CUTOFF = 60
+
+
 def run_oracle_suite(
     cutoff: int = 40,
     k_max: int = 16,
     states=("fock", "cat", "coherent", "thermal"),
     include_trotter: bool = True,
-    trotter_cutoff: int = 60,
     trotter_steps: int = 4096,
 ) -> list[OracleCheck]:
     """Desk-scale verification suite: small cavity, every state family.
@@ -593,14 +529,14 @@ def run_oracle_suite(
     if include_trotter:
 
         def trotter_gap():
-            tmode = TruncatedMode(trotter_cutoff, 1.0)
-            f0, t_end = 0.4, math.pi
-            h = trusted_block(trotter_cutoff)
+            tmode = TruncatedMode(_TROTTER_CUTOFF, 1.0)
+            f0, t_end, omega = 0.4, math.pi, tmode.omega
+            h = trusted_block(_TROTTER_CUTOFF)
             u_prod = evolve_trotter(
                 tmode, lambda t: np.full_like(t, f0), t_end, trotter_steps, block=h
             )
-            zeta = complex(chi_static_amplitude(f0, tmode.omega, t_end))
-            beta = phase_beta(lambda t: np.full_like(t, f0), tmode.omega, 0.0, t_end)
+            zeta = complex(chi_static_amplitude(f0, omega, t_end))
+            beta = f0**2 * (t_end - math.sin(omega * t_end) / omega) / omega
             u_ref = cmath.exp(1j * beta) * displacement_matrix(tmode, zeta)
             return float(np.linalg.norm(u_prod - u_ref[:, :h], ord=2))
 

@@ -237,7 +237,7 @@ def test_criterion_7_oracle_equivalence():
     checks = run_oracle_suite(
         cutoff=40, k_max=16,
         states=("fock", "cat", "coherent", "thermal"),
-        include_trotter=True, trotter_cutoff=60, trotter_steps=4096,
+        include_trotter=True, trotter_steps=4096,
     )
     elapsed = time.perf_counter() - t0
     failed = [c for c in checks if not c.passed]

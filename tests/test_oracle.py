@@ -11,6 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
 from udwitness import oracle, response
 from udwitness.errors import InvalidParameterError, NumericalFailure, TruncationTooSmall
@@ -21,13 +22,10 @@ from udwitness.oracle import (
     TruncatedMode,
     displacement_matrix,
     end_to_end_check,
-    evolve_closed_form,
     evolve_trotter,
     expm,
     overlap_trace,
-    phase_beta,
     run_oracle_suite,
-    state_density,
     state_vectors,
     trusted_block,
     unitarity_defect,
@@ -64,6 +62,43 @@ def exact_displacement(beta: complex, rows: int = 60, cols: int = 20) -> np.ndar
                 if k > 0 and j + k < cols:
                     out[j, j + k] = complex(pre * norm * (-mpmath.conj(b)) ** k * lag)
     return out
+
+
+def constant_drive_phase(f0: float, omega: float, tau: float) -> float:
+    """Drive-induced phase of a constant drive f0 over [0, tau]: the double
+    integral of f0^2 sin(omega*(t' - t'')) over 0 <= t'' <= t' <= tau."""
+    return f0**2 * (tau - math.sin(omega * tau) / omega) / omega
+
+
+def simpson_phase(drive, omega: float, tau: float, tol: float = 1e-9) -> float:
+    """The same double integral for any drive, by scipy's Simpson rules on a
+    uniform grid doubled until two results agree to ``tol``: the sine
+    addition identity turns the inner integral into running integrals of
+    f*cos(omega*t) and f*sin(omega*t)."""
+    prev = None
+    for n in (512, 1024, 2048, 4096, 8192, 16384):
+        t = np.linspace(0.0, tau, n + 1)
+        ft = drive(t)
+        c = cumulative_simpson(ft * np.cos(omega * t), x=t, initial=0.0)
+        s = cumulative_simpson(ft * np.sin(omega * t), x=t, initial=0.0)
+        val = float(simpson(ft * (np.sin(omega * t) * c - np.cos(omega * t) * s), x=t))
+        if prev is not None and abs(val - prev) <= max(tol, tol * abs(val)):
+            return val
+        prev = val
+    raise AssertionError(f"Simpson phase not converged to tol={tol}")
+
+
+def factorized_propagator(tm: TruncatedMode, chi: complex, tau: float, sign: int) -> np.ndarray:
+    """U = D(sign*chi*e^{-i*omega*tau}) e^{-i*omega*tau*n}, a detector-conditioned
+    propagator less the drive-induced phase common to both signs."""
+    rot = np.exp(-1j * tm.omega * tau * np.arange(tm.cutoff))
+    return displacement_matrix(tm, sign * chi * cmath.exp(-1j * tm.omega * tau)) * rot[None, :]
+
+
+def density(state: StateSpec, cutoff: int) -> np.ndarray:
+    """rho = Psi diag(p) Psi^dagger from the state's vectors."""
+    psi, p = state_vectors(state, cutoff)
+    return (psi * p) @ psi.conj().T
 
 
 def padded_expm_displacement(cutoff: int, beta: complex) -> np.ndarray:
@@ -241,28 +276,6 @@ class TestUnitarityDefect:
             displacement_matrix(TruncatedMode(10, 1.0), 2.5)
 
 
-class TestEvolveClosedForm:
-    def test_identity_cases(self):
-        tm = TruncatedMode(25, 1.3)
-        np.testing.assert_allclose(
-            evolve_closed_form(tm, 0j, 0.0, +1), np.eye(25), atol=1e-14
-        )
-        full_period = 2 * math.pi / tm.omega
-        np.testing.assert_allclose(
-            evolve_closed_form(tm, 0j, full_period, +1), np.eye(25), atol=1e-12
-        )
-
-    def test_sign_validation(self):
-        with pytest.raises(InvalidParameterError):
-            evolve_closed_form(TruncatedMode(10, 1.0), 0.1j, 1.0, 2)
-
-    def test_propagators_unitary_on_trusted_block(self):
-        tm = TruncatedMode(40, 1.86)
-        for sign in (+1, -1):
-            u = evolve_closed_form(tm, 0.3 - 0.4j, 2.0, sign)
-            assert unitarity_defect(u, block=trusted_block(40)) <= 1e-8
-
-
 class TestEvolveTrotter:
     def test_work_over_the_cap_fails_before_allocating(self):
         tm = TruncatedMode(40, 1.0)
@@ -342,10 +355,10 @@ class TestEvolveTrotter:
 
     def test_constant_drive_work_grows_as_log_steps(self):
         # 10^6 steps of a resting detector's drive: about 20 squarings,
-        # where the step loop takes about 14 s. At 10^4 steps the product
-        # is 2.4e-8 from the factorized form; at 10^6 it reaches the
-        # rounding of the step factor itself, about 1.1e-9 on either path.
-        # (At cutoff 20 the basis cut alone leaves 8.3e-7.)
+        # where the step loop takes about 14 s. At 10^5 steps the product
+        # is 2.4e-10 from the factorized form, the midpoint error; at 10^6
+        # the rounding of the step factor itself, raised to the 10^6th
+        # power, leaves 4.4e-11. At cutoff 20 the basis cut alone leaves 8.3e-7.
         tm = TruncatedMode(40, 1.0)
         f0, t_end = 0.4, math.pi
         h = trusted_block(40)
@@ -353,9 +366,9 @@ class TestEvolveTrotter:
         u = evolve_trotter(tm, lambda t: np.full_like(t, f0), t_end, 10**6, block=h)
         elapsed = time.thread_time() - start
         zeta = complex(chi_static_amplitude(f0, tm.omega, t_end))
-        beta = phase_beta(lambda t: np.full_like(t, f0), tm.omega, 0.0, t_end, tol=1e-12)
+        beta = constant_drive_phase(f0, tm.omega, t_end)
         ref = cmath.exp(1j * beta) * displacement_matrix(tm, zeta)
-        assert np.linalg.norm(u - ref[:, :h], ord=2) <= 5e-9
+        assert np.linalg.norm(u - ref[:, :h], ord=2) <= 1e-10
         assert elapsed < 2.0
 
     def test_constant_drive_matches_factorized_form(self):
@@ -363,7 +376,7 @@ class TestEvolveTrotter:
         f0, t_end = 0.4, math.pi
         u = evolve_trotter(tm, lambda t: np.full_like(t, f0), t_end, 2048)
         zeta = complex(chi_static_amplitude(f0, tm.omega, t_end))
-        beta = phase_beta(lambda t: np.full_like(t, f0), tm.omega, 0.0, t_end)
+        beta = constant_drive_phase(f0, tm.omega, t_end)
         ref = cmath.exp(1j * beta) * displacement_matrix(tm, zeta)
         h = trusted_block(40)
         assert np.linalg.norm((u - ref)[:, :h], ord=2) < 1e-5
@@ -380,7 +393,7 @@ class TestEvolveTrotter:
 
         tm = TruncatedMode(30, mode.omega)
         zeta = chi(mode, CouplingSpec(lam), traj, tau, force_quadrature=True).value
-        beta = phase_beta(drive, mode.omega, 0.0, tau)
+        beta = simpson_phase(drive, mode.omega, tau)
         u = evolve_trotter(tm, drive, tau, 2048)
         ref = cmath.exp(1j * beta) * displacement_matrix(tm, zeta)
         h = trusted_block(30)
@@ -393,8 +406,8 @@ class TestEvolveTrotter:
         u_int = evolve_trotter(tm, lambda t: np.full_like(t, f0), t_end, 1024)
         rot = np.diag(np.exp(-1j * tm.omega * t_end * np.arange(30)))
         zeta = complex(chi_static_amplitude(f0, tm.omega, t_end))
-        beta = phase_beta(lambda t: np.full_like(t, f0), tm.omega, 0.0, t_end)
-        ref = cmath.exp(1j * beta) * evolve_closed_form(tm, zeta, t_end, +1)
+        beta = constant_drive_phase(f0, tm.omega, t_end)
+        ref = cmath.exp(1j * beta) * factorized_propagator(tm, zeta, t_end, +1)
         h = trusted_block(30)
         assert np.linalg.norm((rot @ u_int - ref)[:, :h], ord=2) < 2e-5
 
@@ -402,7 +415,7 @@ class TestEvolveTrotter:
         tm = TruncatedMode(30, 1.0)
         f0, t_end = 0.4, math.pi
         zeta = complex(chi_static_amplitude(f0, tm.omega, t_end))
-        beta = phase_beta(lambda t: np.full_like(t, f0), tm.omega, 0.0, t_end)
+        beta = constant_drive_phase(f0, tm.omega, t_end)
         ref = cmath.exp(1j * beta) * displacement_matrix(tm, zeta)
         h = trusted_block(30)
         errs = []
@@ -442,6 +455,17 @@ class TestEvolveTrotter:
         assert u.shape == (20, 20)
         assert np.array_equal(u, evolve_trotter(tm, lambda t: np.full_like(t, 0.3), 1.5, 64))
 
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_bad_sign_fails_before_any_step(self, sign, fails_fast):
+        def drive(t):
+            raise AssertionError("the drive was sampled")
+
+        fails_fast(
+            lambda: evolve_trotter(TruncatedMode(40, 1.0), drive, 2.0, 10**6, sign=sign),
+            InvalidParameterError,
+            f"sign must be \\+1 or -1, got {sign}",
+        )
+
     @pytest.mark.parametrize("block", [0, -1, 41])
     def test_bad_block_fails_before_any_step(self, block, fails_fast):
         def drive(t):
@@ -473,21 +497,20 @@ class TestStateDensity:
         assert np.abs(vec - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_fock_fits(self):
-        rho = state_density(StateSpec.fock(1), 10)
-        assert rho[1, 1] == 1.0
-        assert np.trace(rho).real == pytest.approx(1.0)
+        psi, p = state_vectors(StateSpec.fock(1), 10)
+        assert psi[:, 0].tolist() == [0, 1] + [0] * 8 and p.tolist() == [1.0]
 
     def test_fock_too_big(self):
         with pytest.raises(TruncationTooSmall):
-            state_density(StateSpec.fock(12), 10)
+            state_vectors(StateSpec.fock(12), 10)
 
     def test_thermal_tail_screen(self):
         with pytest.raises(TruncationTooSmall):
-            state_density(StateSpec.thermal(5.0), 10)
+            state_vectors(StateSpec.thermal(5.0), 10)
 
     def test_coherent_tail_screen(self):
         with pytest.raises(TruncationTooSmall):
-            state_density(StateSpec.coherent(3.0 + 0j), 12)
+            state_vectors(StateSpec.coherent(3.0 + 0j), 12)
 
     def test_traces_are_one(self):
         for state in (
@@ -496,7 +519,7 @@ class TestStateDensity:
             StateSpec.coherent(0.5 + 0.5j),
             StateSpec.thermal(0.5),
         ):
-            rho = state_density(state, 40)
+            rho = density(state, 40)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(rho - rho.conj().T) < 1e-14
 
@@ -509,7 +532,6 @@ class TestStateDensity:
     def test_vectors_carry_the_density(self, state, columns):
         psi, p = state_vectors(state, 40)
         assert psi.shape == (40, columns) and p.shape == (columns,)
-        assert np.array_equal(state_density(state, 40), (psi * p) @ psi.conj().T)
         if columns == 1:
             assert p.tolist() == [1.0]
             assert abs(np.vdot(psi[:, 0], psi[:, 0]) - 1.0) < 1e-12
@@ -567,10 +589,10 @@ class TestOverlapTrace:
     def test_equals_two_propagator_trace(self, state):
         # One displacement D(beta) stands in for U_-^dagger = R^dagger D(-beta)^dagger.
         tm = TruncatedMode(40, 1.3)
-        rho = state_density(state, tm.cutoff)
+        rho = density(state, tm.cutoff)
         for chi, tau in [(0.31 - 0.22j, 2.1), (0.1 + 0.45j, 0.7), (1e-9 + 2e-9j, 5.3)]:
-            u_plus = evolve_closed_form(tm, chi, tau, +1)
-            u_minus = evolve_closed_form(tm, chi, tau, -1)
+            u_plus = factorized_propagator(tm, chi, tau, +1)
+            u_minus = factorized_propagator(tm, chi, tau, -1)
             reference = np.trace(u_plus @ rho @ u_minus.conj().T)
             assert abs(overlap_trace(state, tm, chi, tau) - reference) <= 1e-14
 
@@ -584,9 +606,9 @@ class TestOverlapTrace:
     def test_sign_swap_conjugates(self):
         tm = TruncatedMode(30, 1.1)
         chi, tau = 0.2 - 0.3j, 1.7
-        rho = state_density(StateSpec.cat(1.0), tm.cutoff)
-        u_plus = evolve_closed_form(tm, chi, tau, +1)
-        u_minus = evolve_closed_form(tm, chi, tau, -1)
+        rho = density(StateSpec.cat(1.0), tm.cutoff)
+        u_plus = factorized_propagator(tm, chi, tau, +1)
+        u_minus = factorized_propagator(tm, chi, tau, -1)
         forward = np.trace(u_plus @ rho @ u_minus.conj().T)
         swapped = np.trace(u_minus @ rho @ u_plus.conj().T)
         assert swapped == pytest.approx(np.conj(forward), abs=1e-13)
@@ -648,7 +670,7 @@ class TestEndToEnd:
     def test_every_trace_matches_the_two_propagator_trace(self, small_cavity, moving):
         # The suite's cavity, coupling, tau and cutoff: for each of the 16
         # modes, the batched vacuum trace and the trace of every suite state
-        # lie within 1e-14 of Tr{U_+ rho U_-^dagger} from evolve_closed_form.
+        # lie within 1e-14 of Tr{U_+ rho U_-^dagger} from factorized_propagator.
         cutoff, k_max, tau = 40, 16, 1.7
         cav = small_cavity
         traj = (
@@ -661,11 +683,11 @@ class TestEndToEnd:
         vacuum = oracle._vacuum_traces(cutoff, betas)
         for k, (chi_k, omega) in enumerate(zip(chis.tolist(), omegas)):
             tm = TruncatedMode(cutoff, omega)
-            u_plus = evolve_closed_form(tm, chi_k, tau, +1)
-            u_minus = evolve_closed_form(tm, chi_k, tau, -1)
+            u_plus = factorized_propagator(tm, chi_k, tau, +1)
+            u_minus = factorized_propagator(tm, chi_k, tau, -1)
 
             def reference(state):
-                rho = state_density(state, cutoff)
+                rho = density(state, cutoff)
                 return np.trace(u_plus @ rho @ u_minus.conj().T)
 
             assert abs(vacuum[k] - reference(StateSpec.coherent(0j))) <= 1e-14
@@ -756,7 +778,8 @@ class TestOracleSuite:
             return evolve_trotter(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "evolve_trotter", spy)
-        checks = run_oracle_suite(states=(), trotter_cutoff=trotter_cutoff, trotter_steps=64)
+        monkeypatch.setattr(oracle, "_TROTTER_CUTOFF", trotter_cutoff)
+        checks = run_oracle_suite(states=(), trotter_steps=64)
         assert blocks == [trusted_block(trotter_cutoff)]
         assert checks[-1].name == "time-ordered product vs factorized form"
 
@@ -767,7 +790,7 @@ class TestOracleSuite:
         f0, t_end = 0.4, math.pi
         u = evolve_trotter(tm, lambda t: np.full_like(t, f0), t_end, steps)
         zeta = complex(chi_static_amplitude(f0, tm.omega, t_end))
-        beta = phase_beta(lambda t: np.full_like(t, f0), tm.omega, 0.0, t_end)
+        beta = constant_drive_phase(f0, tm.omega, t_end)
         ref = cmath.exp(1j * beta) * displacement_matrix(tm, zeta)
         h = trusted_block(60)
         assert abs(gap - np.linalg.norm((u - ref)[:, :h], ord=2)) <= 1e-15

@@ -6,11 +6,11 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson, quad, simpson
+from scipy.integrate import quad
 
 from udwitness import kernels, response
 from udwitness.errors import InvalidParameterError, NumericalFailure
-from udwitness.field import CavityConfig, ModeSpec, mode_function
+from udwitness.field import CavityConfig, ModeSpec
 from udwitness.response import (
     DEFAULT_TOL,
     DELTA_RES,
@@ -31,7 +31,6 @@ from udwitness.response import (
     chi_static_amplitude,
     critical_velocity,
 )
-from udwitness.oracle import phase_beta
 from udwitness.trajectory import TrajectorySpec, position, wall_time
 from udwitness.witness import StateSpec, witness_series_from_omega
 
@@ -1022,60 +1021,6 @@ class TestModeBlocks:
         assert response._edge_table_size(start) > response._MAX_EDGE_TABLE
         with pytest.raises(Reached):
             chi_mode_sum(cavity, CouplingSpec(0.4), traj, 5477.0, k_max=256)
-
-
-class TestPhaseBeta:
-    def test_zero_drive(self):
-        assert phase_beta(lambda t: np.zeros_like(t), 1.0, 0.0, 5.0) == 0.0
-
-    def test_constant_drive_full_period(self):
-        val = phase_beta(lambda t: np.ones_like(t), 1.0, 0.0, 2 * math.pi)
-        assert val == pytest.approx(2 * math.pi, abs=1e-8)
-
-    def test_empty_domain(self):
-        assert phase_beta(lambda t: np.ones_like(t), 1.0, 1.3, 1.3) == 0.0
-
-    def test_constant_drive_generic_window(self):
-        omega, t0, t1 = 2.0, 0.5, 1.7
-        val = phase_beta(lambda t: np.ones_like(t), omega, t0, t1)
-        span = t1 - t0
-        analytic = (span - math.sin(omega * span) / omega) / omega
-        assert val == pytest.approx(analytic, abs=1e-9)
-
-    @pytest.mark.parametrize("f0, omega, tau", [(0.4, 1.0, math.pi), (0.3, 1.4, 2.0), (1.0, 2.7, 5.3)])
-    def test_constant_drive_closed_form(self, f0, omega, tau):
-        val = phase_beta(lambda t: np.full_like(t, f0), omega, 0.0, tau)
-        exact = f0**2 * (omega * tau - math.sin(omega * tau)) / omega**2
-        assert abs(val - exact) <= 1e-9
-
-    def test_moving_drive_matches_scipy_simpson(self):
-        # the inertial drive of test_oracle's moving-drive propagator check,
-        # against the same doubling loop on scipy's Simpson rules
-        mode = ModeSpec(1, 4.0, 1.0)
-        traj = TrajectorySpec.inertial(0.3, 1.0, 4.0)
-        tau, tol = 2.0, 1e-9
-
-        def drive(t):
-            return 0.5 * mode_function(mode.k, mode.L, position(traj, t))
-
-        prev = ref = None
-        for n in (512, 1024, 2048, 4096, 8192, 16384):
-            t = np.linspace(0.0, tau, n + 1)
-            ft = drive(t)
-            c = cumulative_simpson(ft * np.cos(mode.omega * t), x=t, initial=0.0)
-            s = cumulative_simpson(ft * np.sin(mode.omega * t), x=t, initial=0.0)
-            inner = np.sin(mode.omega * t) * c - np.cos(mode.omega * t) * s
-            val = float(simpson(ft * inner, x=t))
-            if prev is not None and abs(val - prev) <= max(tol, tol * abs(val)):
-                ref = val
-                break
-            prev = val
-        assert ref is not None
-        assert abs(phase_beta(drive, mode.omega, 0.0, tau, tol=tol) - ref) <= tol
-
-    def test_rejects_reversed_window(self):
-        with pytest.raises(InvalidParameterError):
-            phase_beta(lambda t: np.ones_like(t), 1.0, 2.0, 1.0)
 
 
 class TestSeg:
