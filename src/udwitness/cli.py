@@ -337,10 +337,6 @@ def cmd_scan_alpha(args) -> int:
 
 def cmd_oracle(args) -> int:
     names = [s.strip() for s in args.states.split(",") if s.strip()]
-    valid = {"fock", "cat", "coherent", "thermal"}
-    unknown = set(names) - valid
-    if unknown:
-        raise InvalidParameterError(f"--states: unknown families {sorted(unknown)}")
     checks = run_oracle_suite(
         cutoff=args.cutoff,
         k_max=args.kmax,

@@ -52,7 +52,7 @@ def mode_function(k: int, L: float, x) -> float:
     if not L > 0:
         raise InvalidParameterError(f"cavity length L must be positive, got {L}")
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0) or np.any(x_arr > L):
+    if not np.all((x_arr >= 0) & (x_arr <= L)):
         raise InvalidParameterError(f"position x={x} outside the cavity [0, {L}]")
     k = int(k)
     out = np.sin(k * math.pi * x_arr / L) / math.sqrt(k * math.pi)

@@ -43,8 +43,10 @@ class TruncatedMode:
     omega: float
 
     def __post_init__(self):
-        if self.cutoff < 2:
-            raise InvalidParameterError(f"basis cutoff={self.cutoff} must be >= 2")
+        if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 2:
+            raise InvalidParameterError(f"basis cutoff={self.cutoff} must be an integer >= 2")
+        if not 0 < self.omega < math.inf:
+            raise InvalidParameterError(f"mode frequency omega={self.omega} must be positive and finite")
 
 
 def _annihilation(cutoff: int) -> np.ndarray:
@@ -136,8 +138,12 @@ def _displacements(cutoff: int, betas: np.ndarray, *parts) -> list[np.ndarray]:
     ``cutoff`` rows of V and e^{-i*theta} - 1 = -2*sin^2(theta/2) - i*sin(theta):
     then the identity is exact rather than V_c V_c^T to rounding, and the
     error stays of order eps*|beta|, which matters for the nearly
-    undisplaced vacuum modes of the mode product.
+    undisplaced vacuum modes of the mode product. A beta that is not
+    finite raises InvalidParameterError.
     """
+    bad = betas[~np.isfinite(betas)]
+    if bad.size:
+        raise InvalidParameterError(f"displacement beta={bad[0]} must be finite")
     # |beta| and arg(beta) by abs and cmath.phase: np.abs and np.angle
     # round differently in about a third and a tenth of cases.
     r = np.array([abs(b) for b in betas.tolist()])
@@ -277,6 +283,8 @@ def evolve_trotter(
         raise InvalidParameterError(f"block={block} must be in 1..{mode.cutoff}")
     if steps < 1:
         raise InvalidParameterError(f"steps={steps} must be >= 1")
+    if not math.isfinite(tau):
+        raise InvalidParameterError(f"proper time tau={tau} must be finite")
     _check_cap("steps", steps, "Trotter step", _MAX_TROTTER_STEPS)
     dt = tau / steps
     # The midpoint times 0.5*dt, 1.5*dt, ..., (steps - 0.5)*dt; an array
@@ -375,6 +383,8 @@ def overlap_trace(state: StateSpec, mode: TruncatedMode, chi: complex, tau: floa
     exp(4i*Im(conj(alpha)*chi) - 2*|chi|^2); multiplying any family's value
     by exp(2*|chi|^2) must land on its closed-form witness.
     """
+    if not math.isfinite(tau):
+        raise InvalidParameterError(f"proper time tau={tau} must be finite")
     psi, p = state_vectors(state, mode.cutoff)
     phi = np.exp(-1j * mode.omega * tau * np.arange(mode.cutoff))[:, None] * psi
     d = displacement_matrix(mode, chi * cmath.exp(-1j * mode.omega * tau))
@@ -473,8 +483,12 @@ def run_oracle_suite(
 
     Cavity k0=2, L=4, m=1, lambda=0.4, both a resting and an inertial
     v=0.3 detector; plus displacement identities and the time-ordered
-    product cross-check of the factorized propagator.
+    product cross-check of the factorized propagator. An unknown family in
+    ``states`` raises InvalidParameterError before any check runs.
     """
+    unknown = sorted(set(states) - _SUITE_STATES.keys())
+    if unknown:
+        raise InvalidParameterError(f"states: unknown families {unknown}, known {list(_SUITE_STATES)}")
     checks: list[OracleCheck] = []
     cavity = CavityConfig(L=4.0, m=1.0, k0=2)
     coupling = CouplingSpec(0.4)

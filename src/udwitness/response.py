@@ -15,7 +15,7 @@ Every chi comes from one dispatch over modes and times, _chi_modes: the
 closed forms, or one driver, _quadrature, for every quadrature chi
 (accelerated, or any worldline with force_quadrature). A series
 (chi_series, and chi as its 0-d call) is one mode; chi_modes and its
-sum chi_mode_sum take _MODE_BLOCK modes to a pass. In
+sum chi_mode_sum take up to _MODE_BLOCK modes a pass (_mode_blocks). In
 _quadrature each mode is one segment of a single adaptive pass
 (_adaptive_panels) with the grid times inserted as edges (_block_edges),
 and chi at a grid time is a sequential prefix sum of its mode's panels,
@@ -79,10 +79,9 @@ _MAX_PANELS = 400_000
 #: Largest starting edge table of one pass: modes times the longest rows of
 #: K61 and x-rule steps. _MAX_PANELS bounds each mode, this the block,
 #: at the table a 16-mode block could reach under _MAX_PANELS: a 64-mode
-#: block of 6.39M entries traced a 160 MB peak in 0.17 s. A full block
-#: of _MODE_BLOCK modes meets it at 25k starting panels a mode and is then
-#: split (_SPLIT_BLOCK); the benchmark's 256-mode sums start from at most
-#: 31-57 a mode (seeds 1-3), and the oracle sums 16 modes.
+#: block of 6.39M entries traced a 160 MB peak in 0.17 s. It sizes blocks
+#: (_mode_blocks): a full one meets it at 25k starting panels a mode, and
+#: the benchmark's 256-mode sums start from 31-57 at most (seeds 1-3).
 _MAX_EDGE_TABLE = 16 * _MAX_PANELS
 _MAX_ROUNDS = 48
 #: Largest k_max of a mode sum. A closed-form sum traces 88-120 bytes per
@@ -100,10 +99,6 @@ _MAX_MODES = 1_000_000
 #: with 128 and 80-87 ms with 256 (thread CPU time, median of 30 passes
 #: alternated in one process, two processes; 2-vCPU x86-64, numpy 2.4).
 _MODE_BLOCK = 256
-#: A block whose starting edge table is over _MAX_EDGE_TABLE is evaluated
-#: in blocks of this many modes, the block size the cap was sized with; a
-#: block of these over the cap is refused. Sums that fit are not split.
-_SPLIT_BLOCK = 64
 
 #: Largest phase across one starting K61 panel: twelve half cycles of the
 #: faster oscillation (on the accelerated worldline, of the combined phase
@@ -272,9 +267,10 @@ def _chi_modes(ks, omega, L, coupling, traj, taus, tol, quad):
     """(chi, err, stalls) of modes ``ks`` (frequencies ``omega``) on the grid ``taus``.
 
     The one branch dispatch: all modes by their closed forms at once, with
-    zero error, or with ``quad`` by _quadrature, one pass per _MODE_BLOCK
-    modes. chi[j] and err[j] are shaped like ``taus``; stalls[j] is None
-    unless mode j stopped short of ``tol``, at its best estimates.
+    zero error, or with ``quad`` by _quadrature, one pass per block of
+    _mode_blocks, all planned first. chi[j] and err[j] are shaped like
+    ``taus``; stalls[j] is None unless mode j stopped short of ``tol``, at
+    its best estimates.
     """
     taus = _checked_times(taus, traj)
     t_end = _checked_phase(float(omega.max()), taus, traj)
@@ -289,17 +285,13 @@ def _chi_modes(ks, omega, L, coupling, traj, taus, tol, quad):
             k, w = ks.item(), omega.item()
         chi = _closed_form(coupling.lam, k, L, w, traj, taus).reshape((ks.size,) + taus.shape)
         return chi, np.zeros(chi.shape), [None] * ks.size
-    return _blockwise(_MODE_BLOCK, ks, omega, L, coupling, traj, taus, t_end, tol)
-
-
-def _blockwise(size, ks, omega, L, coupling, traj, taus, t_end, tol):
-    """_quadrature of modes ``ks`` in blocks of ``size``, concatenated.
-
-    A mode's values are the same bits whichever block it is in.
-    """
-    blocks = [slice(i, i + size) for i in range(0, ks.size, size)]
+    if coupling.lam == 0.0 or t_end <= 0.0:
+        shape = (ks.size,) + taus.shape
+        return np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size
+    start = _start_panels(ks, L, omega, traj, t_end)
     chis, errs, stalls = zip(*(
-        _quadrature(ks[b], omega[b], L, coupling, traj, taus, t_end, tol) for b in blocks
+        _quadrature(ks[b], omega[b], L, coupling, traj, taus, t_end, tol, [c[b] for c in start])
+        for b in _mode_blocks(start)
     ))
     return np.concatenate(chis), np.concatenate(errs), [s for block in stalls for s in block]
 
@@ -383,11 +375,20 @@ def _start_panels(ks, L, omega, traj: TrajectorySpec, t_end: float):
     return t_x, n_t, n_x
 
 
-def _edge_table_size(start) -> float:
-    """Entries of the starting edge table of _start_panels' counts: every
-    mode's row is padded to the longest K61 and x-rule rows."""
+def _mode_blocks(start):
+    """Consecutive slices of the modes of _start_panels' counts ``start``,
+    each of at most _MODE_BLOCK modes whose padded edge table fits
+    _MAX_EDGE_TABLE (one mode does, holding at most _MAX_PANELS)."""
     _, n_t, n_x = start
-    return n_t.shape[0] * (n_t.max() + n_x.max())
+    blocks, i = [], 0
+    while i < n_t.shape[0]:
+        t, x = n_t[i:i + _MODE_BLOCK, 0], n_x[i:i + _MODE_BLOCK, 0]
+        # The padded table of the first j modes grows with j.
+        table = (np.maximum.accumulate(t) + np.maximum.accumulate(x)) * np.arange(1, t.size + 1)
+        size = int(np.count_nonzero(table <= _MAX_EDGE_TABLE))
+        blocks.append(slice(i, i + size))
+        i += size
+    return blocks
 
 
 def _block_edges(ks, t_end: float, times, start):
@@ -416,15 +417,8 @@ def _block_edges(ks, t_end: float, times, start):
     entry comes from the same elementwise arithmetic whatever the other
     rows, so a mode's edges do not depend on the modes it is built with.
     Sorting each row and dropping repeats gives the edges.
-
-    A table of more than _MAX_EDGE_TABLE steps raises NumericalFailure
-    before it is built.
     """
     t_x, n_t, n_x = start
-    _check_cap(
-        f"the starting edge table of modes k={ks[0]}..{ks[-1]} up to tau={t_end}",
-        _edge_table_size(start), "edge table", _MAX_EDGE_TABLE,
-    )
     i = np.arange(n_t.max() + 1.0)
     k61 = np.where(i < n_t, i * (t_x / n_t), t_end)
     i = np.arange(n_x.max())
@@ -574,8 +568,9 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule=No
     return lo, hi, vals, errs, counts, stalls
 
 
-def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol):
-    """chi of modes ``ks`` at every grid time in one adaptive pass up to ``t_end``.
+def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol, start):
+    """chi of modes ``ks`` at every grid time in one adaptive pass up to
+    ``t_end`` > 0, from their _start_panels counts ``start``.
 
     Each mode is one segment of a single _adaptive_panels pass, from the
     edges of _block_edges with the grid times inserted, K61 panels up to
@@ -583,21 +578,13 @@ def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol):
     chi_k(tau) is an exact prefix of its mode's panel decomposition, taken
     by one sequential prefix sum per mode; times past the wall-arrival
     time reuse the frozen full integral. A mode's panels, and hence its
-    values, are the same bits whichever modes it is evaluated with, so a
-    block whose starting edge table would be over _MAX_EDGE_TABLE is
-    evaluated in blocks of _SPLIT_BLOCK modes instead.
+    values, are the same bits whichever modes it is evaluated with.
 
     Returns (chi, err, stalls): chi[j] and err[j] are mode j's values and
     summed panel estimates on the grid (shaped like ``taus``), and
     stalls[j] is None on convergence, else why its refinement stopped (the
     values are then its best estimates).
     """
-    if coupling.lam == 0.0 or t_end <= 0.0:
-        shape = (ks.size,) + taus.shape
-        return np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size
-    start = _start_panels(ks, L, omega, traj, t_end)
-    if ks.size > _SPLIT_BLOCK and _edge_table_size(start) > _MAX_EDGE_TABLE:
-        return _blockwise(_SPLIT_BLOCK, ks, omega, L, coupling, traj, taus, t_end, tol)
     t_clip = np.minimum(taus, t_end)
     edges, offsets = _block_edges(ks, t_end, t_clip[t_clip > 0.0], start)
     kind, phi0, rate, cc = _kernel_params(ks, L, traj)
@@ -694,13 +681,15 @@ def chi_modes(
 ) -> np.ndarray:
     """chi_k(tau) of cavity modes k = 1..k_max, as a complex array.
 
-    An accelerated chi_k is bit-identical to chi(..., force_quadrature=True)'s.
-    A stall is raised once every mode is evaluated: NumericalFailure names
-    the first stalled k, with Sum_k |chi_k|^2 at the best estimates as
-    ``best``.
+    ``tau`` is one time; an accelerated chi_k is bit-identical to chi(...,
+    force_quadrature=True)'s. A stall is raised once every mode is evaluated:
+    NumericalFailure names the first stalled k, with Sum_k |chi_k|^2 at the
+    best estimates as ``best``.
     """
     if not isinstance(k_max, numbers.Integral) or k_max < 1:
         raise InvalidParameterError(f"k_max={k_max} must be an integer >= 1")
+    if np.ndim(tau) != 0:
+        raise InvalidParameterError(f"proper time tau={tau!r} must be a scalar")
     _check_cap("k_max", k_max, "mode", _MAX_MODES)
     ks = np.arange(1, k_max + 1)
     omega = mode_frequencies(k_max, cavity.L, cavity.m)

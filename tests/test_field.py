@@ -98,6 +98,11 @@ class TestModeFunction:
         with pytest.raises(InvalidParameterError):
             mode_function(1, 2.0, 2.1)
 
+    @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan, 1.0]])
+    def test_rejects_nan_position(self, x):
+        with pytest.raises(InvalidParameterError, match="position x=.*nan"):
+            mode_function(1, 2.0, x)
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
         k=st.integers(min_value=1, max_value=500),

@@ -187,6 +187,22 @@ class TestDisplacement:
         with pytest.raises(InvalidParameterError):
             TruncatedMode(1, 1.0)
 
+    @pytest.mark.parametrize("cutoff,omega,name", [
+        (2.5, 1.0, "cutoff"), (40.0, 1.0, "cutoff"), ("40", 1.0, "cutoff"),
+        (40, 0.0, "omega"), (40, -1.0, "omega"), (40, math.nan, "omega"), (40, math.inf, "omega"),
+    ])
+    def test_bad_mode_is_named(self, cutoff, omega, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            TruncatedMode(cutoff, omega)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.5)])
+    def test_non_finite_beta_is_named(self, beta, fails_fast):
+        fails_fast(
+            lambda: displacement_matrix(TruncatedMode(40, 1.0), beta),
+            InvalidParameterError,
+            "displacement beta=.* must be finite",
+        )
+
     def test_basis_over_the_cap_fails_before_allocating(self, fails_fast):
         # Cutoff 20000 pads to 20591 levels: a 3.4 GB eigendecomposition.
         fails_fast(
@@ -455,6 +471,17 @@ class TestEvolveTrotter:
         assert u.shape == (20, 20)
         assert np.array_equal(u, evolve_trotter(tm, lambda t: np.full_like(t, 0.3), 1.5, 64))
 
+    @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tau_fails_before_any_step(self, tau, fails_fast):
+        def drive(t):
+            raise AssertionError("the drive was sampled")
+
+        fails_fast(
+            lambda: evolve_trotter(TruncatedMode(40, 1.0), drive, tau, 10**6),
+            InvalidParameterError,
+            f"tau={tau} must be finite",
+        )
+
     @pytest.mark.parametrize("sign", [0, 2])
     def test_bad_sign_fails_before_any_step(self, sign, fails_fast):
         def drive(t):
@@ -540,6 +567,16 @@ class TestStateDensity:
 
 
 class TestOverlapTrace:
+    @pytest.mark.parametrize("chi,tau,match", [
+        (0.3, math.inf, "tau=inf must be finite"),
+        (0.3, math.nan, "tau=nan must be finite"),
+        (complex(math.nan, 0.0), 1.0, "beta=.* must be finite"),
+        (complex(0.0, math.inf), 1.0, "beta=.* must be finite"),
+    ])
+    def test_non_finite_input_is_named(self, chi, tau, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            overlap_trace(StateSpec.fock(1), TruncatedMode(30, 1.0), chi, tau)
+
     def test_vacuum_no_response(self):
         tm = TruncatedMode(30, 1.0)
         assert overlap_trace(StateSpec.coherent(0j), tm, 0j, 0.0) == pytest.approx(1.0)
@@ -794,6 +831,15 @@ class TestOracleSuite:
         ref = cmath.exp(1j * beta) * displacement_matrix(tm, zeta)
         h = trusted_block(60)
         assert abs(gap - np.linalg.norm((u - ref)[:, :h], ord=2)) <= 1e-15
+
+    @pytest.mark.parametrize("states", [("bogus",), ("coherent", "squeezed"), "fock"])
+    def test_unknown_state_is_refused_before_any_check(self, states, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(oracle, "displacement_matrix", no_check)
+        with pytest.raises(InvalidParameterError, match="states: unknown families"):
+            run_oracle_suite(states=states)
 
     def test_subset_runs_clean(self):
         checks = run_oracle_suite(

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from udwitness import kernels, response
 from udwitness.errors import InvalidParameterError, NumericalFailure
-from udwitness.field import CavityConfig, ModeSpec
+from udwitness.field import CavityConfig, ModeSpec, mode_frequencies
 from udwitness.response import (
     DEFAULT_TOL,
     DELTA_RES,
@@ -45,6 +45,24 @@ def one_mode_edges(mode, traj, t_end):
     )
     np.testing.assert_array_equal(offsets, [0, edges.size])
     return edges
+
+
+def table_size(start, block):
+    """Entries of the padded starting edge table of the modes ``block`` of
+    _start_panels' counts ``start``."""
+    _, n_t, n_x = start
+    return n_t[block].shape[0] * (n_t[block].max() + n_x[block].max())
+
+
+def assert_planned(blocks, start, n_modes):
+    """_mode_blocks' ``blocks`` are contiguous, cover modes 0..n_modes-1,
+    and each holds at most _MODE_BLOCK modes within the edge-table cap."""
+    assert blocks[0].start == 0 and blocks[-1].stop == n_modes
+    for b, after in zip(blocks, blocks[1:]):
+        assert b.stop == after.start
+    for b in blocks:
+        assert 1 <= b.stop - b.start <= _MODE_BLOCK
+        assert table_size(start, b) <= response._MAX_EDGE_TABLE
 
 
 def one_segment(kind, phi0, rate, cc, omega, edges, tol):
@@ -748,23 +766,27 @@ class TestChiModeSum:
             tracemalloc.stop()
         assert elapsed < 0.01 and peak < 1e5
 
-    def test_block_edge_table_over_the_cap_fails_before_allocating(self):
+    def test_block_edge_table_over_the_cap_is_planned_in_blocks(self):
         # Each of the 64 heavy modes starts from about 133k uniform K61
         # panels (the detector never reaches the switch time), under the
-        # per-mode cap; the block's table of 8.5M is not.
+        # per-mode cap; the 64-mode table of 8.5M is not, so the sum is
+        # planned as blocks that each fit. Planning builds no edge table.
+        # The sum itself is not run: its first pass takes about 100 s.
         cavity = CavityConfig(4.0, 1000.0, 1)
         traj = TrajectorySpec.accelerated(1e-7, 1.0, cavity.L)
+        ks = np.arange(1, 65)
+        omega = mode_frequencies(64, cavity.L, cavity.m)
         tracemalloc.start()
         try:
-            with pytest.raises(NumericalFailure, match=(
-                r"edge table of modes k=1\.\.64 up to tau=5000\.0 is 8499200, "
-                r"over the edge table cap 6400000"
-            )):
-                chi_mode_sum(cavity, CouplingSpec(0.5), traj, 5000.0, k_max=64)
+            start = _start_panels(ks, cavity.L, omega, traj, 5000.0)
+            blocks = response._mode_blocks(start)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1e5
+        assert table_size(start, slice(None)) > response._MAX_EDGE_TABLE
+        assert_planned(blocks, start, ks.size)
+        assert len(blocks) > 1
 
     @pytest.mark.parametrize("field,bad,name", [("L", -1.0, "cavity length L"), ("L", math.nan, "cavity length L"),
                                                 ("m", -0.5, "field mass m"), ("m", math.inf, "field mass m")])
@@ -781,6 +803,17 @@ class TestChiModeSum:
         monkeypatch.setattr(response, "_chi_modes", no_work)
         with pytest.raises(InvalidParameterError, match=name):
             chi_modes(cavity, CouplingSpec(0.5), traj, 1.0, k_max=256)
+
+    @pytest.mark.parametrize("fn,tau,tol", [
+        (chi_mode_sum, [1.0], DEFAULT_TOL),
+        (chi_modes, np.array([0.5, 1.0]), DEFAULT_TOL),
+        (chi_modes, np.array([0.5, 1.0]), 1e-300),
+    ])
+    def test_non_scalar_tau_is_refused(self, small_cavity, fn, tau, tol):
+        # An array of times, also where every mode stalls.
+        traj = TrajectorySpec.accelerated(1.0, small_cavity.x0, small_cavity.L)
+        with pytest.raises(InvalidParameterError, match="tau=.* must be a scalar"):
+            fn(small_cavity, CouplingSpec(0.5), traj, tau, k_max=8, tol=tol)
 
     def test_k_max_is_checked_first(self, small_cavity):
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
@@ -969,19 +1002,17 @@ class TestModeBlocks:
 
     def test_block_over_the_table_cap_is_split_without_changing_bits(self, monkeypatch):
         # With the cap between the widest 64-mode table and the 256-mode
-        # one, the block is evaluated as four blocks of 64, each one edge
+        # one, the 256 modes are planned as several blocks, each one edge
         # build, and the sum equals the unsplit one bit for bit.
         cavity = CavityConfig(L=4.0, m=1.0, k0=2)
         coup = CouplingSpec(0.4)
         traj = TrajectorySpec.accelerated(2.0, cavity.x0, cavity.L)
         tau = wall_time(traj) + 1.0
         ks = np.arange(1, 257)
-        omega = np.array([cavity.mode(int(k)).omega for k in ks])
-        whole = response._edge_table_size(response._start_panels(ks, 4.0, omega, traj, tau))
-        quarter = max(
-            response._edge_table_size(response._start_panels(ks[b], 4.0, omega[b], traj, tau))
-            for b in (slice(i, i + 64) for i in range(0, 256, 64))
-        )
+        # The sum integrates up to the wall, where chi freezes.
+        start = _start_panels(ks, 4.0, mode_frequencies(256, 4.0, 1.0), traj, wall_time(traj))
+        whole = table_size(start, slice(None))
+        quarter = max(table_size(start, slice(i, i + 64)) for i in range(0, 256, 64))
         assert quarter < whole
         unsplit = chi_modes(cavity, coup, traj, tau, 256)
         blocks = []
@@ -993,34 +1024,69 @@ class TestModeBlocks:
 
         monkeypatch.setattr(response, "_block_edges", spy)
         monkeypatch.setattr(response, "_MAX_EDGE_TABLE", quarter)
+        planned = response._mode_blocks(start)
+        assert_planned(planned, start, 256)
+        assert len(planned) > 1
         split = chi_modes(cavity, coup, traj, tau, 256)
-        assert blocks == [(1, 64), (65, 128), (129, 192), (193, 256)]
+        assert blocks == [(b.start + 1, b.stop) for b in planned]
         np.testing.assert_array_equal(split, unsplit)
         blocks.clear()
         monkeypatch.setattr(response, "_MAX_EDGE_TABLE", whole)
         np.testing.assert_array_equal(chi_modes(cavity, coup, traj, tau, 256), unsplit)
         assert blocks == [(1, 256)]
 
-    def test_sum_over_the_table_cap_in_one_block_runs_in_blocks_of_64(self, monkeypatch):
+    def test_sum_over_the_table_cap_in_one_block_runs_in_planned_blocks(self, monkeypatch):
         # 256 modes at a = 2e-7 up to the wall make a padded table of 7.49M,
-        # over the cap, while every 64-mode block fits: the sum starts its
-        # first block's quadrature instead of being refused. The quadrature
-        # itself is stopped there.
+        # over the cap: the sum is planned as blocks that each fit, and
+        # starts its first block's quadrature instead of being refused.
+        # The quadrature itself is stopped there.
         class Reached(Exception):
             pass
 
-        def stop(*args):
+        passes = []
+
+        def stop(kind, phi0, *args, **kwargs):
+            passes.append(phi0.size)
             raise Reached
 
         monkeypatch.setattr(response, "_adaptive_panels", stop)
         cavity = CavityConfig(L=4.0, m=1.0, k0=2)
         traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
         ks = np.arange(1, 257)
-        omega = np.array([cavity.mode(int(k)).omega for k in ks])
-        start = response._start_panels(ks, 4.0, omega, traj, 5477.0)
-        assert response._edge_table_size(start) > response._MAX_EDGE_TABLE
+        start = _start_panels(ks, 4.0, mode_frequencies(256, 4.0, 1.0), traj, 5477.0)
+        assert table_size(start, slice(None)) > response._MAX_EDGE_TABLE
+        blocks = response._mode_blocks(start)
+        assert_planned(blocks, start, 256)
+        assert len(blocks) > 1
         with pytest.raises(Reached):
             chi_mode_sum(cavity, CouplingSpec(0.4), traj, 5477.0, k_max=256)
+        assert passes == [blocks[0].stop]
+
+    def test_large_sum_is_planned_from_one_count(self):
+        # Up to the wall at a = 2e-7, every one of modes 1..1000 starts
+        # under the panel cap, while their padded tables are far over the
+        # edge-table cap: the sum is cut into contiguous blocks covering
+        # them all, each within _MODE_BLOCK and the cap.
+        cavity = CavityConfig(L=4.0, m=1.0, k0=2)
+        traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
+        ks = np.arange(1, 1001)
+        start = _start_panels(ks, 4.0, mode_frequencies(1000, 4.0, 1.0), traj, 5477.2)
+        blocks = response._mode_blocks(start)
+        assert_planned(blocks, start, 1000)
+        assert blocks[0] == slice(0, 236)
+
+    def test_mode_over_the_panel_cap_is_refused_before_any_quadrature(self, monkeypatch):
+        # Modes 1..4000 at a = 2e-7: the high modes start from over
+        # 400,000 panels each. The sum is refused from the starting
+        # counts, before the first block's pass.
+        def no_pass(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(response, "_adaptive_panels", no_pass)
+        cavity = CavityConfig(L=4.0, m=1.0, k0=2)
+        traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
+        with pytest.raises(NumericalFailure, match=r"mode k=\d+ up to tau=5477\.2 .* panel cap 400000"):
+            chi_mode_sum(cavity, CouplingSpec(0.4), traj, 5477.2, k_max=4000)
 
 
 class TestSeg:
