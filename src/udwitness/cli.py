@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidParameterError, NumericalFailure, _check_cap
 from .field import CavityConfig
 from .oracle import run_oracle_suite
-from .response import CouplingSpec
+from .response import DEFAULT_TOL, CouplingSpec
 from .trajectory import TrajectoryKind, TrajectorySpec, wall_time
 from .witness import (
     StateFamily,
@@ -108,7 +108,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--x0", type=float, default=None, help="start position (default L/(2*k0))")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="coupling strength (default 2*sqrt(k0))")
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance on chi")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance on chi")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
 
@@ -165,10 +165,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _lam(args) -> float:
+    """--lambda, by default 2*sqrt(k0)."""
+    return 2.0 * math.sqrt(args.k0) if args.lam is None else args.lam
+
+
 def _cavity_and_coupling(args):
     cavity = CavityConfig(L=args.L, m=args.m, k0=args.k0, x0=args.x0)
-    lam = 2.0 * math.sqrt(args.k0) if args.lam is None else args.lam
-    return cavity, CouplingSpec(lam)
+    return cavity, CouplingSpec(_lam(args))
 
 
 def _grid(args) -> np.ndarray:
@@ -221,8 +225,7 @@ def cmd_witness(args) -> int:
             )
         if not args.tol > 0:
             raise InvalidParameterError(f"tolerance --tol {args.tol} must be positive")
-        lam = 2.0 * math.sqrt(args.k0) if args.lam is None else args.lam
-        series = witness_series_from_omega(state, lam, args.omega_override, taus)
+        series = witness_series_from_omega(state, _lam(args), args.omega_override, taus)
     else:
         cavity, coupling = _cavity_and_coupling(args)
         traj = parse_traj(args.traj, cavity.x0, cavity.L)

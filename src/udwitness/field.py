@@ -49,8 +49,7 @@ def mode_function(k: int, L: float, x) -> float:
     """
     if k != int(k) or k < 1:
         raise InvalidParameterError(f"mode index k must be a positive integer, got {k}")
-    if not L > 0:
-        raise InvalidParameterError(f"cavity length L must be positive, got {L}")
+    _check_cavity(L, 0.0)  # the length only: a massless field passes
     x_arr = np.asarray(x, dtype=float)
     if not np.all((x_arr >= 0) & (x_arr <= L)):
         raise InvalidParameterError(f"position x={x} outside the cavity [0, {L}]")

@@ -1,7 +1,7 @@
 """Panel kernels of the oscillatory response quadrature.
 
 The detector response integral reduces to panel sums of
-sin(A(t)) * exp(i*omega*t) where A is the mode phase along the worldline:
+sin(A(t)) * exp(i*omega*t), A the mode phase on the worldline of each TrajectoryKind:
 
     A(t) = phi0                              (static)
     A(t) = phi0 + rate*t                     (inertial, rate = mode-crossing frequency)
@@ -100,9 +100,7 @@ from __future__ import annotations
 
 import numpy as np
 
-KIND_STATIC = 0
-KIND_INERTIAL = 1
-KIND_ACCELERATED = 2
+from .trajectory import TrajectoryKind
 
 #: Least error estimate per unit of panel length. The integrand has
 #: modulus at most 1 and is evaluated to about machine epsilon absolute at
@@ -317,7 +315,7 @@ def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
 
     Returns (values, errors): the K61 value of each panel [lo[p], hi[p]]
     and |K61 - G30|, floored at ERR_FLOOR*(hi - lo), as its absolute error
-    estimate. lo and hi are 1-d;
+    estimate. ``kind`` is the worldline's TrajectoryKind; lo and hi are 1-d;
     phi0, cc and omega are scalars or arrays shaped like lo. The panels
     are evaluated _CHUNK at a time.
     """
@@ -333,7 +331,7 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
     # Half angles throughout: halving is exact, so each tan sees half of
     # the angle the sin or cos would, to the bit. Node-major arrays let
     # per-panel parameters broadcast along the contiguous panel axis.
-    if kind == KIND_STATIC:
+    if kind is TrajectoryKind.STATIC:
         pair = (0.5 * omega) * (_X[:, None] * half)
         # One sin per panel, not per node: libm's cost does not matter here.
         amp = np.broadcast_to(np.sin(phi0), (2 * _N + 1,) + lo.shape)
@@ -341,7 +339,7 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
         t = _NODES * half
         pair = (0.5 * omega) * t[:_N]
         t += mid
-        if kind == KIND_INERTIAL:
+        if kind is TrajectoryKind.INERTIAL:
             t *= 0.5 * rate
         else:
             t *= rate

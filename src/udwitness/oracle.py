@@ -432,6 +432,8 @@ def end_to_end_check(
         raise InvalidParameterError(
             f"probed mode k0={cavity.k0} is outside the simulated range 1..{k_max}"
         )
+    if not np.all(np.isfinite(tau)):
+        raise InvalidParameterError(f"proper time tau={tau} must be finite")
     probed = TruncatedMode(cutoff, cavity.mode().omega)
     chis = response.chi_modes(cavity, coupling, traj, tau, k_max=k_max, tol=tol)
     betas = chis * np.exp(-1j * mode_frequencies(k_max, cavity.L, cavity.m) * tau)

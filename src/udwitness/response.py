@@ -19,13 +19,14 @@ sum chi_mode_sum take up to _MODE_BLOCK modes a pass (_mode_blocks). In
 _quadrature each mode is one segment of a single adaptive pass
 (_adaptive_panels) with the grid times inserted as edges (_block_edges),
 and chi at a grid time is a sequential prefix sum of its mode's panels,
-so a mode's values are the same bits alone or in a block.
+so a mode's values are the same bits alone or in a block. Past one check
+(_check_geometry) the internals read L, x0 and the kind from the worldline.
 
 Two rules, one switch. On the accelerated worldline the mode phase
 A(t) = q*(x(t) - x0) + phi0 (q = k*pi/L) turns at the rate q*sinh(a*t),
 about 15,700 rad in all at figure scale (k = 5000, L = 1e4), far more
 than the omega_k*t of the detector clock. Up to the switch time t_s,
-where that rate reaches 2*omega_k (_switch_times), the panels are K61
+where that rate reaches 2*omega_k (_start_panels), the panels are K61
 panels of at most twelve half cycles of the combined phase
 omega_k*t + A(t), which resolve it node by node. Past t_s each panel is
 integrated over position by the x-rule (kernels.filon_integrals), which
@@ -182,13 +183,24 @@ def chi_static_amplitude(lam_f, omega, tau):
     return -lam_f * _cis_m1(omega * np.asarray(tau, dtype=float)) / omega
 
 
-def _crossing_frequency(k, L: float, v: float):
-    """Mode-crossing frequency omega_L = k*pi*v/(L*sqrt(1 - v^2)) of mode(s) k."""
-    gamma = 1.0 / math.sqrt(1.0 - v**2)
-    return k * math.pi * v * gamma / L
+def _crossing_frequency(k, traj: TrajectorySpec):
+    """Mode-crossing frequency omega_L = k*pi*v/(L*sqrt(1 - v^2)) of mode(s) k on ``traj``."""
+    gamma = 1.0 / math.sqrt(1.0 - traj.v**2)
+    return k * math.pi * traj.v * gamma / traj.L
 
 
-def _closed_form(lam, k, L, omega, traj: TrajectorySpec, taus):
+def _check_geometry(traj: TrajectorySpec, where) -> None:
+    """InvalidParameterError unless ``traj`` clamps at the L of ``where`` (a
+    ModeSpec or CavityConfig) and starts at a CavityConfig's x0."""
+    if traj.L != where.L:
+        raise InvalidParameterError(f"trajectory clamps at L={traj.L} but the cavity has L={where.L}")
+    if isinstance(where, CavityConfig) and traj.x0 != where.x0:
+        raise InvalidParameterError(
+            f"trajectory starts at x0={traj.x0} but the cavity prescribes x0={where.x0}"
+        )
+
+
+def _closed_form(lam, k, omega, traj: TrajectorySpec, taus):
     """chi of mode(s) k at ``taus`` on a static or inertial worldline.
 
     ``k`` and ``omega`` are scalars or matching arrays of modes that
@@ -198,10 +210,10 @@ def _closed_form(lam, k, L, omega, traj: TrajectorySpec, taus):
     omega_L -> omega; past the wall-arrival time chi stays at its wall
     value.
     """
-    phi = k * math.pi * traj.x0 / L
+    phi = k * math.pi * traj.x0 / traj.L
     if traj.kind is TrajectoryKind.STATIC:
         return chi_static_amplitude(lam * (np.sin(phi) / np.sqrt(k * math.pi)), omega, taus)
-    omega_l = _crossing_frequency(k, L, traj.v)
+    omega_l = _crossing_frequency(k, traj)
     t_eff = np.minimum(taus, wall_time(traj))
     re_fast, im_fast = _seg(omega + omega_l, t_eff)
     re_slow, im_slow = _seg(omega - omega_l, t_eff)
@@ -216,7 +228,7 @@ def _closed_form(lam, k, L, omega, traj: TrajectorySpec, taus):
 def _closed_branch(mode: ModeSpec, traj: TrajectorySpec) -> ChiBranch:
     if traj.kind is TrajectoryKind.STATIC:
         return ChiBranch.STATIC_CLOSED_FORM
-    omega_l = _crossing_frequency(mode.k, mode.L, traj.v)
+    omega_l = _crossing_frequency(mode.k, traj)
     if abs(omega_l - mode.omega) < DELTA_RES * mode.omega:
         return ChiBranch.INERTIAL_RESONANCE_LIMIT
     return ChiBranch.INERTIAL_CLOSED_FORM
@@ -263,19 +275,20 @@ def _stall_text(tol, k, reason, err_estimate, detail=""):
     )
 
 
-def _chi_modes(ks, omega, L, coupling, traj, taus, tol, quad):
-    """(chi, err, stalls) of modes ``ks`` (frequencies ``omega``) on the grid ``taus``.
+def _chi_modes(ks, omega, coupling, traj, taus, tol, force_quadrature):
+    """(chi, err, stalls, quad) of modes ``ks`` (frequencies ``omega``) on the grid ``taus``.
 
     The one branch dispatch: all modes by their closed forms at once, with
-    zero error, or with ``quad`` by _quadrature, one pass per block of
-    _mode_blocks, all planned first. chi[j] and err[j] are shaped like
-    ``taus``; stalls[j] is None unless mode j stopped short of ``tol``, at
-    its best estimates.
+    zero error, or with ``quad`` (accelerated, or force_quadrature) by
+    _quadrature, one pass per block of _mode_blocks, all planned first.
+    chi[j] and err[j] are shaped like ``taus``; stalls[j] is None unless
+    mode j stopped short of ``tol``, at its best estimates.
     """
     taus = _checked_times(taus, traj)
     t_end = _checked_phase(float(omega.max()), taus, traj)
     if not tol > 0:
         raise InvalidParameterError(f"tolerance tol={tol} must be positive")
+    quad = force_quadrature or traj.kind is TrajectoryKind.ACCELERATED
     if not quad:
         per_mode = (-1,) + (1,) * taus.ndim
         k, w = ks.reshape(per_mode), omega.reshape(per_mode)
@@ -283,24 +296,24 @@ def _chi_modes(ks, omega, L, coupling, traj, taus, tol, quad):
             # As Python scalars: a 1-element mode axis made a 6000-sample
             # series 4-6% slower, and velocity-average run_s 4% slower.
             k, w = ks.item(), omega.item()
-        chi = _closed_form(coupling.lam, k, L, w, traj, taus).reshape((ks.size,) + taus.shape)
-        return chi, np.zeros(chi.shape), [None] * ks.size
+        chi = _closed_form(coupling.lam, k, w, traj, taus).reshape((ks.size,) + taus.shape)
+        return chi, np.zeros(chi.shape), [None] * ks.size, quad
     if coupling.lam == 0.0 or t_end <= 0.0:
         shape = (ks.size,) + taus.shape
-        return np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size
-    start = _start_panels(ks, L, omega, traj, t_end)
+        return np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size, quad
+    start = _start_panels(ks, omega, traj, t_end)
     chis, errs, stalls = zip(*(
-        _quadrature(ks[b], omega[b], L, coupling, traj, taus, t_end, tol, [c[b] for c in start])
+        _quadrature(ks[b], omega[b], coupling, traj, taus, t_end, tol, [c[b] for c in start])
         for b in _mode_blocks(start)
     ))
-    return np.concatenate(chis), np.concatenate(errs), [s for block in stalls for s in block]
+    return np.concatenate(chis), np.concatenate(errs), [s for block in stalls for s in block], quad
 
 
 def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
     """(values, errors, branch, stall) of one mode's chi on the grid ``taus``."""
-    quad = force_quadrature or traj.kind is TrajectoryKind.ACCELERATED
-    chis, errs, (stall,) = _chi_modes(
-        np.array([mode.k]), np.array([mode.omega]), mode.L, coupling, traj, taus, tol, quad
+    _check_geometry(traj, mode)
+    chis, errs, (stall,), quad = _chi_modes(
+        np.array([mode.k]), np.array([mode.omega]), coupling, traj, taus, tol, force_quadrature
     )
     return chis[0], errs[0], ChiBranch.QUADRATURE if quad else _closed_branch(mode, traj), stall
 
@@ -322,47 +335,41 @@ def critical_velocity(mode: ModeSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_params(k, L, traj: TrajectorySpec):
-    """Kernel parameters (kind, phi0, rate, cc) of mode(s) k on ``traj``.
+def _kernel_params(k, traj: TrajectorySpec):
+    """Kernel parameters (traj.kind, phi0, rate, cc) of mode(s) k on ``traj``.
 
     phi0 and cc take the shape of k (a scalar or an array of modes); rate
     is one scalar: a, 0, or the crossing frequency of a forced-quadrature
     inertial chi, which is always one mode.
     """
     q = k * math.pi
-    phi0 = q * traj.x0 / L
+    phi0 = q * traj.x0 / traj.L
     if traj.kind is TrajectoryKind.ACCELERATED:
-        return kernels.KIND_ACCELERATED, phi0, traj.a, q / (L * traj.a)
+        return traj.kind, phi0, traj.a, q / (traj.L * traj.a)
     unused_cc = 0.0 * q
     if traj.kind is TrajectoryKind.STATIC:
-        return kernels.KIND_STATIC, phi0, 0.0, unused_cc
-    (rate,) = np.ravel(_crossing_frequency(k, L, traj.v))
-    return kernels.KIND_INERTIAL, phi0, float(rate), unused_cc
+        return traj.kind, phi0, 0.0, unused_cc
+    (rate,) = np.ravel(_crossing_frequency(k, traj))
+    return traj.kind, phi0, float(rate), unused_cc
 
 
-def _switch_times(ks, L, omega, traj: TrajectorySpec):
-    """Per mode, the time t_s from which an accelerated chi is integrated
-    over position: where the mode phase's rate q*sinh(a*t), q = k*pi/L,
-    reaches 2*omega_k. Infinite on the other worldlines."""
-    if traj.kind is not TrajectoryKind.ACCELERATED:
-        return np.full(ks.shape, math.inf)
-    return np.arcsinh(2.0 * omega / (ks * (math.pi / L))) / traj.a
-
-
-def _start_panels(ks, L, omega, traj: TrajectorySpec, t_end: float):
+def _start_panels(ks, omega, traj: TrajectorySpec, t_end: float):
     """(t_x, n_t, n_x) of modes ``ks`` (frequencies ``omega``) up to t_end,
-    each a column with one row per mode: the end t_x of the K61 range and
-    the numbers of starting K61 and x-rule panels (see _block_edges).
+    each a column with one row per mode: the end t_x = min(t_s, t_end) of
+    the K61 range and the numbers of starting K61 and x-rule panels. t_s,
+    the switch to the x-rule, is where the mode phase's rate q*sinh(a*t),
+    q = k*pi/L, reaches 2*omega_k; infinite off the accelerated worldline.
 
     A mode of more than _MAX_PANELS starting panels raises
     NumericalFailure.
     """
-    t_x = np.minimum(_switch_times(ks, L, omega, traj), t_end)
-    rate = omega
+    t_x, rate = np.full(ks.shape, t_end), omega
     if traj.kind is TrajectoryKind.INERTIAL:
-        rate = np.maximum(omega, _crossing_frequency(ks, L, traj.v))
+        rate = np.maximum(omega, _crossing_frequency(ks, traj))
     elif traj.kind is TrajectoryKind.ACCELERATED:
-        rate = omega + ks * (math.pi / L) * np.sinh(traj.a * t_x)
+        q = ks * (math.pi / traj.L)
+        t_x = np.minimum(np.arcsinh(2.0 * omega / q) / traj.a, t_end)
+        rate = omega + q * np.sinh(traj.a * t_x)
     t_x = t_x[:, None]
     n_t = np.maximum(1.0, np.ceil(t_x / (_START_PANEL_PHASE / rate[:, None])))
     n_x = np.ceil((t_end - t_x) * np.maximum(omega / _X_PANEL_PHASE, traj.a)[:, None])
@@ -400,7 +407,7 @@ def _block_edges(ks, t_end: float, times, start):
     t_end > 0. They merge three sets of times:
 
     - a uniform grid (numpy.linspace arithmetic) on [0, t_x], with t_x the
-      smaller of t_end and the switch time t_s (_switch_times), whose
+      smaller of t_end and the switch time t_s (_start_panels), whose
       K61 panels span at most twelve half cycles (_START_PANEL_PHASE): the
       step is P/r with P = _START_PANEL_PHASE. r is omega_k on a static
       worldline, max(omega_k, omega_L) with the mode-crossing omega_L on an
@@ -461,17 +468,17 @@ def _stop_reason(history, s, n, floor):
     return None
 
 
-def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule=None):
+def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule):
     """Bisect panels until each segment's error estimates sum to at most its tol.
 
     A segment is one integral (one mode): the panels between consecutive
     ``edges`` from offsets[s] to offsets[s + 1] - 1, with phi0, cc, omega
-    and tol arrays of one entry per segment and rate one scalar. Without
-    ``x_rule`` every panel is a K61 panel; with x_rule = (switch, t_wall,
-    u_wall) on an accelerated worldline, a panel of segment s starting at
-    or after switch[s] (an edge) is an x-rule panel, kernels.filon_integrals
-    with the wall at (t_wall, u_wall). Every round evaluates the split
-    panels of all segments in one call per rule,
+    and tol arrays of one entry per segment and rate one scalar. With
+    x_rule = (switch, t_wall, u_wall), a panel of segment s starting at or
+    after switch[s] (an edge) is an x-rule panel, kernels.filon_integrals
+    with the wall at (t_wall, u_wall), and every other one a K61 panel (all
+    of them, where the switch is past the last edge or infinite). Every
+    round evaluates the split panels of all segments in one call per rule,
     and each segment refines exactly as it would alone: its own tolerance,
     its own panel count in the split threshold tol/(2*n), and its own
     verdict. Splitting in place keeps each segment's panels contiguous and
@@ -516,8 +523,6 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule=No
     def integrate(per_segment, a, b):
         """Kernel calls on panels a..b, per_segment[s] of them from segment s."""
         phi0_p, cc_p, omega_p = (np.repeat(x, per_segment) for x in (phi0, cc, omega))
-        if x_rule is None:
-            return kernels.panel_integrals(kind, phi0_p, rate, cc_p, omega_p, a, b)
         # Bisection keeps a panel on its side of the switch time.
         switch, t_wall, u_wall = x_rule
         on_x = a >= np.repeat(switch, per_segment)
@@ -568,13 +573,14 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule=No
     return lo, hi, vals, errs, counts, stalls
 
 
-def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol, start):
+def _quadrature(ks, omega, coupling, traj, taus, t_end, tol, start):
     """chi of modes ``ks`` at every grid time in one adaptive pass up to
     ``t_end`` > 0, from their _start_panels counts ``start``.
 
     Each mode is one segment of a single _adaptive_panels pass, from the
     edges of _block_edges with the grid times inserted, K61 panels up to
-    the mode's switch time and x-rule panels past it, so each
+    start's t_x = min(t_s, t_end) and x-rule panels past it (every panel
+    starts before t_end, so t_x picks the panels t_s would), so each
     chi_k(tau) is an exact prefix of its mode's panel decomposition, taken
     by one sequential prefix sum per mode; times past the wall-arrival
     time reuse the frozen full integral. A mode's panels, and hence its
@@ -587,12 +593,9 @@ def _quadrature(ks, omega, L, coupling, traj, taus, t_end, tol, start):
     """
     t_clip = np.minimum(taus, t_end)
     edges, offsets = _block_edges(ks, t_end, t_clip[t_clip > 0.0], start)
-    kind, phi0, rate, cc = _kernel_params(ks, L, traj)
+    kind, phi0, rate, cc = _kernel_params(ks, traj)
     pref = coupling.lam / np.sqrt(ks * math.pi)
-    switch = _switch_times(ks, L, omega, traj)
-    x_rule = None
-    if np.any(switch < t_end):
-        x_rule = (switch, wall_time(traj), traj.a * (traj.L - traj.x0))
+    x_rule = (start[0][:, 0], wall_time(traj), traj.a * (traj.L - traj.x0))
     _, hi, vals, errs, counts, stalls = _adaptive_panels(
         kind, phi0, rate, cc, omega, edges, offsets, tol / np.maximum(pref, 1e-300), x_rule
     )
@@ -661,8 +664,7 @@ def chi_series(
     and raises NumericalFailure only when the starting panels would exceed
     a cap.
     """
-    vals, errs, branch, _ = _chi_grid(mode, coupling, traj, taus, tol, force_quadrature)
-    return vals, errs, branch
+    return _chi_grid(mode, coupling, traj, taus, tol, force_quadrature)[:3]
 
 
 def _abs2_sum(chis) -> float:
@@ -693,8 +695,8 @@ def chi_modes(
     _check_cap("k_max", k_max, "mode", _MAX_MODES)
     ks = np.arange(1, k_max + 1)
     omega = mode_frequencies(k_max, cavity.L, cavity.m)
-    quad = traj.kind is TrajectoryKind.ACCELERATED
-    chis, errs, stalls = _chi_modes(ks, omega, cavity.L, coupling, traj, tau, tol, quad)
+    _check_geometry(traj, cavity)
+    chis, errs, stalls, _ = _chi_modes(ks, omega, coupling, traj, tau, tol, False)
     failed = [j for j, stall in enumerate(stalls) if stall is not None]
     if failed:
         j, detail = failed[0], f"; {len(failed)} of modes 1..{k_max} stalled"

@@ -33,6 +33,7 @@ from .response import (
     ChiBranch,
     ChiValue,
     CouplingSpec,
+    _check_geometry,
     _checked_phase,
     chi_series,
     chi_static_amplitude,
@@ -246,17 +247,9 @@ def witness_series(
 ) -> WitnessSeries:
     """Witness of ``state`` along ``traj``, sampled on the grid ``taus``."""
     taus = _validate_grid(taus)
-    if traj.L != cavity.L:
-        raise InvalidParameterError(
-            f"trajectory clamps at L={traj.L} but the cavity has L={cavity.L}"
-        )
-    if traj.x0 != cavity.x0:
-        raise InvalidParameterError(
-            f"trajectory starts at x0={traj.x0} but the cavity prescribes x0={cavity.x0}"
-        )
-    mode = cavity.mode()
+    _check_geometry(traj, cavity)
     chi_vals, chi_errs, branch = chi_series(
-        mode, coupling, traj, taus, tol=tol, force_quadrature=force_quadrature
+        cavity.mode(), coupling, traj, taus, tol=tol, force_quadrature=force_quadrature
     )
     return _series_from_chi(state, taus, chi_vals, chi_errs, branch, tol)
 
@@ -337,6 +330,7 @@ def asymptote_value(
         raise InvalidParameterError(
             f"asymptote is defined for accelerated trajectories, got {traj.kind}"
         )
+    _check_geometry(traj, cavity)
     t_wall = wall_time(traj)
     if t_eval < t_wall:
         raise InvalidParameterError(

@@ -98,6 +98,11 @@ class TestModeFunction:
         with pytest.raises(InvalidParameterError):
             mode_function(1, 2.0, 2.1)
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan, 0.0, -2.0])
+    def test_rejects_bad_length_as_the_cavity_does(self, L):
+        with pytest.raises(InvalidParameterError, match="cavity length L must be positive and finite"):
+            mode_function(1, L, 0.5)
+
     @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan, 1.0]])
     def test_rejects_nan_position(self, x):
         with pytest.raises(InvalidParameterError, match="position x=.*nan"):

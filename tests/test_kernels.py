@@ -11,7 +11,7 @@ import pytest
 import udwitness
 from udwitness import kernels, response
 from udwitness.field import ModeSpec
-from udwitness.trajectory import TrajectorySpec
+from udwitness.trajectory import TrajectoryKind, TrajectorySpec
 
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
@@ -19,9 +19,9 @@ _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 
 def _gl_reference(kind, phi0, rate, cc, omega, mid, half, nodes, weights):
     t = mid[:, None] + half[:, None] * nodes[None, :]
-    if kind == kernels.KIND_STATIC:
+    if kind is TrajectoryKind.STATIC:
         amp = math.sin(phi0) * np.ones_like(t)
-    elif kind == kernels.KIND_INERTIAL:
+    elif kind is TrajectoryKind.INERTIAL:
         amp = np.sin(phi0 + rate * t)
     else:
         amp = np.sin(phi0 + cc * (np.cosh(rate * t) - 1.0))
@@ -150,9 +150,9 @@ def k15_g7():
 
 
 CASES = [
-    (kernels.KIND_STATIC, 0.7, 0.0, 0.0, 1.3, 2.0),
-    (kernels.KIND_INERTIAL, 0.4, 2.1, 0.0, 1.86, 5.0),
-    (kernels.KIND_ACCELERATED, 1.5708, 0.8, 1.9635, 1.86, 4.0),
+    (TrajectoryKind.STATIC, 0.7, 0.0, 0.0, 1.3, 2.0),
+    (TrajectoryKind.INERTIAL, 0.4, 2.1, 0.0, 1.86, 5.0),
+    (TrajectoryKind.ACCELERATED, 1.5708, 0.8, 1.9635, 1.86, 4.0),
 ]
 
 
@@ -222,7 +222,7 @@ class TestNumpyBackend:
         # integral of sin(phi0)*exp(i*omega*t) over [0, T]
         phi0, omega, t_end = 0.7, 1.3, 2.0
         lo, hi = _panels(40, t_end)
-        vals, errs = kernels.panel_integrals(kernels.KIND_STATIC, phi0, 0.0, 0.0, omega, lo, hi)
+        vals, errs = kernels.panel_integrals(TrajectoryKind.STATIC, phi0, 0.0, 0.0, omega, lo, hi)
         total = vals.sum()
         expected = math.sin(phi0) * (np.exp(1j * omega * t_end) - 1.0) / (1j * omega)
         assert total == pytest.approx(expected, abs=1e-13)
@@ -255,10 +255,10 @@ class TestNumpyBackend:
         # the refined estimate, so v stays off v_c here.
         mode = ModeSpec(5000, 10000.0, 1.0)
         traj = TrajectorySpec.inertial(v, 1.0, mode.L)
-        kind, phi0, rate, cc = response._kernel_params(mode.k, mode.L, traj)
+        kind, phi0, rate, cc = response._kernel_params(mode.k, traj)
         ks, omegas = np.array([mode.k]), np.array([mode.omega])
         edges, offsets = response._block_edges(
-            ks, t_end, np.array([t_end]), response._start_panels(ks, mode.L, omegas, traj, t_end)
+            ks, t_end, np.array([t_end]), response._start_panels(ks, omegas, traj, t_end)
         )
         vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
         omega = mode.omega
@@ -269,7 +269,7 @@ class TestNumpyBackend:
         assert abs(vals.sum() - exact) <= errs.sum()
         _, _, vals, errs, _, stalls = response._adaptive_panels(
             kind, np.array([phi0]), rate, np.array([cc]), np.array([mode.omega]),
-            edges, offsets, np.array([response.DEFAULT_TOL]),
+            edges, offsets, np.array([response.DEFAULT_TOL]), (np.array([math.inf]), None, None),
         )
         assert stalls == [None]
         assert abs(vals.sum() - exact) <= errs.sum() <= response.DEFAULT_TOL
@@ -508,11 +508,11 @@ class TestFilonRule:
         L, x0 = 40.0, 1.0
         mode = ModeSpec(k, L, 1.0)
         traj = TrajectorySpec.accelerated(a, x0, L)
-        kind, phi0, rate, cc = response._kernel_params(k, L, traj)
-        (t_s,) = response._switch_times(np.array([k]), L, np.array([mode.omega]), traj)
+        kind, phi0, rate, cc = response._kernel_params(k, traj)
+        t_wall = response.wall_time(traj)
+        t_s = response._start_panels(np.array([k]), np.array([mode.omega]), traj, t_wall)[0].item()
         lo = np.array([t_s + start])
         hi = lo + step
-        t_wall = response.wall_time(traj)
         vals, errs = kernels.filon_integrals(phi0, rate, cc, mode.omega, lo, hi, t_wall, a * (L - x0))
         u_h = 0.5 * (np.cosh(a * hi) - np.cosh(a * lo))
         assert (cc * u_h[0] < kernels._KAPPA_SWITCH) == (k == 40)
@@ -528,7 +528,7 @@ class TestFilonRule:
         L, x0, a, k = 40.0, 1.0, 0.5, 40
         mode = ModeSpec(k, L, 1.0)
         traj = TrajectorySpec.accelerated(a, x0, L)
-        _, phi0, rate, cc = response._kernel_params(k, L, traj)
+        _, phi0, rate, cc = response._kernel_params(k, traj)
         t_wall = response.wall_time(traj)
         lo, hi = np.array([t_wall - 0.5]), np.array([t_wall])
         args = (phi0, rate, cc, mode.omega, lo, hi, t_wall)
@@ -544,7 +544,7 @@ class TestFilonRule:
         ks = np.repeat([3, 40, 400], 20)
         omega = np.array([ModeSpec(int(k), L, 1.0).omega for k in ks])
         traj = TrajectorySpec.accelerated(a, x0, L)
-        _, phi0, rate, cc = response._kernel_params(ks, L, traj)
+        _, phi0, rate, cc = response._kernel_params(ks, traj)
         t_wall = response.wall_time(traj)
         lo = np.tile(np.linspace(t_wall - 1.0, t_wall - 1e-3, 20), 3)
         hi = lo + 1e-3

@@ -777,6 +777,23 @@ class TestEndToEnd:
                 1.7, k_max=1, cutoff=30,
             )
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    @pytest.mark.parametrize("moving", ["inertial", "accelerated"])
+    def test_non_finite_tau_is_named_before_any_chi(self, small_cavity, monkeypatch, moving, tau):
+        # On a moving worldline chi freezes at the wall, so chi_modes takes
+        # tau = inf; the phases omega*tau of the traces do not.
+        def no_chi(*args, **kwargs):
+            raise AssertionError("chi_modes called")
+
+        monkeypatch.setattr(response, "chi_modes", no_chi)
+        x0, L = small_cavity.x0, small_cavity.L
+        traj = (
+            TrajectorySpec.inertial(0.3, x0, L) if moving == "inertial"
+            else TrajectorySpec.accelerated(0.5, x0, L)
+        )
+        with pytest.raises(InvalidParameterError, match=f"tau={tau} must be finite"):
+            end_to_end_check(StateSpec.fock(1), small_cavity, CouplingSpec(0.4), traj, tau)
+
     def test_gap_shrinks_with_cutoff(self, small_cavity):
         # parameters chosen so cutoff 30 carries a visible truncation error
         coup = CouplingSpec(0.8)

@@ -1,25 +1,33 @@
 """The benchmark in perfbench/ still runs against the library.
 
-The tracer reads oracle functions by name (``oracle.expm`` among them), so
-removing or renaming one breaks the traced benchmark run. These tests
-import the benchmark's files as they are and change none of them.
+The tracer reads oracle functions by name (``oracle.expm`` among them),
+and binds the ``lo`` argument of ``kernels.panel_integrals`` and the
+``tol`` of ``response.chi_series`` by name, so removing or renaming one
+breaks the traced benchmark run. These tests import the benchmark's files
+as they are and change none of them.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 from udwitness import oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_oracle_suite_pass(monkeypatch):
+def _perfbench(monkeypatch):
+    """The benchmark's tracing and workloads modules, freshly imported."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for name in ("tracing", "workloads", "reference"):
         monkeypatch.delitem(sys.modules, name, raising=False)
-    tracing = importlib.import_module("tracing")
-    workloads = importlib.import_module("workloads")
+    return importlib.import_module("tracing"), importlib.import_module("workloads")
+
+
+def test_traced_oracle_suite_pass(monkeypatch):
+    tracing, workloads = _perfbench(monkeypatch)
     names = ("expm", "evolve_trotter", "end_to_end_check")
     originals = {name: getattr(oracle, name) for name in names}
     tracer = tracing.Tracer()
@@ -38,3 +46,26 @@ def test_traced_oracle_suite_pass(monkeypatch):
     assert len(checks) == 11 and all(c.passed for c in checks)
     traced = {span[0] for span in tracer.spans}
     assert {"oracle.run_oracle_suite", "oracle.evolve_trotter", "oracle.end_to_end_check"} <= traced
+
+
+@pytest.mark.parametrize("workload,entry", [
+    ("accel-asymptote", "response.chi_series"),
+    ("accel-mode-sum", "response.chi_modes"),
+])
+def test_traced_quadrature_item(monkeypatch, workload, entry):
+    # The first item of each quadrature workload, traced: the output is
+    # the untraced one, and the kernel and response spans are recorded.
+    tracing, workloads = _perfbench(monkeypatch)
+    (call, *_) = workloads.WORKLOADS[workload](1).calls
+    untraced = call()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = call()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    spans = {span[0]: span for span in tracer.spans}
+    assert entry in spans and spans["kernels.panel_integrals"][5] > 0
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    assert metrics["kernels.panels"] > 0 and metrics["response.calls"] > 0

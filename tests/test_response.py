@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from udwitness import kernels, response
+from udwitness import kernels, oracle, response
 from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.field import CavityConfig, ModeSpec, mode_frequencies
 from udwitness.response import (
@@ -23,7 +23,6 @@ from udwitness.response import (
     _kernel_params,
     _seg,
     _start_panels,
-    _switch_times,
     chi,
     chi_mode_sum,
     chi_modes,
@@ -41,7 +40,7 @@ def one_mode_edges(mode, traj, t_end):
     """Starting edges of one mode's chi at t_end, as the quadrature builds them."""
     ks, omega = np.array([mode.k]), np.array([mode.omega])
     edges, offsets = _block_edges(
-        ks, t_end, np.array([t_end]), _start_panels(ks, mode.L, omega, traj, t_end)
+        ks, t_end, np.array([t_end]), _start_panels(ks, omega, traj, t_end)
     )
     np.testing.assert_array_equal(offsets, [0, edges.size])
     return edges
@@ -69,7 +68,7 @@ def one_segment(kind, phi0, rate, cc, omega, edges, tol):
     """_adaptive_panels on a single segment (one mode) with scalar parameters."""
     return _adaptive_panels(
         kind, np.array([phi0]), rate, np.array([cc]), np.array([omega]),
-        edges, np.array([0, edges.size]), np.array([tol]),
+        edges, np.array([0, edges.size]), np.array([tol]), (np.array([math.inf]), None, None),
     )
 
 
@@ -396,7 +395,7 @@ class TestChiQuadrature:
         # along the worldline, so the later panels span more cycles.
         mode = ModeSpec(64, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
-        kind, phi0, rate, cc = _kernel_params(mode.k, mode.L, traj)
+        kind, phi0, rate, cc = _kernel_params(mode.k, traj)
         coarse = np.linspace(0.0, wall_time(traj), 4)
         lo, hi, vals, errs, _, stalls = one_segment(
             kind, phi0, rate, cc, mode.omega, coarse, 1e-12
@@ -436,7 +435,7 @@ class TestHalfCycleStart:
         traj = TrajectorySpec.accelerated(a, fig_cavity.x0, fig_cavity.L)
         c = chi(mode, fig_coupling, traj, 500.0, force_quadrature=True)
         assert c.err_estimate <= DEFAULT_TOL
-        kind, phi0, rate, cc = _kernel_params(mode.k, mode.L, traj)
+        kind, phi0, rate, cc = _kernel_params(mode.k, traj)
         edges = _eighth_cycle_edges(mode, traj, wall_time(traj))
         _, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
         # At large a the first panel is unresolved even at 1/8 cycle, because
@@ -463,7 +462,7 @@ class TestHalfCycleStart:
             t_end = min(500.0, wall_time(traj))
             edges = one_mode_edges(mode, traj, t_end)
             assert edges[0] == 0.0 and edges[-1] == t_end
-            (t_s,) = _switch_times(np.array([mode.k]), L, np.array([mode.omega]), traj)
+            t_s = _start_panels(np.array([mode.k]), np.array([mode.omega]), traj, t_end)[0].item()
             assert q * math.sinh(a * t_s) == pytest.approx(2.0 * mode.omega, rel=1e-14)
             assert 0.0 < t_s < t_end and t_s in edges
             k61, x = edges[edges <= t_s], edges[edges >= t_s]
@@ -604,6 +603,43 @@ class TestDispatch:
             single = chi(mode, coup, traj, taus[i], force_quadrature=True)
             assert vals[i] == pytest.approx(single.value, abs=3e-10)
         assert vals[0] == 0
+
+
+class TestGeometryRefused:
+    """Every chi entry refuses a worldline that clamps at another L than its
+    mode's or cavity's, or starts at another x0 than its cavity's, before
+    any chi work."""
+
+    ENTRIES = {
+        "chi": lambda cav, traj: chi(cav.mode(), CouplingSpec(0.4), traj, 20.0),
+        "chi_series": lambda cav, traj: chi_series(
+            cav.mode(), CouplingSpec(0.4), traj, np.linspace(0.0, 20.0, 64)
+        ),
+        "chi_modes": lambda cav, traj: chi_modes(cav, CouplingSpec(0.4), traj, 20.0, 3),
+        "chi_mode_sum": lambda cav, traj: chi_mode_sum(cav, CouplingSpec(0.4), traj, 20.0, 3),
+        "end_to_end_check": lambda cav, traj: oracle.end_to_end_check(
+            StateSpec.fock(1), cav, CouplingSpec(0.4), traj, 20.0, k_max=3
+        ),
+    }
+
+    # (x0, L) of the worldline and the refusal, against the L=4, x0=1 cavity.
+    MISMATCHES = {
+        "L": (1.0, 8.0, r"clamps at L=8\.0 but the cavity has L=4\.0"),
+        "x0": (1.5, 4.0, r"starts at x0=1\.5 but the cavity prescribes x0=1\.0"),
+    }
+
+    @pytest.mark.parametrize("entry,mismatch", [
+        *((name, "L") for name in ENTRIES),
+        *((name, "x0") for name in ("chi_modes", "chi_mode_sum", "end_to_end_check")),
+    ])
+    @pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+    def test_mismatch_refused_before_any_work(self, small_cavity, fails_fast, entry, mismatch, kind):
+        x0, L, match = self.MISMATCHES[mismatch]
+        traj = (
+            TrajectorySpec.inertial(0.3, x0, L) if kind == "inertial"
+            else TrajectorySpec.accelerated(0.5, x0, L)
+        )
+        fails_fast(lambda: self.ENTRIES[entry](small_cavity, traj), InvalidParameterError, match)
 
 
 class TestOnePath:
@@ -778,7 +814,7 @@ class TestChiModeSum:
         omega = mode_frequencies(64, cavity.L, cavity.m)
         tracemalloc.start()
         try:
-            start = _start_panels(ks, cavity.L, omega, traj, 5000.0)
+            start = _start_panels(ks, omega, traj, 5000.0)
             blocks = response._mode_blocks(start)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -959,16 +995,16 @@ class TestModeBlocks:
         traj = TrajectorySpec.accelerated(a, L / 4, L)
         ks = np.arange(1, 41)
         omega = np.array([ModeSpec(int(k), L, 1.0).omega for k in ks])
-        switch = _switch_times(ks, L, omega, traj)
         for t_end in (0.05, wall_time(traj)):
+            switch = _start_panels(ks, omega, traj, t_end)[0][:, 0]
             times = np.array([t_end / 3, t_end / 2, t_end])
-            edges, offsets = _block_edges(ks, t_end, times, _start_panels(ks, L, omega, traj, t_end))
+            edges, offsets = _block_edges(ks, t_end, times, _start_panels(ks, omega, traj, t_end))
             assert offsets[0] == 0 and offsets[-1] == edges.size
             for j in range(ks.size):
                 own = edges[offsets[j]:offsets[j + 1]]
                 one = slice(j, j + 1)
                 alone, _ = _block_edges(
-                    ks[one], t_end, times, _start_panels(ks[one], L, omega[one], traj, t_end)
+                    ks[one], t_end, times, _start_panels(ks[one], omega[one], traj, t_end)
                 )
                 np.testing.assert_array_equal(own, alone)
                 assert own[0] == 0.0 and own[-1] == t_end and np.all(np.diff(own) > 0.0)
@@ -984,11 +1020,11 @@ class TestModeBlocks:
         tols = np.array([1e-13, 1e-6])
         omega = np.array([md.omega for md in modes])
         ks = np.array([3, 11])
-        start = _start_panels(ks, L, omega, traj, t_end)
+        start = _start_panels(ks, omega, traj, t_end)
         edges, offsets = _block_edges(ks, t_end, np.array([t_end]), start)
-        kind, phi0, rate, cc = _kernel_params(np.array([3, 11]), L, traj)
+        kind, phi0, rate, cc = _kernel_params(np.array([3, 11]), traj)
         lo, hi, vals, errs, counts, stalls = _adaptive_panels(
-            kind, phi0, rate, cc, omega, edges, offsets, tols
+            kind, phi0, rate, cc, omega, edges, offsets, tols, (np.full(2, math.inf), None, None)
         )
         assert stalls == [None, None]
         assert sum(counts) == lo.size
@@ -1010,7 +1046,7 @@ class TestModeBlocks:
         tau = wall_time(traj) + 1.0
         ks = np.arange(1, 257)
         # The sum integrates up to the wall, where chi freezes.
-        start = _start_panels(ks, 4.0, mode_frequencies(256, 4.0, 1.0), traj, wall_time(traj))
+        start = _start_panels(ks, mode_frequencies(256, 4.0, 1.0), traj, wall_time(traj))
         whole = table_size(start, slice(None))
         quarter = max(table_size(start, slice(i, i + 64)) for i in range(0, 256, 64))
         assert quarter < whole
@@ -1053,7 +1089,7 @@ class TestModeBlocks:
         cavity = CavityConfig(L=4.0, m=1.0, k0=2)
         traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
         ks = np.arange(1, 257)
-        start = _start_panels(ks, 4.0, mode_frequencies(256, 4.0, 1.0), traj, 5477.0)
+        start = _start_panels(ks, mode_frequencies(256, 4.0, 1.0), traj, 5477.0)
         assert table_size(start, slice(None)) > response._MAX_EDGE_TABLE
         blocks = response._mode_blocks(start)
         assert_planned(blocks, start, 256)
@@ -1070,7 +1106,7 @@ class TestModeBlocks:
         cavity = CavityConfig(L=4.0, m=1.0, k0=2)
         traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
         ks = np.arange(1, 1001)
-        start = _start_panels(ks, 4.0, mode_frequencies(1000, 4.0, 1.0), traj, 5477.2)
+        start = _start_panels(ks, mode_frequencies(1000, 4.0, 1.0), traj, 5477.2)
         blocks = response._mode_blocks(start)
         assert_planned(blocks, start, 1000)
         assert blocks[0] == slice(0, 236)

@@ -296,9 +296,12 @@ class TestWitnessSeries:
             chi_series(small_cavity.mode(), coupling, traj, [0.5, -1.0])
 
     def test_mismatched_specs_rejected(self, small_cavity):
-        other = TrajectorySpec.static(small_cavity.x0, 5.0)
-        with pytest.raises(InvalidParameterError):
-            witness_series(StateSpec.fock(1), small_cavity, CouplingSpec(0.4), other, [0.0, 1.0])
+        for other, match in [
+            (TrajectorySpec.static(small_cavity.x0, 5.0), "clamps at L=5.0"),
+            (TrajectorySpec.static(1.5, small_cavity.L), "starts at x0=1.5"),
+        ]:
+            with pytest.raises(InvalidParameterError, match=match):
+                witness_series(StateSpec.fock(1), small_cavity, CouplingSpec(0.4), other, [0.0, 1.0])
 
 
 class TestIntroModelSeries:
@@ -497,6 +500,13 @@ class TestAsymptoteValue:
         with pytest.raises(InvalidParameterError) as exc_info:
             asymptote_value(StateSpec.fock(1), fig_cavity, fig_coupling, traj, 0.5 * tw)
         assert f"{tw}" in str(exc_info.value)
+
+    def test_mismatched_geometry_is_named_before_the_wall_time(self, small_cavity):
+        # T = 4 lies past the wall of the L=4 cavity but before this
+        # trajectory's, which clamps at L=8.
+        traj = TrajectorySpec.accelerated(0.5, small_cavity.x0, 8.0)
+        with pytest.raises(InvalidParameterError, match="clamps at L=8.0 but the cavity has L=4.0"):
+            asymptote_value(StateSpec.fock(1), small_cavity, CouplingSpec(0.4), traj, 4.0)
 
     def test_requires_accelerated(self, fig_cavity, fig_coupling):
         traj = TrajectorySpec.inertial(0.5, fig_cavity.x0, fig_cavity.L)
