@@ -84,10 +84,8 @@ host with AVX-512, np.sin and np.cos run as scalar libm calls: about
 against about 1 ns for a multiply or a divide and 2 ns for cosh; a K61 panel
 costs about 0.9 us on random accelerated panels. Where numpy has no SIMD
 tan for the CPU, np.tan falls back to libm: the accuracy is the same,
-and most of the speed goes away. The closed forms of chi share the
-substitution: _sin_versin gives sin x and 1 - cos x = 2t^2/(1 + t^2)
-from one tan per phase (on 6000 phases of up to 3000 rad, 45 us against
-470 us for np.sin of x and of x/2).
+and most of the speed goes away. The closed forms of chi
+(response._exp_integrals) share the substitution: one tan per phase.
 
 Blocking. Both rules evaluate _CHUNK panels at a time, so the
 (nodes, n) temporaries of a block stay in cache whatever the number of
@@ -262,27 +260,6 @@ def _sincos(x):
     h = np.array(x, dtype=float, ndmin=1)
     h *= 0.5
     return _sincos_half(h)
-
-
-def _sin_versin(x):
-    """(sin x, 1 - cos x) of a scalar or array x from one t = tan(x/2):
-    2t/(1 + t^2) and 2t^2/(1 + t^2). The trigonometry of the closed forms.
-
-    1 - cos x is never a difference, so it keeps its relative accuracy
-    near x = 0 mod 2*pi, as 2*sin(x/2)**2 does. The absolute error of
-    either is about 2.2e-16 at most (libm: 5.6e-17 for sin, 2.2e-16 for
-    1 - cos). np.tan, not math.tan: np.tan gives the same bits for a
-    scalar, a one-element array and any layout of a longer one, so a
-    one-point chi is the same bits as the series element.
-    """
-    t = np.tan(0.5 * np.asarray(x, dtype=float))
-    t2 = t * t
-    d = t2 + 1.0
-    t *= 2.0
-    t /= d
-    t2 *= 2.0
-    t2 /= d
-    return t, t2
 
 
 def _rows(terms, weights):

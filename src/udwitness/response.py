@@ -45,11 +45,13 @@ and the envelope of |chi| grows linearly in tau. Inside a narrow band
 around that resonance the result is labelled INERTIAL_RESONANCE_LIMIT.
 
 The closed forms (static, inertial, and chi_static_amplitude for the
-oracle and a resting detector of given frequency) take the sin and
-1 - cos of every phase from one np.tan of its half angle
-(kernels._sin_versin, through _cis_m1 and _seg), the substitution the
-panel kernel uses: one SIMD tan per phase in place of two scalar libm
-sin calls.
+oracle and a resting detector of given frequency) are sums of one or two
+terms (p + i*q)*Integral_0^tau exp(i*mu*t) dt, all assembled by one
+helper, _exp_integrals: one np.tan of each half angle mu*tau/2, the
+substitution the panel kernel uses (one SIMD tan per phase in place of
+two scalar libm sin calls), and each term's share of Re chi and Im chi,
+its coefficient folded in, written or added in place into one complex
+array: about a dozen elementwise passes over the grid per term.
 """
 
 from __future__ import annotations
@@ -102,9 +104,10 @@ _MAX_MODES = 1_000_000
 _MODE_BLOCK = 256
 
 #: Largest phase across one starting K61 panel: twelve half cycles of the
-#: faster oscillation (on the accelerated worldline, of the combined phase
-#: omega_k*t + A(t)). K61 and its embedded G30 both resolve one such phase
-#: to rounding (see _adaptive_panels).
+#: faster exponential of the integrand, omega_k*t on a static worldline,
+#: (omega_k + omega_L)*t on an inertial one and the combined phase
+#: omega_k*t + A(t) on the accelerated one. K61 and its embedded G30 both
+#: resolve one such phase to rounding (see _adaptive_panels).
 _START_PANEL_PHASE = 12.0 * math.pi
 #: Largest advance of omega_k*t across one starting x-rule panel, in rad.
 _X_PANEL_PHASE = 10.0
@@ -146,33 +149,58 @@ class CouplingSpec:
             raise InvalidParameterError(f"coupling lam={self.lam} must be non-negative and finite")
 
 
-def _cis_m1(theta):
-    """exp(i*theta) - 1 = -(1 - cos theta) + i*sin theta, both parts from
-    one tan (kernels._sin_versin), without cancellation near theta = 0 mod 2*pi."""
-    sin, versin = kernels._sin_versin(theta)
-    return -versin + 1j * sin
+def _exp_integrals(terms, tau):
+    """Sum over ``terms`` (mu, p, q) of (p + i*q) * Integral_0^tau exp(i*mu*t) dt.
 
-
-def _seg(mu, tau):
-    """Integral of exp(i*mu*t) over [0, tau] as its (real, imaginary) parts.
-
-    (sin(mu*tau), 1 - cos(mu*tau))/mu, both from one tan
-    (kernels._sin_versin), without cancellation for small |mu*tau|. Where
-    |mu| is below the smallest normal double (0 or subnormal), 1/mu can
-    overflow and halving mu*tau loses bits, so the limit (tau, 0) is
-    taken: the parts differ from it by about (mu*tau)**2/6 and mu*tau/2
-    relative to tau. ``mu`` and ``tau`` are scalars or arrays that
-    broadcast together.
+    Each integral is (sin(mu*tau) + i*(1 - cos(mu*tau)))/mu
+    = (2/mu)*u*(1 + i*t) with t = tan(mu*tau/2) and u = t/(1 + t**2): one
+    np.tan per term and no cancellation for small |mu*tau| (1 - cos is
+    never a difference). A term adds u*(p_mu - q_mu*t) and
+    u*(q_mu + p_mu*t), with (p_mu, q_mu) = 2*(p, q)/mu, to the real and
+    imaginary parts of one complex array shaped like mu and tau broadcast
+    together (the first term writes them). Only real elementwise
+    operations are used: like np.tan, they give the same bits for a
+    scalar, a one-element array and any layout of a longer one (numpy's
+    complex multiply does not), so a one-point chi is the same bits as
+    the series element. Where |mu| is below the smallest normal double
+    (0 or subnormal), 1/mu can overflow and halving mu*tau loses bits, so
+    the limit (p + i*q)*tau is taken: the integral differs from tau by
+    about (mu*tau)**2/6 and mu*tau/2 relative to it. mu, p and q are
+    scalars or arrays of one shape (a column of modes) that broadcast
+    against ``tau``.
     """
-    mu = np.asarray(mu, dtype=float)
-    zero = np.abs(mu) < _TINY
-    inv = 1.0 / np.where(zero, 1.0, mu)
-    re, im = kernels._sin_versin(mu * tau)
-    re *= inv
-    im *= inv
-    if zero.any():
-        re, im = np.where(zero, tau, re), np.where(zero, 0.0, im)
-    return re, im
+    tau = np.asarray(tau, dtype=float)
+    for i, (mu, p, q) in enumerate(terms):
+        mu = np.asarray(mu, dtype=float)[()]
+        at_limit = np.abs(mu).min() < _TINY
+        if at_limit:
+            limit = abs(mu) < _TINY
+            inv = 2.0 / np.where(limit, np.inf, mu)  # 0 where the limit is taken
+        else:
+            inv = 2.0 / mu
+        p_mu, q_mu = p * inv, q * inv
+        if i == 0:
+            t = np.asarray(np.multiply(0.5 * mu, tau))
+            out = np.empty(t.shape, dtype=complex)
+            re, im = out.real, out.imag
+            u, w = np.empty(t.shape), np.empty(t.shape)
+        else:
+            np.multiply(0.5 * mu, tau, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=u)
+        u += 1.0
+        np.divide(t, u, out=u)
+        for part, a, b, combine in ((re, p_mu, q_mu, np.subtract), (im, q_mu, p_mu, np.add)):
+            np.multiply(b, t, out=w)
+            combine(a, w, out=w)
+            if i == 0:
+                np.multiply(w, u, out=part)
+            else:
+                w *= u
+                part += w
+        if at_limit:
+            out += np.where(limit, p + 1j * q, 0.0) * tau
+    return out[()]
 
 
 def chi_static_amplitude(lam_f, omega, tau):
@@ -180,7 +208,7 @@ def chi_static_amplitude(lam_f, omega, tau):
 
     ``tau`` may be a scalar or an array.
     """
-    return -lam_f * _cis_m1(omega * np.asarray(tau, dtype=float)) / omega
+    return _exp_integrals([(omega, 0.0, -lam_f)], tau)
 
 
 def _crossing_frequency(k, traj: TrajectorySpec):
@@ -206,7 +234,7 @@ def _closed_form(lam, k, omega, traj: TrajectorySpec, taus):
     ``k`` and ``omega`` are scalars or matching arrays of modes that
     broadcast against ``taus``. The inertial integrand
     sin(omega_L*t + phi)*exp(i*omega*t) splits into a fast and a slow
-    exponential, each integrated by _seg, so nothing cancels as
+    exponential, the two terms of _exp_integrals, so nothing cancels as
     omega_L -> omega; past the wall-arrival time chi stays at its wall
     value.
     """
@@ -215,14 +243,11 @@ def _closed_form(lam, k, omega, traj: TrajectorySpec, taus):
         return chi_static_amplitude(lam * (np.sin(phi) / np.sqrt(k * math.pi)), omega, taus)
     omega_l = _crossing_frequency(k, traj)
     t_eff = np.minimum(taus, wall_time(traj))
-    re_fast, im_fast = _seg(omega + omega_l, t_eff)
-    re_slow, im_slow = _seg(omega - omega_l, t_eff)
-    # chi = -i*pref*(e^{i*phi}*seg_fast - e^{-i*phi}*seg_slow)/(2i), in real arithmetic
+    # chi = -i*pref*(e^{i*phi}*I(omega + omega_l) - e^{-i*phi}*I(omega - omega_l))/(2i)
+    # with I(mu) = Integral_0^t exp(i*mu*t') dt'
     half = 0.5 * lam / np.sqrt(k * math.pi)
     c, s = half * np.cos(phi), half * np.sin(phi)
-    out = (s * (im_fast + im_slow) - c * (re_fast - re_slow)).astype(complex)
-    out.imag = -(s * (re_fast + re_slow) + c * (im_fast - im_slow))
-    return out
+    return _exp_integrals([(omega + omega_l, -c, -s), (omega - omega_l, c, -s)], t_eff)
 
 
 def _closed_branch(mode: ModeSpec, traj: TrajectorySpec) -> ChiBranch:
@@ -241,12 +266,15 @@ def _checked_times(taus, traj: TrajectorySpec):
     worldline, whose chi never freezes at a wall.
     """
     taus = np.asarray(taus, dtype=float)
+    static = wall_time(traj) is None
+    # One reduction a bound (NaN propagates through min); the element mask
+    # is built only to name a refused time.
+    if np.min(taus, initial=0.0) >= 0 and (not static or np.max(taus, initial=0.0) < math.inf):
+        return taus
     need, ok = "non-negative", taus >= 0
-    if wall_time(traj) is None:
+    if static:
         need, ok = "non-negative and finite on a static worldline", ok & (taus < math.inf)
-    if not np.all(ok):
-        raise InvalidParameterError(f"proper time tau={taus[~ok].flat[0]} must be {need}")
-    return taus
+    raise InvalidParameterError(f"proper time tau={taus[~ok].flat[0]} must be {need}")
 
 
 def _checked_phase(omega, taus, traj=None):
@@ -365,7 +393,8 @@ def _start_panels(ks, omega, traj: TrajectorySpec, t_end: float):
     """
     t_x, rate = np.full(ks.shape, t_end), omega
     if traj.kind is TrajectoryKind.INERTIAL:
-        rate = np.maximum(omega, _crossing_frequency(ks, traj))
+        # The faster of the integrand's two exponentials turns at omega_k + omega_L.
+        rate = omega + _crossing_frequency(ks, traj)
     elif traj.kind is TrajectoryKind.ACCELERATED:
         q = ks * (math.pi / traj.L)
         t_x = np.minimum(np.arcsinh(2.0 * omega / q) / traj.a, t_end)
@@ -409,11 +438,11 @@ def _block_edges(ks, t_end: float, times, start):
     - a uniform grid (numpy.linspace arithmetic) on [0, t_x], with t_x the
       smaller of t_end and the switch time t_s (_start_panels), whose
       K61 panels span at most twelve half cycles (_START_PANEL_PHASE): the
-      step is P/r with P = _START_PANEL_PHASE. r is omega_k on a static
-      worldline, max(omega_k, omega_L) with the mode-crossing omega_L on an
-      inertial one (P/r is min(P/omega_k, P/omega_L) to the bit), and the
-      combined phase rate omega_k + q*sinh(a*t_x) on an accelerated one,
-      the largest on [0, t_x];
+      step is P/r with P = _START_PANEL_PHASE. r is the rate of the faster
+      exponential of the integrand: omega_k on a static worldline,
+      omega_k + omega_L with the mode-crossing omega_L on an inertial one,
+      and the combined phase rate omega_k + q*sinh(a*t_x) on an
+      accelerated one, the largest on [0, t_x];
     - on an accelerated worldline past t_s, the x-rule's panels: equal
       steps from t_x to t_end of at most _X_PANEL_PHASE of omega_k*t and
       at most 1 of a*t;
@@ -493,8 +522,9 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule):
 
     The stall rule assumes edges on which both rules are in their
     convergent range. sin(A)*exp(i*omega*t) is a sum of two exponentials
-    whose phase rates are omega +- dA/dt, and each starting K61 panel of
-    _block_edges spans at most twelve half cycles of the faster one: at
+    whose phase rates are omega +- dA/dt (dA/dt = omega_L on an inertial
+    worldline), and each starting K61 panel of _block_edges spans at most
+    twelve half cycles of the faster one, at rate omega + |dA/dt|: at
     most kappa = 6*pi ~ 18.8 rad per half-width. The
     n-point Gauss error on exp(i*kappa*x) over [-1, 1] is bounded by
     about (e*kappa/(4*n))**(2*n) (the Taylor remainder with Stirling's

@@ -115,10 +115,10 @@ def laguerre(n: int, x):
         raise InvalidParameterError(f"Laguerre degree N={n} must be a non-negative integer")
     _check_cap("the Laguerre degree N", n, "degree", _MAX_LAGUERRE_DEGREE)
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
     if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 - x
+        return np.ones_like(x) if x.ndim else 1.0
+    # L_0 = 1 enters the first step as a scalar: m*prev is the same 1.0.
+    prev, cur = 1.0, 1.0 - x
     for m in range(1, int(n)):
         prev, cur = cur, ((2 * m + 1 - x) * cur - m * prev) / (m + 1)
     return cur if cur.ndim else float(cur)
@@ -161,11 +161,12 @@ def _witness_of_chi(state: StateSpec, chi_arr):
     """Witness values for an array of chi or a single chi; returns (w, ok).
 
     w is real for the Fock, cat and thermal families and complex for the
-    coherent one. ``ok`` is False, and w NaN, where the cat witness's cosh
-    overflows.
+    coherent one. ``ok`` is True for every family but the cat one, whose
+    ``ok`` is a boolean array (or scalar), False, and w NaN, where its
+    cosh overflows.
     """
     chi_arr = np.asarray(chi_arr, dtype=complex)
-    ok = np.ones(chi_arr.shape, dtype=bool)
+    ok = True
     if state.family in (StateFamily.FOCK, StateFamily.THERMAL):
         # A single chi gets Python's abs and ** on the complex scalar: numpy's
         # abs and square of the same value can differ in the last bit.
@@ -176,7 +177,7 @@ def _witness_of_chi(state: StateSpec, chi_arr):
         a0 = state.alpha0.real
         g = math.exp(-2.0 * a0 * a0)
         arg = 4.0 * a0 * chi_arr.real
-        ok &= np.abs(arg) <= _COSH_OVERFLOW
+        ok = np.abs(arg) <= _COSH_OVERFLOW
         arg = np.where(ok, arg, 0.0)
         w = (np.cos(4.0 * a0 * chi_arr.imag) + g * np.cosh(arg)) / (1.0 + g)
         w = np.where(ok, w, np.nan)
@@ -218,7 +219,7 @@ def _validate_grid(taus) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
         raise InvalidParameterError("time grid is empty")
-    if taus.size > 1 and not np.all(np.diff(taus) > 0):
+    if taus.size > 1 and not np.all(taus[1:] > taus[:-1]):
         raise InvalidParameterError("time grid must be strictly increasing")
     if not taus.flat[0] >= 0:
         raise InvalidParameterError("time grid must be non-negative (and not NaN)")
@@ -229,10 +230,11 @@ def _series_from_chi(state, taus, chi_vals, chi_errs, branch, tol) -> WitnessSer
     ok = chi_errs <= tol * (1.0 + 1e-9)
     w, w_ok = _witness_of_chi(state, chi_vals)
     ok &= w_ok
-    w = np.where(ok, w, np.nan)
+    if not ok.all():
+        w = np.where(ok, w, np.nan)  # invalid samples hold NaN
     w_abs = np.abs(w)
-    violates = np.zeros(taus.shape, dtype=bool)
-    violates[ok] = w_abs[ok] > 1.0 + BOUND_EPS
+    # An invalid sample is NaN, and NaN > 1 is False.
+    violates = w_abs > 1.0 + BOUND_EPS
     return WitnessSeries(taus, chi_vals, chi_errs, branch, w, w_abs, violates, ok)
 
 
@@ -286,11 +288,23 @@ def time_averaged_witness(series: WitnessSeries, t1: float, t2: float) -> float:
             "window contains invalid samples; tighten the tolerance or refine the grid"
         )
     # Grid points lo + 1 .. hi - 1 lie strictly inside the window; only the
-    # two window ends need interpolating.
-    y1, y2 = np.interp([t1, t2], taus, series.w_abs)
-    xs = np.concatenate([[t1], taus[lo + 1 : hi], [t2]])
-    ys = np.concatenate([[y1], series.w_abs[lo + 1 : hi], [y2]])
-    return float(np.trapezoid(ys, xs) / (t2 - t1))
+    # two window ends need interpolating. The trapezoid terms
+    # dx*(y_right + y_left)/2 are np.trapezoid's over the window's points,
+    # formed in one array (interior ones from slices, the two ends in
+    # place) and summed as it sums them, so the average is the same bits.
+    w_abs = series.w_abs
+    y1, y2 = np.interp([t1, t2], taus, w_abs)
+    terms = np.empty(hi - lo)
+    if hi - lo == 1:
+        terms[0] = (t2 - t1) * (y2 + y1) / 2.0
+    else:
+        inner = terms[1:-1]
+        np.subtract(taus[lo + 2 : hi], taus[lo + 1 : hi - 1], out=inner)
+        inner *= w_abs[lo + 2 : hi] + w_abs[lo + 1 : hi - 1]
+        inner /= 2.0
+        terms[0] = (taus[lo + 1] - t1) * (w_abs[lo + 1] + y1) / 2.0
+        terms[-1] = (t2 - taus[hi - 1]) * (y2 + w_abs[hi - 1]) / 2.0
+    return float(terms.sum() / (t2 - t1))
 
 
 @dataclass(frozen=True)

@@ -337,61 +337,6 @@ class TestSinCos:
         assert np.isnan(s[1:]).all() and np.isnan(c[1:]).all()
 
 
-class TestSinVersin:
-    """sin x and 1 - cos x of the closed forms from one tan, against 40 digits."""
-
-    BOUND = TestSinCos.BOUND
-    #: Relative bound for |x| <= 1e-3, where 1 - cos x is of order x^2.
-    REL_BOUND = 4.0 * np.finfo(float).eps
-
-    @staticmethod
-    def _reference(x):
-        with mpmath.workdps(40):
-            ref = [(mpmath.sin(mpmath.mpf(v)), 1 - mpmath.cos(mpmath.mpf(v))) for v in x]
-            return np.array([[float(s), float(c)] for s, c in ref]).T
-
-    def _check(self, x):
-        s, v = kernels._sin_versin(x)
-        ref_s, ref_v = self._reference(x)
-        assert np.abs(s - ref_s).max() <= self.BOUND
-        assert np.abs(v - ref_v).max() <= self.BOUND
-        return s, v, ref_s, ref_v
-
-    def test_log_uniform_from_1e_minus_8_to_1e15(self):
-        rng = np.random.default_rng(21)
-        x = 10.0 ** rng.uniform(-8.0, 15.0, 3000) * rng.choice([-1.0, 1.0], 3000)
-        self._check(x)
-
-    def test_near_odd_multiples_of_pi(self):
-        # t = tan(x/2) grows without bound there and 1 - cos x is near 2.
-        rng = np.random.default_rng(22)
-        m = rng.integers(0, 10**6, 1500)
-        self._check((2 * m + 1) * math.pi + rng.uniform(-1e-9, 1e-9, m.size))
-        self._check(np.array([math.pi, -math.pi, 3.0 * math.pi, 1001.0 * math.pi]))
-
-    def test_near_multiples_of_half_pi(self):
-        rng = np.random.default_rng(23)
-        m = rng.integers(0, 4 * 10**6, 1500)
-        self._check(m * (0.5 * math.pi) + rng.uniform(-1e-6, 1e-6, m.size))
-
-    def test_relative_accuracy_near_zero(self):
-        rng = np.random.default_rng(24)
-        x = 10.0 ** rng.uniform(-8.0, -3.0, 2000) * rng.choice([-1.0, 1.0], 2000)
-        x = np.concatenate([x, 2.0 * math.pi + x, [1e-3, -1e-3, 1e-8]])
-        s, v, ref_s, ref_v = self._check(x)
-        small = np.abs(x) <= 1e-3
-        assert (np.abs(s - ref_s) / np.abs(ref_s))[small].max() <= self.REL_BOUND
-        assert (np.abs(v - ref_v) / ref_v)[small].max() <= self.REL_BOUND
-
-    def test_zero_scalar_and_nan(self):
-        assert kernels._sin_versin(0.0) == (0.0, 0.0)
-        s, v = kernels._sin_versin(np.float64(0.7))
-        assert (s, v) == tuple(a[0] for a in kernels._sin_versin(np.array([0.7])))
-        with np.errstate(invalid="ignore"):
-            s, v = kernels._sin_versin(np.array([np.nan, np.inf, -np.inf]))
-        assert np.isnan(s).all() and np.isnan(v).all()
-
-
 class TestChunkBoundaries:
     """Panels are evaluated _CHUNK at a time; a panel's bits must not depend
     on where the chunk boundaries fall, including a one-panel tail chunk."""

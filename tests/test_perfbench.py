@@ -3,8 +3,10 @@
 The tracer reads oracle functions by name (``oracle.expm`` among them),
 and binds the ``lo`` argument of ``kernels.panel_integrals`` and the
 ``tol`` of ``response.chi_series`` by name, so removing or renaming one
-breaks the traced benchmark run. These tests import the benchmark's files
-as they are and change none of them.
+breaks the traced benchmark run. The velocity-average workload's gate
+allows 2e-8*(1 + avg) per point; its outputs are held here to 1e-12 of
+the reference. These tests import the benchmark's files as they are and
+change none of them.
 """
 
 import importlib
@@ -69,3 +71,17 @@ def test_traced_quadrature_item(monkeypatch, workload, entry):
     assert entry in spans and spans["kernels.panel_integrals"][5] > 0
     metrics = tracing.layer_metrics(tracer.spans, 1)
     assert metrics["kernels.panels"] > 0 and metrics["response.calls"] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_velocity_average_gate_and_reference(monkeypatch, seed):
+    # Every item of the velocity-average workload passes the benchmark's
+    # own check, and lies far inside it: within 1e-12*(1 + avg) of the
+    # reference average, where the check allows 2e-8*(1 + avg).
+    _, workloads = _perfbench(monkeypatch)
+    work = workloads.velocity_average(seed)
+    outputs = [call() for call in work.calls]
+    expected = work.expected()
+    assert work.check(outputs, expected) == [None] * len(work.calls)
+    gaps = [abs(out - avg) / (1.0 + avg) for out, (avg, _) in zip(outputs, expected)]
+    assert max(gaps) <= 1e-12

@@ -21,7 +21,7 @@ from udwitness.response import (
     _adaptive_panels,
     _block_edges,
     _kernel_params,
-    _seg,
+    _exp_integrals,
     _start_panels,
     chi,
     chi_mode_sum,
@@ -475,10 +475,9 @@ class TestHalfCycleStart:
             assert x.size - 1 == math.ceil((t_end - t_s) * max(mode.omega / 10.0, a))
             assert edges.size - 1 <= 60
         # Forced-quadrature static and inertial chi start from the same
-        # builder: twelve half cycles of omega_k and of the mode-crossing
-        # omega_L.
-        # Below v_c omega_L < omega_k, at v_c they match, above it omega_L
-        # sets the step.
+        # builder: twelve half cycles of the faster exponential, at rate
+        # omega_k + omega_L with the mode-crossing omega_L (omega_k on the
+        # static worldline), below, at and above v_c.
         for v in (None, 0.3, critical_velocity(mode), 0.9):
             traj = TrajectorySpec.static(x0, L) if v is None else TrajectorySpec.inertial(v, x0, L)
             edges = one_mode_edges(mode, traj, 500.0)
@@ -488,9 +487,10 @@ class TestHalfCycleStart:
             omega_l = 0.0 if v is None else mode.k * math.pi * v / (L * math.sqrt(1.0 - v * v))
             assert np.all(steps * mode.omega <= span)
             assert np.all(steps * omega_l <= span)
-            # ... and no more panels than that takes: the faster phase sets
-            # the step.
-            assert steps.size == math.ceil(500.0 * max(mode.omega, omega_l) / (12 * math.pi))
+            assert np.all(steps * (mode.omega + omega_l) <= span)
+            # ... and no more panels than that takes: the faster exponential
+            # sets the step.
+            assert steps.size == math.ceil(500.0 * (mode.omega + omega_l) / (12 * math.pi))
 
     @pytest.mark.parametrize("L", [4.0, 40.0, 400.0, 1e4])
     def test_sweep_converges_without_stall(self, L):
@@ -1125,20 +1125,27 @@ class TestModeBlocks:
             chi_mode_sum(cavity, CouplingSpec(0.4), traj, 5477.2, k_max=4000)
 
 
-class TestSeg:
+def seg(mu, tau):
+    """Integral of exp(i*mu*t) over [0, tau] as its (real, imaginary) parts,
+    the one-term _exp_integrals with coefficient 1."""
+    value = _exp_integrals([(mu, 1.0, 0.0)], tau)
+    return value.real, value.imag
+
+
+class TestExpIntegrals:
     """Integral of exp(i*mu*t) over [0, tau] at and near mu = 0."""
 
     TAUS = np.array([0.0, 0.5, 3.0, 1e6])
 
     @pytest.mark.parametrize("mu", [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-308])
     def test_zero_and_subnormal_rate_give_the_limit(self, mu):
-        re, im = _seg(mu, self.TAUS)
+        re, im = seg(mu, self.TAUS)
         np.testing.assert_array_equal(re, self.TAUS)
         np.testing.assert_array_equal(im, 0.0)
 
     def test_rates_per_row(self):
         mu = np.array([0.0, 5e-324, 1e-300, 2.0])[:, None]
-        re, im = _seg(mu, self.TAUS)
+        re, im = seg(mu, self.TAUS)
         np.testing.assert_array_equal(re[:2], np.broadcast_to(self.TAUS, (2, 4)))
         np.testing.assert_array_equal(im[:2], 0.0)
         # A tiny normal rate divides by mu and lands on the limit to rounding.
@@ -1148,6 +1155,122 @@ class TestSeg:
             for tau, r, i in zip(self.TAUS.tolist(), re[3], im[3]):
                 assert r == pytest.approx(float(mpmath.sin(2 * tau) / 2), abs=5e-16)
                 assert i == pytest.approx(float((1 - mpmath.cos(2 * tau)) / 2), abs=5e-16)
+
+
+def two_seg_closed_form(lam, mode, traj, taus):
+    """chi of ``mode`` on a static or inertial worldline as the closed form
+    assembled it before _exp_integrals: sin and 1 - cos of each phase
+    from one tan, divided by the rate, then combined in real arithmetic."""
+
+    def sin_versin(x):
+        t = np.tan(0.5 * x)
+        d = t * t + 1.0
+        return 2.0 * t / d, 2.0 * (t * t) / d
+
+    def parts(mu, tau):
+        sin, versin = sin_versin(mu * tau)
+        return sin * (1.0 / mu), versin * (1.0 / mu)
+
+    k, omega = mode.k, mode.omega
+    phi = k * math.pi * traj.x0 / traj.L
+    if traj.v == 0.0:
+        sin, versin = sin_versin(omega * taus)
+        return -(lam * (math.sin(phi) / math.sqrt(k * math.pi))) * (-versin + 1j * sin) / omega
+    omega_l = k * math.pi * traj.v * (1.0 / math.sqrt(1.0 - traj.v**2)) / traj.L
+    t_eff = np.minimum(taus, wall_time(traj))
+    re_fast, im_fast = parts(omega + omega_l, t_eff)
+    re_slow, im_slow = parts(omega - omega_l, t_eff)
+    half = 0.5 * lam / math.sqrt(k * math.pi)
+    c, s = half * math.cos(phi), half * math.sin(phi)
+    return (s * (im_fast + im_slow) - c * (re_fast - re_slow)) - 1j * (
+        s * (re_fast + re_slow) + c * (im_fast - im_slow)
+    )
+
+
+class TestClosedFormAssembly:
+    """The one-helper assembly of the closed forms against the two-seg form
+    it replaced, on the velocity-average workload's grid and velocities."""
+
+    TAUS = np.linspace(0.0, 500.0, 6000)
+
+    @staticmethod
+    def _velocities(mode):
+        # The workload's draws at seed 1: 80 stratified over [0.5, 0.95]
+        # and a 20-point band of step 5e-4 around v_c, plus v_c itself.
+        rng = np.random.default_rng(1)
+        wide = 0.5 + 0.45 * (np.arange(80) + rng.random(80)) / 80
+        vc = critical_velocity(mode)
+        band = vc + (np.arange(20) - 10 + rng.random()) * 5e-4
+        return [None, vc, *wide.tolist(), *band.tolist()]
+
+    def test_within_eight_ulps_of_the_largest_chi(self, fig_cavity, fig_coupling):
+        mode = fig_cavity.mode()
+        for v in self._velocities(mode):
+            if v is None:
+                traj = TrajectorySpec.static(fig_cavity.x0, fig_cavity.L)
+            else:
+                traj = TrajectorySpec.inertial(v, fig_cavity.x0, fig_cavity.L)
+            got, _, _ = chi_series(mode, fig_coupling, traj, self.TAUS)
+            ref = two_seg_closed_form(fig_coupling.lam, mode, traj, self.TAUS)
+            bound = 8.0 * np.finfo(float).eps * np.abs(ref).max()
+            assert np.abs(got - ref).max() <= bound, v
+
+
+class TestSinVersin:
+    """sin x and 1 - cos x of the closed forms, the parts of
+    Integral_0^x exp(i*t) dt from _exp_integrals, against 40 digits."""
+
+    #: The panel kernel's bound on its tan-based sin and cos.
+    BOUND = 4.5e-16
+    #: Relative bound for |x| <= 1e-3, where 1 - cos x is of order x^2.
+    REL_BOUND = 4.0 * np.finfo(float).eps
+
+    @staticmethod
+    def _reference(x):
+        with mpmath.workdps(40):
+            ref = [(mpmath.sin(mpmath.mpf(v)), 1 - mpmath.cos(mpmath.mpf(v))) for v in x]
+            return np.array([[float(s), float(c)] for s, c in ref]).T
+
+    def _check(self, x):
+        s, v = seg(1.0, x)
+        ref_s, ref_v = self._reference(x)
+        assert np.abs(s - ref_s).max() <= self.BOUND
+        assert np.abs(v - ref_v).max() <= self.BOUND
+        return s, v, ref_s, ref_v
+
+    def test_log_uniform_from_1e_minus_8_to_1e15(self):
+        rng = np.random.default_rng(21)
+        x = 10.0 ** rng.uniform(-8.0, 15.0, 3000) * rng.choice([-1.0, 1.0], 3000)
+        self._check(x)
+
+    def test_near_odd_multiples_of_pi(self):
+        # t = tan(x/2) grows without bound there and 1 - cos x is near 2.
+        rng = np.random.default_rng(22)
+        m = rng.integers(0, 10**6, 1500)
+        self._check((2 * m + 1) * math.pi + rng.uniform(-1e-9, 1e-9, m.size))
+        self._check(np.array([math.pi, -math.pi, 3.0 * math.pi, 1001.0 * math.pi]))
+
+    def test_near_multiples_of_half_pi(self):
+        rng = np.random.default_rng(23)
+        m = rng.integers(0, 4 * 10**6, 1500)
+        self._check(m * (0.5 * math.pi) + rng.uniform(-1e-6, 1e-6, m.size))
+
+    def test_relative_accuracy_near_zero(self):
+        rng = np.random.default_rng(24)
+        x = 10.0 ** rng.uniform(-8.0, -3.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+        x = np.concatenate([x, 2.0 * math.pi + x, [1e-3, -1e-3, 1e-8]])
+        s, v, ref_s, ref_v = self._check(x)
+        small = np.abs(x) <= 1e-3
+        assert (np.abs(s - ref_s) / np.abs(ref_s))[small].max() <= self.REL_BOUND
+        assert (np.abs(v - ref_v) / ref_v)[small].max() <= self.REL_BOUND
+
+    def test_zero_scalar_and_nan(self):
+        assert seg(1.0, 0.0) == (0.0, 0.0)
+        s, v = seg(1.0, np.float64(0.7))
+        assert (s, v) == tuple(a[0] for a in seg(1.0, np.array([0.7])))
+        with np.errstate(invalid="ignore"):
+            s, v = seg(1.0, np.array([np.nan, np.inf, -np.inf]))
+        assert np.isnan(s).all() and np.isnan(v).all()
 
 
 class TestNonFinitePhase:

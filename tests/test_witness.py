@@ -260,6 +260,13 @@ class TestWitnessSeries:
         s = witness_series(StateSpec.fock(1), fig_cavity, fig_coupling, traj, taus)
         assert s.violates.any()
         np.testing.assert_array_equal(s.violates, s.w_abs > 1.0 + BOUND_EPS)
+        # A cat witness whose cosh overflows at some samples: those are
+        # invalid, hold NaN and flag no violation.
+        s = witness_series(StateSpec.cat(200.0), fig_cavity, fig_coupling, traj, taus)
+        assert s.ok.any() and not s.ok.all()
+        assert np.isnan(s.w_abs[~s.ok]).all()
+        np.testing.assert_array_equal(s.violates, s.w_abs > 1.0 + BOUND_EPS)
+        assert not s.violates[~s.ok].any()
 
     def test_post_wall_constant(self, fig_cavity, fig_coupling):
         traj = TrajectorySpec.accelerated(0.8, fig_cavity.x0, fig_cavity.L)
@@ -278,6 +285,8 @@ class TestWitnessSeries:
             witness_series(state, small_cavity, CouplingSpec(0.4), traj, [1.0, 0.5])
         with pytest.raises(InvalidParameterError):
             witness_series(state, small_cavity, CouplingSpec(0.4), traj, [-1.0, 0.5])
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            witness_series(state, small_cavity, CouplingSpec(0.4), traj, [0.5, 0.5])
 
     def test_time_checks_and_their_messages(self, small_cavity):
         # The grid check reads the sign at the first time only (a strictly
