@@ -17,6 +17,7 @@ Exit codes: 0 ok, 2 invalid parameters, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -30,6 +31,7 @@ from .trajectory import TrajectoryKind, TrajectorySpec, wall_time
 from .witness import (
     StateFamily,
     StateSpec,
+    _asymptote,
     asymptote_value,
     time_averaged_witness,
     witness_series,
@@ -288,32 +290,24 @@ def cmd_scan_velocity(args) -> int:
     return 0
 
 
-def _scan_asymptote(args, values, state_of, traj_of) -> list[float]:
-    cavity, coupling = _cavity_and_coupling(args)
-    slowest = traj_of(values[0], cavity)
+def _check_eval_at(args, slowest: TrajectorySpec) -> None:
     t_wall = wall_time(slowest)
-    if args.eval_at < t_wall:
+    if not args.eval_at >= t_wall:
         raise InvalidParameterError(
             f"--eval-at {args.eval_at} precedes the wall-arrival time {t_wall:g} "
             f"of the slowest scanned trajectory; increase --eval-at"
         )
 
-    def evaluate(v):
-        return asymptote_value(
-            state_of(v), cavity, coupling, traj_of(v, cavity), args.eval_at, tol=args.tol
-        )
-
-    return _run_scan(values, evaluate)
-
 
 def cmd_scan_acceleration(args) -> int:
     state = parse_state(args.state)
     accs = _scan_values(args, "acceleration", "must be positive and increasing")
-    metrics = _scan_asymptote(
-        args,
+    cavity, coupling = _cavity_and_coupling(args)
+    traj_of = functools.partial(TrajectorySpec.accelerated, x0=cavity.x0, L=cavity.L)
+    _check_eval_at(args, traj_of(accs[0]))
+    metrics = _run_scan(
         accs,
-        state_of=lambda a: state,
-        traj_of=lambda a, cav: TrajectorySpec.accelerated(a, cav.x0, cav.L),
+        lambda a: asymptote_value(state, cavity, coupling, traj_of(a), args.eval_at, tol=args.tol),
     )
     _write(args.out, _scan_lines("acceleration,asymptote_abs_w", accs, metrics))
     return 0
@@ -324,16 +318,15 @@ def cmd_scan_alpha(args) -> int:
     if base.family is not StateFamily.CAT:
         raise InvalidParameterError("--state must be a cat state for scan-alpha")
     alphas = _scan_values(args, "alpha0", "must be positive and increasing")
-    cavity, _ = _cavity_and_coupling(args)
+    cavity, coupling = _cavity_and_coupling(args)
     traj = parse_traj(args.traj, cavity.x0, cavity.L)
     if traj.kind is not TrajectoryKind.ACCELERATED:
         raise InvalidParameterError("scan-alpha requires an accel:A trajectory")
-    metrics = _scan_asymptote(
-        args,
-        alphas,
-        state_of=lambda a0: StateSpec.cat(a0),
-        traj_of=lambda a0, cav: traj,
-    )
+    _check_eval_at(args, traj)
+    # Only the cat witness depends on alpha0, so chi is taken once. A chi
+    # refused at a work cap (before any work) is refused at every point.
+    abs_w = functools.cache(lambda: _asymptote(cavity, coupling, traj, args.eval_at, args.tol))
+    metrics = _run_scan(alphas, lambda a0: abs_w()(StateSpec.cat(a0)))
     _write(args.out, _scan_lines("alpha0,asymptote_abs_w", alphas, metrics))
     return 0
 

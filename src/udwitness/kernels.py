@@ -87,11 +87,11 @@ tan for the CPU, np.tan falls back to libm: the accuracy is the same,
 and most of the speed goes away. The closed forms of chi
 (response._exp_integrals) share the substitution: one tan per phase.
 
-Blocking. Both rules evaluate _CHUNK panels at a time, so the
-(nodes, n) temporaries of a block stay in cache whatever the number of
-panels; every operation is elementwise, a per-panel row reduction or a
-per-panel row of one gemm (_rows), so a panel's bits do not depend on the
-block it falls in.
+Blocking. Both rules evaluate _CHUNK panels at a time, so a block's
+(nodes, n) temporaries stay in cache; a call of at most _CHUNK panels
+(every call of a figure-scale chi) is one block and pays nothing more.
+Every operation is elementwise, a per-panel row reduction or a per-panel
+row of one gemm (_rows), so a panel's bits do not depend on its block.
 """
 
 from __future__ import annotations
@@ -272,13 +272,15 @@ def _rows(terms, weights):
     copies.
     """
     if terms.shape[1] == 1:
-        return (np.hstack([terms, terms]).T @ weights)[:1]
+        return (terms.repeat(2, axis=1).T @ weights)[:1]
     return terms.T @ weights
 
 
 def _by_chunks(block, params, lo, hi):
     """(values, errors) of block(*params, lo, hi) evaluated _CHUNK panels at a
-    time; params are scalars or arrays shaped like lo."""
+    time (one block as it is); params are scalars or arrays shaped like lo."""
+    if lo.size <= _CHUNK:
+        return block(*params, lo, hi)
     vals = np.empty(lo.shape, dtype=complex)
     errs = np.empty(lo.shape)
     for a in range(0, lo.size, _CHUNK):

@@ -17,9 +17,9 @@ closed forms, or one driver, _quadrature, for every quadrature chi
 (chi_series, and chi as its 0-d call) is one mode; chi_modes and its
 sum chi_mode_sum take up to _MODE_BLOCK modes a pass (_mode_blocks). In
 _quadrature each mode is one segment of a single adaptive pass
-(_adaptive_panels) with the grid times inserted as edges (_block_edges),
-and chi at a grid time is a sequential prefix sum of its mode's panels,
-so a mode's values are the same bits alone or in a block. Past one check
+(_adaptive_panels) from the panels (lo, hi, counts) of _block_edges,
+grid times as edges; chi at a grid time is a sequential prefix sum of
+its mode's panels, the same bits alone or in a block. Past one check
 (_check_geometry) the internals read L, x0 and the kind from the worldline.
 
 Two rules, one switch. On the accelerated worldline the mode phase
@@ -269,7 +269,7 @@ def _checked_times(taus, traj: TrajectorySpec):
     static = wall_time(traj) is None
     # One reduction a bound (NaN propagates through min); the element mask
     # is built only to name a refused time.
-    if np.min(taus, initial=0.0) >= 0 and (not static or np.max(taus, initial=0.0) < math.inf):
+    if taus.min(initial=0.0) >= 0 and (not static or taus.max(initial=0.0) < math.inf):
         return taus
     need, ok = "non-negative", taus >= 0
     if static:
@@ -284,7 +284,7 @@ def _checked_phase(omega, taus, traj=None):
     chi is frozen past the wall-arrival time of ``traj``, so the phase
     counts only up to it.
     """
-    t_end = float(np.max(taus, initial=0.0))
+    t_end = float(taus.max(initial=0.0))
     t_wall = None if traj is None else wall_time(traj)
     if t_wall is not None:
         t_end = min(t_end, t_wall)
@@ -317,6 +317,7 @@ def _chi_modes(ks, omega, coupling, traj, taus, tol, force_quadrature):
     if not tol > 0:
         raise InvalidParameterError(f"tolerance tol={tol} must be positive")
     quad = force_quadrature or traj.kind is TrajectoryKind.ACCELERATED
+    shape = (ks.size,) + taus.shape
     if not quad:
         per_mode = (-1,) + (1,) * taus.ndim
         k, w = ks.reshape(per_mode), omega.reshape(per_mode)
@@ -324,17 +325,16 @@ def _chi_modes(ks, omega, coupling, traj, taus, tol, force_quadrature):
             # As Python scalars: a 1-element mode axis made a 6000-sample
             # series 4-6% slower, and velocity-average run_s 4% slower.
             k, w = ks.item(), omega.item()
-        chi = _closed_form(coupling.lam, k, w, traj, taus).reshape((ks.size,) + taus.shape)
-        return chi, np.zeros(chi.shape), [None] * ks.size, quad
-    if coupling.lam == 0.0 or t_end <= 0.0:
-        shape = (ks.size,) + taus.shape
-        return np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size, quad
-    start = _start_panels(ks, omega, traj, t_end)
-    chis, errs, stalls = zip(*(
-        _quadrature(ks[b], omega[b], coupling, traj, taus, t_end, tol, [c[b] for c in start])
-        for b in _mode_blocks(start)
-    ))
-    return np.concatenate(chis), np.concatenate(errs), [s for block in stalls for s in block], quad
+        chi = _closed_form(coupling.lam, k, w, traj, taus).reshape(shape)
+        return chi, np.zeros(shape), [None] * ks.size, quad
+    chi, err, stalls = np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size
+    if coupling.lam > 0.0 and t_end > 0.0:
+        start = _start_panels(ks, omega, traj, t_end)
+        for b in _mode_blocks(start):
+            chi[b], err[b], stalls[b] = _quadrature(
+                ks[b], omega[b], coupling, traj, taus, t_end, tol, [c[b] for c in start]
+            )
+    return chi, err, stalls, quad
 
 
 def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
@@ -403,11 +403,12 @@ def _start_panels(ks, omega, traj: TrajectorySpec, t_end: float):
     n_t = np.maximum(1.0, np.ceil(t_x / (_START_PANEL_PHASE / rate[:, None])))
     n_x = np.ceil((t_end - t_x) * np.maximum(omega / _X_PANEL_PHASE, traj.a)[:, None])
     n_start = n_t + n_x
-    j = int(np.argmax(n_start[:, 0]))
-    _check_cap(
-        f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
-        n_start[j, 0], "panel", _MAX_PANELS,
-    )
+    if n_start.max() > _MAX_PANELS:
+        j = n_start.argmax()
+        _check_cap(
+            f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
+            n_start[j, 0], "panel", _MAX_PANELS,
+        )
     return t_x, n_t, n_x
 
 
@@ -428,12 +429,12 @@ def _mode_blocks(start):
 
 
 def _block_edges(ks, t_end: float, times, start):
-    """Starting panel edges of modes ``ks`` in one pass, from their
+    """Starting panels of modes ``ks`` in one pass, from their
     _start_panels counts ``start``.
 
-    Returns (edges, offsets): mode j's edges are
-    edges[offsets[j]:offsets[j + 1]], strictly increasing from 0 to
-    t_end > 0. They merge three sets of times:
+    Returns (lo, hi, counts): mode j owns the counts[j] panels
+    [lo[p], hi[p]] after those of modes 0..j-1, contiguous and in order
+    from 0 to t_end > 0. Their edges merge three sets of times:
 
     - a uniform grid (numpy.linspace arithmetic) on [0, t_x], with t_x the
       smaller of t_end and the switch time t_s (_start_panels), whose
@@ -451,21 +452,20 @@ def _block_edges(ks, t_end: float, times, start):
 
     Row j of one table holds mode j's times, padded with t_end; every
     entry comes from the same elementwise arithmetic whatever the other
-    rows, so a mode's edges do not depend on the modes it is built with.
-    Sorting each row and dropping repeats gives the edges.
+    rows, so a mode's panels do not depend on the modes it is built with.
+    Each row is sorted, and every step up between neighbours is a panel.
     """
     t_x, n_t, n_x = start
     i = np.arange(n_t.max() + 1.0)
     k61 = np.where(i < n_t, i * (t_x / n_t), t_end)
     i = np.arange(n_x.max())
     x_rule = np.where(i < n_x, t_x + i * ((t_end - t_x) / np.maximum(n_x, 1.0)), t_end)
-    times = np.repeat(times[None, :], ks.size, axis=0)
-    table = np.sort(np.concatenate([k61, x_rule, times], axis=1), axis=1)
-    fresh = np.ones(table.shape, dtype=bool)
-    fresh[:, 1:] = table[:, 1:] != table[:, :-1]
-    offsets = np.zeros(ks.size + 1, dtype=np.intp)
-    np.cumsum(fresh.sum(axis=1), out=offsets[1:])
-    return table[fresh], offsets
+    times = times[None, :].repeat(ks.size, axis=0)
+    table = np.concatenate([k61, x_rule, times], axis=1)
+    table.sort(axis=1)
+    lo, hi = table[:, :-1], table[:, 1:]
+    step = hi != lo
+    return lo[step], hi[step], step.sum(axis=1).tolist()
 
 
 def _segment_sums(x, counts):
@@ -475,7 +475,8 @@ def _segment_sums(x, counts):
     np.add.reduceat reduces each segment's slice on its own, so a
     segment's sum does not depend on the segments around it.
     """
-    return np.add.reduceat(x, np.cumsum(counts) - counts, dtype=float).tolist()
+    counts = np.array(counts)
+    return np.add.reduceat(x, counts.cumsum() - counts, dtype=float).tolist()
 
 
 def _stop_reason(history, s, n, floor):
@@ -497,12 +498,13 @@ def _stop_reason(history, s, n, floor):
     return None
 
 
-def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule):
+def _adaptive_panels(kind, phi0, rate, cc, omega, panels, t_end, tol, x_rule):
     """Bisect panels until each segment's error estimates sum to at most its tol.
 
-    A segment is one integral (one mode): the panels between consecutive
-    ``edges`` from offsets[s] to offsets[s + 1] - 1, with phi0, cc, omega
-    and tol arrays of one entry per segment and rate one scalar. With
+    A segment is one integral (one mode) over [0, t_end], cut into the
+    starting ``panels`` (lo, hi, counts) of _block_edges: segment s owns
+    the counts[s] panels after those of segments 0..s-1. phi0, cc, omega
+    and tol are arrays of one entry per segment and rate one scalar. With
     x_rule = (switch, t_wall, u_wall), a panel of segment s starting at or
     after switch[s] (an edge) is an x-rule panel, kernels.filon_integrals
     with the wall at (t_wall, u_wall), and every other one a K61 panel (all
@@ -542,20 +544,16 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule):
     So an error sum that has not shrunk in two rounds sits at the
     rounding floor.
     """
-    is_lo = np.ones(edges.size, dtype=bool)
-    is_lo[offsets[1:] - 1] = False
-    is_hi = np.ones(edges.size, dtype=bool)
-    is_hi[offsets[:-1]] = False
-    lo, hi = edges[is_lo], edges[is_hi]
-    counts, tols = (np.diff(offsets) - 1).tolist(), np.asarray(tol).tolist()
-    floors = (kernels.ERR_FLOOR * (edges[offsets[1:] - 1] - edges[offsets[:-1]])).tolist()
+    lo, hi, counts = panels
+    tols = np.asarray(tol).tolist()
+    switch, t_wall, u_wall = x_rule
+    params = np.array([phi0, cc, omega, switch])
 
     def integrate(per_segment, a, b):
         """Kernel calls on panels a..b, per_segment[s] of them from segment s."""
-        phi0_p, cc_p, omega_p = (np.repeat(x, per_segment) for x in (phi0, cc, omega))
+        phi0_p, cc_p, omega_p, switch_p = params.repeat(per_segment, axis=1)
         # Bisection keeps a panel on its side of the switch time.
-        switch, t_wall, u_wall = x_rule
-        on_x = a >= np.repeat(switch, per_segment)
+        on_x = a >= switch_p
         on_t = ~on_x
         vals, errs = np.empty(a.shape, dtype=complex), np.empty(a.shape)
         if on_t.any():
@@ -576,14 +574,14 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule):
         thresholds = []
         for s, n in enumerate(counts):
             if running[s] and history[-1][s] > tols[s]:
-                stalls[s] = _stop_reason(history, s, n, floors[s])
+                stalls[s] = _stop_reason(history, s, n, kernels.ERR_FLOOR * t_end)
                 running[s] = stalls[s] is None
             else:
                 running[s] = False
             thresholds.append(tols[s] / (2.0 * n) if running[s] else math.inf)
         if not any(running):
             break
-        mask = errs > np.repeat(thresholds, counts)
+        mask = errs > np.array(thresholds).repeat(counts)
         splits = [int(k) for k in _segment_sums(mask, counts)]
         if not any(splits):
             break
@@ -591,12 +589,12 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, edges, offsets, tol, x_rule):
         # Each split panel is replaced in place by its two halves.
         split_lo, split_hi = lo[mask], hi[mask]
         mid = 0.5 * (split_lo + split_hi)
-        half_lo = np.column_stack([split_lo, mid]).ravel()
-        half_hi = np.column_stack([mid, split_hi]).ravel()
+        half_lo = np.array([split_lo, mid]).T.ravel()
+        half_hi = np.array([mid, split_hi]).T.ravel()
         reps = mask + 1
-        slots = np.flatnonzero(np.repeat(mask, reps))
+        slots = mask.repeat(reps).nonzero()[0]
         half_vals, half_errs = integrate([2 * k for k in splits], half_lo, half_hi)
-        lo, hi, vals, errs = (np.repeat(x, reps) for x in (lo, hi, vals, errs))
+        lo, hi, vals, errs = (x.repeat(reps) for x in (lo, hi, vals, errs))
         lo[slots], hi[slots], vals[slots], errs[slots] = half_lo, half_hi, half_vals, half_errs
         counts = [n + k for n, k in zip(counts, splits)]
         history.append(_segment_sums(errs, counts))
@@ -607,14 +605,13 @@ def _quadrature(ks, omega, coupling, traj, taus, t_end, tol, start):
     """chi of modes ``ks`` at every grid time in one adaptive pass up to
     ``t_end`` > 0, from their _start_panels counts ``start``.
 
-    Each mode is one segment of a single _adaptive_panels pass, from the
-    edges of _block_edges with the grid times inserted, K61 panels up to
-    start's t_x = min(t_s, t_end) and x-rule panels past it (every panel
-    starts before t_end, so t_x picks the panels t_s would), so each
-    chi_k(tau) is an exact prefix of its mode's panel decomposition, taken
-    by one sequential prefix sum per mode; times past the wall-arrival
-    time reuse the frozen full integral. A mode's panels, and hence its
-    values, are the same bits whichever modes it is evaluated with.
+    Each mode is one segment of a single _adaptive_panels pass from the
+    panels of _block_edges, K61 up to start's t_x = min(t_s, t_end) and
+    the x-rule past it (every panel starts before t_end, so t_x picks the
+    panels t_s would). The grid times are edges, so each chi_k(tau) is an
+    exact prefix of its mode's panel sum; times past the wall-arrival time
+    reuse the frozen full integral. A mode's values are the same bits
+    whichever modes it is evaluated with.
 
     Returns (chi, err, stalls): chi[j] and err[j] are mode j's values and
     summed panel estimates on the grid (shaped like ``taus``), and
@@ -622,35 +619,33 @@ def _quadrature(ks, omega, coupling, traj, taus, t_end, tol, start):
     values are then its best estimates).
     """
     t_clip = np.minimum(taus, t_end)
-    edges, offsets = _block_edges(ks, t_end, t_clip[t_clip > 0.0], start)
+    panels = _block_edges(ks, t_end, t_clip[t_clip > 0.0], start)
     kind, phi0, rate, cc = _kernel_params(ks, traj)
     pref = coupling.lam / np.sqrt(ks * math.pi)
     x_rule = (start[0][:, 0], wall_time(traj), traj.a * (traj.L - traj.x0))
     _, hi, vals, errs, counts, stalls = _adaptive_panels(
-        kind, phi0, rate, cc, omega, edges, offsets, tol / np.maximum(pref, 1e-300), x_rule
+        kind, phi0, rate, cc, omega, panels, t_end, tol / np.maximum(pref, 1e-300), x_rule
     )
-    # Row j holds 0 and mode j's running panel sums, one sequential
-    # prefix sum per row (the zeros after its last panel are never read).
+    # Row j of plane 0 (values) and plane 1 (errors, complex with zero
+    # imaginary part: their real parts add exactly as reals do) holds 0 and
+    # mode j's running panel sums; the zeros after its last panel are unread.
+    width = max(counts) + 1
     counts = np.array(counts)
-    width = counts.max() + 1
-    shift = np.arange(ks.size) * width - (np.cumsum(counts) - counts)
-    slots = np.arange(hi.size) + np.repeat(shift + 1, counts)
-    vals_rows = np.zeros(ks.size * width, dtype=complex)
-    errs_rows = np.zeros(vals_rows.shape)
-    vals_rows[slots], errs_rows[slots] = vals, errs
-    np.cumsum(vals_rows.reshape(-1, width), axis=1, out=vals_rows.reshape(-1, width))
-    np.cumsum(errs_rows.reshape(-1, width), axis=1, out=errs_rows.reshape(-1, width))
+    shift = np.arange(ks.size) * width - (counts.cumsum() - counts)
+    slots = np.arange(hi.size) + (shift + 1).repeat(counts)
+    table = np.zeros((2, ks.size * width), dtype=complex)
+    table[:, slots] = vals, errs
+    rows = table.reshape(2, ks.size, width)
+    rows.cumsum(axis=2, out=rows)
     # A grid time's prefix ends with the last panel ending at or before it.
     # One search over all modes: the keys j + i*hi of the panels are in
     # order, since complex numbers sort by real part, then imaginary.
     per_mode = (-1,) + (1,) * taus.ndim
     modes = np.arange(ks.size).reshape(per_mode)
-    keys = np.repeat(np.arange(ks.size), counts) + 1j * hi
-    last = np.searchsorted(keys, modes + 1j * t_clip, side="right")
-    flat = last + shift.reshape(per_mode)
-    chi = (-1j * pref).reshape(per_mode) * vals_rows[flat]
-    err = pref.reshape(per_mode) * errs_rows[flat]
-    return chi, err, stalls
+    keys = np.arange(ks.size).repeat(counts) + 1j * hi
+    last = keys.searchsorted(modes + 1j * t_clip, side="right")
+    sums = table[:, last + shift.reshape(per_mode)]
+    return (-1j * pref).reshape(per_mode) * sums[0], pref.reshape(per_mode) * sums[1].real, stalls
 
 
 def chi(

@@ -161,12 +161,11 @@ def _witness_of_chi(state: StateSpec, chi_arr):
     """Witness values for an array of chi or a single chi; returns (w, ok).
 
     w is real for the Fock, cat and thermal families and complex for the
-    coherent one. ``ok`` is True for every family but the cat one, whose
-    ``ok`` is a boolean array (or scalar), False, and w NaN, where its
-    cosh overflows.
+    coherent one. ``ok`` is a boolean array shaped like chi, False (and w
+    NaN) only where the cat witness's cosh overflows.
     """
     chi_arr = np.asarray(chi_arr, dtype=complex)
-    ok = True
+    ok = np.ones(chi_arr.shape, dtype=bool)
     if state.family in (StateFamily.FOCK, StateFamily.THERMAL):
         # A single chi gets Python's abs and ** on the complex scalar: numpy's
         # abs and square of the same value can differ in the last bit.
@@ -227,9 +226,9 @@ def _validate_grid(taus) -> np.ndarray:
 
 
 def _series_from_chi(state, taus, chi_vals, chi_errs, branch, tol) -> WitnessSeries:
-    ok = chi_errs <= tol * (1.0 + 1e-9)
-    w, w_ok = _witness_of_chi(state, chi_vals)
-    ok &= w_ok
+    w, ok = _witness_of_chi(state, chi_vals)
+    if branch is ChiBranch.QUADRATURE:  # a closed form is exact: only W can fail
+        ok &= chi_errs <= tol * (1.0 + 1e-9)
     if not ok.all():
         w = np.where(ok, w, np.nan)  # invalid samples hold NaN
     w_abs = np.abs(w)
@@ -250,10 +249,8 @@ def witness_series(
     """Witness of ``state`` along ``traj``, sampled on the grid ``taus``."""
     taus = _validate_grid(taus)
     _check_geometry(traj, cavity)
-    chi_vals, chi_errs, branch = chi_series(
-        cavity.mode(), coupling, traj, taus, tol=tol, force_quadrature=force_quadrature
-    )
-    return _series_from_chi(state, taus, chi_vals, chi_errs, branch, tol)
+    chi = chi_series(cavity.mode(), coupling, traj, taus, tol, force_quadrature)
+    return _series_from_chi(state, taus, *chi, tol)
 
 
 def witness_series_from_omega(
@@ -326,6 +323,32 @@ def violation_metrics(series: WitnessSeries) -> ViolationMetrics:
     return ViolationMetrics(first, float(series.w_abs[i]), float(series.taus[i]))
 
 
+def _asymptote(cavity, coupling, traj, t_eval, tol):
+    """|W| at ``t_eval`` as a function of the state, after asymptote_value's
+    checks: chi is taken once, here, for a scan over the cat amplitude."""
+    if traj.kind is not TrajectoryKind.ACCELERATED:
+        raise InvalidParameterError(
+            f"asymptote is defined for accelerated trajectories, got {traj.kind}"
+        )
+    _check_geometry(traj, cavity)
+    t_wall = wall_time(traj)
+    if not t_eval >= t_wall:
+        raise InvalidParameterError(
+            f"evaluation time T={t_eval} precedes wall arrival; minimum valid T is {t_wall}"
+        )
+    # T >= t_wall > 0 is a valid one-sample grid on this cavity's worldline.
+    taus = np.asarray([t_eval], dtype=float)
+    chi = chi_series(cavity.mode(), coupling, traj, taus, tol)
+
+    def abs_w(state):
+        series = _series_from_chi(state, taus, *chi, tol)
+        if not series.ok[0]:
+            raise NumericalFailure("asymptote evaluation did not meet the tolerance")
+        return float(series.w_abs[0])
+
+    return abs_w
+
+
 def asymptote_value(
     state: StateSpec,
     cavity: CavityConfig,
@@ -340,17 +363,4 @@ def asymptote_value(
     is frozen at its wall value (the integration stops at the wall), so
     the result is |W| at the wall for any such ``t_eval``.
     """
-    if traj.kind is not TrajectoryKind.ACCELERATED:
-        raise InvalidParameterError(
-            f"asymptote is defined for accelerated trajectories, got {traj.kind}"
-        )
-    _check_geometry(traj, cavity)
-    t_wall = wall_time(traj)
-    if t_eval < t_wall:
-        raise InvalidParameterError(
-            f"evaluation time T={t_eval} precedes wall arrival; minimum valid T is {t_wall}"
-        )
-    series = witness_series(state, cavity, coupling, traj, [t_eval], tol=tol)
-    if not series.ok[0]:
-        raise NumericalFailure("asymptote evaluation did not meet the tolerance")
-    return float(series.w_abs[0])
+    return _asymptote(cavity, coupling, traj, t_eval, tol)(state)

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from udwitness import cli
+from udwitness import cli, response
 from udwitness.cli import main, parse_state, parse_traj
 from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.trajectory import TrajectoryKind
-from udwitness.witness import StateFamily
+from udwitness.witness import StateFamily, StateSpec, asymptote_value
 
 HEADER = "tau,re_chi,im_chi,re_w,im_w,abs_w,violates"
 
@@ -225,6 +225,87 @@ class TestScanCommands:
             "--scan-steps", "3", "--eval-at", "10", "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("scan", [
+        ["scan-acceleration", "--scan-min", "0.5", "--scan-max", "2.0"],
+        ["scan-alpha", "--state", "cat:1", "--traj", "accel:0.8"],
+    ])
+    def test_nan_eval_at_is_named(self, tmp_path, capsys, scan):
+        out = tmp_path / "x.csv"
+        rc = main(scan + ["--scan-steps", "3", "--eval-at", "nan", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--eval-at nan " in err and "time grid" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scan", [
+        ["scan-acceleration", "--scan-min", "0.5", "--scan-max", "2.0"],
+        ["scan-alpha", "--state", "cat:1", "--traj", "accel:0.8"],
+    ])
+    def test_infinite_eval_at_reads_the_wall(self, tmp_path, scan):
+        # Every scanned trajectory reaches the wall before T = 500, so
+        # T = inf reads the same frozen values.
+        texts = []
+        for eval_at in ("500", "inf"):
+            out = tmp_path / f"at-{eval_at}.csv"
+            assert main(scan + ["--scan-steps", "4", "--eval-at", eval_at, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert b"nan" not in texts[0]
+
+    @pytest.mark.parametrize("extra,failing", [
+        ([], "none"),
+        # the cat witness's cosh overflows at the larger amplitudes
+        (["--lambda", "300", "--scan-max", "400"], "some"),
+        # no point meets the tolerance: every one stalls
+        (["--k0", "2", "--L", "4", "--lambda", "1", "--eval-at", "60", "--tol", "1e-300"], "all"),
+    ], ids=["plain", "cosh-overflow", "stall"])
+    def test_alpha_scan_takes_chi_once(self, tmp_path, capsys, monkeypatch, extra, failing):
+        # One quadrature for the whole scan, and the CSV and warnings of
+        # asymptote_value point by point.
+        args = [
+            "scan-alpha", "--state", "cat:1", "--traj", "accel:0.8", "--scan-min", "0.5",
+            "--scan-max", "40", "--scan-steps", "30", "--eval-at", "100", *extra,
+        ]
+        calls = []
+        quadrature = response._quadrature
+        monkeypatch.setattr(
+            response, "_quadrature", lambda *a: calls.append(a) or quadrature(*a)
+        )
+        out = tmp_path / "al.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert len(calls) == 1
+        warned = capsys.readouterr().err
+        parsed = cli._build_parser().parse_args(args)
+        cavity, coupling = cli._cavity_and_coupling(parsed)
+        traj = parse_traj(parsed.traj, cavity.x0, cavity.L)
+        alphas = np.linspace(parsed.scan_min, parsed.scan_max, parsed.scan_steps)
+        metrics = cli._run_scan(alphas, lambda a0: asymptote_value(
+            StateSpec.cat(a0), cavity, coupling, traj, parsed.eval_at, tol=parsed.tol
+        ))
+        assert len(calls) == 1 + alphas.size
+        rows = cli._scan_lines("alpha0,asymptote_abs_w", alphas, metrics)
+        assert out.read_text() == "".join(f"{row}\n" for row in rows)
+        assert capsys.readouterr().err == warned
+        failed = warned.count("failed: asymptote evaluation did not meet the tolerance")
+        assert {"none": failed == 0, "some": 0 < failed < alphas.size,
+                "all": failed == alphas.size}[failing]
+
+    def test_alpha_scan_failure_to_take_chi_fails_every_point(self, tmp_path, capsys, monkeypatch):
+        # A chi refused at the panel cap is one NumericalFailure, reported at
+        # every point as asymptote_value raises it point by point.
+        monkeypatch.setattr(response, "_MAX_PANELS", 4)
+        out = tmp_path / "al.csv"
+        rc = main([
+            "scan-alpha", "--state", "cat:1", "--traj", "accel:0.8", "--scan-steps", "3",
+            "--eval-at", "100", "--out", str(out),
+        ])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert [r[1] for r in rows] == ["nan"] * 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        assert all("failed: the starting panel count of mode k=" in line for line in lines)
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_acceleration_scan_bad_tolerance_is_invalid(self, tmp_path, capsys, tol):

@@ -257,10 +257,11 @@ class TestNumpyBackend:
         traj = TrajectorySpec.inertial(v, 1.0, mode.L)
         kind, phi0, rate, cc = response._kernel_params(mode.k, traj)
         ks, omegas = np.array([mode.k]), np.array([mode.omega])
-        edges, offsets = response._block_edges(
+        panels = response._block_edges(
             ks, t_end, np.array([t_end]), response._start_panels(ks, omegas, traj, t_end)
         )
-        vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
+        lo, hi, _ = panels
+        vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, lo, hi)
         omega = mode.omega
         exact = (
             np.exp(1j * phi0) * np.expm1(1j * (omega + rate) * t_end) / (1j * (omega + rate))
@@ -269,7 +270,7 @@ class TestNumpyBackend:
         assert abs(vals.sum() - exact) <= errs.sum()
         _, _, vals, errs, _, stalls = response._adaptive_panels(
             kind, np.array([phi0]), rate, np.array([cc]), np.array([mode.omega]),
-            edges, offsets, np.array([response.DEFAULT_TOL]), (np.array([math.inf]), None, None),
+            panels, t_end, np.array([response.DEFAULT_TOL]), (np.array([math.inf]), None, None),
         )
         assert stalls == [None]
         assert abs(vals.sum() - exact) <= errs.sum() <= response.DEFAULT_TOL
@@ -358,6 +359,35 @@ class TestChunkBoundaries:
             )
             np.testing.assert_array_equal(v, vals[a:b])
             np.testing.assert_array_equal(e, errs[a:b])
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_x_rule_full_call_equals_slices(self, offset):
+        # The x-rule on accelerated panels from the switch time to the wall,
+        # the last one ending at the wall edge, with per-panel parameters
+        # and kappa on both sides of the moment switch.
+        L, x0, a = 40.0, 1.0, 0.5
+        mode = ModeSpec(20000, L, 1.0)
+        traj = TrajectorySpec.accelerated(a, x0, L)
+        kind, phi0, rate, cc = response._kernel_params(mode.k, traj)
+        t_wall, u_wall = response.wall_time(traj), a * (L - x0)
+        t_s = response._start_panels(np.array([mode.k]), np.array([mode.omega]), traj, t_wall)[0].item()
+        c = kernels._CHUNK
+        n = 2 * c + 1 if offset is None else c + offset
+        edges = np.linspace(t_s, t_wall, n + 1)
+        lo, hi = edges[:-1], edges[1:]
+        assert hi[-1] == t_wall
+        scale = np.linspace(1.0, 3.0, n)
+        phi0s, ccs, omegas = phi0 * scale, cc * scale, mode.omega * scale
+        vals, errs = kernels.filon_integrals(phi0s, rate, ccs, omegas, lo, hi, t_wall, u_wall)
+        kappa = ccs * 0.5 * (np.cosh(a * hi) - np.cosh(a * lo))
+        assert kappa.min() < kernels._KAPPA_SWITCH <= kappa.max()
+        slices = [(0, 1), (1, n), (n - 1, n), (c - 1, min(c + 1, n)), (n // 2, n), (0, n - 1)]
+        for p, q in slices:
+            v, e = kernels.filon_integrals(
+                phi0s[p:q], rate, ccs[p:q], omegas[p:q], lo[p:q], hi[p:q], t_wall, u_wall
+            )
+            np.testing.assert_array_equal(v, vals[p:q])
+            np.testing.assert_array_equal(e, errs[p:q])
 
 
 def _gauss_legendre_40_digits(n):

@@ -5,8 +5,9 @@ and binds the ``lo`` argument of ``kernels.panel_integrals`` and the
 ``tol`` of ``response.chi_series`` by name, so removing or renaming one
 breaks the traced benchmark run. The velocity-average workload's gate
 allows 2e-8*(1 + avg) per point; its outputs are held here to 1e-12 of
-the reference. These tests import the benchmark's files as they are and
-change none of them.
+the reference. Every accel-asymptote item passes its gate at the default
+and the held-out seed. These tests import the benchmark's files as they
+are and change none of them.
 """
 
 import importlib
@@ -85,3 +86,14 @@ def test_velocity_average_gate_and_reference(monkeypatch, seed):
     assert work.check(outputs, expected) == [None] * len(work.calls)
     gaps = [abs(out - avg) / (1.0 + avg) for out, (avg, _) in zip(outputs, expected)]
     assert max(gaps) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_accel_asymptote_gate(monkeypatch, seed):
+    # All 40 items of the accel-asymptote workload pass the benchmark's own
+    # check against its independent reference.
+    _, workloads = _perfbench(monkeypatch)
+    work = workloads.accel_asymptote(seed)
+    outputs = [call() for call in work.calls]
+    assert len(outputs) == 40
+    assert work.check(outputs, work.expected()) == [None] * len(work.calls)

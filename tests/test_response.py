@@ -36,14 +36,20 @@ from udwitness.witness import StateSpec, witness_series_from_omega
 V_CRIT_FIG = 0.76436169849601359  # frozen from 30-digit arithmetic
 
 
+def panel_edges(lo, hi):
+    """The edges of contiguous panels [lo[p], hi[p]]: lo[0], then every hi."""
+    np.testing.assert_array_equal(lo[1:], hi[:-1])
+    return np.concatenate([lo[:1], hi])
+
+
 def one_mode_edges(mode, traj, t_end):
     """Starting edges of one mode's chi at t_end, as the quadrature builds them."""
     ks, omega = np.array([mode.k]), np.array([mode.omega])
-    edges, offsets = _block_edges(
+    lo, hi, counts = _block_edges(
         ks, t_end, np.array([t_end]), _start_panels(ks, omega, traj, t_end)
     )
-    np.testing.assert_array_equal(offsets, [0, edges.size])
-    return edges
+    assert counts == [lo.size] and hi.size == lo.size
+    return panel_edges(lo, hi)
 
 
 def table_size(start, block):
@@ -66,9 +72,11 @@ def assert_planned(blocks, start, n_modes):
 
 def one_segment(kind, phi0, rate, cc, omega, edges, tol):
     """_adaptive_panels on a single segment (one mode) with scalar parameters."""
+    assert edges[0] == 0.0  # a segment spans [0, t_end]
     return _adaptive_panels(
         kind, np.array([phi0]), rate, np.array([cc]), np.array([omega]),
-        edges, np.array([0, edges.size]), np.array([tol]), (np.array([math.inf]), None, None),
+        (edges[:-1], edges[1:], [edges.size - 1]), edges[-1], np.array([tol]),
+        (np.array([math.inf]), None, None),
     )
 
 
@@ -998,15 +1006,17 @@ class TestModeBlocks:
         for t_end in (0.05, wall_time(traj)):
             switch = _start_panels(ks, omega, traj, t_end)[0][:, 0]
             times = np.array([t_end / 3, t_end / 2, t_end])
-            edges, offsets = _block_edges(ks, t_end, times, _start_panels(ks, omega, traj, t_end))
-            assert offsets[0] == 0 and offsets[-1] == edges.size
+            lo, hi, counts = _block_edges(ks, t_end, times, _start_panels(ks, omega, traj, t_end))
+            assert len(counts) == ks.size and sum(counts) == lo.size == hi.size
+            offsets = np.concatenate([[0], np.cumsum(counts)])
             for j in range(ks.size):
-                own = edges[offsets[j]:offsets[j + 1]]
+                own = panel_edges(lo[offsets[j]:offsets[j + 1]], hi[offsets[j]:offsets[j + 1]])
                 one = slice(j, j + 1)
-                alone, _ = _block_edges(
+                alone = _block_edges(
                     ks[one], t_end, times, _start_panels(ks[one], omega[one], traj, t_end)
                 )
-                np.testing.assert_array_equal(own, alone)
+                assert alone[2] == [counts[j]]
+                np.testing.assert_array_equal(own, panel_edges(*alone[:2]))
                 assert own[0] == 0.0 and own[-1] == t_end and np.all(np.diff(own) > 0.0)
                 assert np.all(np.isin(times, own))
                 assert switch[j] >= t_end or switch[j] in own
@@ -1021,17 +1031,18 @@ class TestModeBlocks:
         omega = np.array([md.omega for md in modes])
         ks = np.array([3, 11])
         start = _start_panels(ks, omega, traj, t_end)
-        edges, offsets = _block_edges(ks, t_end, np.array([t_end]), start)
+        panels = _block_edges(ks, t_end, np.array([t_end]), start)
+        offsets = np.concatenate([[0], np.cumsum(panels[2])])
         kind, phi0, rate, cc = _kernel_params(np.array([3, 11]), traj)
         lo, hi, vals, errs, counts, stalls = _adaptive_panels(
-            kind, phi0, rate, cc, omega, edges, offsets, tols, (np.full(2, math.inf), None, None)
+            kind, phi0, rate, cc, omega, panels, t_end, tols, (np.full(2, math.inf), None, None)
         )
         assert stalls == [None, None]
         assert sum(counts) == lo.size
         for j, mode in enumerate(modes):
-            alone = one_segment(
-                kind, phi0[j], rate, cc[j], mode.omega, edges[offsets[j]:offsets[j + 1]], tols[j]
-            )
+            own = slice(offsets[j], offsets[j + 1])
+            edges = panel_edges(panels[0][own], panels[1][own])
+            alone = one_segment(kind, phi0[j], rate, cc[j], mode.omega, edges, tols[j])
             own = slice(sum(counts[:j]), sum(counts[:j + 1]))
             for got, ref in zip((lo, hi, vals, errs), alone[:4]):
                 np.testing.assert_array_equal(got[own], ref)

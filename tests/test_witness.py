@@ -510,6 +510,21 @@ class TestAsymptoteValue:
             asymptote_value(StateSpec.fock(1), fig_cavity, fig_coupling, traj, 0.5 * tw)
         assert f"{tw}" in str(exc_info.value)
 
+    def test_nan_evaluation_time_is_named(self, fig_cavity, fig_coupling):
+        # NaN < t_wall is False: the check must not pass it on to the grid.
+        traj = TrajectorySpec.accelerated(0.8, fig_cavity.x0, fig_cavity.L)
+        with pytest.raises(InvalidParameterError) as exc_info:
+            asymptote_value(StateSpec.fock(1), fig_cavity, fig_coupling, traj, math.nan)
+        message = str(exc_info.value)
+        assert message.startswith("evaluation time T=nan ")
+        assert f"{wall_time(traj)}" in message
+
+    def test_infinite_evaluation_time_reads_the_wall(self, fig_cavity, fig_coupling):
+        traj = TrajectorySpec.accelerated(0.8, fig_cavity.x0, fig_cavity.L)
+        state = StateSpec.cat(1.0)
+        at_wall = asymptote_value(state, fig_cavity, fig_coupling, traj, wall_time(traj))
+        assert asymptote_value(state, fig_cavity, fig_coupling, traj, math.inf) == at_wall
+
     def test_mismatched_geometry_is_named_before_the_wall_time(self, small_cavity):
         # T = 4 lies past the wall of the L=4 cavity but before this
         # trajectory's, which clamps at L=8.
