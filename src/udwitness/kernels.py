@@ -1,15 +1,18 @@
 """Panel kernels of the oscillatory response quadrature.
 
 The detector response integral reduces to panel sums of
-sin(A(t)) * exp(i*omega*t), A the mode phase on the worldline of each TrajectoryKind:
+sin(A(t)) * exp(i*omega*t), A the mode phase on the worldline. The kernel
+knows two phase forms:
 
-    A(t) = phi0                              (static)
-    A(t) = phi0 + rate*t                     (inertial, rate = mode-crossing frequency)
+    A(t) = phi0 + cc*t                       (static, cc = 0; inertial, cc = omega_L)
     A(t) = phi0 + cc*(cosh(rate*t) - 1)      (accelerated, rate = a, cc = k*pi/(L*a))
 
+cc is the linear form's slope, the mode-crossing frequency omega_L on an
+inertial worldline, and the cosh form's amplitude on the accelerated one;
+rate, one scalar, is the acceleration a, which only the cosh form reads.
 phi0, cc and omega are scalars or per-panel arrays (one entry per panel,
 broadcast against lo/hi), so panels of several modes on one worldline
-share a call; rate is one scalar. Each panel's value and estimate are the
+share a call. Each panel's value and estimate are the
 same bits whichever call it comes in. There are two rules: panel_integrals
 (K61, every worldline) and filon_integrals (the x-rule, the accelerated
 worldline past the switch time, where the mode phase is fast).
@@ -294,9 +297,10 @@ def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
 
     Returns (values, errors): the K61 value of each panel [lo[p], hi[p]]
     and |K61 - G30|, floored at ERR_FLOOR*(hi - lo), as its absolute error
-    estimate. ``kind`` is the worldline's TrajectoryKind; lo and hi are 1-d;
-    phi0, cc and omega are scalars or arrays shaped like lo. The panels
-    are evaluated _CHUNK at a time.
+    estimate. ``kind`` is the worldline's TrajectoryKind: the accelerated
+    one takes the cosh phase form, the others the linear one (see the
+    module docstring). lo and hi are 1-d; phi0, cc and omega are scalars
+    or arrays shaped like lo. The panels are evaluated _CHUNK at a time.
     """
     return _by_chunks(
         lambda p, c, w, a, b: _panel_block(kind, p, rate, c, w, a, b), (phi0, cc, omega), lo, hi
@@ -310,23 +314,16 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
     # Half angles throughout: halving is exact, so each tan sees half of
     # the angle the sin or cos would, to the bit. Node-major arrays let
     # per-panel parameters broadcast along the contiguous panel axis.
-    if kind is TrajectoryKind.STATIC:
-        pair = (0.5 * omega) * (_X[:, None] * half)
-        # One sin per panel, not per node: libm's cost does not matter here.
-        amp = np.broadcast_to(np.sin(phi0), (2 * _N + 1,) + lo.shape)
-    else:
-        t = _NODES * half
-        pair = (0.5 * omega) * t[:_N]
-        t += mid
-        if kind is TrajectoryKind.INERTIAL:
-            t *= 0.5 * rate
-        else:
-            t *= rate
-            np.cosh(t, out=t)
-            t -= 1.0
-            t *= 0.5 * cc
-        t += 0.5 * phi0
-        amp, _ = _sin_half(t)  # sin A at the 61 nodes
+    t = _NODES * half
+    pair = (0.5 * omega) * t[:_N]
+    t += mid
+    if kind is TrajectoryKind.ACCELERATED:
+        t *= rate
+        np.cosh(t, out=t)
+        t -= 1.0
+    t *= 0.5 * cc
+    t += 0.5 * phi0
+    amp, _ = _sin_half(t)  # sin A at the 61 nodes
     sin_p, cos_p = _sincos_half(pair)  # of omega*h*x_j
     cos_p *= amp[:_N] + amp[_N:-1]
     sin_p *= amp[:_N] - amp[_N:-1]

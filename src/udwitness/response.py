@@ -15,7 +15,12 @@ Every chi comes from one dispatch over modes and times, _chi_modes: the
 closed forms, or one driver, _quadrature, for every quadrature chi
 (accelerated, or any worldline with force_quadrature). A series
 (chi_series, and chi as its 0-d call) is one mode; chi_modes and its
-sum chi_mode_sum take up to _MODE_BLOCK modes a pass (_mode_blocks). In
+sum chi_mode_sum take up to _MODE_BLOCK modes a pass (_mode_blocks).
+One plan drives the quadrature: _plan gives every mode a column of
+(phi0, cc, omega, t_x, n_t, n_x), its phase, its switch time and its
+starting panel counts, and _mode_blocks, _block_edges and
+_adaptive_panels read their rows of it; the values shared by a pass (the
+kind, the kernel rate a and the wall) come from the worldline. In
 _quadrature each mode is one segment of a single adaptive pass
 (_adaptive_panels) from the panels (lo, hi, counts) of _block_edges,
 grid times as edges; chi at a grid time is a sequential prefix sum of
@@ -26,7 +31,7 @@ Two rules, one switch. On the accelerated worldline the mode phase
 A(t) = q*(x(t) - x0) + phi0 (q = k*pi/L) turns at the rate q*sinh(a*t),
 about 15,700 rad in all at figure scale (k = 5000, L = 1e4), far more
 than the omega_k*t of the detector clock. Up to the switch time t_s,
-where that rate reaches 2*omega_k (_start_panels), the panels are K61
+where that rate reaches 2*omega_k (_plan's t_s), the panels are K61
 panels of at most twelve half cycles of the combined phase
 omega_k*t + A(t), which resolve it node by node. Past t_s each panel is
 integrated over position by the x-rule (kernels.filon_integrals), which
@@ -329,11 +334,9 @@ def _chi_modes(ks, omega, coupling, traj, taus, tol, force_quadrature):
         return chi, np.zeros(shape), [None] * ks.size, quad
     chi, err, stalls = np.zeros(shape, dtype=complex), np.zeros(shape), [None] * ks.size
     if coupling.lam > 0.0 and t_end > 0.0:
-        start = _start_panels(ks, omega, traj, t_end)
-        for b in _mode_blocks(start):
-            chi[b], err[b], stalls[b] = _quadrature(
-                ks[b], omega[b], coupling, traj, taus, t_end, tol, [c[b] for c in start]
-            )
+        plan = _plan(ks, omega, traj, t_end)
+        for b in _mode_blocks(plan):
+            chi[b], err[b], stalls[b] = _quadrature(ks[b], coupling, traj, taus, t_end, tol, plan[:, b])
     return chi, err, stalls, quad
 
 
@@ -349,13 +352,12 @@ def _chi_grid(mode, coupling, traj, taus, tol, force_quadrature):
 def critical_velocity(mode: ModeSpec) -> float:
     """Velocity at which the mode-crossing frequency matches omega_k.
 
-    sqrt((1 + r^2)/(1 + 2*r^2)) with r = k*pi/(m*L); the massless limit
-    is 1/sqrt(2).
+    sqrt((1 + s^2)/(2 + s^2)) = 1/sqrt(1 + 1/(1 + s^2)) with
+    s = m*L/(k*pi), taken through two hypots so that no square overflows:
+    1/sqrt(2) for a massless field, 1 where m*L overflows.
     """
-    if mode.m == 0.0:
-        return 1.0 / math.sqrt(2.0)
-    r = mode.k * math.pi / (mode.m * mode.L)
-    return math.sqrt((1.0 + r * r) / (1.0 + 2.0 * r * r))
+    s = mode.m * mode.L / (mode.k * math.pi)
+    return 1.0 / math.hypot(1.0, 1.0 / math.hypot(s, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -363,63 +365,54 @@ def critical_velocity(mode: ModeSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_params(k, traj: TrajectorySpec):
-    """Kernel parameters (traj.kind, phi0, rate, cc) of mode(s) k on ``traj``.
+def _plan(ks, omega, traj: TrajectorySpec, t_end: float):
+    """The (6, modes) plan of modes ``ks`` (frequencies ``omega``) up to
+    t_end: rows phi0, cc, omega, t_x, n_t, n_x, column j mode j's.
 
-    phi0 and cc take the shape of k (a scalar or an array of modes); rate
-    is one scalar: a, 0, or the crossing frequency of a forced-quadrature
-    inertial chi, which is always one mode.
-    """
-    q = k * math.pi
-    phi0 = q * traj.x0 / traj.L
-    if traj.kind is TrajectoryKind.ACCELERATED:
-        return traj.kind, phi0, traj.a, q / (traj.L * traj.a)
-    unused_cc = 0.0 * q
-    if traj.kind is TrajectoryKind.STATIC:
-        return traj.kind, phi0, 0.0, unused_cc
-    (rate,) = np.ravel(_crossing_frequency(k, traj))
-    return traj.kind, phi0, float(rate), unused_cc
-
-
-def _start_panels(ks, omega, traj: TrajectorySpec, t_end: float):
-    """(t_x, n_t, n_x) of modes ``ks`` (frequencies ``omega``) up to t_end,
-    each a column with one row per mode: the end t_x = min(t_s, t_end) of
-    the K61 range and the numbers of starting K61 and x-rule panels. t_s,
-    the switch to the x-rule, is where the mode phase's rate q*sinh(a*t),
-    q = k*pi/L, reaches 2*omega_k; infinite off the accelerated worldline.
+    The mode phase is A(t) = phi0 + cc*t, with cc the crossing frequency
+    omega_L on an inertial worldline and 0 on a static one, or on the
+    accelerated one A(t) = phi0 + cc*(cosh(a*t) - 1), cc = q/a with
+    q = k*pi/L (kernels' two phase forms). t_x = min(t_s, t_end) ends the
+    K61 range, and n_t and n_x count its starting K61 panels and the
+    x-rule's past it. t_s, the switch to the x-rule, is where the mode
+    phase's rate q*sinh(a*t) reaches 2*omega_k; infinite off the
+    accelerated worldline. Every entry is elementwise arithmetic on its
+    own mode, so column j is the same bits in any plan.
 
     A mode of more than _MAX_PANELS starting panels raises
     NumericalFailure.
     """
-    t_x, rate = np.full(ks.shape, t_end), omega
+    phi0 = ks * math.pi * traj.x0 / traj.L
+    cc, t_x, rate = np.zeros(ks.shape), np.full(ks.shape, t_end), omega
     if traj.kind is TrajectoryKind.INERTIAL:
+        cc = _crossing_frequency(ks, traj)
         # The faster of the integrand's two exponentials turns at omega_k + omega_L.
-        rate = omega + _crossing_frequency(ks, traj)
+        rate = omega + cc
     elif traj.kind is TrajectoryKind.ACCELERATED:
+        cc = ks * math.pi / (traj.L * traj.a)
         q = ks * (math.pi / traj.L)
         t_x = np.minimum(np.arcsinh(2.0 * omega / q) / traj.a, t_end)
         rate = omega + q * np.sinh(traj.a * t_x)
-    t_x = t_x[:, None]
-    n_t = np.maximum(1.0, np.ceil(t_x / (_START_PANEL_PHASE / rate[:, None])))
-    n_x = np.ceil((t_end - t_x) * np.maximum(omega / _X_PANEL_PHASE, traj.a)[:, None])
+    n_t = np.maximum(1.0, np.ceil(t_x / (_START_PANEL_PHASE / rate)))
+    n_x = np.ceil((t_end - t_x) * np.maximum(omega / _X_PANEL_PHASE, traj.a))
     n_start = n_t + n_x
     if n_start.max() > _MAX_PANELS:
         j = n_start.argmax()
         _check_cap(
             f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
-            n_start[j, 0], "panel", _MAX_PANELS,
+            n_start[j], "panel", _MAX_PANELS,
         )
-    return t_x, n_t, n_x
+    return np.array([phi0, cc, omega, t_x, n_t, n_x])
 
 
-def _mode_blocks(start):
-    """Consecutive slices of the modes of _start_panels' counts ``start``,
-    each of at most _MODE_BLOCK modes whose padded edge table fits
-    _MAX_EDGE_TABLE (one mode does, holding at most _MAX_PANELS)."""
-    _, n_t, n_x = start
+def _mode_blocks(plan):
+    """Consecutive slices of the modes of ``plan`` (_plan), each of at most
+    _MODE_BLOCK modes whose padded edge table fits _MAX_EDGE_TABLE (one
+    mode does, holding at most _MAX_PANELS)."""
+    n_t, n_x = plan[4:]
     blocks, i = [], 0
-    while i < n_t.shape[0]:
-        t, x = n_t[i:i + _MODE_BLOCK, 0], n_x[i:i + _MODE_BLOCK, 0]
+    while i < n_t.size:
+        t, x = n_t[i:i + _MODE_BLOCK], n_x[i:i + _MODE_BLOCK]
         # The padded table of the first j modes grows with j.
         table = (np.maximum.accumulate(t) + np.maximum.accumulate(x)) * np.arange(1, t.size + 1)
         size = int(np.count_nonzero(table <= _MAX_EDGE_TABLE))
@@ -428,25 +421,24 @@ def _mode_blocks(start):
     return blocks
 
 
-def _block_edges(ks, t_end: float, times, start):
-    """Starting panels of modes ``ks`` in one pass, from their
-    _start_panels counts ``start``.
+def _block_edges(plan, t_end: float, times):
+    """Starting panels of the modes of ``plan`` (_plan) in one pass.
 
     Returns (lo, hi, counts): mode j owns the counts[j] panels
     [lo[p], hi[p]] after those of modes 0..j-1, contiguous and in order
     from 0 to t_end > 0. Their edges merge three sets of times:
 
-    - a uniform grid (numpy.linspace arithmetic) on [0, t_x], with t_x the
-      smaller of t_end and the switch time t_s (_start_panels), whose
-      K61 panels span at most twelve half cycles (_START_PANEL_PHASE): the
-      step is P/r with P = _START_PANEL_PHASE. r is the rate of the faster
-      exponential of the integrand: omega_k on a static worldline,
-      omega_k + omega_L with the mode-crossing omega_L on an inertial one,
-      and the combined phase rate omega_k + q*sinh(a*t_x) on an
-      accelerated one, the largest on [0, t_x];
-    - on an accelerated worldline past t_s, the x-rule's panels: equal
-      steps from t_x to t_end of at most _X_PANEL_PHASE of omega_k*t and
-      at most 1 of a*t;
+    - a uniform grid (numpy.linspace arithmetic) of the plan's n_t K61
+      panels on [0, t_x], with t_x the smaller of t_end and the switch
+      time t_s. Each spans at most twelve half cycles
+      (_START_PANEL_PHASE) of the faster exponential of the integrand:
+      omega_k on a static worldline, omega_k + omega_L with the
+      mode-crossing omega_L on an inertial one, and the combined phase
+      omega_k + q*sinh(a*t_x) on an accelerated one, the largest on
+      [0, t_x];
+    - on an accelerated worldline past t_s, the plan's n_x x-rule panels:
+      equal steps from t_x to t_end of at most _X_PANEL_PHASE of
+      omega_k*t and at most 1 of a*t;
     - the grid ``times`` in (0, t_end], so that chi at each of them is a
       prefix of the panel sum.
 
@@ -455,12 +447,12 @@ def _block_edges(ks, t_end: float, times, start):
     rows, so a mode's panels do not depend on the modes it is built with.
     Each row is sorted, and every step up between neighbours is a panel.
     """
-    t_x, n_t, n_x = start
+    t_x, n_t, n_x = plan[3:, :, None]
     i = np.arange(n_t.max() + 1.0)
     k61 = np.where(i < n_t, i * (t_x / n_t), t_end)
     i = np.arange(n_x.max())
     x_rule = np.where(i < n_x, t_x + i * ((t_end - t_x) / np.maximum(n_x, 1.0)), t_end)
-    times = times[None, :].repeat(ks.size, axis=0)
+    times = times[None, :].repeat(t_x.size, axis=0)
     table = np.concatenate([k61, x_rule, times], axis=1)
     table.sort(axis=1)
     lo, hi = table[:, :-1], table[:, 1:]
@@ -498,17 +490,18 @@ def _stop_reason(history, s, n, floor):
     return None
 
 
-def _adaptive_panels(kind, phi0, rate, cc, omega, panels, t_end, tol, x_rule):
+def _adaptive_panels(traj, plan, panels, t_end, tol):
     """Bisect panels until each segment's error estimates sum to at most its tol.
 
     A segment is one integral (one mode) over [0, t_end], cut into the
     starting ``panels`` (lo, hi, counts) of _block_edges: segment s owns
-    the counts[s] panels after those of segments 0..s-1. phi0, cc, omega
-    and tol are arrays of one entry per segment and rate one scalar. With
-    x_rule = (switch, t_wall, u_wall), a panel of segment s starting at or
-    after switch[s] (an edge) is an x-rule panel, kernels.filon_integrals
-    with the wall at (t_wall, u_wall), and every other one a K61 panel (all
-    of them, where the switch is past the last edge or infinite). Every
+    the counts[s] panels after those of segments 0..s-1. Column s of
+    ``plan`` (_plan) gives its phi0, cc, omega and switch time t_x, and
+    tol[s] its tolerance; the worldline ``traj`` gives the pass its kind
+    and its kernel rate a. A panel of segment s starting at or after its
+    t_x (an edge) is an x-rule panel, kernels.filon_integrals with the
+    wall at (wall_time(traj), a*(L - x0)), and every other one a K61 panel
+    (all of them off the accelerated worldline, where t_x = t_end). Every
     round evaluates the split panels of all segments in one call per rule,
     and each segment refines exactly as it would alone: its own tolerance,
     its own panel count in the split threshold tol/(2*n), and its own
@@ -546,19 +539,18 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, panels, t_end, tol, x_rule):
     """
     lo, hi, counts = panels
     tols = np.asarray(tol).tolist()
-    switch, t_wall, u_wall = x_rule
-    params = np.array([phi0, cc, omega, switch])
+    rate, t_wall, u_wall = traj.a, wall_time(traj), traj.a * (traj.L - traj.x0)
 
     def integrate(per_segment, a, b):
         """Kernel calls on panels a..b, per_segment[s] of them from segment s."""
-        phi0_p, cc_p, omega_p, switch_p = params.repeat(per_segment, axis=1)
+        phi0_p, cc_p, omega_p, switch_p = plan[:4].repeat(per_segment, axis=1)
         # Bisection keeps a panel on its side of the switch time.
         on_x = a >= switch_p
         on_t = ~on_x
         vals, errs = np.empty(a.shape, dtype=complex), np.empty(a.shape)
         if on_t.any():
             vals[on_t], errs[on_t] = kernels.panel_integrals(
-                kind, phi0_p[on_t], rate, cc_p[on_t], omega_p[on_t], a[on_t], b[on_t]
+                traj.kind, phi0_p[on_t], rate, cc_p[on_t], omega_p[on_t], a[on_t], b[on_t]
             )
         if on_x.any():
             vals[on_x], errs[on_x] = kernels.filon_integrals(
@@ -601,12 +593,12 @@ def _adaptive_panels(kind, phi0, rate, cc, omega, panels, t_end, tol, x_rule):
     return lo, hi, vals, errs, counts, stalls
 
 
-def _quadrature(ks, omega, coupling, traj, taus, t_end, tol, start):
+def _quadrature(ks, coupling, traj, taus, t_end, tol, plan):
     """chi of modes ``ks`` at every grid time in one adaptive pass up to
-    ``t_end`` > 0, from their _start_panels counts ``start``.
+    ``t_end`` > 0, from their ``plan`` (_plan).
 
     Each mode is one segment of a single _adaptive_panels pass from the
-    panels of _block_edges, K61 up to start's t_x = min(t_s, t_end) and
+    panels of _block_edges, K61 up to the plan's t_x = min(t_s, t_end) and
     the x-rule past it (every panel starts before t_end, so t_x picks the
     panels t_s would). The grid times are edges, so each chi_k(tau) is an
     exact prefix of its mode's panel sum; times past the wall-arrival time
@@ -619,12 +611,10 @@ def _quadrature(ks, omega, coupling, traj, taus, t_end, tol, start):
     values are then its best estimates).
     """
     t_clip = np.minimum(taus, t_end)
-    panels = _block_edges(ks, t_end, t_clip[t_clip > 0.0], start)
-    kind, phi0, rate, cc = _kernel_params(ks, traj)
+    panels = _block_edges(plan, t_end, t_clip[t_clip > 0.0])
     pref = coupling.lam / np.sqrt(ks * math.pi)
-    x_rule = (start[0][:, 0], wall_time(traj), traj.a * (traj.L - traj.x0))
     _, hi, vals, errs, counts, stalls = _adaptive_panels(
-        kind, phi0, rate, cc, omega, panels, t_end, tol / np.maximum(pref, 1e-300), x_rule
+        traj, plan, panels, t_end, tol / np.maximum(pref, 1e-300)
     )
     # Row j of plane 0 (values) and plane 1 (errors, complex with zero
     # imaginary part: their real parts add exactly as reals do) holds 0 and

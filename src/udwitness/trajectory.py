@@ -64,7 +64,7 @@ def position(traj: TrajectorySpec, tau):
 
     Static:       x0
     Inertial:     x0 + v*tau/sqrt(1-v^2)
-    Accelerated:  x0 + (cosh(a*tau) - 1)/a
+    Accelerated:  x0 + 2*sinh(a*tau/2)**2/a, up to the wall-arrival time only
 
     ``tau`` may be a scalar or an array of proper times >= 0.
     """
@@ -76,7 +76,9 @@ def position(traj: TrajectorySpec, tau):
     elif traj.kind is TrajectoryKind.INERTIAL:
         x = traj.x0 + traj.v * t / math.sqrt(1.0 - traj.v**2)
     else:
-        x = traj.x0 + (np.cosh(traj.a * t) - 1.0) / traj.a
+        t_wall = wall_time(traj)
+        s = np.sinh(0.5 * traj.a * np.minimum(t, t_wall))
+        x = np.where(t < t_wall, traj.x0 + 2.0 * s * (s / traj.a), traj.L)
     x = np.minimum(x, traj.L)
     return float(x) if np.isscalar(tau) or t.ndim == 0 else x
 
@@ -88,4 +90,7 @@ def wall_time(traj: TrajectorySpec) -> float | None:
     d = traj.L - traj.x0
     if traj.kind is TrajectoryKind.INERTIAL:
         return d * math.sqrt(1.0 - traj.v**2) / traj.v
-    return math.acosh(1.0 + traj.a * d) / traj.a
+    # cosh(a*t) = 1 + a*d, where 1 + a*d rounds to 1 below a*d ~ 1.1e-16.
+    ad = traj.a * d
+    at = 2.0 * math.asinh(math.sqrt(0.5 * ad)) if ad < 0.5 else math.acosh(1.0 + ad)
+    return at / traj.a

@@ -158,6 +158,20 @@ class TestWitnessCommand:
         _, rows = read_csv(out)
         assert len(rows) == 40
 
+    def test_tiny_acceleration_follows_the_static_curve(self, tmp_path):
+        # At a = 1e-21 the wall is 4.5e12 time units away (1 + a*d rounds
+        # to 1): over tau <= 30 the detector barely moves, so |W| is the
+        # static detector's, not the frozen |W| = 1 of a detector at the wall.
+        rows = []
+        for traj in ("accel:1e-21", "static"):
+            out = tmp_path / f"{traj}.csv"
+            argv = ["witness", "--traj", traj, "--tau-max", "30", "--samples", "31", "--out", str(out)]
+            assert main(argv) == 0
+            rows.append(np.array([r[:6] for r in read_csv(out)[1]], dtype=float))
+        tiny, static = rows
+        assert abs(tiny[-1, 5] - 0.335857262959) < 1e-9
+        np.testing.assert_allclose(tiny, static, rtol=0, atol=1e-9)
+
     def test_unreachable_tolerance_exits_3(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
         rc = main([
@@ -218,6 +232,17 @@ class TestScanCommands:
         header, rows = read_csv(out)
         assert header == "acceleration,asymptote_abs_w"
         assert all(float(r[1]) == 1.0 for r in rows)
+
+    def test_tiny_acceleration_scan_refuses_eval_before_wall(self, tmp_path, capsys):
+        # The wall is 4.5e12 time units away at a = 1e-21, not at tau = 0.
+        out = tmp_path / "x.csv"
+        rc = main([
+            "scan-acceleration", "--scan-min", "1e-21", "--scan-max", "2e-21",
+            "--scan-steps", "2", "--eval-at", "500", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "precedes the wall-arrival time 4.47" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_acceleration_scan_eval_before_wall(self, tmp_path):
         rc = main([

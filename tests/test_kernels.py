@@ -39,6 +39,20 @@ def gl15_gl7_reference(kind, phi0, rate, cc, omega, lo, hi):
     return i15, np.abs(i15 - i7)
 
 
+def reference_args(kind, phi0, rate, cc):
+    """The kernel's (kind, phi0, rate, cc) as the references take them: the
+    kernel carries an inertial phase's slope in cc, the references in rate."""
+    if kind is TrajectoryKind.INERTIAL:
+        return kind, phi0, cc, 0.0
+    return kind, phi0, rate, cc
+
+
+def plan_rows(ks, omega, traj, t_end):
+    """(phi0, cc, omega, t_x) of modes ``ks`` on ``traj`` up to t_end, from
+    the quadrature's plan: one entry per mode."""
+    return response._plan(np.asarray(ks), np.asarray(omega), traj, t_end)[:4]
+
+
 def _panels(n, t_end):
     edges = np.linspace(0.0, t_end, n + 1)
     return edges[:-1], edges[1:]
@@ -151,7 +165,7 @@ def k15_g7():
 
 CASES = [
     (TrajectoryKind.STATIC, 0.7, 0.0, 0.0, 1.3, 2.0),
-    (TrajectoryKind.INERTIAL, 0.4, 2.1, 0.0, 1.86, 5.0),
+    (TrajectoryKind.INERTIAL, 0.4, 0.0, 2.1, 1.86, 5.0),
     (TrajectoryKind.ACCELERATED, 1.5708, 0.8, 1.9635, 1.86, 4.0),
 ]
 
@@ -239,7 +253,7 @@ class TestNumpyBackend:
         kind, phi0, rate, cc, omega, t_end = case
         lo, hi = _panels(137, t_end)
         vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, omega, lo, hi)
-        ref_vals, _ = gl15_gl7_reference(kind, phi0, rate, cc, omega, lo, hi)
+        ref_vals, _ = gl15_gl7_reference(*reference_args(kind, phi0, rate, cc), omega, lo, hi)
         np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-13)
         assert np.all(errs >= kernels.ERR_FLOOR * (hi - lo))
 
@@ -255,22 +269,19 @@ class TestNumpyBackend:
         # the refined estimate, so v stays off v_c here.
         mode = ModeSpec(5000, 10000.0, 1.0)
         traj = TrajectorySpec.inertial(v, 1.0, mode.L)
-        kind, phi0, rate, cc = response._kernel_params(mode.k, traj)
-        ks, omegas = np.array([mode.k]), np.array([mode.omega])
-        panels = response._block_edges(
-            ks, t_end, np.array([t_end]), response._start_panels(ks, omegas, traj, t_end)
-        )
+        plan = response._plan(np.array([mode.k]), np.array([mode.omega]), traj, t_end)
+        phi0, omega_l = plan[:2, 0]
+        panels = response._block_edges(plan, t_end, np.array([t_end]))
         lo, hi, _ = panels
-        vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, lo, hi)
+        vals, errs = kernels.panel_integrals(traj.kind, phi0, traj.a, omega_l, mode.omega, lo, hi)
         omega = mode.omega
         exact = (
-            np.exp(1j * phi0) * np.expm1(1j * (omega + rate) * t_end) / (1j * (omega + rate))
-            - np.exp(-1j * phi0) * np.expm1(1j * (omega - rate) * t_end) / (1j * (omega - rate))
+            np.exp(1j * phi0) * np.expm1(1j * (omega + omega_l) * t_end) / (1j * (omega + omega_l))
+            - np.exp(-1j * phi0) * np.expm1(1j * (omega - omega_l) * t_end) / (1j * (omega - omega_l))
         ) / 2j
         assert abs(vals.sum() - exact) <= errs.sum()
         _, _, vals, errs, _, stalls = response._adaptive_panels(
-            kind, np.array([phi0]), rate, np.array([cc]), np.array([mode.omega]),
-            panels, t_end, np.array([response.DEFAULT_TOL]), (np.array([math.inf]), None, None),
+            traj, plan, panels, t_end, np.array([response.DEFAULT_TOL])
         )
         assert stalls == [None]
         assert abs(vals.sum() - exact) <= errs.sum() <= response.DEFAULT_TOL
@@ -368,9 +379,9 @@ class TestChunkBoundaries:
         L, x0, a = 40.0, 1.0, 0.5
         mode = ModeSpec(20000, L, 1.0)
         traj = TrajectorySpec.accelerated(a, x0, L)
-        kind, phi0, rate, cc = response._kernel_params(mode.k, traj)
         t_wall, u_wall = response.wall_time(traj), a * (L - x0)
-        t_s = response._start_panels(np.array([mode.k]), np.array([mode.omega]), traj, t_wall)[0].item()
+        phi0, cc, _, t_s = plan_rows([mode.k], [mode.omega], traj, t_wall)[:, 0]
+        rate = traj.a
         c = kernels._CHUNK
         n = 2 * c + 1 if offset is None else c + offset
         edges = np.linspace(t_s, t_wall, n + 1)
@@ -483,9 +494,9 @@ class TestFilonRule:
         L, x0 = 40.0, 1.0
         mode = ModeSpec(k, L, 1.0)
         traj = TrajectorySpec.accelerated(a, x0, L)
-        kind, phi0, rate, cc = response._kernel_params(k, traj)
         t_wall = response.wall_time(traj)
-        t_s = response._start_panels(np.array([k]), np.array([mode.omega]), traj, t_wall)[0].item()
+        phi0, cc, _, t_s = plan_rows([k], [mode.omega], traj, t_wall)[:, 0]
+        rate = traj.a
         lo = np.array([t_s + start])
         hi = lo + step
         vals, errs = kernels.filon_integrals(phi0, rate, cc, mode.omega, lo, hi, t_wall, a * (L - x0))
@@ -503,8 +514,9 @@ class TestFilonRule:
         L, x0, a, k = 40.0, 1.0, 0.5, 40
         mode = ModeSpec(k, L, 1.0)
         traj = TrajectorySpec.accelerated(a, x0, L)
-        _, phi0, rate, cc = response._kernel_params(k, traj)
         t_wall = response.wall_time(traj)
+        phi0, cc = plan_rows([k], [mode.omega], traj, t_wall)[:2, 0]
+        rate = traj.a
         lo, hi = np.array([t_wall - 0.5]), np.array([t_wall])
         args = (phi0, rate, cc, mode.omega, lo, hi, t_wall)
         exact, _ = kernels.filon_integrals(*args, a * (L - x0))
@@ -519,8 +531,9 @@ class TestFilonRule:
         ks = np.repeat([3, 40, 400], 20)
         omega = np.array([ModeSpec(int(k), L, 1.0).omega for k in ks])
         traj = TrajectorySpec.accelerated(a, x0, L)
-        _, phi0, rate, cc = response._kernel_params(ks, traj)
         t_wall = response.wall_time(traj)
+        phi0, cc = plan_rows(ks, omega, traj, t_wall)[:2]
+        rate = traj.a
         lo = np.tile(np.linspace(t_wall - 1.0, t_wall - 1e-3, 20), 3)
         hi = lo + 1e-3
         vals, errs = kernels.filon_integrals(phi0, rate, cc, omega, lo, hi, t_wall, a * (L - x0))

@@ -5,8 +5,8 @@ and binds the ``lo`` argument of ``kernels.panel_integrals`` and the
 ``tol`` of ``response.chi_series`` by name, so removing or renaming one
 breaks the traced benchmark run. The velocity-average workload's gate
 allows 2e-8*(1 + avg) per point; its outputs are held here to 1e-12 of
-the reference. Every accel-asymptote item passes its gate at the default
-and the held-out seed. These tests import the benchmark's files as they
+the reference. Every accel-asymptote item and every accel-mode-sum sum
+passes its gate at the default and the held-out seed. These tests import the benchmark's files as they
 are and change none of them.
 """
 
@@ -96,4 +96,16 @@ def test_accel_asymptote_gate(monkeypatch, seed):
     work = workloads.accel_asymptote(seed)
     outputs = [call() for call in work.calls]
     assert len(outputs) == 40
+    assert work.check(outputs, work.expected()) == [None] * len(work.calls)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_accel_mode_sum_gate(monkeypatch, seed):
+    # All 16 mode sums of the accel-mode-sum workload, each over modes
+    # 1..256 in one planned block, pass the benchmark's own check against
+    # its independent reference.
+    _, workloads = _perfbench(monkeypatch)
+    work = workloads.accel_mode_sum(seed)
+    outputs = [call() for call in work.calls]
+    assert len(outputs) == 16
     assert work.check(outputs, work.expected()) == [None] * len(work.calls)

@@ -20,9 +20,8 @@ from udwitness.response import (
     _MODE_BLOCK,
     _adaptive_panels,
     _block_edges,
-    _kernel_params,
     _exp_integrals,
-    _start_panels,
+    _plan,
     chi,
     chi_mode_sum,
     chi_modes,
@@ -44,22 +43,20 @@ def panel_edges(lo, hi):
 
 def one_mode_edges(mode, traj, t_end):
     """Starting edges of one mode's chi at t_end, as the quadrature builds them."""
-    ks, omega = np.array([mode.k]), np.array([mode.omega])
-    lo, hi, counts = _block_edges(
-        ks, t_end, np.array([t_end]), _start_panels(ks, omega, traj, t_end)
-    )
+    plan = _plan(np.array([mode.k]), np.array([mode.omega]), traj, t_end)
+    lo, hi, counts = _block_edges(plan, t_end, np.array([t_end]))
     assert counts == [lo.size] and hi.size == lo.size
     return panel_edges(lo, hi)
 
 
-def table_size(start, block):
+def table_size(plan, block):
     """Entries of the padded starting edge table of the modes ``block`` of
-    _start_panels' counts ``start``."""
-    _, n_t, n_x = start
-    return n_t[block].shape[0] * (n_t[block].max() + n_x[block].max())
+    the _plan ``plan``."""
+    n_t, n_x = plan[4:, block]
+    return n_t.size * (n_t.max() + n_x.max())
 
 
-def assert_planned(blocks, start, n_modes):
+def assert_planned(blocks, plan, n_modes):
     """_mode_blocks' ``blocks`` are contiguous, cover modes 0..n_modes-1,
     and each holds at most _MODE_BLOCK modes within the edge-table cap."""
     assert blocks[0].start == 0 and blocks[-1].stop == n_modes
@@ -67,16 +64,30 @@ def assert_planned(blocks, start, n_modes):
         assert b.stop == after.start
     for b in blocks:
         assert 1 <= b.stop - b.start <= _MODE_BLOCK
-        assert table_size(start, b) <= response._MAX_EDGE_TABLE
+        assert table_size(plan, b) <= response._MAX_EDGE_TABLE
 
 
-def one_segment(kind, phi0, rate, cc, omega, edges, tol):
-    """_adaptive_panels on a single segment (one mode) with scalar parameters."""
+def kernel_args(mode, traj):
+    """(kind, phi0, rate, cc) of kernels.panel_integrals for ``mode`` on
+    ``traj``, from its plan (phi0 and cc do not depend on the end time)."""
+    phi0, cc = _plan(np.array([mode.k]), np.array([mode.omega]), traj, 1.0)[:2, 0]
+    return traj.kind, phi0, traj.a, cc
+
+
+def k61_plan(ks, omega, traj, t_end):
+    """_plan of modes ``ks`` with the switch time t_x at infinity: every
+    panel of an _adaptive_panels pass from it is a K61 panel."""
+    plan = _plan(ks, omega, traj, t_end)
+    plan[3] = math.inf
+    return plan
+
+
+def one_segment(traj, column, edges, tol):
+    """_adaptive_panels on a single segment (one mode) from its plan ``column``."""
     assert edges[0] == 0.0  # a segment spans [0, t_end]
     return _adaptive_panels(
-        kind, np.array([phi0]), rate, np.array([cc]), np.array([omega]),
-        (edges[:-1], edges[1:], [edges.size - 1]), edges[-1], np.array([tol]),
-        (np.array([math.inf]), None, None),
+        traj, column.reshape(-1, 1), (edges[:-1], edges[1:], [edges.size - 1]), edges[-1],
+        np.array([tol]),
     )
 
 
@@ -403,11 +414,10 @@ class TestChiQuadrature:
         # along the worldline, so the later panels span more cycles.
         mode = ModeSpec(64, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
-        kind, phi0, rate, cc = _kernel_params(mode.k, traj)
+        kind, phi0, rate, cc = kernel_args(mode, traj)
         coarse = np.linspace(0.0, wall_time(traj), 4)
-        lo, hi, vals, errs, _, stalls = one_segment(
-            kind, phi0, rate, cc, mode.omega, coarse, 1e-12
-        )
+        column = k61_plan(np.array([mode.k]), np.array([mode.omega]), traj, coarse[-1])[:, 0]
+        lo, hi, vals, errs, _, stalls = one_segment(traj, column, coarse, 1e-12)
         assert stalls == [None]
         assert errs.sum() <= 1e-12
         assert lo[0] == coarse[0] and hi[-1] == coarse[-1]
@@ -443,7 +453,7 @@ class TestHalfCycleStart:
         traj = TrajectorySpec.accelerated(a, fig_cavity.x0, fig_cavity.L)
         c = chi(mode, fig_coupling, traj, 500.0, force_quadrature=True)
         assert c.err_estimate <= DEFAULT_TOL
-        kind, phi0, rate, cc = _kernel_params(mode.k, traj)
+        kind, phi0, rate, cc = kernel_args(mode, traj)
         edges = _eighth_cycle_edges(mode, traj, wall_time(traj))
         _, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
         # At large a the first panel is unresolved even at 1/8 cycle, because
@@ -470,7 +480,7 @@ class TestHalfCycleStart:
             t_end = min(500.0, wall_time(traj))
             edges = one_mode_edges(mode, traj, t_end)
             assert edges[0] == 0.0 and edges[-1] == t_end
-            t_s = _start_panels(np.array([mode.k]), np.array([mode.omega]), traj, t_end)[0].item()
+            t_s = _plan(np.array([mode.k]), np.array([mode.omega]), traj, t_end)[3, 0]
             assert q * math.sinh(a * t_s) == pytest.approx(2.0 * mode.omega, rel=1e-14)
             assert 0.0 < t_s < t_end and t_s in edges
             k61, x = edges[edges <= t_s], edges[edges >= t_s]
@@ -751,15 +761,22 @@ class TestCriticalVelocity:
     def test_figure_value(self):
         mode = ModeSpec(5000, 10000.0, 1.0)
         assert critical_velocity(mode) == pytest.approx(V_CRIT_FIG, abs=1e-12)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(10000) / (5000 * mpmath.pi)
+            assert abs(critical_velocity(mode) - mpmath.sqrt((1 + s * s) / (2 + s * s))) <= 1e-16
 
     def test_massless_limit(self):
         assert critical_velocity(ModeSpec(3, 2.0, 0.0)) == 1.0 / math.sqrt(2.0)
         assert critical_velocity(ModeSpec(3, 2.0, 1e-12)) == pytest.approx(
             1.0 / math.sqrt(2.0), rel=1e-12
         )
+        # r = k*pi/(m*L) squares to inf below m ~ 1e-154; s = 1/r does not.
+        for m in (1e-160, 1e-200, 5e-324):
+            assert critical_velocity(ModeSpec(3, 2.0, m)) == 1.0 / math.sqrt(2.0)
 
     def test_heavy_field_limit(self):
         assert critical_velocity(ModeSpec(3, 2.0, 1e9)) > 0.999999
+        assert critical_velocity(ModeSpec(1, 1e200, 1e200)) == 1.0  # m*L overflows
 
     def test_range_for_massive_field(self):
         for m in (0.1, 1.0, 10.0):
@@ -822,14 +839,14 @@ class TestChiModeSum:
         omega = mode_frequencies(64, cavity.L, cavity.m)
         tracemalloc.start()
         try:
-            start = _start_panels(ks, omega, traj, 5000.0)
-            blocks = response._mode_blocks(start)
+            plan = _plan(ks, omega, traj, 5000.0)
+            blocks = response._mode_blocks(plan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1e5
-        assert table_size(start, slice(None)) > response._MAX_EDGE_TABLE
-        assert_planned(blocks, start, ks.size)
+        assert table_size(plan, slice(None)) > response._MAX_EDGE_TABLE
+        assert_planned(blocks, plan, ks.size)
         assert len(blocks) > 1
 
     @pytest.mark.parametrize("field,bad,name", [("L", -1.0, "cavity length L"), ("L", math.nan, "cavity length L"),
@@ -995,6 +1012,26 @@ class TestModeBlocks:
         assert rounds >= 3
         assert events == ["k61", "x", "round"] * rounds
 
+    @pytest.mark.parametrize("kind", ["accelerated", "inertial", "static"])
+    def test_plan_column_is_the_mode_planned_alone(self, kind):
+        # Column j of a 256-mode plan is the plan of mode j alone, bit for
+        # bit; at t_end = 0.8 the accelerated modes switch on both sides of it.
+        cavity = CavityConfig(L=4.0, m=1.0, k0=2)
+        traj = {
+            "accelerated": TrajectorySpec.accelerated(2.0, cavity.x0, cavity.L),
+            "inertial": TrajectorySpec.inertial(0.6, cavity.x0, cavity.L),
+            "static": TrajectorySpec.static(cavity.x0, cavity.L),
+        }[kind]
+        ks, omega = np.arange(1, 257), mode_frequencies(256, cavity.L, cavity.m)
+        for t_end in (0.05, 0.8):
+            plan = _plan(ks, omega, traj, t_end)
+            assert plan.shape == (6, 256)
+            if kind == "accelerated" and t_end == 0.8:
+                assert plan[3, 0] == t_end and plan[3, -1] < t_end
+            for j in range(256):
+                alone = _plan(ks[j:j + 1], omega[j:j + 1], traj, t_end)
+                np.testing.assert_array_equal(plan[:, j:j + 1], alone)
+
     @pytest.mark.parametrize("L", [4.0, 40.0])
     @pytest.mark.parametrize("a", [0.2, 2.0])
     def test_block_edges_equal_single_mode_edges(self, L, a):
@@ -1004,17 +1041,16 @@ class TestModeBlocks:
         ks = np.arange(1, 41)
         omega = np.array([ModeSpec(int(k), L, 1.0).omega for k in ks])
         for t_end in (0.05, wall_time(traj)):
-            switch = _start_panels(ks, omega, traj, t_end)[0][:, 0]
+            plan = _plan(ks, omega, traj, t_end)
+            switch = plan[3]
             times = np.array([t_end / 3, t_end / 2, t_end])
-            lo, hi, counts = _block_edges(ks, t_end, times, _start_panels(ks, omega, traj, t_end))
+            lo, hi, counts = _block_edges(plan, t_end, times)
             assert len(counts) == ks.size and sum(counts) == lo.size == hi.size
             offsets = np.concatenate([[0], np.cumsum(counts)])
             for j in range(ks.size):
                 own = panel_edges(lo[offsets[j]:offsets[j + 1]], hi[offsets[j]:offsets[j + 1]])
                 one = slice(j, j + 1)
-                alone = _block_edges(
-                    ks[one], t_end, times, _start_panels(ks[one], omega[one], traj, t_end)
-                )
+                alone = _block_edges(_plan(ks[one], omega[one], traj, t_end), t_end, times)
                 assert alone[2] == [counts[j]]
                 np.testing.assert_array_equal(own, panel_edges(*alone[:2]))
                 assert own[0] == 0.0 and own[-1] == t_end and np.all(np.diff(own) > 0.0)
@@ -1030,19 +1066,16 @@ class TestModeBlocks:
         tols = np.array([1e-13, 1e-6])
         omega = np.array([md.omega for md in modes])
         ks = np.array([3, 11])
-        start = _start_panels(ks, omega, traj, t_end)
-        panels = _block_edges(ks, t_end, np.array([t_end]), start)
+        panels = _block_edges(_plan(ks, omega, traj, t_end), t_end, np.array([t_end]))
         offsets = np.concatenate([[0], np.cumsum(panels[2])])
-        kind, phi0, rate, cc = _kernel_params(np.array([3, 11]), traj)
-        lo, hi, vals, errs, counts, stalls = _adaptive_panels(
-            kind, phi0, rate, cc, omega, panels, t_end, tols, (np.full(2, math.inf), None, None)
-        )
+        plan = k61_plan(ks, omega, traj, t_end)
+        lo, hi, vals, errs, counts, stalls = _adaptive_panels(traj, plan, panels, t_end, tols)
         assert stalls == [None, None]
         assert sum(counts) == lo.size
-        for j, mode in enumerate(modes):
+        for j in range(ks.size):
             own = slice(offsets[j], offsets[j + 1])
             edges = panel_edges(panels[0][own], panels[1][own])
-            alone = one_segment(kind, phi0[j], rate, cc[j], mode.omega, edges, tols[j])
+            alone = one_segment(traj, plan[:, j], edges, tols[j])
             own = slice(sum(counts[:j]), sum(counts[:j + 1]))
             for got, ref in zip((lo, hi, vals, errs), alone[:4]):
                 np.testing.assert_array_equal(got[own], ref)
@@ -1055,32 +1088,33 @@ class TestModeBlocks:
         coup = CouplingSpec(0.4)
         traj = TrajectorySpec.accelerated(2.0, cavity.x0, cavity.L)
         tau = wall_time(traj) + 1.0
-        ks = np.arange(1, 257)
+        ks, omega = np.arange(1, 257), mode_frequencies(256, 4.0, 1.0)
         # The sum integrates up to the wall, where chi freezes.
-        start = _start_panels(ks, mode_frequencies(256, 4.0, 1.0), traj, wall_time(traj))
-        whole = table_size(start, slice(None))
-        quarter = max(table_size(start, slice(i, i + 64)) for i in range(0, 256, 64))
+        plan = _plan(ks, omega, traj, wall_time(traj))
+        whole = table_size(plan, slice(None))
+        quarter = max(table_size(plan, slice(i, i + 64)) for i in range(0, 256, 64))
         assert quarter < whole
         unsplit = chi_modes(cavity, coup, traj, tau, 256)
         blocks = []
         real = response._block_edges
 
-        def spy(ks, *args):
-            blocks.append((int(ks[0]), int(ks[-1])))
-            return real(ks, *args)
+        def spy(plan, *args):
+            # A block's first and last modes, by their frequencies.
+            blocks.append(tuple(plan[2, [0, -1]]))
+            return real(plan, *args)
 
         monkeypatch.setattr(response, "_block_edges", spy)
         monkeypatch.setattr(response, "_MAX_EDGE_TABLE", quarter)
-        planned = response._mode_blocks(start)
-        assert_planned(planned, start, 256)
+        planned = response._mode_blocks(plan)
+        assert_planned(planned, plan, 256)
         assert len(planned) > 1
         split = chi_modes(cavity, coup, traj, tau, 256)
-        assert blocks == [(b.start + 1, b.stop) for b in planned]
+        assert blocks == [(omega[b.start], omega[b.stop - 1]) for b in planned]
         np.testing.assert_array_equal(split, unsplit)
         blocks.clear()
         monkeypatch.setattr(response, "_MAX_EDGE_TABLE", whole)
         np.testing.assert_array_equal(chi_modes(cavity, coup, traj, tau, 256), unsplit)
-        assert blocks == [(1, 256)]
+        assert blocks == [(omega[0], omega[255])]
 
     def test_sum_over_the_table_cap_in_one_block_runs_in_planned_blocks(self, monkeypatch):
         # 256 modes at a = 2e-7 up to the wall make a padded table of 7.49M,
@@ -1092,18 +1126,18 @@ class TestModeBlocks:
 
         passes = []
 
-        def stop(kind, phi0, *args, **kwargs):
-            passes.append(phi0.size)
+        def stop(traj, plan, *args, **kwargs):
+            passes.append(plan.shape[1])
             raise Reached
 
         monkeypatch.setattr(response, "_adaptive_panels", stop)
         cavity = CavityConfig(L=4.0, m=1.0, k0=2)
         traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
         ks = np.arange(1, 257)
-        start = _start_panels(ks, mode_frequencies(256, 4.0, 1.0), traj, 5477.0)
-        assert table_size(start, slice(None)) > response._MAX_EDGE_TABLE
-        blocks = response._mode_blocks(start)
-        assert_planned(blocks, start, 256)
+        plan = _plan(ks, mode_frequencies(256, 4.0, 1.0), traj, 5477.0)
+        assert table_size(plan, slice(None)) > response._MAX_EDGE_TABLE
+        blocks = response._mode_blocks(plan)
+        assert_planned(blocks, plan, 256)
         assert len(blocks) > 1
         with pytest.raises(Reached):
             chi_mode_sum(cavity, CouplingSpec(0.4), traj, 5477.0, k_max=256)
@@ -1117,9 +1151,9 @@ class TestModeBlocks:
         cavity = CavityConfig(L=4.0, m=1.0, k0=2)
         traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
         ks = np.arange(1, 1001)
-        start = _start_panels(ks, mode_frequencies(1000, 4.0, 1.0), traj, 5477.2)
-        blocks = response._mode_blocks(start)
-        assert_planned(blocks, start, 1000)
+        plan = _plan(ks, mode_frequencies(1000, 4.0, 1.0), traj, 5477.2)
+        blocks = response._mode_blocks(plan)
+        assert_planned(blocks, plan, 1000)
         assert blocks[0] == slice(0, 236)
 
     def test_mode_over_the_panel_cap_is_refused_before_any_quadrature(self, monkeypatch):

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +70,19 @@ class TestPosition:
         with pytest.raises(InvalidParameterError):
             position(traj, np.array([0.5, math.nan]))
 
+    def test_past_the_wall_is_the_wall_without_overflow(self):
+        # cosh(a*tau) overflows at a*tau = 710; the position does not.
+        traj = TrajectorySpec.accelerated(1.0, 0.0, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert position(traj, 1000.0) == 10.0
+            np.testing.assert_array_equal(position(traj, np.array([5.0, 1e3, 1e308])), 10.0)
+
+    def test_tiny_acceleration_moves_by_a_tau_squared_over_two(self):
+        # (cosh(a*tau) - 1)/a cancels to 0 at a*tau = 3e-20; 2*sinh(a*tau/2)**2/a does not.
+        traj = TrajectorySpec.accelerated(1e-21, 0.0, 1e4)
+        assert position(traj, 30.0) == pytest.approx(0.5e-21 * 900.0, rel=1e-15, abs=0.0)
+
     def test_array_input(self):
         traj = TrajectorySpec.accelerated(1.0, 0.0, 3.0)
         xs = position(traj, np.array([0.0, 1.0, 10.0]))
@@ -86,6 +101,24 @@ class TestWallTime:
     def test_accelerated_value(self):
         traj = TrajectorySpec.accelerated(1.0, 1.0, 2.0)
         assert wall_time(traj) == pytest.approx(ACOSH_2, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [1e-21, 1e-12, 1e-4])
+    def test_tiny_acceleration_is_far_from_the_wall(self, a):
+        # cosh(a*t) = 1 + a*d with 1 + a*d rounding to 1 below a*d ~ 1.1e-16:
+        # the arrival is near sqrt(2*d/a), never at 0.
+        traj = TrajectorySpec.accelerated(a, 1.0, 10.0)
+        with mpmath.workdps(40):
+            exact = float(mpmath.acosh(1 + mpmath.mpf(a) * 9) / a)
+        assert wall_time(traj) == pytest.approx(exact, rel=1e-15)
+
+    def test_wall_time_forms_meet_at_the_switch(self):
+        # Below a*d = 1/2 the asinh form, from there the acosh form: they
+        # agree across the switch, and the time falls with a through it.
+        d, below, above = 1.0, 0.5 * (1.0 - 1e-15), 0.5
+        t_below = wall_time(TrajectorySpec.accelerated(below / d, 0.0, d))
+        t_above = wall_time(TrajectorySpec.accelerated(above / d, 0.0, d))
+        assert t_below == pytest.approx(math.acosh(1.0 + below) / below, rel=1e-15)
+        assert t_below == pytest.approx(t_above, rel=1e-14) and t_below >= t_above
 
     def test_position_at_wall_time(self):
         for traj in (
