@@ -10,6 +10,8 @@ knows two phase forms:
 cc is the linear form's slope, the mode-crossing frequency omega_L on an
 inertial worldline, and the cosh form's amplitude on the accelerated one;
 rate, one scalar, is the acceleration a, which only the cosh form reads.
+The cosh form takes cosh(rate*t) - 1 as 2*sinh(rate*t/2)**2, which keeps
+its relative accuracy at small rate*t, where the difference cancels.
 phi0, cc and omega are scalars or per-panel arrays (one entry per panel,
 broadcast against lo/hi), so panels of several modes on one worldline
 share a call. Each panel's value and estimate are the
@@ -84,7 +86,7 @@ of a phase A of thousands of radians. With numpy 2.4 on a 2-vCPU x86-64
 host with AVX-512, np.sin and np.cos run as scalar libm calls: about
 34 ns per element on random arguments of hundreds of radians or more and
 18 ns below pi/2. np.tan takes numpy's SIMD path there at 3.2-3.5 ns,
-against about 1 ns for a multiply or a divide and 2 ns for cosh; a K61 panel
+against about 1 ns for a multiply or a divide and 2 ns for sinh; a K61 panel
 costs about 0.9 us on random accelerated panels. Where numpy has no SIMD
 tan for the CPU, np.tan falls back to libm: the accuracy is the same,
 and most of the speed goes away. The closed forms of chi
@@ -318,10 +320,13 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
     pair = (0.5 * omega) * t[:_N]
     t += mid
     if kind is TrajectoryKind.ACCELERATED:
-        t *= rate
-        np.cosh(t, out=t)
-        t -= 1.0
-    t *= 0.5 * cc
+        # Half of cosh(rate*t) - 1 is sinh(rate*t/2)**2, with no cancellation.
+        t *= 0.5 * rate
+        np.sinh(t, out=t)
+        t *= t
+        t *= cc
+    else:
+        t *= 0.5 * cc
     t += 0.5 * phi0
     amp, _ = _sin_half(t)  # sin A at the 61 nodes
     sin_p, cos_p = _sincos_half(pair)  # of omega*h*x_j

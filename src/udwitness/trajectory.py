@@ -90,7 +90,6 @@ def wall_time(traj: TrajectorySpec) -> float | None:
     d = traj.L - traj.x0
     if traj.kind is TrajectoryKind.INERTIAL:
         return d * math.sqrt(1.0 - traj.v**2) / traj.v
-    # cosh(a*t) = 1 + a*d, where 1 + a*d rounds to 1 below a*d ~ 1.1e-16.
-    ad = traj.a * d
-    at = 2.0 * math.asinh(math.sqrt(0.5 * ad)) if ad < 0.5 else math.acosh(1.0 + ad)
-    return at / traj.a
+    # cosh(a*t) - 1 = 2*sinh(a*t/2)**2 = a*d; acosh(1 + a*d) would lose a*d
+    # below 1.1e-16, where 1 + a*d rounds to 1.
+    return 2.0 * math.asinh(math.sqrt(0.5 * traj.a * d)) / traj.a

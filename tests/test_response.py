@@ -298,6 +298,19 @@ class TestChiQuadrature:
         assert c.branch is ChiBranch.QUADRATURE
         assert c.err_estimate <= 1e-10
 
+    @pytest.mark.parametrize("a", [1e-12, 1e-9])
+    def test_small_acceleration_against_fine_grid(self, a):
+        # The mode phase q*(cosh(a*t) - 1)/a, taken as that difference,
+        # carries cosh's rounding near 1: up to q/a*1.1e-16, 2e-4 rad at
+        # a = 1e-12, which the error estimate cannot see.
+        mode, coup = ModeSpec(1, 2.0, 1.0), CouplingSpec(1.0)
+        traj = TrajectorySpec.accelerated(a, 0.5, 2.0)
+        taus = [3e3, 2e4]
+        for tau, ref in zip(taus, fine_accel_chi(mode, coup.lam, traj, taus)):
+            c = chi(mode, coup, traj, tau, force_quadrature=True)
+            assert c.err_estimate <= DEFAULT_TOL
+            assert abs(c.value - ref) <= DEFAULT_TOL, (a, tau)
+
     def test_against_scipy_reference(self):
         # independent integrator on a modest accelerated case
         mode = ModeSpec(7, 9.0, 0.8)

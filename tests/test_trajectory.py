@@ -111,14 +111,13 @@ class TestWallTime:
             exact = float(mpmath.acosh(1 + mpmath.mpf(a) * 9) / a)
         assert wall_time(traj) == pytest.approx(exact, rel=1e-15)
 
-    def test_wall_time_forms_meet_at_the_switch(self):
-        # Below a*d = 1/2 the asinh form, from there the acosh form: they
-        # agree across the switch, and the time falls with a through it.
-        d, below, above = 1.0, 0.5 * (1.0 - 1e-15), 0.5
-        t_below = wall_time(TrajectorySpec.accelerated(below / d, 0.0, d))
-        t_above = wall_time(TrajectorySpec.accelerated(above / d, 0.0, d))
-        assert t_below == pytest.approx(math.acosh(1.0 + below) / below, rel=1e-15)
-        assert t_below == pytest.approx(t_above, rel=1e-14) and t_below >= t_above
+    @pytest.mark.parametrize("ad", [0.3, 0.5, 1.1, 1e3, 1e12])
+    def test_matches_40_digit_acosh_at_any_acceleration(self, ad):
+        # One form, 2*asinh(sqrt(a*d/2))/a, at small and large a*d alike.
+        traj = TrajectorySpec.accelerated(ad / 9.0, 1.0, 10.0)
+        with mpmath.workdps(40):
+            exact = float(mpmath.acosh(1 + mpmath.mpf(traj.a) * 9) / traj.a)
+        assert wall_time(traj) == pytest.approx(exact, rel=1e-15)
 
     def test_position_at_wall_time(self):
         for traj in (
