@@ -225,8 +225,8 @@ def cmd_witness(args) -> int:
             raise InvalidParameterError(
                 "--omega-override describes a resting detector; --traj must be static"
             )
-        if not args.tol > 0:
-            raise InvalidParameterError(f"tolerance --tol {args.tol} must be positive")
+        if not 0 < args.tol < math.inf:
+            raise InvalidParameterError(f"tolerance --tol {args.tol} must be positive and finite")
         series = witness_series_from_omega(state, _lam(args), args.omega_override, taus)
     else:
         cavity, coupling = _cavity_and_coupling(args)

@@ -28,8 +28,10 @@ per-panel absolute error estimate, floored at the rounding level
 ERR_FLOOR*(hi - lo). The nodes and weights are typed in
 below; Laurie's algorithm (Laurie 1997, Math. Comp. 66:1133) computes
 them, and the tests check them against it. A high-order rule pays on
-long panels: the callers start from panels of up to twelve half cycles
-of the phase, about 5 nodes per half cycle.
+long panels: the callers start from panels of up to sixteen half cycles
+of the phase, about 4 nodes per half cycle. On a unit panel of
+exp(i*omega*t), |K61 - G30| is at the rounding floor at 12, 14 and 16
+half cycles, then 7.3e-15 at 18, 1.8e-12 at 20 and 1.5e-8 at 24.
 
 Fold. The nodes come in pairs t = mid +- h*x_j around the centre, and
 exp(i*omega*t) = exp(i*omega*mid) * exp(+-i*omega*h*x_j), so with
@@ -510,8 +512,8 @@ def _filon_block(phi0, rate, cc, omega, lo, hi, t_wall, u_wall):
     j_w = np.empty(j.shape)
     np.multiply(j[:, 0::2], sin_c[:, None], out=j_w[:, 0::2])
     np.multiply(j[:, 1::2], cos_c[:, None], out=j_w[:, 1::2])
-    d *= j_w
-    re, im = d.sum(axis=2)
+    # One 24-term dot per panel row, the same bits in any block.
+    re, im = np.einsum("pnl,nl->pn", d, j_w)
     vals = _complex(re, im)
     vals *= half
     return vals, np.maximum(err, ERR_FLOOR * (hi - lo))

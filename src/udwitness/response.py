@@ -17,8 +17,8 @@ closed forms, or one driver, _quadrature, for every quadrature chi
 (chi_series, and chi as its 0-d call) is one mode; chi_modes and its
 sum chi_mode_sum take up to _MODE_BLOCK modes a pass (_mode_blocks).
 One plan drives the quadrature: _plan gives every mode a column of
-(phi0, cc, omega, t_x, n_t, n_x), its phase, its switch time and its
-starting panel counts, and _mode_blocks, _block_edges and
+(phi0, cc, omega, t_x, n_t, n_x, sigma), its phase, its switch time, its
+starting panel counts and its K61 grid, and _mode_blocks, _block_edges and
 _adaptive_panels read their rows of it; the values shared by a pass (the
 kind, the kernel rate a and the wall) come from the worldline. In
 _quadrature each mode is one segment of a single adaptive pass
@@ -32,14 +32,16 @@ A(t) = q*(x(t) - x0) + phi0 (q = k*pi/L) turns at the rate q*sinh(a*t),
 about 15,700 rad in all at figure scale (k = 5000, L = 1e4), far more
 than the omega_k*t of the detector clock. Up to the switch time t_s,
 where that rate reaches 2*omega_k (_plan's t_s), the panels are K61
-panels of at most twelve half cycles of the combined phase
-omega_k*t + A(t), which resolve it node by node. Past t_s each panel is
+panels of at most sixteen half cycles of the combined phase
+omega_k*t + A(t), which resolve it node by node: equal steps in t at the
+largest rate, or equal steps of Psi(t) = hypot(omega_k, q)*sinh(a*t)/a,
+whichever takes fewer (_plan). Past t_s each panel is
 integrated over position by the x-rule (kernels.filon_integrals), which
 takes sin(q*x) exactly and samples only exp(i*omega_k*t)/sinh(a*t), at
 most 1/2 there: its starting panels are equal steps in t of at most
 _X_PANEL_PHASE of omega_k*t and 1 of a*t. Both kinds are bisected in t
 by the same refinement; a panel keeps its rule, since t_s is an edge.
-A figure-scale chi takes 280-1,720 integrand evaluations this way, where
+A figure-scale chi takes 280-1,350 integrand evaluations this way, where
 resolving the mode phase everywhere took 25,600-26,300. The static and
 inertial worldlines (and force_quadrature on them) use K61 alone.
 
@@ -108,12 +110,12 @@ _MAX_MODES = 1_000_000
 #: alternated in one process, two processes; 2-vCPU x86-64, numpy 2.4).
 _MODE_BLOCK = 256
 
-#: Largest phase across one starting K61 panel: twelve half cycles of the
+#: Largest phase across one starting K61 panel: sixteen half cycles of the
 #: faster exponential of the integrand, omega_k*t on a static worldline,
 #: (omega_k + omega_L)*t on an inertial one and the combined phase
 #: omega_k*t + A(t) on the accelerated one. K61 and its embedded G30 both
 #: resolve one such phase to rounding (see _adaptive_panels).
-_START_PANEL_PHASE = 12.0 * math.pi
+_START_PANEL_PHASE = 16.0 * math.pi
 #: Largest advance of omega_k*t across one starting x-rule panel, in rad.
 _X_PANEL_PHASE = 10.0
 
@@ -319,8 +321,8 @@ def _chi_modes(ks, omega, coupling, traj, taus, tol, force_quadrature):
     """
     taus = _checked_times(taus, traj)
     t_end = _checked_phase(float(omega.max()), taus, traj)
-    if not tol > 0:
-        raise InvalidParameterError(f"tolerance tol={tol} must be positive")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tolerance tol={tol} must be positive and finite")
     quad = force_quadrature or traj.kind is TrajectoryKind.ACCELERATED
     shape = (ks.size,) + taus.shape
     if not quad:
@@ -366,8 +368,8 @@ def critical_velocity(mode: ModeSpec) -> float:
 
 
 def _plan(ks, omega, traj: TrajectorySpec, t_end: float):
-    """The (6, modes) plan of modes ``ks`` (frequencies ``omega``) up to
-    t_end: rows phi0, cc, omega, t_x, n_t, n_x, column j mode j's.
+    """The (7, modes) plan of modes ``ks`` (frequencies ``omega``) up to
+    t_end: rows phi0, cc, omega, t_x, n_t, n_x, sigma, column j mode j's.
 
     The mode phase is A(t) = phi0 + cc*t, with cc the crossing frequency
     omega_L on an inertial worldline and 0 on a static one, or on the
@@ -379,21 +381,41 @@ def _plan(ks, omega, traj: TrajectorySpec, t_end: float):
     accelerated worldline. Every entry is elementwise arithmetic on its
     own mode, so column j is the same bits in any plan.
 
+    The n_t K61 steps are equal in t, each of at most _START_PANEL_PHASE
+    at the largest rate on [0, t_x], where sigma = 0. On the accelerated
+    worldline a mode takes equal steps of
+    Psi(t) = hypot(omega_k, q)*sinh(a*t)/a instead where they need fewer
+    panels, and sigma = sinh(a*t_x)/n_t is its step in sinh(a*t).
+    Psi' = hypot(omega_k, q)*cosh(a*t) >= omega_k + q*sinh(a*t)
+    (Cauchy-Schwarz), so a step of at most _START_PANEL_PHASE in Psi is one
+    in the combined phase too, and Psi grows slowly early, as that phase
+    does. A mode of one panel keeps it, so a pass of such modes skips the
+    Psi count.
+
     A mode of more than _MAX_PANELS starting panels raises
     NumericalFailure.
     """
-    phi0 = ks * math.pi * traj.x0 / traj.L
-    cc, t_x, rate = np.zeros(ks.shape), np.full(ks.shape, t_end), omega
-    if traj.kind is TrajectoryKind.INERTIAL:
-        cc = _crossing_frequency(ks, traj)
-        # The faster of the integrand's two exponentials turns at omega_k + omega_L.
-        rate = omega + cc
-    elif traj.kind is TrajectoryKind.ACCELERATED:
-        cc = ks * math.pi / (traj.L * traj.a)
-        q = ks * (math.pi / traj.L)
+    q = ks * (math.pi / traj.L)
+    phi0 = q * traj.x0
+    if traj.kind is TrajectoryKind.ACCELERATED:
+        cc = q / traj.a
         t_x = np.minimum(np.arcsinh(2.0 * omega / q) / traj.a, t_end)
-        rate = omega + q * np.sinh(traj.a * t_x)
+        s_x = np.sinh(traj.a * t_x)
+        rate = omega + q * s_x
+    else:
+        inertial = traj.kind is TrajectoryKind.INERTIAL
+        cc = _crossing_frequency(ks, traj) if inertial else np.zeros(ks.shape)
+        # The faster of the integrand's two exponentials turns at omega_k + omega_L.
+        t_x, rate = np.full(ks.shape, t_end), omega + cc
     n_t = np.maximum(1.0, np.ceil(t_x / (_START_PANEL_PHASE / rate)))
+    sigma = np.zeros(ks.shape)
+    if traj.kind is TrajectoryKind.ACCELERATED and n_t.max() > 1.0:
+        # Psi(t_x) >= hypot(omega_k, q)*t_x, also where a*t_x underflows.
+        psi_x = np.hypot(omega, q) * np.maximum(s_x / traj.a, t_x)
+        n_psi = np.maximum(1.0, np.ceil(psi_x / _START_PANEL_PHASE))
+        psi = n_psi < n_t
+        np.divide(s_x, n_psi, out=sigma, where=psi)
+        n_t = np.where(psi, n_psi, n_t)
     n_x = np.ceil((t_end - t_x) * np.maximum(omega / _X_PANEL_PHASE, traj.a))
     n_start = n_t + n_x
     if n_start.max() > _MAX_PANELS:
@@ -402,14 +424,17 @@ def _plan(ks, omega, traj: TrajectorySpec, t_end: float):
             f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
             n_start[j], "panel", _MAX_PANELS,
         )
-    return np.array([phi0, cc, omega, t_x, n_t, n_x])
+    return np.array([phi0, cc, omega, t_x, n_t, n_x, sigma])
 
 
 def _mode_blocks(plan):
     """Consecutive slices of the modes of ``plan`` (_plan), each of at most
     _MODE_BLOCK modes whose padded edge table fits _MAX_EDGE_TABLE (one
-    mode does, holding at most _MAX_PANELS)."""
-    n_t, n_x = plan[4:]
+    mode does, holding at most _MAX_PANELS); a plan that is such a block
+    itself is one slice."""
+    n_t, n_x = plan[4:6]
+    if n_t.size <= _MODE_BLOCK and (n_t.max() + n_x.max()) * n_t.size <= _MAX_EDGE_TABLE:
+        return [slice(0, n_t.size)]
     blocks, i = [], 0
     while i < n_t.size:
         t, x = n_t[i:i + _MODE_BLOCK], n_x[i:i + _MODE_BLOCK]
@@ -421,21 +446,22 @@ def _mode_blocks(plan):
     return blocks
 
 
-def _block_edges(plan, t_end: float, times):
-    """Starting panels of the modes of ``plan`` (_plan) in one pass.
+def _block_edges(traj, plan, t_end: float, times):
+    """Starting panels on the worldline ``traj`` of the modes of ``plan``
+    (_plan) in one pass.
 
     Returns (lo, hi, counts): mode j owns the counts[j] panels
     [lo[p], hi[p]] after those of modes 0..j-1, contiguous and in order
     from 0 to t_end > 0. Their edges merge three sets of times:
 
-    - a uniform grid (numpy.linspace arithmetic) of the plan's n_t K61
-      panels on [0, t_x], with t_x the smaller of t_end and the switch
-      time t_s. Each spans at most twelve half cycles
+    - the plan's n_t K61 panels on [0, t_x], with t_x the smaller of t_end
+      and the switch time t_s. Each spans at most sixteen half cycles
       (_START_PANEL_PHASE) of the faster exponential of the integrand:
       omega_k on a static worldline, omega_k + omega_L with the
       mode-crossing omega_L on an inertial one, and the combined phase
-      omega_k + q*sinh(a*t_x) on an accelerated one, the largest on
-      [0, t_x];
+      omega_k*t + A(t) on an accelerated one. Edge i is at i*t_x/n_t
+      (numpy.linspace arithmetic) where the plan's sigma is 0, and at
+      asinh(i*sigma)/a, equal steps of Psi, where it is not;
     - on an accelerated worldline past t_s, the plan's n_x x-rule panels:
       equal steps from t_x to t_end of at most _X_PANEL_PHASE of
       omega_k*t and at most 1 of a*t;
@@ -447,9 +473,13 @@ def _block_edges(plan, t_end: float, times):
     rows, so a mode's panels do not depend on the modes it is built with.
     Each row is sorted, and every step up between neighbours is a panel.
     """
-    t_x, n_t, n_x = plan[3:, :, None]
-    i = np.arange(n_t.max() + 1.0)
-    k61 = np.where(i < n_t, i * (t_x / n_t), t_end)
+    t_x, n_t, n_x, sigma = plan[3:, :, None]
+    n_max = n_t.max()
+    i = np.arange(n_max + 1.0)
+    k61 = i * (t_x / n_t)
+    if n_max > 1.0 and sigma.any():  # a Psi grid has two panels or more
+        k61 = np.where(sigma > 0.0, np.arcsinh(i * sigma) / traj.a, k61)
+    k61 = np.where(i < n_t, k61, t_end)
     i = np.arange(n_x.max())
     x_rule = np.where(i < n_x, t_x + i * ((t_end - t_x) / np.maximum(n_x, 1.0)), t_end)
     times = times[None, :].repeat(t_x.size, axis=0)
@@ -519,16 +549,25 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
     convergent range. sin(A)*exp(i*omega*t) is a sum of two exponentials
     whose phase rates are omega +- dA/dt (dA/dt = omega_L on an inertial
     worldline), and each starting K61 panel of _block_edges spans at most
-    twelve half cycles of the faster one, at rate omega + |dA/dt|: at
-    most kappa = 6*pi ~ 18.8 rad per half-width. The
-    n-point Gauss error on exp(i*kappa*x) over [-1, 1] is bounded by
-    about (e*kappa/(4*n))**(2*n) (the Taylor remainder with Stirling's
-    formula), below 1 for kappa < 4*30/e ~ 44, and each bisection halves
-    kappa, so the bound falls by about 2**60 per round until rounding
-    dominates. Measured on a unit-length panel of exp(i*omega*t):
-    |K61 - G30| is at rounding level (1e-16) up to 12 half cycles and
-    1.5e-8 at 24, and one bisection brings the latter to rounding level;
-    K61 itself is converged up to about 36. An x-rule panel samples only
+    sixteen half cycles of the faster one, whose rate Phi' = omega + |dA/dt|
+    grows along the accelerated worldline. Take kappa = Phi'(hi)*(hi - lo)/2,
+    the largest rate times the half-width. The n-point Gauss error on
+    exp(i*kappa*x) over [-1, 1] is bounded by about (e*kappa/(4*n))**(2*n)
+    (the Taylor remainder with Stirling's formula), below 1 for
+    kappa < 4*30/e ~ 44, and each bisection at least halves kappa, so the
+    bound falls by about 2**60 per round until rounding dominates. Equal
+    steps in t at the largest rate give kappa <= 8*pi ~ 25.1. On the Psi
+    grid, write omega_k = H*cos(th) and q = H*sin(th) with H = hypot(omega_k, q):
+    a Psi step of at most 16*pi bounds kappa by
+    8*pi*(cos(th) + sin(th)*sinh(x))*x/sinh(x) with x = a*hi, at worst on
+    a first panel [0, hi], and sinh(x) <= 2*cot(th) up to t_s; so kappa
+    <= 8*pi*max_s 3*asinh(s)/sqrt(s**2 + 4) ~ 8*pi*1.55 ~ 38.9 (38.5 the
+    largest over the benchmark's inputs, the sweep test's and 60
+    figure-scale a). Measured on a unit-length panel of exp(i*omega*t):
+    |K61 - G30| is at the rounding floor (2.2e-16) at 12, 14 and 16 half
+    cycles, then 7.3e-15 at 18, 1.8e-12 at 20 and 1.5e-8 at 24, and one
+    bisection brings the last to rounding level; K61 itself is converged
+    up to about 36. An x-rule panel samples only
     exp(i*omega*t)/sinh(a*t), whose starting panels span at most 10 rad
     of omega*t (5 per half-width, where the degree-22 and 23 Legendre
     coefficients of exp(5i*s) are 3.2e-12 and 3.6e-13) and 1 of a*t
@@ -543,18 +582,20 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
 
     def integrate(per_segment, a, b):
         """Kernel calls on panels a..b, per_segment[s] of them from segment s."""
-        phi0_p, cc_p, omega_p, switch_p = plan[:4].repeat(per_segment, axis=1)
+        per_panel = plan[:4].repeat(per_segment, axis=1)  # phi0, cc, omega, t_x
         # Bisection keeps a panel on its side of the switch time.
-        on_x = a >= switch_p
+        on_x = a >= per_panel[3]
         on_t = ~on_x
         vals, errs = np.empty(a.shape, dtype=complex), np.empty(a.shape)
         if on_t.any():
+            phi0, cc, omega = per_panel[:3].compress(on_t, axis=1)
             vals[on_t], errs[on_t] = kernels.panel_integrals(
-                traj.kind, phi0_p[on_t], rate, cc_p[on_t], omega_p[on_t], a[on_t], b[on_t]
+                traj.kind, phi0, rate, cc, omega, a[on_t], b[on_t]
             )
         if on_x.any():
+            phi0, cc, omega = per_panel[:3].compress(on_x, axis=1)
             vals[on_x], errs[on_x] = kernels.filon_integrals(
-                phi0_p[on_x], rate, cc_p[on_x], omega_p[on_x], a[on_x], b[on_x], t_wall, u_wall
+                phi0, rate, cc, omega, a[on_x], b[on_x], t_wall, u_wall
             )
         return vals, errs
 
@@ -611,7 +652,7 @@ def _quadrature(ks, coupling, traj, taus, t_end, tol, plan):
     values are then its best estimates).
     """
     t_clip = np.minimum(taus, t_end)
-    panels = _block_edges(plan, t_end, t_clip[t_clip > 0.0])
+    panels = _block_edges(traj, plan, t_end, t_clip[t_clip > 0.0])
     pref = coupling.lam / np.sqrt(ks * math.pi)
     _, hi, vals, errs, counts, stalls = _adaptive_panels(
         traj, plan, panels, t_end, tol / np.maximum(pref, 1e-300)

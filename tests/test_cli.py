@@ -90,7 +90,7 @@ class TestWitnessCommand:
         ])
         assert rc == 2
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_omega_override_bad_tolerance_is_invalid(self, tmp_path, capsys, tol):
         rc = main([
             "witness", "--state", "fock:1", "--omega-override", "2.2", "--lambda", "1.7",
@@ -191,7 +191,7 @@ class TestWitnessCommand:
         assert rc == 3
         assert "panel cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_is_invalid(self, tmp_path, capsys, tol):
         rc = main([
             "witness", "--traj", "accel:0.8", "--tol=" + tol, "--out", str(tmp_path / "w.csv"),
@@ -332,7 +332,7 @@ class TestScanCommands:
         assert len(lines) == 3
         assert all("failed: the starting panel count of mode k=" in line for line in lines)
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_acceleration_scan_bad_tolerance_is_invalid(self, tmp_path, capsys, tol):
         rc = main(["scan-acceleration", "--tol=" + tol, "--out", str(tmp_path / "acc.csv")])
         assert rc == 2

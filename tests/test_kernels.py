@@ -248,6 +248,23 @@ class TestNumpyBackend:
         _, err_fine = kernels.panel_integrals(kind, phi0, rate, cc, omega, *_panels(200, t_end))
         assert err_fine.sum() < err_coarse.sum()
 
+    def test_k61_pair_at_the_floor_through_16_half_cycles(self):
+        # The basis of the starting panels' cap (response._START_PANEL_PHASE):
+        # on a unit panel of exp(i*omega*t), omega = n*pi, |K61 - G30| stays
+        # at the rounding floor (eps per unit length) through n = 16 half
+        # cycles and leaves it at 18 (7.3e-15, then 1.8e-12 at 20 and 1.5e-8
+        # at 24), while K61 itself stays converged to rounding throughout.
+        n = np.concatenate([np.arange(1.0, 19.0), [20.0, 24.0]])
+        omega = n * math.pi
+        lo, hi = np.zeros(n.size), np.ones(n.size)
+        vals, errs = kernels.panel_integrals(TrajectoryKind.STATIC, math.pi / 2, 0.0, 0.0, omega, lo, hi)
+        floor = kernels.ERR_FLOOR
+        assert np.all(errs[:16] <= 2.0 * floor)
+        assert np.all(errs[[11, 13, 15]] == floor)
+        assert 10.0 * floor < errs[17] < errs[18] < errs[19]
+        assert errs[18] > 1e-13 and errs[19] > 1e-9
+        assert np.all(np.abs(vals - np.expm1(1j * omega) / (1j * omega)) <= 2.0 * floor)
+
     @pytest.mark.parametrize("case", CASES, ids=["static", "inertial", "accelerated"])
     def test_matches_gl15_reference(self, case):
         kind, phi0, rate, cc, omega, t_end = case
@@ -261,9 +278,9 @@ class TestNumpyBackend:
     @pytest.mark.parametrize("t_end", [100.0, 1000.0, 2000.0])
     def test_inertial_figure_scale_within_error_estimate(self, v, t_end):
         # The figure-scale mode on the panels the adaptive pass starts from,
-        # then on the panels it refines them to. At up to twelve half
+        # then on the panels it refines them to. At up to sixteen half
         # cycles of each phase per panel K61 is converged further than the
-        # embedded G30, so the starting estimate sits 5-1000 times above
+        # embedded G30, so the starting estimate sits 2-30 times above
         # the true error; refinement brings it down to the tolerance. Near
         # the resonance velocity the rounding of the phases omega*t exceeds
         # the refined estimate, so v stays off v_c here.
@@ -271,7 +288,7 @@ class TestNumpyBackend:
         traj = TrajectorySpec.inertial(v, 1.0, mode.L)
         plan = response._plan(np.array([mode.k]), np.array([mode.omega]), traj, t_end)
         phi0, omega_l = plan[:2, 0]
-        panels = response._block_edges(plan, t_end, np.array([t_end]))
+        panels = response._block_edges(traj, plan, t_end, np.array([t_end]))
         lo, hi, _ = panels
         vals, errs = kernels.panel_integrals(traj.kind, phi0, traj.a, omega_l, mode.omega, lo, hi)
         omega = mode.omega

@@ -6,7 +6,9 @@ and binds the ``lo`` argument of ``kernels.panel_integrals`` and the
 breaks the traced benchmark run. The velocity-average workload's gate
 allows 2e-8*(1 + avg) per point; its outputs are held here to 1e-12 of
 the reference. Every accel-asymptote item and every accel-mode-sum sum
-passes its gate at the default and the held-out seed. These tests import the benchmark's files as they
+passes its gate at the default and the held-out seed, and the accel-mode-sum
+inputs are planned from at most 60% of the K61 starting panels that
+equal steps in t took. These tests import the benchmark's files as they
 are and change none of them.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from udwitness import oracle
+from udwitness import kernels, oracle, response
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -109,3 +111,28 @@ def test_accel_mode_sum_gate(monkeypatch, seed):
     outputs = [call() for call in work.calls]
     assert len(outputs) == 16
     assert work.check(outputs, work.expected()) == [None] * len(work.calls)
+
+
+@pytest.mark.parametrize("seed,uniform", [(1, 15_626), (2, 19_929)])
+def test_accel_mode_sum_starts_from_fewer_k61_panels(monkeypatch, seed, uniform):
+    # The 16 sums of the accel-mode-sum workload, planned but not
+    # integrated: their starting K61 panels add up to at most 60% of the
+    # ``uniform`` count that equal steps in t of twelve half cycles at each
+    # mode's largest rate took. Planning makes no kernel call.
+    _, workloads = _perfbench(monkeypatch)
+    counts = []
+
+    def plan_only(plan):
+        counts.append(plan[4].sum())
+        return []
+
+    def no_kernel(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(response, "_mode_blocks", plan_only)
+    monkeypatch.setattr(kernels, "panel_integrals", no_kernel)
+    monkeypatch.setattr(kernels, "filon_integrals", no_kernel)
+    for call in workloads.accel_mode_sum(seed).calls:
+        call()
+    assert len(counts) == 16
+    assert sum(counts) <= 0.6 * uniform

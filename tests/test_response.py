@@ -33,6 +33,7 @@ from udwitness.trajectory import TrajectorySpec, position, wall_time
 from udwitness.witness import StateSpec, witness_series_from_omega
 
 V_CRIT_FIG = 0.76436169849601359  # frozen from 30-digit arithmetic
+START_PANEL_PHASE = 16.0 * math.pi  # sixteen half cycles: see test_k61_pair_at_the_floor_through_16_half_cycles
 
 
 def panel_edges(lo, hi):
@@ -44,7 +45,7 @@ def panel_edges(lo, hi):
 def one_mode_edges(mode, traj, t_end):
     """Starting edges of one mode's chi at t_end, as the quadrature builds them."""
     plan = _plan(np.array([mode.k]), np.array([mode.omega]), traj, t_end)
-    lo, hi, counts = _block_edges(plan, t_end, np.array([t_end]))
+    lo, hi, counts = _block_edges(traj, plan, t_end, np.array([t_end]))
     assert counts == [lo.size] and hi.size == lo.size
     return panel_edges(lo, hi)
 
@@ -52,7 +53,7 @@ def one_mode_edges(mode, traj, t_end):
 def table_size(plan, block):
     """Entries of the padded starting edge table of the modes ``block`` of
     the _plan ``plan``."""
-    n_t, n_x = plan[4:, block]
+    n_t, n_x = plan[4:6, block]
     return n_t.size * (n_t.max() + n_x.max())
 
 
@@ -445,6 +446,43 @@ class TestChiQuadrature:
         assert abs(vals.sum() - ref.sum()) <= 1e-12
 
 
+def assert_k61_starts(ks, omega, traj, t_end):
+    """Check the starting K61 panels of modes ``ks`` on the accelerated
+    ``traj`` up to t_end, and return how many modes take the Psi grid.
+
+    Every panel [lo, hi] before the mode's t_x spans at most
+    START_PANEL_PHASE of the combined phase Phi(t) = omega_k*t + A(t), and
+    its local kappa = Phi'(hi)*(hi - lo)/2 is below 4*30/e, the range in
+    which the stall rule of _adaptive_panels holds the 30-point Gauss error
+    bound below 1. A mode on the Psi grid (sigma > 0) also steps Psi(t) =
+    hypot(omega_k, q)*sinh(a*t)/a by at most START_PANEL_PHASE, and no
+    mode has more panels than equal steps in t at its largest rate take.
+    """
+    plan = _plan(ks, omega, traj, t_end)
+    t_x, n_t, sigma = plan[3], plan[4], plan[6]
+    lo, hi, counts = _block_edges(traj, plan, t_end, np.array([t_end]))
+    own = np.arange(ks.size).repeat(counts)
+    k61 = lo < t_x[own]
+    j, lo, hi = own[k61], lo[k61], hi[k61]
+    np.testing.assert_array_equal(np.bincount(j, minlength=ks.size), n_t)
+    a, q, w = traj.a, ks[j] * math.pi / traj.L, omega[j]
+    span = START_PANEL_PHASE * (1 + 1e-9)
+
+    def phase(t):  # omega_k*t + q*(cosh(a*t) - 1)/a
+        return w * t + 2.0 * q / a * np.sinh(0.5 * a * t) ** 2
+
+    assert np.all(phase(hi) - phase(lo) <= span)
+    assert np.all((w + q * np.sinh(a * hi)) * (hi - lo) / 2.0 < 4.0 * 30.0 / math.e)
+    psi = sigma[j] > 0.0
+    step = np.hypot(w, q) * (np.sinh(a * hi) - np.sinh(a * lo)) / a
+    assert np.all(step[psi] <= span)
+    q = ks * math.pi / traj.L
+    uniform = np.maximum(1.0, np.ceil(t_x * (omega + q * np.sinh(a * t_x)) / START_PANEL_PHASE))
+    assert np.all(n_t <= uniform)
+    np.testing.assert_array_equal(n_t[sigma == 0.0], uniform[sigma == 0.0])
+    return int(np.count_nonzero(sigma))
+
+
 def _eighth_cycle_edges(mode, traj, t_end):
     """The earlier, finer starting grid: 1/8 cycle of either phase per panel."""
     step = math.pi / 4.0
@@ -457,7 +495,7 @@ def _eighth_cycle_edges(mode, traj, t_end):
 
 
 class TestHalfCycleStart:
-    """The adaptive pass starts from panels of up to twelve half cycles of
+    """The adaptive pass starts from panels of up to sixteen half cycles of
     each phase and refines from there."""
 
     @pytest.mark.parametrize("a", [0.02, 0.8, 8.0, 50.0])
@@ -480,35 +518,49 @@ class TestHalfCycleStart:
         assert pref * errs.sum() <= DEFAULT_TOL
         assert abs(c.value - (-1j * pref * vals.sum())) <= DEFAULT_TOL
 
-    def test_starting_panels_span_twelve_half_cycles(self, fig_cavity):
-        mode, x0, L = fig_cavity.mode(), fig_cavity.x0, fig_cavity.L
-        span = 12 * math.pi * (1 + 1e-9)
-        q = mode.k * math.pi / L
+    def test_starting_panels_within_the_phase_cap(self, fig_cavity):
         # Accelerated: K61 panels up to the switch time t_s, where the mode
-        # phase's rate q*sinh(a*t) reaches 2*omega_k, of at most twelve
-        # half cycles of the combined phase omega_k*t + A(t); past t_s the
-        # x-rule's equal steps of at most 10 rad of omega_k*t and 1 of a*t.
+        # phase's rate q*sinh(a*t) reaches 2*omega_k, then the x-rule's
+        # equal steps of at most 10 rad of omega_k*t and 1 of a*t. Over
+        # 256-mode sums in small cavities (a 4 x 4 grid of L and a as in the
+        # accel-mode-sum benchmark), the 96 (L, k, a) of the sweep below and
+        # 60 figure-scale a: see assert_k61_starts.
+        cases = []
+        for L, a in itertools.product((4.0, 16.0, 28.0, 40.0), (0.2, 0.65, 1.1, 2.0)):
+            traj = TrajectorySpec.accelerated(a, L / 4.0, L)
+            cases.append((np.arange(1, 257), mode_frequencies(256, L, 1.0), traj, wall_time(traj)))
+        for L, k, a in itertools.product((4.0, 40.0, 400.0, 1e4), (1, 3, 17, 60, 256, 5000),
+                                         (0.05, 0.3, 2.0, 20.0)):
+            traj = TrajectorySpec.accelerated(a, L / (2 * k), L)
+            cases.append((np.array([k]), np.array([ModeSpec(k, L, 1.0).omega]), traj, wall_time(traj)))
+        mode, x0, L = fig_cavity.mode(), fig_cavity.x0, fig_cavity.L
+        for a in np.geomspace(0.02, 50.0, 60):
+            traj = TrajectorySpec.accelerated(float(a), x0, L)
+            cases.append((np.array([mode.k]), np.array([mode.omega]), traj, min(500.0, wall_time(traj))))
+        on_psi = 0
+        for ks, omega, traj, t_end in cases:
+            on_psi += assert_k61_starts(ks, omega, traj, t_end)
+        assert on_psi > 1000  # both grids are exercised
+        # One figure-scale mode: t_s is an edge, and the x-rule's steps and
+        # counts are those of the largest rate past it.
         for a in (0.02, 0.8, 50.0):
             traj = TrajectorySpec.accelerated(a, x0, L)
             t_end = min(500.0, wall_time(traj))
             edges = one_mode_edges(mode, traj, t_end)
             assert edges[0] == 0.0 and edges[-1] == t_end
             t_s = _plan(np.array([mode.k]), np.array([mode.omega]), traj, t_end)[3, 0]
-            assert q * math.sinh(a * t_s) == pytest.approx(2.0 * mode.omega, rel=1e-14)
+            assert mode.k * math.pi / L * math.sinh(a * t_s) == pytest.approx(2.0 * mode.omega, rel=1e-14)
             assert 0.0 < t_s < t_end and t_s in edges
-            k61, x = edges[edges <= t_s], edges[edges >= t_s]
-            combined = mode.omega * k61 + q / a * (np.cosh(a * k61) - 1.0)
-            assert np.all(np.diff(combined) <= span)
+            x = edges[edges >= t_s]
             assert np.all(np.diff(x) * mode.omega <= 10.0 * (1 + 1e-9))
             assert np.all(np.diff(x) * a <= 1.0 + 1e-9)
-            # ... and no more panels than the largest rate on each side takes.
-            assert k61.size - 1 == math.ceil(t_s * 3.0 * mode.omega / (12 * math.pi) - 1e-9)
             assert x.size - 1 == math.ceil((t_end - t_s) * max(mode.omega / 10.0, a))
             assert edges.size - 1 <= 60
         # Forced-quadrature static and inertial chi start from the same
-        # builder: twelve half cycles of the faster exponential, at rate
+        # builder: sixteen half cycles of the faster exponential, at rate
         # omega_k + omega_L with the mode-crossing omega_L (omega_k on the
         # static worldline), below, at and above v_c.
+        span = START_PANEL_PHASE * (1 + 1e-9)
         for v in (None, 0.3, critical_velocity(mode), 0.9):
             traj = TrajectorySpec.static(x0, L) if v is None else TrajectorySpec.inertial(v, x0, L)
             edges = one_mode_edges(mode, traj, 500.0)
@@ -521,7 +573,15 @@ class TestHalfCycleStart:
             assert np.all(steps * (mode.omega + omega_l) <= span)
             # ... and no more panels than that takes: the faster exponential
             # sets the step.
-            assert steps.size == math.ceil(500.0 * (mode.omega + omega_l) / (12 * math.pi))
+            assert steps.size == math.ceil(500.0 * (mode.omega + omega_l) / START_PANEL_PHASE)
+
+    def test_psi_count_where_a_t_underflows(self):
+        # At a = 1e-306 and t_end = 1e-18, a*t rounds to 0 and so does
+        # sinh(a*t)/a: the Psi count falls back to hypot(omega_k, q)*t, so
+        # the mode keeps its two uniform panels of 50 rad of omega_k*t.
+        traj = TrajectorySpec.accelerated(1e-306, 1.0, 4.0)
+        plan = _plan(np.array([1]), np.array([1e20]), traj, 1e-18)
+        assert plan[4, 0] == 2.0 and plan[6, 0] == 0.0
 
     @pytest.mark.parametrize("L", [4.0, 40.0, 400.0, 1e4])
     def test_sweep_converges_without_stall(self, L):
@@ -732,7 +792,7 @@ class TestOnePath:
                 ref = abs(vals[0]) ** 2
                 assert abs(g - ref) <= 1e-14 * ref
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_series_rejects_bad_tolerance(self, small_cavity, tol):
         mode = small_cavity.mode()
         x0, L = small_cavity.x0, small_cavity.L
@@ -841,9 +901,9 @@ class TestChiModeSum:
         assert elapsed < 0.01 and peak < 1e5
 
     def test_block_edge_table_over_the_cap_is_planned_in_blocks(self):
-        # Each of the 64 heavy modes starts from about 133k uniform K61
+        # Each of the 64 heavy modes starts from about 129k uniform K61
         # panels (the detector never reaches the switch time), under the
-        # per-mode cap; the 64-mode table of 8.5M is not, so the sum is
+        # per-mode cap; the 64-mode table of 8.3M is not, so the sum is
         # planned as blocks that each fit. Planning builds no edge table.
         # The sum itself is not run: its first pass takes about 100 s.
         cavity = CavityConfig(4.0, 1000.0, 1)
@@ -852,7 +912,7 @@ class TestChiModeSum:
         omega = mode_frequencies(64, cavity.L, cavity.m)
         tracemalloc.start()
         try:
-            plan = _plan(ks, omega, traj, 5000.0)
+            plan = _plan(ks, omega, traj, 6500.0)
             blocks = response._mode_blocks(plan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -895,7 +955,7 @@ class TestChiModeSum:
             with pytest.raises(InvalidParameterError, match="k_max"):
                 chi_mode_sum(small_cavity, CouplingSpec(0.0), traj, 1.0, k_max=k_max)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("kind", ["static", "inertial", "accelerated"])
     def test_bad_tolerance_rejected_on_every_worldline(self, small_cavity, kind, tol):
         x0, L = small_cavity.x0, small_cavity.L
@@ -1038,7 +1098,7 @@ class TestModeBlocks:
         ks, omega = np.arange(1, 257), mode_frequencies(256, cavity.L, cavity.m)
         for t_end in (0.05, 0.8):
             plan = _plan(ks, omega, traj, t_end)
-            assert plan.shape == (6, 256)
+            assert plan.shape == (7, 256)
             if kind == "accelerated" and t_end == 0.8:
                 assert plan[3, 0] == t_end and plan[3, -1] < t_end
             for j in range(256):
@@ -1057,13 +1117,13 @@ class TestModeBlocks:
             plan = _plan(ks, omega, traj, t_end)
             switch = plan[3]
             times = np.array([t_end / 3, t_end / 2, t_end])
-            lo, hi, counts = _block_edges(plan, t_end, times)
+            lo, hi, counts = _block_edges(traj, plan, t_end, times)
             assert len(counts) == ks.size and sum(counts) == lo.size == hi.size
             offsets = np.concatenate([[0], np.cumsum(counts)])
             for j in range(ks.size):
                 own = panel_edges(lo[offsets[j]:offsets[j + 1]], hi[offsets[j]:offsets[j + 1]])
                 one = slice(j, j + 1)
-                alone = _block_edges(_plan(ks[one], omega[one], traj, t_end), t_end, times)
+                alone = _block_edges(traj, _plan(ks[one], omega[one], traj, t_end), t_end, times)
                 assert alone[2] == [counts[j]]
                 np.testing.assert_array_equal(own, panel_edges(*alone[:2]))
                 assert own[0] == 0.0 and own[-1] == t_end and np.all(np.diff(own) > 0.0)
@@ -1079,7 +1139,7 @@ class TestModeBlocks:
         tols = np.array([1e-13, 1e-6])
         omega = np.array([md.omega for md in modes])
         ks = np.array([3, 11])
-        panels = _block_edges(_plan(ks, omega, traj, t_end), t_end, np.array([t_end]))
+        panels = _block_edges(traj, _plan(ks, omega, traj, t_end), t_end, np.array([t_end]))
         offsets = np.concatenate([[0], np.cumsum(panels[2])])
         plan = k61_plan(ks, omega, traj, t_end)
         lo, hi, vals, errs, counts, stalls = _adaptive_panels(traj, plan, panels, t_end, tols)
@@ -1111,10 +1171,10 @@ class TestModeBlocks:
         blocks = []
         real = response._block_edges
 
-        def spy(plan, *args):
+        def spy(traj, plan, *args):
             # A block's first and last modes, by their frequencies.
             blocks.append(tuple(plan[2, [0, -1]]))
-            return real(plan, *args)
+            return real(traj, plan, *args)
 
         monkeypatch.setattr(response, "_block_edges", spy)
         monkeypatch.setattr(response, "_MAX_EDGE_TABLE", quarter)
@@ -1130,7 +1190,7 @@ class TestModeBlocks:
         assert blocks == [(omega[0], omega[255])]
 
     def test_sum_over_the_table_cap_in_one_block_runs_in_planned_blocks(self, monkeypatch):
-        # 256 modes at a = 2e-7 up to the wall make a padded table of 7.49M,
+        # 256 modes at a = 1e-7 up to the wall make a padded table of 7.94M,
         # over the cap: the sum is planned as blocks that each fit, and
         # starts its first block's quadrature instead of being refused.
         # The quadrature itself is stopped there.
@@ -1145,32 +1205,32 @@ class TestModeBlocks:
 
         monkeypatch.setattr(response, "_adaptive_panels", stop)
         cavity = CavityConfig(L=4.0, m=1.0, k0=2)
-        traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
+        traj = TrajectorySpec.accelerated(1e-7, cavity.x0, cavity.L)
         ks = np.arange(1, 257)
-        plan = _plan(ks, mode_frequencies(256, 4.0, 1.0), traj, 5477.0)
+        plan = _plan(ks, mode_frequencies(256, 4.0, 1.0), traj, 7745.0)
         assert table_size(plan, slice(None)) > response._MAX_EDGE_TABLE
         blocks = response._mode_blocks(plan)
         assert_planned(blocks, plan, 256)
         assert len(blocks) > 1
         with pytest.raises(Reached):
-            chi_mode_sum(cavity, CouplingSpec(0.4), traj, 5477.0, k_max=256)
+            chi_mode_sum(cavity, CouplingSpec(0.4), traj, 7745.0, k_max=256)
         assert passes == [blocks[0].stop]
 
     def test_large_sum_is_planned_from_one_count(self):
-        # Up to the wall at a = 2e-7, every one of modes 1..1000 starts
+        # Up to the wall at a = 1e-7, every one of modes 1..1000 starts
         # under the panel cap, while their padded tables are far over the
         # edge-table cap: the sum is cut into contiguous blocks covering
         # them all, each within _MODE_BLOCK and the cap.
         cavity = CavityConfig(L=4.0, m=1.0, k0=2)
-        traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
+        traj = TrajectorySpec.accelerated(1e-7, cavity.x0, cavity.L)
         ks = np.arange(1, 1001)
-        plan = _plan(ks, mode_frequencies(1000, 4.0, 1.0), traj, 5477.2)
+        plan = _plan(ks, mode_frequencies(1000, 4.0, 1.0), traj, 7745.9)
         blocks = response._mode_blocks(plan)
         assert_planned(blocks, plan, 1000)
-        assert blocks[0] == slice(0, 236)
+        assert blocks[0] == slice(0, 229)
 
     def test_mode_over_the_panel_cap_is_refused_before_any_quadrature(self, monkeypatch):
-        # Modes 1..4000 at a = 2e-7: the high modes start from over
+        # Modes 1..4000 at a = 1e-7: the high modes start from over
         # 400,000 panels each. The sum is refused from the starting
         # counts, before the first block's pass.
         def no_pass(*args):
@@ -1178,9 +1238,9 @@ class TestModeBlocks:
 
         monkeypatch.setattr(response, "_adaptive_panels", no_pass)
         cavity = CavityConfig(L=4.0, m=1.0, k0=2)
-        traj = TrajectorySpec.accelerated(2e-7, cavity.x0, cavity.L)
-        with pytest.raises(NumericalFailure, match=r"mode k=\d+ up to tau=5477\.2 .* panel cap 400000"):
-            chi_mode_sum(cavity, CouplingSpec(0.4), traj, 5477.2, k_max=4000)
+        traj = TrajectorySpec.accelerated(1e-7, cavity.x0, cavity.L)
+        with pytest.raises(NumericalFailure, match=r"mode k=\d+ up to tau=7745\.9 .* panel cap 400000"):
+            chi_mode_sum(cavity, CouplingSpec(0.4), traj, 7745.9, k_max=4000)
 
 
 def seg(mu, tau):
