@@ -1,23 +1,20 @@
 """Panel kernels of the oscillatory response quadrature.
 
 The detector response integral reduces to panel sums of
-sin(A(t)) * exp(i*omega*t), A the mode phase on the worldline. The kernel
-knows two phase forms:
+sin(A(t)) * exp(i*omega*t) on the worldline ``traj`` the kernels are
+given, with the mode phase A = q*x(t) = q*x0 + q*dx(t) (q = k*pi/L) and
+the offset dx formed as trajectory.position forms it:
 
-    A(t) = phi0 + cc*t                       (static, cc = 0; inertial, cc = omega_L)
-    A(t) = phi0 + cc*(cosh(rate*t) - 1)      (accelerated, rate = a, cc = k*pi/(L*a))
+    dx(t) = v*t/sqrt(1 - v**2)              (inertial; v = 0 at rest)
+    dx(t) = 2*s*(s/a),  s = sinh(a*t/2)     (accelerated)
 
-cc is the linear form's slope, the mode-crossing frequency omega_L on an
-inertial worldline, and the cosh form's amplitude on the accelerated one;
-rate, one scalar, is the acceleration a, which only the cosh form reads.
-The cosh form takes cosh(rate*t) - 1 as 2*sinh(rate*t/2)**2, which keeps
-its relative accuracy at small rate*t, where the difference cancels.
-phi0, cc and omega are scalars or per-panel arrays (one entry per panel,
-broadcast against lo/hi), so panels of several modes on one worldline
-share a call. Each panel's value and estimate are the
-same bits whichever call it comes in. There are two rules: panel_integrals
-(K61, every worldline) and filon_integrals (the x-rule, the accelerated
-worldline past the switch time, where the mode phase is fast).
+No q/a is formed, so a tiny a neither overflows nor cancels. q and omega
+are scalars or per-panel arrays (one entry per panel, broadcast against
+lo/hi), so panels of several modes on one worldline share a call. Each
+panel's value and estimate are the same bits whichever call it comes
+in. There are two rules: panel_integrals (K61, every worldline) and
+filon_integrals (the x-rule, the accelerated worldline past the switch
+time, where the mode phase is fast).
 
 K61. Each panel [mid - h, mid + h] is evaluated with the 61-point
 Gauss-Kronrod rule K61 (Kronrod 1965; QUADPACK QK61, Piessens et al. 1983),
@@ -48,15 +45,15 @@ The x-rule (a Filon-type rule: Iserles & Norsett 2005, Proc. R. Soc. A
 461:1383). On the accelerated worldline x - x0 = u/a with
 u = cosh(a*t) - 1, so the integral over a panel is, over u,
 
-    (1/a) * Integral sin(phi0 + cc*u) * g(u) du,  g = exp(i*omega*t(u)) / sqrt(u*(u + 2)),
+    (1/a) * Integral sin(q*x0 + q*u/a) * g(u) du,  g = exp(i*omega*t(u)) / sqrt(u*(u + 2)),
 
 with a*t(u) = log1p(u + sqrt(u*(u + 2))) and sqrt(u*(u + 2)) = sinh(a*t).
 The mode phase is integrated exactly and only the slow g is sampled,
 whatever the number of mode-phase cycles across the panel. On the panel
 u = u_c + u_h*s, s in [-1, 1], g is sampled at the 24 Gauss-Legendre
 nodes, and one fixed 24 x 24 matrix (_COEF) gives the coefficients c_l of
-its degree-23 Legendre interpolant. With kappa = cc*u_h = q*h (q = k*pi/L,
-h = u_h/a the half-width in x) and the moments of DLMF 18.17.19,
+its degree-23 Legendre interpolant. With kappa = q*h (h = u_h/a the
+half-width in x) and the moments of DLMF 18.17.19,
 
     Integral_{-1}^{1} P_l(s) * exp(i*kappa*s) ds = 2 * i**l * j_l(kappa),
 
@@ -65,7 +62,8 @@ the panel value is
     2h * [sin(theta) * sum_{l even} (-1)**(l/2) c_l j_l(kappa)
           + cos(theta) * sum_{l odd} (-1)**((l-1)/2) c_l j_l(kappa)],
 
-theta = phi0 + cc*u_c the mode phase at the centre. The spherical Bessel
+theta = q*x0 + q*(u_c/a) the mode phase at the centre; a panel ending at
+or past the wall ends at u = a*(L - x0). The spherical Bessel
 j_0..j_23 come from the upward recurrence j_{l+1} = (2l+1)/kappa*j_l -
 j_{l-1} where kappa >= 23, on which it is stable (l < kappa), and below
 23 from one fixed 64-point Gauss matrix (_MOMENTS) applied to
@@ -103,9 +101,11 @@ row of one gemm (_rows), so a panel's bits do not depend on its block.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .trajectory import TrajectoryKind
+from .trajectory import TrajectoryKind, wall_time
 
 #: Least error estimate per unit of panel length. The integrand has
 #: modulus at most 1 and is evaluated to about machine epsilon absolute at
@@ -228,9 +228,10 @@ _NODES = np.concatenate([_X, -_X, [0.0]])[:, None]
 #: few (61, _CHUNK) float arrays of 250 kB, stay in cache. With 2 MB of
 #: L2 per core, 20k random accelerated panels took 17.5-18.2 ms in blocks
 #: of 512-1024 panels, 26.5-29.9 ms in blocks of 1536 and 34-40 ms in
-#: blocks of 2048. A figure-scale accelerated chi starts from one call of
-#: about 420 panels, which blocks of 256 or 384 split in two (27.5-28.6 ms
-#: per 20k panels against 18.5 ms at 512).
+#: blocks of 2048 (27.5-28.6 ms in blocks of 256 or 384 against 18.5 ms
+#: at 512). A figure-scale accelerated chi (the accel-asymptote inputs,
+#: seeds 1-3) starts from 8-47 panels in two calls, one K61 and one
+#: x-rule, and takes 2-3 calls in all, each one block.
 _CHUNK = 512
 
 
@@ -283,35 +284,34 @@ def _rows(terms, weights):
     return terms.T @ weights
 
 
-def _by_chunks(block, params, lo, hi):
-    """(values, errors) of block(*params, lo, hi) evaluated _CHUNK panels at a
-    time (one block as it is); params are scalars or arrays shaped like lo."""
+def _by_chunks(block, traj, q, omega, lo, hi):
+    """(values, errors) of block(traj, q, omega, lo, hi) evaluated _CHUNK
+    panels at a time (one block as it is); q and omega are scalars or arrays
+    shaped like lo."""
     if lo.size <= _CHUNK:
-        return block(*params, lo, hi)
+        return block(traj, q, omega, lo, hi)
     vals = np.empty(lo.shape, dtype=complex)
     errs = np.empty(lo.shape)
     for a in range(0, lo.size, _CHUNK):
         b = slice(a, a + _CHUNK)
-        vals[b], errs[b] = block(*(x[b] if np.ndim(x) else x for x in params), lo[b], hi[b])
+        vals[b], errs[b] = block(traj, *(x[b] if np.ndim(x) else x for x in (q, omega, lo, hi)))
     return vals, errs
 
 
-def panel_integrals(kind, phi0, rate, cc, omega, lo, hi):
+def panel_integrals(traj, q, omega, lo, hi):
     """Per-panel integrals with embedded error estimates.
 
     Returns (values, errors): the K61 value of each panel [lo[p], hi[p]]
-    and |K61 - G30|, floored at ERR_FLOOR*(hi - lo), as its absolute error
-    estimate. ``kind`` is the worldline's TrajectoryKind: the accelerated
-    one takes the cosh phase form, the others the linear one (see the
-    module docstring). lo and hi are 1-d; phi0, cc and omega are scalars
-    or arrays shaped like lo. The panels are evaluated _CHUNK at a time.
+    of sin(q*x(t))*exp(i*omega*t) on the worldline ``traj`` (see the module
+    docstring), and |K61 - G30|, floored at ERR_FLOOR*(hi - lo), as its
+    absolute error estimate. lo and hi are 1-d and end at or before the
+    wall-arrival time; q and omega are scalars or arrays shaped like lo.
+    The panels are evaluated _CHUNK at a time.
     """
-    return _by_chunks(
-        lambda p, c, w, a, b: _panel_block(kind, p, rate, c, w, a, b), (phi0, cc, omega), lo, hi
-    )
+    return _by_chunks(_panel_block, traj, q, omega, lo, hi)
 
 
-def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
+def _panel_block(traj, q, omega, lo, hi):
     """panel_integrals on one block of panels."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -321,15 +321,15 @@ def _panel_block(kind, phi0, rate, cc, omega, lo, hi):
     t = _NODES * half
     pair = (0.5 * omega) * t[:_N]
     t += mid
-    if kind is TrajectoryKind.ACCELERATED:
-        # Half of cosh(rate*t) - 1 is sinh(rate*t/2)**2, with no cancellation.
-        t *= 0.5 * rate
+    if traj.kind is TrajectoryKind.ACCELERATED:
+        # Half of dx = 2*s*(s/a) is s*(s/a), s = sinh(a*t/2).
+        t *= 0.5 * traj.a
         np.sinh(t, out=t)
-        t *= t
-        t *= cc
+        t *= t / traj.a
+        t *= q
     else:
-        t *= 0.5 * cc
-    t += 0.5 * phi0
+        t *= (0.5 * traj.v / math.sqrt(1.0 - traj.v**2)) * q
+    t += (0.5 * traj.x0) * q
     amp, _ = _sin_half(t)  # sin A at the 61 nodes
     sin_p, cos_p = _sincos_half(pair)  # of omega*h*x_j
     cos_p *= amp[:_N] + amp[_N:-1]
@@ -456,21 +456,19 @@ def _trig_columns(kappa):
     return np.concatenate([cos, sin])
 
 
-def filon_integrals(phi0, rate, cc, omega, lo, hi, t_wall, u_wall):
-    """Per-panel accelerated integrals by the Filon rule in the position variable.
+def filon_integrals(traj, q, omega, lo, hi):
+    """Per-panel integrals on the accelerated worldline ``traj`` by the
+    Filon rule in the position variable.
 
-    The accelerated integrand of panel_integrals over [lo[p], hi[p]], as
-    the integral over u = cosh(rate*t) - 1 = rate*(x - x0) of
-    sin(phi0 + cc*u) * exp(i*omega*t(u)) / (rate*sqrt(u*(u + 2))). The
-    edges map to u, except that a panel ending at ``t_wall`` ends at
-    ``u_wall``, the wall's exact position. Returns (values, errors) like
-    panel_integrals: the error estimate is the degree-22 and 23 Legendre
-    terms' largest moment, floored at ERR_FLOOR*(hi - lo).
+    The integrand of panel_integrals over [lo[p], hi[p]], as the integral
+    over u = cosh(a*t) - 1 = a*(x - x0) of
+    sin(q*x0 + q*u/a) * exp(i*omega*t(u)) / (a*sqrt(u*(u + 2))). The edges
+    map to u, except that a panel ending at or past the wall-arrival time
+    ends at u = a*(L - x0), the wall's exact position. Returns (values,
+    errors) like panel_integrals: the error estimate is the degree-22 and
+    23 Legendre terms' largest moment, floored at ERR_FLOOR*(hi - lo).
     """
-    return _by_chunks(
-        lambda p, c, w, a, b: _filon_block(p, rate, c, w, a, b, t_wall, u_wall),
-        (phi0, cc, omega), lo, hi,
-    )
+    return _by_chunks(_filon_block, traj, q, omega, lo, hi)
 
 
 def _samples(rate, omega, mid, half):
@@ -492,21 +490,23 @@ def _samples(rate, omega, mid, half):
     return g
 
 
-def _filon_block(phi0, rate, cc, omega, lo, hi, t_wall, u_wall):
+def _filon_block(traj, q, omega, lo, hi):
     """filon_integrals on one block of panels."""
-    # u = cosh(rate*t) - 1 = 2*sinh(rate*t/2)**2, with no cancellation.
-    u_lo = np.sinh(0.5 * rate * lo)
+    a = traj.a
+    # u = cosh(a*t) - 1 = 2*sinh(a*t/2)**2, with no cancellation.
+    u_lo = np.sinh(0.5 * a * lo)
     u_lo *= 2.0 * u_lo
-    u_hi = np.sinh(0.5 * rate * hi)
+    u_hi = np.sinh(0.5 * a * hi)
     u_hi *= 2.0 * u_hi
-    u_hi[hi >= t_wall] = u_wall
+    u_hi[hi >= wall_time(traj)] = a * (traj.L - traj.x0)
     mid = 0.5 * (u_lo + u_hi)
     half = 0.5 * (u_hi - u_lo)
     n = lo.size
-    d = _rows(_samples(rate, omega, mid, half), _COEF).reshape(2, n, _DEGREES)  # Re, Im of d_l
-    j = _bessel_rows(cc * half)
-    sin_c, cos_c = _sincos(phi0 + cc * mid)
-    half /= rate  # the half-width in x
+    d = _rows(_samples(a, omega, mid, half), _COEF).reshape(2, n, _DEGREES)  # Re, Im of d_l
+    mid /= a  # the centre offset in x
+    half /= a  # the half-width in x
+    j = _bessel_rows(q * half)
+    sin_c, cos_c = _sincos(q * traj.x0 + q * mid)
     tail = np.hypot(d[0, :, -2], d[1, :, -2]) + np.hypot(d[0, :, -1], d[1, :, -1])
     err = half * tail * np.maximum(np.abs(j[:, -2]), np.abs(j[:, -1]))
     j_w = np.empty(j.shape)

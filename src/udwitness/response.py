@@ -17,10 +17,11 @@ closed forms, or one driver, _quadrature, for every quadrature chi
 (chi_series, and chi as its 0-d call) is one mode; chi_modes and its
 sum chi_mode_sum take up to _MODE_BLOCK modes a pass (_mode_blocks).
 One plan drives the quadrature: _plan gives every mode a column of
-(phi0, cc, omega, t_x, n_t, n_x, sigma), its phase, its switch time, its
-starting panel counts and its K61 grid, and _mode_blocks, _block_edges and
-_adaptive_panels read their rows of it; the values shared by a pass (the
-kind, the kernel rate a and the wall) come from the worldline. In
+(q, omega, t_x, n_t, n_x, sigma), its wavenumber and frequency, its
+switch time, its starting panel counts and its K61 grid, and
+_mode_blocks, _block_edges and _adaptive_panels read their rows of it.
+The kernels take the worldline with each panel's (q, omega) and form the
+mode phase q*x(t) on it themselves (kernels' module docstring). In
 _quadrature each mode is one segment of a single adaptive pass
 (_adaptive_panels) from the panels (lo, hi, counts) of _block_edges,
 grid times as edges; chi at a grid time is a sequential prefix sum of
@@ -28,7 +29,7 @@ its mode's panels, the same bits alone or in a block. Past one check
 (_check_geometry) the internals read L, x0 and the kind from the worldline.
 
 Two rules, one switch. On the accelerated worldline the mode phase
-A(t) = q*(x(t) - x0) + phi0 (q = k*pi/L) turns at the rate q*sinh(a*t),
+A(t) = q*x(t) (q = k*pi/L) turns at the rate q*sinh(a*t),
 about 15,700 rad in all at figure scale (k = 5000, L = 1e4), far more
 than the omega_k*t of the detector clock. Up to the switch time t_s,
 where that rate reaches 2*omega_k (_plan's t_s), the panels are K61
@@ -41,7 +42,7 @@ takes sin(q*x) exactly and samples only exp(i*omega_k*t)/sinh(a*t), at
 most 1/2 there: its starting panels are equal steps in t of at most
 _X_PANEL_PHASE of omega_k*t and 1 of a*t. Both kinds are bisected in t
 by the same refinement; a panel keeps its rule, since t_s is an edge.
-A figure-scale chi takes 280-1,350 integrand evaluations this way, where
+A figure-scale chi takes 253-1,350 integrand evaluations this way, where
 resolving the mode phase everywhere took 25,600-26,300. The static and
 inertial worldlines (and force_quadrature on them) use K61 alone.
 
@@ -91,7 +92,8 @@ _MAX_PANELS = 400_000
 #: at the table a 16-mode block could reach under _MAX_PANELS: a 64-mode
 #: block of 6.39M entries traced a 160 MB peak in 0.17 s. It sizes blocks
 #: (_mode_blocks): a full one meets it at 25k starting panels a mode, and
-#: the benchmark's 256-mode sums start from 31-57 at most (seeds 1-3).
+#: a mode of the benchmark's 256-mode sums starts from at most 22, 29 and
+#: 29 panels at seeds 1, 2 and 3.
 _MAX_EDGE_TABLE = 16 * _MAX_PANELS
 _MAX_ROUNDS = 48
 #: Largest k_max of a mode sum. A closed-form sum traces 88-120 bytes per
@@ -368,18 +370,16 @@ def critical_velocity(mode: ModeSpec) -> float:
 
 
 def _plan(ks, omega, traj: TrajectorySpec, t_end: float):
-    """The (7, modes) plan of modes ``ks`` (frequencies ``omega``) up to
-    t_end: rows phi0, cc, omega, t_x, n_t, n_x, sigma, column j mode j's.
+    """The (6, modes) plan of modes ``ks`` (frequencies ``omega``) up to
+    t_end: rows q, omega, t_x, n_t, n_x, sigma, column j mode j's.
 
-    The mode phase is A(t) = phi0 + cc*t, with cc the crossing frequency
-    omega_L on an inertial worldline and 0 on a static one, or on the
-    accelerated one A(t) = phi0 + cc*(cosh(a*t) - 1), cc = q/a with
-    q = k*pi/L (kernels' two phase forms). t_x = min(t_s, t_end) ends the
-    K61 range, and n_t and n_x count its starting K61 panels and the
-    x-rule's past it. t_s, the switch to the x-rule, is where the mode
-    phase's rate q*sinh(a*t) reaches 2*omega_k; infinite off the
-    accelerated worldline. Every entry is elementwise arithmetic on its
-    own mode, so column j is the same bits in any plan.
+    q = k*pi/L and omega are what the kernels take with the worldline
+    (their mode phase is q*x(t)). t_x = min(t_s, t_end) ends the K61
+    range, and n_t and n_x count its starting K61 panels and the x-rule's
+    past it. t_s, the switch to the x-rule, is where the mode phase's rate
+    q*sinh(a*t) reaches 2*omega_k; infinite off the accelerated worldline.
+    Every entry is elementwise arithmetic on its own mode, so column j is
+    the same bits in any plan.
 
     The n_t K61 steps are equal in t, each of at most _START_PANEL_PHASE
     at the largest rate on [0, t_x], where sigma = 0. On the accelerated
@@ -396,20 +396,22 @@ def _plan(ks, omega, traj: TrajectorySpec, t_end: float):
     NumericalFailure.
     """
     q = ks * (math.pi / traj.L)
-    phi0 = q * traj.x0
-    if traj.kind is TrajectoryKind.ACCELERATED:
-        cc = q / traj.a
-        t_x = np.minimum(np.arcsinh(2.0 * omega / q) / traj.a, t_end)
+    accelerated = traj.kind is TrajectoryKind.ACCELERATED
+    if accelerated:
+        # t_s = asinh(2*omega_k/q)/a, taken only where it is below t_end: it
+        # overflows for a tiny a.
+        a_t_s = np.arcsinh(2.0 * omega / q)
+        t_x = np.full(ks.shape, t_end)
+        np.divide(a_t_s, traj.a, out=t_x, where=a_t_s < float(traj.a) * t_end)
         s_x = np.sinh(traj.a * t_x)
         rate = omega + q * s_x
     else:
-        inertial = traj.kind is TrajectoryKind.INERTIAL
-        cc = _crossing_frequency(ks, traj) if inertial else np.zeros(ks.shape)
-        # The faster of the integrand's two exponentials turns at omega_k + omega_L.
-        t_x, rate = np.full(ks.shape, t_end), omega + cc
+        # The faster of the integrand's two exponentials turns at
+        # omega_k + omega_L (omega_L = 0 at rest, where v = 0).
+        t_x, rate = np.full(ks.shape, t_end), omega + _crossing_frequency(ks, traj)
     n_t = np.maximum(1.0, np.ceil(t_x / (_START_PANEL_PHASE / rate)))
     sigma = np.zeros(ks.shape)
-    if traj.kind is TrajectoryKind.ACCELERATED and n_t.max() > 1.0:
+    if accelerated and n_t.max() > 1.0:
         # Psi(t_x) >= hypot(omega_k, q)*t_x, also where a*t_x underflows.
         psi_x = np.hypot(omega, q) * np.maximum(s_x / traj.a, t_x)
         n_psi = np.maximum(1.0, np.ceil(psi_x / _START_PANEL_PHASE))
@@ -424,7 +426,7 @@ def _plan(ks, omega, traj: TrajectorySpec, t_end: float):
             f"the starting panel count of mode k={ks[j]} up to tau={t_end}",
             n_start[j], "panel", _MAX_PANELS,
         )
-    return np.array([phi0, cc, omega, t_x, n_t, n_x, sigma])
+    return np.array([q, omega, t_x, n_t, n_x, sigma])
 
 
 def _mode_blocks(plan):
@@ -432,7 +434,7 @@ def _mode_blocks(plan):
     _MODE_BLOCK modes whose padded edge table fits _MAX_EDGE_TABLE (one
     mode does, holding at most _MAX_PANELS); a plan that is such a block
     itself is one slice."""
-    n_t, n_x = plan[4:6]
+    n_t, n_x = plan[3:5]
     if n_t.size <= _MODE_BLOCK and (n_t.max() + n_x.max()) * n_t.size <= _MAX_EDGE_TABLE:
         return [slice(0, n_t.size)]
     blocks, i = [], 0
@@ -473,7 +475,7 @@ def _block_edges(traj, plan, t_end: float, times):
     rows, so a mode's panels do not depend on the modes it is built with.
     Each row is sorted, and every step up between neighbours is a panel.
     """
-    t_x, n_t, n_x, sigma = plan[3:, :, None]
+    t_x, n_t, n_x, sigma = plan[2:, :, None]
     n_max = n_t.max()
     i = np.arange(n_max + 1.0)
     k61 = i * (t_x / n_t)
@@ -502,13 +504,16 @@ def _segment_sums(x, counts):
 
 
 def _stop_reason(history, s, n, floor):
-    """Why segment s, with n panels, stops refining short of its tolerance.
+    """Why segment s, with n panels, stops refining short of its tolerance
+    (or with an error sum that is not finite, which no split mends).
 
     ``floor`` is the segment's rounding floor, eps times its span: its
     panels' floors ERR_FLOOR*(hi - lo) add up to it within n ulps, and no
     split lowers it. An error sum at the floor (to 1e-9 relative, far
     above those ulps) leaves nothing that a split could remove.
     """
+    if not math.isfinite(history[-1][s]):
+        return "non-finite error estimate"
     if history[-1][s] <= floor * (1.0 + 1e-9):
         return "stalled at the rounding floor (error sum at eps times the span)"
     if len(history) > 2 and history[-1][s] >= history[-3][s]:
@@ -526,12 +531,12 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
     A segment is one integral (one mode) over [0, t_end], cut into the
     starting ``panels`` (lo, hi, counts) of _block_edges: segment s owns
     the counts[s] panels after those of segments 0..s-1. Column s of
-    ``plan`` (_plan) gives its phi0, cc, omega and switch time t_x, and
-    tol[s] its tolerance; the worldline ``traj`` gives the pass its kind
-    and its kernel rate a. A panel of segment s starting at or after its
-    t_x (an edge) is an x-rule panel, kernels.filon_integrals with the
-    wall at (wall_time(traj), a*(L - x0)), and every other one a K61 panel
-    (all of them off the accelerated worldline, where t_x = t_end). Every
+    ``plan`` (_plan) gives its q, omega and switch time t_x, and tol[s]
+    its tolerance; both kernels take the worldline ``traj`` with each
+    panel's (q, omega). A panel of segment s starting at or after its t_x
+    (an edge) is an x-rule panel (kernels.filon_integrals), and every
+    other one a K61 panel (all of them off the accelerated worldline,
+    where t_x = t_end). Every
     round evaluates the split panels of all segments in one call per rule,
     and each segment refines exactly as it would alone: its own tolerance,
     its own panel count in the split threshold tol/(2*n), and its own
@@ -541,9 +546,10 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
 
     Returns (lo, hi, vals, errs, counts, stalls): segment s owns the
     counts[s] panels after those of segments 0..s-1; ``stalls[s]`` is None
-    on convergence, else why its refinement stopped: its error sum sits at
-    the kernel's rounding floor, which no split lowers, it has not shrunk
-    over two rounds, or the round or panel cap was hit.
+    on convergence, else why its refinement stopped: its error sum is
+    not finite (a NaN sum is never taken as converged), it sits at the
+    kernel's rounding floor, which no split lowers, it has not shrunk over
+    two rounds, or the round or panel cap was hit.
 
     The stall rule assumes edges on which both rules are in their
     convergent range. sin(A)*exp(i*omega*t) is a sum of two exponentials
@@ -578,25 +584,17 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
     """
     lo, hi, counts = panels
     tols = np.asarray(tol).tolist()
-    rate, t_wall, u_wall = traj.a, wall_time(traj), traj.a * (traj.L - traj.x0)
 
     def integrate(per_segment, a, b):
         """Kernel calls on panels a..b, per_segment[s] of them from segment s."""
-        per_panel = plan[:4].repeat(per_segment, axis=1)  # phi0, cc, omega, t_x
+        per_panel = plan[:3].repeat(per_segment, axis=1)  # q, omega, t_x
         # Bisection keeps a panel on its side of the switch time.
-        on_x = a >= per_panel[3]
-        on_t = ~on_x
+        on_x = a >= per_panel[2]
         vals, errs = np.empty(a.shape, dtype=complex), np.empty(a.shape)
-        if on_t.any():
-            phi0, cc, omega = per_panel[:3].compress(on_t, axis=1)
-            vals[on_t], errs[on_t] = kernels.panel_integrals(
-                traj.kind, phi0, rate, cc, omega, a[on_t], b[on_t]
-            )
-        if on_x.any():
-            phi0, cc, omega = per_panel[:3].compress(on_x, axis=1)
-            vals[on_x], errs[on_x] = kernels.filon_integrals(
-                phi0, rate, cc, omega, a[on_x], b[on_x], t_wall, u_wall
-            )
+        for rule, on in ((kernels.panel_integrals, ~on_x), (kernels.filon_integrals, on_x)):
+            if on.any():
+                q, omega = per_panel[:2].compress(on, axis=1)
+                vals[on], errs[on] = rule(traj, q, omega, a[on], b[on])
         return vals, errs
 
     vals, errs = integrate(counts, lo, hi)
@@ -606,7 +604,7 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
     while True:
         thresholds = []
         for s, n in enumerate(counts):
-            if running[s] and history[-1][s] > tols[s]:
+            if running[s] and not history[-1][s] <= tols[s]:  # NaN included
                 stalls[s] = _stop_reason(history, s, n, kernels.ERR_FLOOR * t_end)
                 running[s] = stalls[s] is None
             else:

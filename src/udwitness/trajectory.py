@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
+_TINY = float(np.finfo(float).tiny)
+
 
 class TrajectoryKind(Enum):
     STATIC = "static"
@@ -41,9 +43,11 @@ class TrajectorySpec:
             )
         if self.kind is TrajectoryKind.INERTIAL and not 0 < self.v < 1:
             raise InvalidParameterError(f"velocity v={self.v} must satisfy 0 < v < 1")
-        if self.kind is TrajectoryKind.ACCELERATED and not 0 < self.a < math.inf:
+        # A subnormal a carries few bits, and the wall time's 0.5*a*d
+        # underflows to 0 for the smallest.
+        if self.kind is TrajectoryKind.ACCELERATED and not _TINY <= self.a < math.inf:
             raise InvalidParameterError(
-                f"proper acceleration a={self.a} must be positive and finite"
+                f"proper acceleration a={self.a} must be positive, finite and not subnormal"
             )
 
     @classmethod

@@ -172,6 +172,22 @@ class TestWitnessCommand:
         assert abs(tiny[-1, 5] - 0.335857262959) < 1e-9
         np.testing.assert_allclose(tiny, static, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--traj", "accel:5e-324", "--tau-max", "1", "--samples", "3"],
+        ["scan-acceleration", "--scan-min", "5e-324", "--scan-max", "1e-300", "--scan-steps", "3",
+         "--eval-at", "1"],
+    ])
+    def test_subnormal_acceleration_is_invalid(self, tmp_path, capsys, argv):
+        # Its wall time's 0.5*a*d underflows to 0: the run wrote chi = 0
+        # and |W| = 1 with exit 0.
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--k0", "2", "--L", "4", "--out", str(out)])
+        assert rc == 2
+        assert "a=5e-324 must be positive, finite and not subnormal" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreachable_tolerance_exits_3(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
         rc = main([

@@ -11,46 +11,27 @@ import pytest
 import udwitness
 from udwitness import kernels, response
 from udwitness.field import ModeSpec
-from udwitness.trajectory import TrajectoryKind, TrajectorySpec
+from udwitness.trajectory import TrajectorySpec, position, wall_time
 
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 
 
-def _gl_reference(kind, phi0, rate, cc, omega, mid, half, nodes, weights):
+def _gl_reference(traj, q, omega, mid, half, nodes, weights):
     t = mid[:, None] + half[:, None] * nodes[None, :]
-    if kind is TrajectoryKind.STATIC:
-        amp = math.sin(phi0) * np.ones_like(t)
-    elif kind is TrajectoryKind.INERTIAL:
-        amp = np.sin(phi0 + rate * t)
-    else:
-        amp = np.sin(phi0 + cc * (np.cosh(rate * t) - 1.0))
-    vals = amp * np.exp(1j * omega * t)
+    vals = np.sin(q * position(traj, t)) * np.exp(1j * omega * t)
     return half * (vals @ weights)
 
 
-def gl15_gl7_reference(kind, phi0, rate, cc, omega, lo, hi):
+def gl15_gl7_reference(traj, q, omega, lo, hi):
     """The earlier kernel, kept as a reference: GL15 values and |GL15 - GL7|
-    from two separate node sets with a complex exponential per node."""
+    from two separate node sets with a complex exponential per node, the
+    mode phase written from position()."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    i15 = _gl_reference(kind, phi0, rate, cc, omega, mid, half, _GL15_X, _GL15_W)
-    i7 = _gl_reference(kind, phi0, rate, cc, omega, mid, half, _GL7_X, _GL7_W)
+    i15 = _gl_reference(traj, q, omega, mid, half, _GL15_X, _GL15_W)
+    i7 = _gl_reference(traj, q, omega, mid, half, _GL7_X, _GL7_W)
     return i15, np.abs(i15 - i7)
-
-
-def reference_args(kind, phi0, rate, cc):
-    """The kernel's (kind, phi0, rate, cc) as the references take them: the
-    kernel carries an inertial phase's slope in cc, the references in rate."""
-    if kind is TrajectoryKind.INERTIAL:
-        return kind, phi0, cc, 0.0
-    return kind, phi0, rate, cc
-
-
-def plan_rows(ks, omega, traj, t_end):
-    """(phi0, cc, omega, t_x) of modes ``ks`` on ``traj`` up to t_end, from
-    the quadrature's plan: one entry per mode."""
-    return response._plan(np.asarray(ks), np.asarray(omega), traj, t_end)[:4]
 
 
 def _panels(n, t_end):
@@ -163,10 +144,11 @@ def k15_g7():
     return [tuple(np.array([float(v) for v in part]) for part in rule) for rule in (kronrod, gauss)]
 
 
+# (worldline, q, omega, t_end); every t_end is before the wall.
 CASES = [
-    (TrajectoryKind.STATIC, 0.7, 0.0, 0.0, 1.3, 2.0),
-    (TrajectoryKind.INERTIAL, 0.4, 0.0, 2.1, 1.86, 5.0),
-    (TrajectoryKind.ACCELERATED, 1.5708, 0.8, 1.9635, 1.86, 4.0),
+    (TrajectorySpec.static(0.7, 10.0), 1.0, 1.3, 2.0),
+    (TrajectorySpec.inertial(0.6, 0.5, 100.0), 2.8, 1.86, 5.0),
+    (TrajectorySpec.accelerated(0.8, 1.0, 100.0), 0.5 * math.pi, 1.86, 4.0),
 ]
 
 
@@ -233,19 +215,19 @@ class TestRuleConstants:
 
 class TestNumpyBackend:
     def test_static_panel_sum_is_analytic(self):
-        # integral of sin(phi0)*exp(i*omega*t) over [0, T]
-        phi0, omega, t_end = 0.7, 1.3, 2.0
+        # integral of sin(q*x0)*exp(i*omega*t) over [0, T]
+        traj, q, omega, t_end = CASES[0]
         lo, hi = _panels(40, t_end)
-        vals, errs = kernels.panel_integrals(TrajectoryKind.STATIC, phi0, 0.0, 0.0, omega, lo, hi)
+        vals, errs = kernels.panel_integrals(traj, q, omega, lo, hi)
         total = vals.sum()
-        expected = math.sin(phi0) * (np.exp(1j * omega * t_end) - 1.0) / (1j * omega)
+        expected = math.sin(q * traj.x0) * (np.exp(1j * omega * t_end) - 1.0) / (1j * omega)
         assert total == pytest.approx(expected, abs=1e-13)
         assert errs.sum() < 1e-12
 
     def test_error_estimate_drops_with_panel_size(self):
-        kind, phi0, rate, cc, omega, t_end = CASES[2]
-        _, err_coarse = kernels.panel_integrals(kind, phi0, rate, cc, omega, *_panels(20, t_end))
-        _, err_fine = kernels.panel_integrals(kind, phi0, rate, cc, omega, *_panels(200, t_end))
+        traj, q, omega, t_end = CASES[2]
+        _, err_coarse = kernels.panel_integrals(traj, q, omega, *_panels(20, t_end))
+        _, err_fine = kernels.panel_integrals(traj, q, omega, *_panels(200, t_end))
         assert err_fine.sum() < err_coarse.sum()
 
     def test_k61_pair_at_the_floor_through_16_half_cycles(self):
@@ -254,10 +236,11 @@ class TestNumpyBackend:
         # at the rounding floor (eps per unit length) through n = 16 half
         # cycles and leaves it at 18 (7.3e-15, then 1.8e-12 at 20 and 1.5e-8
         # at 24), while K61 itself stays converged to rounding throughout.
+        # At rest at x0 = 1/2 with q = pi, sin(q*x0) = 1.
         n = np.concatenate([np.arange(1.0, 19.0), [20.0, 24.0]])
         omega = n * math.pi
         lo, hi = np.zeros(n.size), np.ones(n.size)
-        vals, errs = kernels.panel_integrals(TrajectoryKind.STATIC, math.pi / 2, 0.0, 0.0, omega, lo, hi)
+        vals, errs = kernels.panel_integrals(TrajectorySpec.static(0.5, 1.0), math.pi, omega, lo, hi)
         floor = kernels.ERR_FLOOR
         assert np.all(errs[:16] <= 2.0 * floor)
         assert np.all(errs[[11, 13, 15]] == floor)
@@ -267,10 +250,10 @@ class TestNumpyBackend:
 
     @pytest.mark.parametrize("case", CASES, ids=["static", "inertial", "accelerated"])
     def test_matches_gl15_reference(self, case):
-        kind, phi0, rate, cc, omega, t_end = case
+        traj, q, omega, t_end = case
         lo, hi = _panels(137, t_end)
-        vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, omega, lo, hi)
-        ref_vals, _ = gl15_gl7_reference(*reference_args(kind, phi0, rate, cc), omega, lo, hi)
+        vals, errs = kernels.panel_integrals(traj, q, omega, lo, hi)
+        ref_vals, _ = gl15_gl7_reference(traj, q, omega, lo, hi)
         np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-13)
         assert np.all(errs >= kernels.ERR_FLOOR * (hi - lo))
 
@@ -286,11 +269,12 @@ class TestNumpyBackend:
         # the refined estimate, so v stays off v_c here.
         mode = ModeSpec(5000, 10000.0, 1.0)
         traj = TrajectorySpec.inertial(v, 1.0, mode.L)
+        q = mode.k * math.pi / mode.L
+        phi0, omega_l = q * traj.x0, q * (v / math.sqrt(1.0 - v * v))
         plan = response._plan(np.array([mode.k]), np.array([mode.omega]), traj, t_end)
-        phi0, omega_l = plan[:2, 0]
         panels = response._block_edges(traj, plan, t_end, np.array([t_end]))
         lo, hi, _ = panels
-        vals, errs = kernels.panel_integrals(traj.kind, phi0, traj.a, omega_l, mode.omega, lo, hi)
+        vals, errs = kernels.panel_integrals(traj, q, mode.omega, lo, hi)
         omega = mode.omega
         exact = (
             np.exp(1j * phi0) * np.expm1(1j * (omega + omega_l) * t_end) / (1j * (omega + omega_l))
@@ -307,25 +291,23 @@ class TestNumpyBackend:
 class TestPerPanelParameters:
     @pytest.mark.parametrize("case", CASES, ids=["static", "inertial", "accelerated"])
     def test_arrays_equal_panel_by_panel_scalar_calls(self, case):
-        # Panels of three modes in one call, each mode with its own phi0, cc
-        # and omega, against one scalar call per panel.
-        kind, phi0, rate, cc, omega, t_end = case
+        # Panels of three modes in one call, each mode with its own q and
+        # omega, against one scalar call per panel.
+        traj, q, omega, t_end = case
         lo, hi = _panels(45, t_end)
         scale = np.repeat([1.0, 2.0, 3.0], 15)
-        phi0s, ccs, omegas = phi0 * scale, cc * scale, omega * scale
-        vals, errs = kernels.panel_integrals(kind, phi0s, rate, ccs, omegas, lo, hi)
+        qs, omegas = q * scale, omega * scale
+        vals, errs = kernels.panel_integrals(traj, qs, omegas, lo, hi)
         for p in range(lo.size):
-            v, e = kernels.panel_integrals(
-                kind, phi0s[p], rate, ccs[p], omegas[p], lo[p:p + 1], hi[p:p + 1]
-            )
+            v, e = kernels.panel_integrals(traj, qs[p], omegas[p], lo[p:p + 1], hi[p:p + 1])
             assert vals[p] == v[0] and errs[p] == e[0]
 
     def test_panel_values_do_not_depend_on_the_call(self):
-        kind, phi0, rate, cc, omega, t_end = CASES[2]
+        traj, q, omega, t_end = CASES[2]
         lo, hi = _panels(300, t_end)
-        vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, omega, lo, hi)
+        vals, errs = kernels.panel_integrals(traj, q, omega, lo, hi)
         for a, b in [(0, 1), (7, 9), (100, 257), (299, 300)]:
-            v, e = kernels.panel_integrals(kind, phi0, rate, cc, omega, lo[a:b], hi[a:b])
+            v, e = kernels.panel_integrals(traj, q, omega, lo[a:b], hi[a:b])
             np.testing.assert_array_equal(v, vals[a:b])
             np.testing.assert_array_equal(e, errs[a:b])
 
@@ -373,18 +355,16 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("case", CASES, ids=["static", "inertial", "accelerated"])
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
     def test_full_call_equals_slices(self, case, offset):
-        kind, phi0, rate, cc, omega, t_end = case
+        traj, q, omega, t_end = case
         c = kernels._CHUNK
         n = 2 * c + 1 if offset is None else c + offset
         lo, hi = _panels(n, t_end)
         scale = np.linspace(1.0, 3.0, n)
-        phi0s, ccs, omegas = phi0 * scale, cc * scale, omega * scale
-        vals, errs = kernels.panel_integrals(kind, phi0s, rate, ccs, omegas, lo, hi)
+        qs, omegas = q * scale, omega * scale
+        vals, errs = kernels.panel_integrals(traj, qs, omegas, lo, hi)
         slices = [(0, 1), (1, n), (n - 1, n), (c - 1, min(c + 1, n)), (n // 2, n), (0, n - 1)]
         for a, b in slices:
-            v, e = kernels.panel_integrals(
-                kind, phi0s[a:b], rate, ccs[a:b], omegas[a:b], lo[a:b], hi[a:b]
-            )
+            v, e = kernels.panel_integrals(traj, qs[a:b], omegas[a:b], lo[a:b], hi[a:b])
             np.testing.assert_array_equal(v, vals[a:b])
             np.testing.assert_array_equal(e, errs[a:b])
 
@@ -396,26 +376,23 @@ class TestChunkBoundaries:
         L, x0, a = 40.0, 1.0, 0.5
         mode = ModeSpec(20000, L, 1.0)
         traj = TrajectorySpec.accelerated(a, x0, L)
-        t_wall, u_wall = response.wall_time(traj), a * (L - x0)
-        phi0, cc, _, t_s = plan_rows([mode.k], [mode.omega], traj, t_wall)[:, 0]
-        rate = traj.a
+        t_wall = wall_time(traj)
+        t_s = response._plan(np.array([mode.k]), np.array([mode.omega]), traj, t_wall)[2, 0]
         c = kernels._CHUNK
         n = 2 * c + 1 if offset is None else c + offset
         edges = np.linspace(t_s, t_wall, n + 1)
         lo, hi = edges[:-1], edges[1:]
         assert hi[-1] == t_wall
         scale = np.linspace(1.0, 3.0, n)
-        phi0s, ccs, omegas = phi0 * scale, cc * scale, mode.omega * scale
-        vals, errs = kernels.filon_integrals(phi0s, rate, ccs, omegas, lo, hi, t_wall, u_wall)
-        kappa = ccs * 0.5 * (np.cosh(a * hi) - np.cosh(a * lo))
+        qs, omegas = mode.k * math.pi / L * scale, mode.omega * scale
+        vals, errs = kernels.filon_integrals(traj, qs, omegas, lo, hi)
+        kappa = qs * 0.5 * (position(traj, hi) - position(traj, lo))
         assert kappa.min() < kernels._KAPPA_SWITCH <= kappa.max()
         slices = [(0, 1), (1, n), (n - 1, n), (c - 1, min(c + 1, n)), (n // 2, n), (0, n - 1)]
-        for p, q in slices:
-            v, e = kernels.filon_integrals(
-                phi0s[p:q], rate, ccs[p:q], omegas[p:q], lo[p:q], hi[p:q], t_wall, u_wall
-            )
-            np.testing.assert_array_equal(v, vals[p:q])
-            np.testing.assert_array_equal(e, errs[p:q])
+        for p, r in slices:
+            v, e = kernels.filon_integrals(traj, qs[p:r], omegas[p:r], lo[p:r], hi[p:r])
+            np.testing.assert_array_equal(v, vals[p:r])
+            np.testing.assert_array_equal(e, errs[p:r])
 
 
 def _gauss_legendre_40_digits(n):
@@ -511,34 +488,34 @@ class TestFilonRule:
         L, x0 = 40.0, 1.0
         mode = ModeSpec(k, L, 1.0)
         traj = TrajectorySpec.accelerated(a, x0, L)
-        t_wall = response.wall_time(traj)
-        phi0, cc, _, t_s = plan_rows([k], [mode.omega], traj, t_wall)[:, 0]
-        rate = traj.a
+        t_s = response._plan(np.array([k]), np.array([mode.omega]), traj, wall_time(traj))[2, 0]
+        q = k * math.pi / L
         lo = np.array([t_s + start])
         hi = lo + step
-        vals, errs = kernels.filon_integrals(phi0, rate, cc, mode.omega, lo, hi, t_wall, a * (L - x0))
-        u_h = 0.5 * (np.cosh(a * hi) - np.cosh(a * lo))
-        assert (cc * u_h[0] < kernels._KAPPA_SWITCH) == (k == 40)
+        vals, errs = kernels.filon_integrals(traj, q, mode.omega, lo, hi)
+        h = 0.5 * (position(traj, hi[0]) - position(traj, lo[0]))
+        assert (q * h < kernels._KAPPA_SWITCH) == (k == 40)
         with mpmath.workdps(30):
-            def f(t):
-                return mpmath.sin(phi0 + cc * (mpmath.cosh(a * t) - 1)) * mpmath.expj(mode.omega * t)
+            def f(t):  # x(t) = x0 + 2*sinh(a*t/2)**2/a
+                x = x0 + 2 * mpmath.sinh(a * t / 2) ** 2 / a
+                return mpmath.sin(q * x) * mpmath.expj(mode.omega * t)
             ref = complex(mpmath.quad(f, mpmath.linspace(lo[0], hi[0], 41)))
         assert abs(vals[0] - ref) <= max(errs[0], 1e-15)
         assert errs[0] <= 1e-12
 
     def test_panel_ending_at_the_wall_ends_at_the_wall(self):
-        # The last edge maps to u_wall itself, not to cosh(a*t_wall) - 1.
+        # A panel ending at the wall-arrival time, or past it, ends at the
+        # wall's exact position: the same bits whatever its end time.
         L, x0, a, k = 40.0, 1.0, 0.5, 40
         mode = ModeSpec(k, L, 1.0)
         traj = TrajectorySpec.accelerated(a, x0, L)
-        t_wall = response.wall_time(traj)
-        phi0, cc = plan_rows([k], [mode.omega], traj, t_wall)[:2, 0]
-        rate = traj.a
-        lo, hi = np.array([t_wall - 0.5]), np.array([t_wall])
-        args = (phi0, rate, cc, mode.omega, lo, hi, t_wall)
-        exact, _ = kernels.filon_integrals(*args, a * (L - x0))
-        moved, _ = kernels.filon_integrals(*args, a * (L - x0) * (1.0 - 1e-9))
-        assert exact != moved
+        t_wall = wall_time(traj)
+        q = k * math.pi / L
+        lo = np.array([t_wall - 0.5])
+        at, _ = kernels.filon_integrals(traj, q, mode.omega, lo, np.array([t_wall]))
+        past, _ = kernels.filon_integrals(traj, q, mode.omega, lo, np.array([t_wall + 3.0]))
+        short, _ = kernels.filon_integrals(traj, q, mode.omega, lo, np.array([t_wall - 0.1]))
+        assert at == past and at != short
 
     def test_estimate_floor_and_per_panel_bits(self):
         # Short panels far past the switch time: the degree-22 and 23
@@ -546,20 +523,17 @@ class TestFilonRule:
         # never 0; and every panel's bits are those of a call of its own.
         L, x0, a = 40.0, 1.0, 0.5
         ks = np.repeat([3, 40, 400], 20)
+        q = ks * math.pi / L
         omega = np.array([ModeSpec(int(k), L, 1.0).omega for k in ks])
         traj = TrajectorySpec.accelerated(a, x0, L)
-        t_wall = response.wall_time(traj)
-        phi0, cc = plan_rows(ks, omega, traj, t_wall)[:2]
-        rate = traj.a
+        t_wall = wall_time(traj)
         lo = np.tile(np.linspace(t_wall - 1.0, t_wall - 1e-3, 20), 3)
         hi = lo + 1e-3
-        vals, errs = kernels.filon_integrals(phi0, rate, cc, omega, lo, hi, t_wall, a * (L - x0))
+        vals, errs = kernels.filon_integrals(traj, q, omega, lo, hi)
         assert np.all(errs >= kernels.ERR_FLOOR * (hi - lo))
         assert np.any(errs == kernels.ERR_FLOOR * (hi - lo))
         for p in range(lo.size):
-            v, e = kernels.filon_integrals(
-                phi0[p], rate, cc[p], omega[p], lo[p:p + 1], hi[p:p + 1], t_wall, a * (L - x0)
-            )
+            v, e = kernels.filon_integrals(traj, q[p], omega[p], lo[p:p + 1], hi[p:p + 1])
             assert vals[p] == v[0] and errs[p] == e[0]
 
 

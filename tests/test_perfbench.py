@@ -123,7 +123,7 @@ def test_accel_mode_sum_starts_from_fewer_k61_panels(monkeypatch, seed, uniform)
     counts = []
 
     def plan_only(plan):
-        counts.append(plan[4].sum())
+        counts.append(plan[3].sum())
         return []
 
     def no_kernel(*args):

@@ -53,7 +53,7 @@ def one_mode_edges(mode, traj, t_end):
 def table_size(plan, block):
     """Entries of the padded starting edge table of the modes ``block`` of
     the _plan ``plan``."""
-    n_t, n_x = plan[4:6, block]
+    n_t, n_x = plan[3:5, block]
     return n_t.size * (n_t.max() + n_x.max())
 
 
@@ -68,18 +68,11 @@ def assert_planned(blocks, plan, n_modes):
         assert table_size(plan, b) <= response._MAX_EDGE_TABLE
 
 
-def kernel_args(mode, traj):
-    """(kind, phi0, rate, cc) of kernels.panel_integrals for ``mode`` on
-    ``traj``, from its plan (phi0 and cc do not depend on the end time)."""
-    phi0, cc = _plan(np.array([mode.k]), np.array([mode.omega]), traj, 1.0)[:2, 0]
-    return traj.kind, phi0, traj.a, cc
-
-
 def k61_plan(ks, omega, traj, t_end):
     """_plan of modes ``ks`` with the switch time t_x at infinity: every
     panel of an _adaptive_panels pass from it is a K61 panel."""
     plan = _plan(ks, omega, traj, t_end)
-    plan[3] = math.inf
+    plan[2] = math.inf
     return plan
 
 
@@ -428,7 +421,7 @@ class TestChiQuadrature:
         # along the worldline, so the later panels span more cycles.
         mode = ModeSpec(64, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
-        kind, phi0, rate, cc = kernel_args(mode, traj)
+        q = mode.k * math.pi / mode.L
         coarse = np.linspace(0.0, wall_time(traj), 4)
         column = k61_plan(np.array([mode.k]), np.array([mode.omega]), traj, coarse[-1])[:, 0]
         lo, hi, vals, errs, _, stalls = one_segment(traj, column, coarse, 1e-12)
@@ -439,10 +432,10 @@ class TestChiQuadrature:
         assert hi[0] == coarse[1]
         first_of = np.searchsorted(lo, coarse[1:3])
         assert first_of[0] == 1 and first_of[1] > 2 and lo.size > first_of[1] + 1
-        again, _ = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, lo, hi)
+        again, _ = kernels.panel_integrals(traj, q, mode.omega, lo, hi)
         np.testing.assert_allclose(vals, again, rtol=0, atol=1e-15)
         edges = np.linspace(0.0, coarse[-1], 4001)
-        ref, _ = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
+        ref, _ = kernels.panel_integrals(traj, q, mode.omega, edges[:-1], edges[1:])
         assert abs(vals.sum() - ref.sum()) <= 1e-12
 
 
@@ -459,7 +452,7 @@ def assert_k61_starts(ks, omega, traj, t_end):
     mode has more panels than equal steps in t at its largest rate take.
     """
     plan = _plan(ks, omega, traj, t_end)
-    t_x, n_t, sigma = plan[3], plan[4], plan[6]
+    t_x, n_t, sigma = plan[2], plan[3], plan[5]
     lo, hi, counts = _block_edges(traj, plan, t_end, np.array([t_end]))
     own = np.arange(ks.size).repeat(counts)
     k61 = lo < t_x[own]
@@ -504,16 +497,16 @@ class TestHalfCycleStart:
         traj = TrajectorySpec.accelerated(a, fig_cavity.x0, fig_cavity.L)
         c = chi(mode, fig_coupling, traj, 500.0, force_quadrature=True)
         assert c.err_estimate <= DEFAULT_TOL
-        kind, phi0, rate, cc = kernel_args(mode, traj)
+        q = mode.k * math.pi / mode.L
         edges = _eighth_cycle_edges(mode, traj, wall_time(traj))
-        _, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
+        _, errs = kernels.panel_integrals(traj, q, mode.omega, edges[:-1], edges[1:])
         # At large a the first panel is unresolved even at 1/8 cycle, because
         # A(t) = cc*(cosh(a*t) - 1) is far from linear there: cut every panel
         # whose estimate is above rounding level into 64.
         bad = np.flatnonzero(errs > 1e-13)
         cuts = edges[bad, None] + np.diff(edges)[bad, None] * np.linspace(0.0, 1.0, 65)
         edges = np.union1d(edges, cuts.ravel())
-        vals, errs = kernels.panel_integrals(kind, phi0, rate, cc, mode.omega, edges[:-1], edges[1:])
+        vals, errs = kernels.panel_integrals(traj, q, mode.omega, edges[:-1], edges[1:])
         pref = fig_coupling.lam / math.sqrt(mode.k * math.pi)
         assert pref * errs.sum() <= DEFAULT_TOL
         assert abs(c.value - (-1j * pref * vals.sum())) <= DEFAULT_TOL
@@ -548,7 +541,7 @@ class TestHalfCycleStart:
             t_end = min(500.0, wall_time(traj))
             edges = one_mode_edges(mode, traj, t_end)
             assert edges[0] == 0.0 and edges[-1] == t_end
-            t_s = _plan(np.array([mode.k]), np.array([mode.omega]), traj, t_end)[3, 0]
+            t_s = _plan(np.array([mode.k]), np.array([mode.omega]), traj, t_end)[2, 0]
             assert mode.k * math.pi / L * math.sinh(a * t_s) == pytest.approx(2.0 * mode.omega, rel=1e-14)
             assert 0.0 < t_s < t_end and t_s in edges
             x = edges[edges >= t_s]
@@ -581,7 +574,7 @@ class TestHalfCycleStart:
         # the mode keeps its two uniform panels of 50 rad of omega_k*t.
         traj = TrajectorySpec.accelerated(1e-306, 1.0, 4.0)
         plan = _plan(np.array([1]), np.array([1e20]), traj, 1e-18)
-        assert plan[4, 0] == 2.0 and plan[6, 0] == 0.0
+        assert plan[3, 0] == 2.0 and plan[5, 0] == 0.0
 
     @pytest.mark.parametrize("L", [4.0, 40.0, 400.0, 1e4])
     def test_sweep_converges_without_stall(self, L):
@@ -600,6 +593,64 @@ class TestHalfCycleStart:
                 assert abs(c.value - chi_ref) <= tol, (k, a, tau, tol)
 
 
+@pytest.mark.filterwarnings("error")
+class TestTinyAcceleration:
+    """A tiny but normal a, where q/a and asinh(2*omega_k/q)/a overflow: the
+    detector barely moves, so chi is the static one's."""
+
+    def test_chi_of_a_high_mode(self):
+        # sin(q*x0) = 1 at x0 = 1.001 for k = 2000, L = 4, and |chi| is near
+        # its largest, 2*lam/(omega_k*sqrt(k*pi)), at tau = 1.001.
+        mode, coup = ModeSpec(2000, 4.0, 1.0), CouplingSpec(1.0)
+        c = chi(mode, coup, TrajectorySpec.accelerated(1e-306, 1.001, 4.0), 1.001)
+        static = chi(mode, coup, TrajectorySpec.static(1.001, 4.0), 1.001).value
+        assert abs(static) > 1e-5
+        assert c.err_estimate <= DEFAULT_TOL and abs(c.value - static) <= DEFAULT_TOL
+
+    def test_switch_time_past_the_largest_double(self):
+        # omega = 1e12 at a = 1e-307: asinh(2*omega/q)/a would be 2.9e308.
+        mode, coup = ModeSpec(1, 4.0, 1e12), CouplingSpec(1.0)
+        c = chi(mode, coup, TrajectorySpec.accelerated(1e-307, 1.0, 4.0), 1e-9)
+        static = chi(mode, coup, TrajectorySpec.static(1.0, 4.0), 1e-9).value
+        assert c.err_estimate <= DEFAULT_TOL and abs(c.value - static) <= DEFAULT_TOL
+
+    def test_mode_sum(self):
+        # 2000 modes, each chi_k within tol of its static value, so each
+        # term within (2*|chi_k| + tol)*tol < tol (|chi_k| < 0.3 here).
+        cavity, coup = CavityConfig(L=4.0, m=1.0, k0=2, x0=1.0), CouplingSpec(1.0)
+        total = chi_mode_sum(cavity, coup, TrajectorySpec.accelerated(1e-306, 1.0, 4.0), 1.0, 2000)
+        static = chi_mode_sum(cavity, coup, TrajectorySpec.static(1.0, 4.0), 1.0, 2000)
+        assert static == pytest.approx(0.30116856102389, abs=1e-13)
+        assert abs(total - static) <= 2000 * DEFAULT_TOL
+
+
+class TestNonFiniteEstimate:
+    """A NaN from the kernel stops its segment by name, never as converged."""
+
+    @pytest.fixture
+    def nan_on_first_panel(self, monkeypatch):
+        real = kernels.panel_integrals
+
+        def nan_first(*args):
+            vals, errs = real(*args)
+            vals[0], errs[0] = math.nan, math.nan
+            return vals, errs
+
+        monkeypatch.setattr(kernels, "panel_integrals", nan_first)
+
+    def test_chi_raises_with_the_best_estimate(self, nan_on_first_panel):
+        traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
+        with pytest.raises(NumericalFailure, match="k=2: non-finite error estimate") as exc_info:
+            chi(ModeSpec(2, 4.0, 1.0), CouplingSpec(1.0), traj, 2.0)
+        best = exc_info.value.best
+        assert best.branch is ChiBranch.QUADRATURE and math.isnan(best.err_estimate)
+
+    def test_mode_sum_raises_naming_the_mode(self, nan_on_first_panel, small_cavity):
+        traj = TrajectorySpec.accelerated(1.0, small_cavity.x0, small_cavity.L)
+        with pytest.raises(NumericalFailure, match="k=1: non-finite error estimate"):
+            chi_mode_sum(small_cavity, CouplingSpec(0.5), traj, 1.0, k_max=8)
+
+
 class TestPositionRule:
     """Past the switch time an accelerated chi is integrated over position
     by the Filon x-rule; only [0, t_s] resolves the mode phase node by node."""
@@ -612,13 +663,13 @@ class TestPositionRule:
         nodes = []
         k61, x_rule = kernels.panel_integrals, kernels.filon_integrals
 
-        def count_k61(kind, phi0, rate, cc, omega, lo, hi):
+        def count_k61(traj, q, omega, lo, hi):
             nodes.append(61 * lo.size)
-            return k61(kind, phi0, rate, cc, omega, lo, hi)
+            return k61(traj, q, omega, lo, hi)
 
-        def count_x(phi0, rate, cc, omega, lo, hi, t_wall, u_wall):
+        def count_x(traj, q, omega, lo, hi):
             nodes.append(24 * lo.size)
-            return x_rule(phi0, rate, cc, omega, lo, hi, t_wall, u_wall)
+            return x_rule(traj, q, omega, lo, hi)
 
         monkeypatch.setattr(kernels, "panel_integrals", count_k61)
         monkeypatch.setattr(kernels, "filon_integrals", count_x)
@@ -1098,9 +1149,9 @@ class TestModeBlocks:
         ks, omega = np.arange(1, 257), mode_frequencies(256, cavity.L, cavity.m)
         for t_end in (0.05, 0.8):
             plan = _plan(ks, omega, traj, t_end)
-            assert plan.shape == (7, 256)
+            assert plan.shape == (6, 256)
             if kind == "accelerated" and t_end == 0.8:
-                assert plan[3, 0] == t_end and plan[3, -1] < t_end
+                assert plan[2, 0] == t_end and plan[2, -1] < t_end
             for j in range(256):
                 alone = _plan(ks[j:j + 1], omega[j:j + 1], traj, t_end)
                 np.testing.assert_array_equal(plan[:, j:j + 1], alone)
@@ -1115,7 +1166,7 @@ class TestModeBlocks:
         omega = np.array([ModeSpec(int(k), L, 1.0).omega for k in ks])
         for t_end in (0.05, wall_time(traj)):
             plan = _plan(ks, omega, traj, t_end)
-            switch = plan[3]
+            switch = plan[2]
             times = np.array([t_end / 3, t_end / 2, t_end])
             lo, hi, counts = _block_edges(traj, plan, t_end, times)
             assert len(counts) == ks.size and sum(counts) == lo.size == hi.size
@@ -1173,7 +1224,7 @@ class TestModeBlocks:
 
         def spy(traj, plan, *args):
             # A block's first and last modes, by their frequencies.
-            blocks.append(tuple(plan[2, [0, -1]]))
+            blocks.append(tuple(plan[1, [0, -1]]))
             return real(traj, plan, *args)
 
         monkeypatch.setattr(response, "_block_edges", spy)
