@@ -6,13 +6,16 @@ import numpy as _np
 
 # glibc's malloc gives the top of the heap back to the kernel whenever more
 # than its trim threshold (128 KiB until raised) is free there, and raises
-# the threshold to twice the largest mmapped block freed so far. A W(tau)
-# series on a few thousand samples frees ~400 KiB of numpy temporaries per
-# call, every block below the mmap limit, so a process that never freed a
-# larger block can return and re-fault them on every call (97 minor faults
-# per call, +25% on a 6000-sample inertial series, 2-vCPU x86-64 VM).
-# Freeing one mmapped 1 MiB block here raises the threshold to 2 MiB; a
-# scipy import used to do the same as a side effect. Elsewhere than glibc
+# the threshold to twice the largest mmapped block freed so far. Freeing one
+# mmapped 1 MiB block here raises it to 2 MiB, so a process that never freed
+# a larger block does not return and re-fault its numpy temporaries on
+# every call. The benchmark's accel-mode-sum workload (256-mode sums of
+# accelerated chi, one adaptive pass per block of modes) pays for it:
+# without this allocation a pass took 1.26-1.34 times the thread CPU time,
+# while velocity-average (6000-sample W(tau) series) was flat (thread CPU
+# medians of 40 passes in three alternated pairs of processes and of 60 in
+# two, 2-vCPU x86-64 VM, numpy 2.4).
+# A scipy import used to do the same as a side effect. Elsewhere than glibc
 # this is one short-lived allocation.
 _np.empty(1 << 17)
 

@@ -304,6 +304,7 @@ def cmd_scan_acceleration(args) -> int:
     accs = _scan_values(args, "acceleration", "must be positive and increasing")
     cavity, coupling = _cavity_and_coupling(args)
     traj_of = functools.partial(TrajectorySpec.accelerated, x0=cavity.x0, L=cavity.L)
+    traj_of(accs[-1])  # the largest a is refused before any point runs
     _check_eval_at(args, traj_of(accs[0]))
     metrics = _run_scan(
         accs,

@@ -452,9 +452,9 @@ def _block_edges(traj, plan, t_end: float, times):
     """Starting panels on the worldline ``traj`` of the modes of ``plan``
     (_plan) in one pass.
 
-    Returns (lo, hi, counts): mode j owns the counts[j] panels
-    [lo[p], hi[p]] after those of modes 0..j-1, contiguous and in order
-    from 0 to t_end > 0. Their edges merge three sets of times:
+    Returns (lo, hi, counts), three arrays: mode j owns the counts[j]
+    panels [lo[p], hi[p]] after those of modes 0..j-1, contiguous and in
+    order from 0 to t_end > 0. Their edges merge three sets of times:
 
     - the plan's n_t K61 panels on [0, t_x], with t_x the smaller of t_end
       and the switch time t_s. Each spans at most sixteen half cycles
@@ -489,18 +489,18 @@ def _block_edges(traj, plan, t_end: float, times):
     table.sort(axis=1)
     lo, hi = table[:, :-1], table[:, 1:]
     step = hi != lo
-    return lo[step], hi[step], step.sum(axis=1).tolist()
+    return lo[step], hi[step], step.sum(axis=1)
 
 
 def _segment_sums(x, counts):
-    """Per-segment sums of x, counts[s] elements to segment s, as a list of
-    floats (a boolean x is counted).
+    """Per-segment sums of x, counts[s] elements to segment s (an array of
+    counts, each at least 1): an array of floats for a float x, and of
+    integer counts for a boolean one.
 
     np.add.reduceat reduces each segment's slice on its own, so a
     segment's sum does not depend on the segments around it.
     """
-    counts = np.array(counts)
-    return np.add.reduceat(x, counts.cumsum() - counts, dtype=float).tolist()
+    return np.add.reduceat(x, counts.cumsum() - counts)
 
 
 def _stop_reason(history, s, n, floor):
@@ -531,25 +531,28 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
     A segment is one integral (one mode) over [0, t_end], cut into the
     starting ``panels`` (lo, hi, counts) of _block_edges: segment s owns
     the counts[s] panels after those of segments 0..s-1. Column s of
-    ``plan`` (_plan) gives its q, omega and switch time t_x, and tol[s]
-    its tolerance; both kernels take the worldline ``traj`` with each
-    panel's (q, omega). A panel of segment s starting at or after its t_x
-    (an edge) is an x-rule panel (kernels.filon_integrals), and every
-    other one a K61 panel (all of them off the accelerated worldline,
-    where t_x = t_end). Every
-    round evaluates the split panels of all segments in one call per rule,
-    and each segment refines exactly as it would alone: its own tolerance,
-    its own panel count in the split threshold tol/(2*n), and its own
-    verdict. Splitting in place keeps each segment's panels contiguous and
-    in order, and the per-round bookkeeping is a few Python operations per
-    segment.
+    ``plan`` (_plan) gives its q, omega and switch time t_x, and the array
+    entry tol[s] its tolerance; both kernels take the worldline ``traj``
+    with each panel's (q, omega). A panel of segment s starting at or
+    after its t_x (an edge) is an x-rule panel (kernels.filon_integrals),
+    and every other one a K61 panel (all of them off the accelerated
+    worldline, where t_x = t_end). Every round evaluates the split panels
+    of all segments in one call per rule, and each segment refines exactly
+    as it would alone: its own tolerance, its own panel count in the split
+    threshold tol/(2*n), and its own verdict. Splitting in place keeps
+    each segment's panels contiguous and in order. The per-segment counts,
+    running flags and error sums are arrays, so a round tests every
+    segment with one comparison and builds the split thresholds in one
+    pass; only a segment that missed its tolerance is looked at in Python
+    (_stop_reason).
 
     Returns (lo, hi, vals, errs, counts, stalls): segment s owns the
-    counts[s] panels after those of segments 0..s-1; ``stalls[s]`` is None
-    on convergence, else why its refinement stopped: its error sum is
-    not finite (a NaN sum is never taken as converged), it sits at the
-    kernel's rounding floor, which no split lowers, it has not shrunk over
-    two rounds, or the round or panel cap was hit.
+    counts[s] panels (an array) after those of segments 0..s-1; the list
+    entry ``stalls[s]`` is None on convergence, else why its refinement
+    stopped: its error sum is not finite (a NaN sum is never taken as
+    converged), it sits at the kernel's rounding floor, which no split
+    lowers, it has not shrunk over two rounds, or the round or panel cap
+    was hit.
 
     The stall rule assumes edges on which both rules are in their
     convergent range. sin(A)*exp(i*omega*t) is a sum of two exponentials
@@ -583,7 +586,6 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
     rounding floor.
     """
     lo, hi, counts = panels
-    tols = np.asarray(tol).tolist()
 
     def integrate(per_segment, a, b):
         """Kernel calls on panels a..b, per_segment[s] of them from segment s."""
@@ -598,25 +600,21 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
         return vals, errs
 
     vals, errs = integrate(counts, lo, hi)
-    stalls = [None] * len(counts)
-    running = [True] * len(counts)
-    history = [_segment_sums(errs, counts)]
+    stalls = [None] * counts.size
+    history, running = [], True  # every segment runs until it stops
     while True:
-        thresholds = []
-        for s, n in enumerate(counts):
-            if running[s] and not history[-1][s] <= tols[s]:  # NaN included
-                stalls[s] = _stop_reason(history, s, n, kernels.ERR_FLOOR * t_end)
-                running[s] = stalls[s] is None
-            else:
-                running[s] = False
-            thresholds.append(tols[s] / (2.0 * n) if running[s] else math.inf)
-        if not any(running):
+        history.append(_segment_sums(errs, counts))
+        running = running & ~(history[-1] <= tol)  # NaN included
+        missed = running.nonzero()[0].tolist()
+        for s in missed:
+            stalls[s] = _stop_reason(history, s, counts[s], kernels.ERR_FLOOR * t_end)
+            running[s] = stalls[s] is None
+        if all(stalls[s] is not None for s in missed):  # no segment runs on
             break
-        mask = errs > np.array(thresholds).repeat(counts)
-        splits = [int(k) for k in _segment_sums(mask, counts)]
-        if not any(splits):
-            break
-        running = [r and k > 0 for r, k in zip(running, splits)]
+        # A running segment's error sum exceeds its tol, so one of its n
+        # panels exceeds tol/(2*n): every round splits a panel of each.
+        mask = errs > np.where(running, tol / (2.0 * counts), math.inf).repeat(counts)
+        splits = _segment_sums(mask, counts)
         # Each split panel is replaced in place by its two halves.
         split_lo, split_hi = lo[mask], hi[mask]
         mid = 0.5 * (split_lo + split_hi)
@@ -624,11 +622,10 @@ def _adaptive_panels(traj, plan, panels, t_end, tol):
         half_hi = np.array([mid, split_hi]).T.ravel()
         reps = mask + 1
         slots = mask.repeat(reps).nonzero()[0]
-        half_vals, half_errs = integrate([2 * k for k in splits], half_lo, half_hi)
+        half_vals, half_errs = integrate(2 * splits, half_lo, half_hi)
         lo, hi, vals, errs = (x.repeat(reps) for x in (lo, hi, vals, errs))
         lo[slots], hi[slots], vals[slots], errs[slots] = half_lo, half_hi, half_vals, half_errs
-        counts = [n + k for n, k in zip(counts, splits)]
-        history.append(_segment_sums(errs, counts))
+        counts = counts + splits
     return lo, hi, vals, errs, counts, stalls
 
 
@@ -658,8 +655,7 @@ def _quadrature(ks, coupling, traj, taus, t_end, tol, plan):
     # Row j of plane 0 (values) and plane 1 (errors, complex with zero
     # imaginary part: their real parts add exactly as reals do) holds 0 and
     # mode j's running panel sums; the zeros after its last panel are unread.
-    width = max(counts) + 1
-    counts = np.array(counts)
+    width = counts.max() + 1
     shift = np.arange(ks.size) * width - (counts.cumsum() - counts)
     slots = np.arange(hi.size) + (shift + 1).repeat(counts)
     table = np.zeros((2, ks.size * width), dtype=complex)

@@ -18,6 +18,10 @@ import numpy as np
 from .errors import InvalidParameterError
 
 _TINY = float(np.finfo(float).tiny)
+#: Largest a*(L - x0) of an accelerated worldline. The x-rule adds two
+#: positions a*(x - x0) up to it (kernels._filon_block and _samples), so it
+#: is half the largest double.
+_MAX_A_SPAN = 0.5 * float(np.finfo(float).max)
 
 
 class TrajectoryKind(Enum):
@@ -43,12 +47,19 @@ class TrajectorySpec:
             )
         if self.kind is TrajectoryKind.INERTIAL and not 0 < self.v < 1:
             raise InvalidParameterError(f"velocity v={self.v} must satisfy 0 < v < 1")
-        # A subnormal a carries few bits, and the wall time's 0.5*a*d
-        # underflows to 0 for the smallest.
-        if self.kind is TrajectoryKind.ACCELERATED and not _TINY <= self.a < math.inf:
-            raise InvalidParameterError(
-                f"proper acceleration a={self.a} must be positive, finite and not subnormal"
-            )
+        if self.kind is TrajectoryKind.ACCELERATED:
+            # A subnormal a carries few bits, and the wall time's 0.5*a*d
+            # underflows to 0 for the smallest.
+            if not _TINY <= self.a < math.inf:
+                raise InvalidParameterError(
+                    f"proper acceleration a={self.a} must be positive, finite and not subnormal"
+                )
+            # As Python floats, whose product overflows to inf with no warning.
+            if not float(self.a) * float(self.L - self.x0) <= _MAX_A_SPAN:
+                raise InvalidParameterError(
+                    f"proper acceleration a={self.a} times the distance to the wall "
+                    f"L - x0={self.L - self.x0} must be at most {_MAX_A_SPAN:.6g}"
+                )
 
     @classmethod
     def static(cls, x0: float, L: float) -> "TrajectorySpec":

@@ -188,6 +188,24 @@ class TestWitnessCommand:
         assert "a=5e-324 must be positive, finite and not subnormal" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--traj", "accel:4e307", "--tau-max", "1", "--samples", "3"],
+        ["scan-acceleration", "--scan-min", "1", "--scan-max", "4e307", "--scan-steps", "3",
+         "--eval-at", "1"],
+    ])
+    def test_acceleration_past_the_double_range_is_invalid(self, tmp_path, capsys, monkeypatch, argv):
+        # a*(L - x0) = 1.2e308 (L - x0 = 3): the x-rule's sums of two
+        # positions would overflow. The witness run wrote NaN rows with
+        # exit 3, and the scan is refused before its first point.
+        monkeypatch.setattr(cli, "asymptote_value", lambda *a, **k: pytest.fail("a point ran"))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--k0", "2", "--L", "4", "--out", str(out)])
+        assert rc == 2
+        assert "a=4e+307 times the distance to the wall L - x0=3.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreachable_tolerance_exits_3(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
         rc = main([
@@ -368,6 +386,22 @@ class TestScanCommands:
             "scan-alpha", "--state", "fock:1", "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 2
+
+    def test_alpha_scan_requires_an_accelerated_worldline(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["scan-alpha", "--state", "cat:1", "--traj", "static", "--out", str(out)])
+        assert rc == 2
+        assert "scan-alpha requires an accel:A trajectory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scan", [
+        ["scan-velocity"], ["scan-acceleration"], ["scan-alpha", "--state", "cat:1"],
+    ])
+    def test_no_scan_steps_is_invalid(self, tmp_path, capsys, scan):
+        out = tmp_path / "x.csv"
+        assert main(scan + ["--scan-steps", "0", "--out", str(out)]) == 2
+        assert "--scan-steps 0 must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failing_scan_point_becomes_nan_with_warning(self, tmp_path, capsys):
         # an unreachable tolerance fails every point; the scan still completes

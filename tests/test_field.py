@@ -92,6 +92,11 @@ class TestModeFunction:
             xs = rng.uniform(0.0, 2.0, size=200)
             assert np.all(np.abs(mode_function(k, 2.0, xs)) <= 1.0 / math.sqrt(k * math.pi) + 1e-15)
 
+    @pytest.mark.parametrize("k", [0, 1.5])
+    def test_rejects_a_mode_index_that_is_not_a_positive_integer(self, k):
+        with pytest.raises(InvalidParameterError, match=f"mode index k must be a positive integer, got {k}"):
+            mode_function(k, 2.0, 1.0)
+
     def test_rejects_out_of_cavity(self):
         with pytest.raises(InvalidParameterError):
             mode_function(1, 2.0, -0.1)

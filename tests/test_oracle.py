@@ -321,6 +321,11 @@ class TestEvolveTrotter:
             tracemalloc.stop()
         assert peak < 1e5
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_fewer_than_one_step_is_invalid(self, steps):
+        with pytest.raises(InvalidParameterError, match=f"steps={steps} must be >= 1"):
+            evolve_trotter(TruncatedMode(20, 1.0), lambda t: np.zeros_like(t), 2.0, steps)
+
     def test_zero_drive_is_identity(self):
         tm = TruncatedMode(20, 1.0)
         u = evolve_trotter(tm, lambda t: np.zeros_like(t), 2.0, 64)
@@ -759,6 +764,18 @@ class TestEndToEnd:
             assert rep.gap < 1e-14
             assert sorted(sizes) == [1, 15]
             assert len(probed) == 1 and probed[0].omega == small_cavity.mode().omega
+
+    @pytest.mark.parametrize("state", list(oracle._SUITE_STATES))
+    def test_accelerated_suite_states(self, small_cavity, state):
+        # The suite's cavity, coupling, tau, modes and cutoff on the
+        # accelerated worldline at a = 0.5 (gaps of 4e-16 to 8e-16). Not a
+        # check of run_oracle_suite, whose 11 checks the benchmark counts.
+        traj = TrajectorySpec.accelerated(0.5, small_cavity.x0, small_cavity.L)
+        rep = end_to_end_check(
+            oracle._SUITE_STATES[state], small_cavity, CouplingSpec(0.4), traj, 1.7, k_max=16, cutoff=40
+        )
+        assert rep.trajectory == "accelerated"
+        assert rep.gap <= 1e-14
 
     def test_probed_mode_alone_leaves_an_empty_batch(self):
         cavity = CavityConfig(L=4.0, m=1.0, k0=1)

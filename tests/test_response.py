@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from udwitness import kernels, oracle, response
+from udwitness import kernels, oracle, response, trajectory
 from udwitness.errors import InvalidParameterError, NumericalFailure
 from udwitness.field import CavityConfig, ModeSpec, mode_frequencies
 from udwitness.response import (
@@ -80,7 +80,7 @@ def one_segment(traj, column, edges, tol):
     """_adaptive_panels on a single segment (one mode) from its plan ``column``."""
     assert edges[0] == 0.0  # a segment spans [0, t_end]
     return _adaptive_panels(
-        traj, column.reshape(-1, 1), (edges[:-1], edges[1:], [edges.size - 1]), edges[-1],
+        traj, column.reshape(-1, 1), (edges[:-1], edges[1:], np.array([edges.size - 1])), edges[-1],
         np.array([tol]),
     )
 
@@ -388,6 +388,26 @@ class TestChiQuadrature:
         assert best.err_estimate > 0.0
         assert best.value == chi(mode, CouplingSpec(1.0), traj, 60.0, force_quadrature=True).value
 
+    @pytest.mark.parametrize("cap, reason", [
+        ("_MAX_ROUNDS", "round cap 0 hit"), ("_MAX_PANELS", "panel cap {} hit"),
+    ])
+    def test_work_cap_stops_refinement_with_the_best_estimate(self, monkeypatch, cap, reason):
+        # This chi starts from 47 panels and converges in one round of
+        # splits. A round cap of 0, or a panel cap at its starting count,
+        # stops it before that round, at its starting estimate.
+        mode, coup = ModeSpec(5000, 1e4, 1.0), CouplingSpec(2.0 * math.sqrt(5000))
+        traj = TrajectorySpec.accelerated(0.02, 1.0, 1e4)
+        converged = chi(mode, coup, traj, 500.0, tol=1e-12)
+        n_start = one_mode_edges(mode, traj, wall_time(traj)).size - 1
+        monkeypatch.setattr(response, cap, 0 if cap == "_MAX_ROUNDS" else n_start)
+        with pytest.raises(NumericalFailure, match=reason.format(n_start)) as exc_info:
+            chi(mode, coup, traj, 500.0, tol=1e-12)
+        best = exc_info.value.best
+        vals, errs, _ = chi_series(mode, coup, traj, [500.0], tol=1e-12)
+        assert best.value == vals[0] and best.err_estimate == errs[0] == exc_info.value.err_estimate
+        assert best.err_estimate > 1e-12 >= converged.err_estimate
+        assert abs(best.value - converged.value) <= 1e-10
+
     def test_unreachable_tolerance_reports_stall(self):
         mode = ModeSpec(2, 4.0, 1.0)
         traj = TrajectorySpec.accelerated(1.0, 1.0, 4.0)
@@ -622,6 +642,98 @@ class TestTinyAcceleration:
         static = chi_mode_sum(cavity, coup, TrajectorySpec.static(1.0, 4.0), 1.0, 2000)
         assert static == pytest.approx(0.30116856102389, abs=1e-13)
         assert abs(total - static) <= 2000 * DEFAULT_TOL
+
+
+def jacobi_anger_chi(k, cavity, lam, a, tau):
+    """chi_k(tau) on the accelerated worldline from cavity.x0, before the
+    wall, by the Jacobi-Anger series in mpmath at 40 digits: no quadrature.
+
+    With z = q/a and u = a*t, q*x(t) = q*x0 - z + z*cosh(u), and
+    exp(i*z*cosh(u)) = J_0(z) + 2*Sum_{n>=1} i^n*J_n(z)*cosh(n*u) (DLMF
+    10.12.2 at theta = i*u), so sin(q*x(t)) = Sum_n eps_n*J_n(z)*
+    sin(q*x0 - z + n*pi/2)*cosh(n*a*t), eps_0 = 1 and eps_n = 2. Each
+    cosh(n*a*t)*exp(i*omega*t) integrates in closed form. A term is at
+    most |eps_n*J_n(z)|*cosh(n*a*tau)*tau, which falls faster than
+    geometrically past n = e*z*exp(a*tau)/2; the sum stops there, once it
+    is below 1e-30.
+    """
+    with mpmath.workdps(40):
+        x0, a, tau = (mpmath.mpf(v) for v in (cavity.x0, a, tau))
+        q = k * mpmath.pi / cavity.L
+        omega = mpmath.sqrt(q**2 + mpmath.mpf(cavity.m) ** 2)
+        z = q / a
+        n_decay = mpmath.e * z * mpmath.exp(a * tau) / 2
+        total, n = mpmath.mpc(0), 0
+        while True:
+            j = (1 if n == 0 else 2) * mpmath.besselj(n, z)
+            # Integral_0^tau cosh(n*a*t)*exp(i*omega*t) dt
+            rates = (n * a + 1j * omega, -n * a + 1j * omega)
+            integral = sum(mpmath.expm1(r * tau) / r for r in rates) / 2
+            total += j * mpmath.sin(q * x0 - z + n * mpmath.pi / 2) * integral
+            if n > n_decay and abs(j) * mpmath.cosh(n * a * tau) * tau < mpmath.mpf(10) ** -30:
+                return complex(-1j * lam * total / mpmath.sqrt(k * mpmath.pi))
+            n += 1
+
+
+class TestJacobiAngerReference:
+    def test_suite_modes_match_the_series(self, small_cavity):
+        # The oracle suite's cavity and coupling at a = 0.5, tau = 1.7,
+        # before the wall (3.13). Every mode agrees within 1e-16.
+        a, tau, lam = 0.5, 1.7, 0.4
+        traj = TrajectorySpec.accelerated(a, small_cavity.x0, small_cavity.L)
+        assert wall_time(traj) > tau
+        got = chi_modes(small_cavity, CouplingSpec(lam), traj, tau, 16, tol=1e-12)
+        for k in range(1, 17):
+            assert abs(got[k - 1] - jacobi_anger_chi(k, small_cavity, lam, a, tau)) <= 1e-14, k
+
+
+@pytest.mark.filterwarnings("error")
+class TestHugeAcceleration:
+    """The largest a takes a*(L - x0) to half the largest double: past it,
+    the x-rule's sums of two positions a*(x - x0) overflow."""
+
+    @staticmethod
+    def largest_a(x0, L):
+        d = L - x0
+        a = trajectory._MAX_A_SPAN / d
+        while a * d > trajectory._MAX_A_SPAN:
+            a = math.nextafter(a, 0.0)
+        return a
+
+    @pytest.mark.parametrize("k, L", [(2, 4.0), (5000, 1e4)])
+    def test_largest_accepted_a_gives_a_finite_chi(self, k, L):
+        # The detector reaches the wall after t_w ~ 1e-305 to 1e-302, so
+        # |chi| is at most lam*t_w/sqrt(k*pi), and near it from the
+        # antinode x0 = 1, which the detector leaves only in the last few
+        # units of a*t before t_w. wall_time was inf past a*d = 3.6e308,
+        # and the x-rule overflowed from a*d = 9.0e307.
+        a = self.largest_a(1.0, L)
+        traj = TrajectorySpec.accelerated(a, 1.0, L)
+        t_w = wall_time(traj)
+        c = chi(ModeSpec(k, L, 1.0), CouplingSpec(1.0), traj, 500.0)
+        bound = t_w / math.sqrt(k * math.pi)
+        assert c.err_estimate <= DEFAULT_TOL and 0.9 * bound < abs(c.value) <= bound
+        with pytest.raises(InvalidParameterError, match="times the distance to the wall"):
+            TrajectorySpec.accelerated(math.nextafter(a, math.inf), 1.0, L)
+
+    def test_largest_accepted_a_against_mpmath(self):
+        # chi = -i*lam/sqrt(k*pi) * Integral_0^{u_w} sin(q*x(u/a))*exp(i*omega*u/a) du/a
+        # with u = a*t, u_w = acosh(1 + a*d), in 20 digits on panels
+        # [u_i, u_{i+1}] of equal steps in x.
+        mode, x0 = ModeSpec(2, 4.0, 1.0), 1.0
+        a = self.largest_a(x0, mode.L)
+        got = chi(mode, CouplingSpec(1.0), TrajectorySpec.accelerated(a, x0, mode.L), 500.0).value
+        d, n = mode.L - x0, 20
+        with mpmath.workdps(20):
+            a_mp, q = mpmath.mpf(a), mode.k * mpmath.pi / mode.L
+            edges = [0] + [mpmath.acosh(1 + a_mp * d * mpmath.mpf(i) / n) for i in range(1, n + 1)]
+
+            def integrand(u):
+                x = x0 + (mpmath.cosh(u) - 1) / a_mp
+                return mpmath.sin(q * x) * mpmath.expj(mode.omega * u / a_mp)
+
+            ref = complex(-1j * mpmath.quad(integrand, edges) / (a_mp * mpmath.sqrt(mode.k * mpmath.pi)))
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 class TestNonFiniteEstimate:

@@ -453,6 +453,16 @@ class TestTimeAveragedWitness:
         with pytest.raises(InvalidParameterError):
             time_averaged_witness(s, 0.0, 1.5)
 
+    def test_window_with_an_invalid_sample_fails(self):
+        # Sample 5 (tau = 0.5) is invalid: a window over it fails, one
+        # that ends before it does not.
+        taus = np.linspace(0.0, 1.0, 11)
+        s = _synthetic_series(taus, np.ones(11))
+        s.ok[5] = False
+        with pytest.raises(NumericalFailure, match="window contains invalid samples"):
+            time_averaged_witness(s, 0.2, 0.8)
+        assert time_averaged_witness(s, 0.0, 0.4) == 1.0
+
 
 class TestViolationMetrics:
     def test_coherent_series(self, fig_cavity, fig_coupling):
@@ -477,6 +487,12 @@ class TestViolationMetrics:
         traj = TrajectorySpec.accelerated(1.0, fig_cavity.x0, fig_cavity.L)
         s = witness_series(StateSpec.thermal(5.0), fig_cavity, fig_coupling, traj, taus)
         assert violation_metrics(s).first_violation_tau is None
+
+    def test_series_with_no_valid_sample_fails(self):
+        s = _synthetic_series(np.linspace(0.0, 1.0, 5), np.ones(5))
+        s.ok[:] = False
+        with pytest.raises(NumericalFailure, match="series has no valid samples"):
+            violation_metrics(s)
 
 
 class TestAsymptoteValue:
