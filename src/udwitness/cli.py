@@ -225,6 +225,10 @@ def cmd_witness(args) -> int:
             raise InvalidParameterError(
                 "--omega-override describes a resting detector; --traj must be static"
             )
+        if args.force_quadrature:
+            raise InvalidParameterError(
+                "--omega-override has a closed form only; --force-quadrature needs a cavity mode"
+            )
         if not 0 < args.tol < math.inf:
             raise InvalidParameterError(f"tolerance --tol {args.tol} must be positive and finite")
         series = witness_series_from_omega(state, _lam(args), args.omega_override, taus)

@@ -19,19 +19,20 @@ from .errors import InvalidParameterError
 def mode_frequency(k: int, L: float, m: float) -> float:
     """Angular frequency of cavity mode k: sqrt((k*pi/L)^2 + m^2).
 
-    Strictly increasing in k and m, strictly decreasing in L.
+    Strictly increasing in k and m, strictly decreasing in L. The one-k case
+    of mode_frequencies' expression, so it has the same bits.
     """
     if k != int(k) or k < 1:
         raise InvalidParameterError(f"mode index k must be a positive integer, got {k}")
     _check_cavity(L, m)
-    return math.hypot(int(k) * math.pi / L, m)
+    return float(np.hypot(int(k) * math.pi / L, m))
 
 
 def mode_frequencies(k_max: int, L: float, m: float) -> np.ndarray:
-    """mode_frequency of modes k = 1..k_max as an array, the same bits,
-    with L and m validated once."""
+    """mode_frequency of modes k = 1..k_max as an array, one np.hypot over
+    k*pi/L, with L and m validated once."""
     _check_cavity(L, m)
-    return np.array([math.hypot(k * math.pi / L, m) for k in range(1, k_max + 1)])
+    return np.hypot(np.arange(1, k_max + 1) * math.pi / L, m)
 
 
 def _check_cavity(L: float, m: float) -> None:

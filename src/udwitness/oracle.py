@@ -144,10 +144,8 @@ def _displacements(cutoff: int, betas: np.ndarray, *parts) -> list[np.ndarray]:
     bad = betas[~np.isfinite(betas)]
     if bad.size:
         raise InvalidParameterError(f"displacement beta={bad[0]} must be finite")
-    # |beta| and arg(beta) by abs and cmath.phase: np.abs and np.angle
-    # round differently in about a third and a tenth of cases.
-    r = np.array([abs(b) for b in betas.tolist()])
-    phi = np.array([cmath.phase(b) + 0.5 * math.pi for b in betas.tolist()])
+    r = np.abs(betas)
+    phi = np.angle(betas) + 0.5 * math.pi
     pad = cutoff + 25 + math.ceil(4.0 * float(r.max(initial=0.0)) * math.sqrt(cutoff))
     x, v = _quadrature_eigh(pad)
     theta = r[:, None] * x
@@ -234,7 +232,6 @@ def evolve_trotter(
     drive,
     tau: float,
     steps: int,
-    sign: int = 1,
     block: int | None = None,
 ) -> np.ndarray:
     """Time-ordered interaction-picture propagator by a midpoint product.
@@ -245,17 +242,18 @@ def evolve_trotter(
     drive-induced phase beta, the double integral of
     f(t') f(t'') sin(omega*(t' - t'')) over 0 <= t'' <= t' <= tau:
 
-        evolve_trotter ~= exp(i*beta) * D(sign*zeta)
+        evolve_trotter ~= exp(i*beta) * D(zeta)
 
-    with zeta the response chi of the drive. For a constant drive f0,
+    with zeta the response chi of the drive; the negated drive gives
+    D(-zeta) with the same beta. For a constant drive f0,
     beta = f0^2*(tau - sin(omega*tau)/omega)/omega.
 
     Each factor is the exact exponential of its step generator
-    g_j = -i*dt*sign*f_j*(a e^{-i*omega*t_j} + a^dagger e^{+i*omega*t_j}).
-    With R(theta) = diag(e^{i*theta*n}), g_j = R(omega*t_j) (-i*dt*sign*f_j*X)
+    g_j = -i*dt*f_j*(a e^{-i*omega*t_j} + a^dagger e^{+i*omega*t_j}).
+    With R(theta) = diag(e^{i*theta*n}), g_j = R(omega*t_j) (-i*dt*f_j*X)
     R(omega*t_j)^dagger for the fixed real tridiagonal X = a + a^dagger, so
     one eigendecomposition X = V diag(x) V^T gives every step exponential:
-    exp(g_j) = R(omega*t_j) V diag(e^{-i*dt*sign*f_j*x}) V^T R(omega*t_j)^dagger.
+    exp(g_j) = R(omega*t_j) V diag(e^{-i*dt*f_j*x}) V^T R(omega*t_j)^dagger.
     Between neighbouring steps the rotations combine into the fixed matrix
     V^T R(-omega*dt) V, so a step costs one small matmul. A constant drive
     (all samples exactly equal, as on a resting worldline) repeats one
@@ -277,8 +275,6 @@ def evolve_trotter(
     (cutoff, cutoff) one. This is the propagation of vectors rather than
     matrices: ``block=1`` gives the column U|0>.
     """
-    if sign not in (-1, 1):
-        raise InvalidParameterError(f"sign must be +1 or -1, got {sign}")
     if block is not None and not 1 <= block <= mode.cutoff:
         raise InvalidParameterError(f"block={block} must be in 1..{mode.cutoff}")
     if steps < 1:
@@ -302,7 +298,7 @@ def evolve_trotter(
     hop[n, n] += 1.0
     # u is held in the eigenbasis of X, between the outer rotations
     u = (v.T * np.exp(-1j * mode.omega * (0.5 * dt) * n)[None, :])[:, :block]
-    kick = np.exp((-1j * dt * sign * f[0]) * x)[:, None]
+    kick = np.exp((-1j * dt * f[0]) * x)[:, None]
     u *= kick
     if np.all(f == f[0]):
         # every later step is the same factor kick*hop
@@ -317,7 +313,7 @@ def evolve_trotter(
     else:
         for j in range(1, steps):
             u = hop @ u
-            u *= np.exp((-1j * dt * sign * f[j]) * x)[:, None]
+            u *= np.exp((-1j * dt * f[j]) * x)[:, None]
     return (np.exp(1j * mode.omega * ((steps - 0.5) * dt) * n)[:, None] * v) @ u
 
 

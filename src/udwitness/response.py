@@ -718,9 +718,8 @@ def chi_series(
 
 
 def _abs2_sum(chis) -> float:
-    """Sum_k |chi_k|^2 by Python's abs and ** per mode, as on a ChiValue
-    (np.abs and numpy's square of the same value can differ in the last bit)."""
-    return float(np.sum([abs(c) ** 2 for c in chis.tolist()]))
+    """Sum_k |chi_k|^2 of a complex array, as one np.abs, square and sum."""
+    return float(np.sum(np.abs(chis) ** 2))
 
 
 def chi_modes(
@@ -735,8 +734,8 @@ def chi_modes(
 
     ``tau`` is one time; an accelerated chi_k is bit-identical to chi(...,
     force_quadrature=True)'s. A stall is raised once every mode is evaluated:
-    NumericalFailure names the first stalled k, with Sum_k |chi_k|^2 at the
-    best estimates as ``best``.
+    NumericalFailure names the first stalled k, with chi_mode_sum's
+    Sum_k |chi_k|^2 of the best estimates as ``best``.
     """
     if not isinstance(k_max, numbers.Integral) or k_max < 1:
         raise InvalidParameterError(f"k_max={k_max} must be an integer >= 1")
@@ -769,8 +768,7 @@ def chi_mode_sum(
     """Sum_k |chi_k(tau)|^2 of chi_modes over modes 1..k_max, an exact truncation
     for matched-truncation use, e.g. against a mode-by-mode simulation.
 
-    Each term is abs(chi_k)**2 on a Python complex, so an accelerated term is
-    bit-identical to abs(chi(..., force_quadrature=True).value)**2. A stall
-    raises chi_modes' NumericalFailure, whose ``best`` is this sum.
+    The sum is float(np.sum(np.abs(chi_modes(...)) ** 2)), bit for bit. A
+    stall raises chi_modes' NumericalFailure, whose ``best`` is this sum.
     """
     return _abs2_sum(chi_modes(cavity, coupling, traj, tau, k_max, tol))

@@ -209,13 +209,15 @@ class WitnessSeries:
 
 
 def _validate_grid(taus) -> np.ndarray:
-    """``taus`` as a float array: non-empty, strictly increasing, from a time >= 0.
+    """``taus`` as a 1-D float array: non-empty, strictly increasing, from a time >= 0.
 
     A strictly increasing grid holds no NaN, so its sign is checked at the
     first time alone; response._checked_times, which every chi passes
     through, owns the scan of each time.
     """
     taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1:
+        raise InvalidParameterError(f"time grid must be one-dimensional, got shape {taus.shape}")
     if taus.size == 0:
         raise InvalidParameterError("time grid is empty")
     if taus.size > 1 and not np.all(taus[1:] > taus[:-1]):

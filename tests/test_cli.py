@@ -90,6 +90,17 @@ class TestWitnessCommand:
         ])
         assert rc == 2
 
+    def test_omega_override_refuses_force_quadrature(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main([
+            "witness", "--omega-override", "1.0", "--force-quadrature",
+            "--tau-max", "1", "--samples", "3", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--omega-override" in err and "--force-quadrature" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_omega_override_bad_tolerance_is_invalid(self, tmp_path, capsys, tol):
         rc = main([

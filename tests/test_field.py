@@ -61,6 +61,10 @@ class TestModeFrequencies:
         assert got.shape == (k_max,)
         np.testing.assert_array_equal(got, [mode_frequency(k, L, m) for k in range(1, k_max + 1)])
 
+    @pytest.mark.parametrize("k", [1, 10**6])
+    def test_one_k_is_the_array_entry(self, k):
+        assert mode_frequency(k, 1e4, 1.0) == mode_frequencies(10**6, 1e4, 1.0)[k - 1]
+
     @pytest.mark.parametrize("L,m,name", [(0.0, 0.0, "cavity length L"), (math.inf, 0.0, "cavity length L"),
                                           (math.nan, 0.0, "cavity length L"), (1.0, -0.1, "field mass m"),
                                           (1.0, math.inf, "field mass m"), (1.0, math.nan, "field mass m")])

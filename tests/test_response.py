@@ -1050,6 +1050,16 @@ class TestChiModeSum:
         assert exact_16 <= exact_32 <= deep * (1 + 1e-12)
         assert deeper == pytest.approx(deep, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["inertial", "accelerated"])
+    def test_sum_is_numpy_abs2_of_chi_modes(self, small_cavity, kind):
+        coup = CouplingSpec(0.4)
+        if kind == "inertial":
+            traj = TrajectorySpec.inertial(0.3, small_cavity.x0, small_cavity.L)
+        else:
+            traj = TrajectorySpec.accelerated(0.5, small_cavity.x0, small_cavity.L)
+        chis = chi_modes(small_cavity, coup, traj, 1.7, 64)
+        assert chi_mode_sum(small_cavity, coup, traj, 1.7, 64) == float(np.sum(np.abs(chis) ** 2))
+
     def test_k_max_over_the_cap_fails_before_allocating(self, small_cavity):
         traj = TrajectorySpec.static(small_cavity.x0, small_cavity.L)
         tracemalloc.start()

@@ -288,6 +288,16 @@ class TestWitnessSeries:
         with pytest.raises(InvalidParameterError, match="strictly increasing"):
             witness_series(state, small_cavity, CouplingSpec(0.4), traj, [0.5, 0.5])
 
+    @pytest.mark.parametrize("taus", [0.5, [[0.0, 1.0], [2.0, 3.0]]])
+    def test_grid_that_is_not_one_dimensional_is_invalid(self, small_cavity, taus):
+        state, coupling = StateSpec.fock(1), CouplingSpec(0.4)
+        for traj in (TrajectorySpec.static(small_cavity.x0, small_cavity.L),
+                     TrajectorySpec.accelerated(0.5, small_cavity.x0, small_cavity.L)):
+            with pytest.raises(InvalidParameterError, match="time grid must be one-dimensional"):
+                witness_series(state, small_cavity, coupling, traj, taus)
+        with pytest.raises(InvalidParameterError, match="time grid must be one-dimensional"):
+            witness_series_from_omega(state, INTRO_LAM, INTRO_OMEGA, taus)
+
     def test_time_checks_and_their_messages(self, small_cavity):
         # The grid check reads the sign at the first time only (a strictly
         # increasing grid has no NaN); chi's own check scans every time,
